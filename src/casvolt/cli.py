@@ -27,7 +27,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .closed_forms import PathSegment, reflection_antiderivative
 from .correlators import DualPlate, SinglePlate, SpacetimePair, correlator_dual_plate, correlator_single_plate
-from .errors import ConvergenceError, DomainError, SingularityError, VerificationError
+from .errors import (
+    CasvoltError,
+    ConvergenceError,
+    DomainError,
+    SingularityError,
+    VerificationError,
+)
 from .experiment import (
     DEFAULT_SCENARIO,
     load_scenario,
@@ -330,29 +336,29 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             )
             return row
 
-    rows: list[dict] = []
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            iterator = zip(values, pool.map(build, values))
-            rows = _collect_sweep_rows(args.over, iterator)
+            rows = _collect_sweep_rows(args.over, values, pool.map(build, values))
     else:
-        rows = _collect_sweep_rows(args.over, ((v, build(v)) for v in values))
+        rows = _collect_sweep_rows(args.over, values, map(build, values))
     _emit(rows, args, "sweep")
     return 0
 
 
-def _collect_sweep_rows(param: str, iterator) -> list[dict]:
+def _collect_sweep_rows(param: str, values: list[float], results) -> list[dict]:
+    """The rows of `results`, built in order for `values`.
+
+    An error building a row is re-raised as itself, class and attributes
+    intact, with the sweep value it failed at prefixed to its message.
+    """
     rows = []
-    current = None
-    try:
-        for current, row in iterator:
-            rows.append(row)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"sweep value {param}={current!r}: {exc}") from exc
-    except SingularityError as exc:
-        raise SingularityError(f"sweep value {param}={current!r}: {exc}") from exc
-    except DomainError as exc:
-        raise DomainError(f"sweep value {param}={current!r}: {exc}") from exc
+    results = iter(results)
+    for value in values:
+        try:
+            rows.append(next(results))
+        except CasvoltError as exc:
+            exc.args = (f"sweep value {param}={value!r}: {exc}", *exc.args[1:])
+            raise
     return rows
 
 

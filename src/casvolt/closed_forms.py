@@ -38,6 +38,7 @@ __all__ = [
     "reflected_image_integral_smallv",
     "translated_image_integral",
     "translated_image_integral_smallv",
+    "image_pair_terms",
     "one_plate_kernel",
     "reflected_image_kernel",
     "translated_image_kernel",
@@ -295,6 +296,104 @@ def translated_image_integral_smallv(seg: PathSegment, a: float, n: int) -> floa
     if not a > 0.0:
         raise DomainError(f"plate separation a must be positive, got {a!r}")
     return 1.0 / (4.0 * a * a * seg.v * seg.v * n * n)
+
+
+def _image_pair_term(seg: PathSegment, a: float, n: int, scale: LogScale) -> float:
+    """Scalar sum of the four image integrals of +n and -n, in the order
+    image_pair_terms adds them."""
+    total = 0.0
+    for s in (n, -n):
+        total += reflected_image_integral(seg, a, s, scale)
+        total += translated_image_integral(seg, a, s, scale)
+    return total
+
+
+def _log_differences(first, second, diff, ell: float, touch_scale):
+    """Array form of _log_difference: nan where that would raise."""
+    import numpy as np
+
+    tol = _POLE_TOUCH_EPS * touch_scale
+    touched = (np.abs(first) < tol) | (np.abs(second) < tol)
+    ratio = diff / second
+    far = (np.abs(ratio) > _LOG1P_MAX) & ~touched
+    value = 2.0 * np.log1p(np.where(far, 0.0, ratio))
+    if far.any():
+        # numpy's log and math.log can differ by an ulp, which the
+        # cancellation inside a corner value amplifies far beyond an ulp of
+        # the result; the few elements on this branch take math.log, exactly
+        # as the scalar form does
+        log_ell = 2.0 * math.log(ell)
+        value[far] = [
+            (2.0 * math.log(abs(f)) - log_ell) - (2.0 * math.log(abs(s)) - log_ell)
+            for f, s in zip(first[far].tolist(), second[far].tolist())
+        ]
+    value[touched] = np.nan
+    return value
+
+
+def _reflection_antiderivatives(z, z_prime, v: float, ell: float):
+    """Array form of reflection_antiderivative for arrays z, z' (v checked);
+    non-finite where that would raise."""
+    import numpy as np
+
+    coord_scale = np.abs(z) + np.abs(z_prime)
+    delta = z_prime - z
+    a_arg = (1.0 + v) * z_prime + (v - 1.0) * z
+    b_arg = (1.0 + v) * z + (v - 1.0) * z_prime
+    log_diff = _log_differences(a_arg, b_arg, 2.0 * delta, ell, v * coord_scale + np.abs(delta))
+    num = 8.0 * v * z * z_prime + (1.0 - v * v) * (z * z - z_prime * z_prime) * log_diff
+    return np.where(
+        np.abs(delta) < _DIAGONAL_EPS * coord_scale,
+        1.0 / (16.0 * v * v * z * z_prime),
+        num / (128.0 * v**3 * (z * z_prime) ** 2),
+    )
+
+
+def _translation_antiderivatives(z: float, z_prime: float, nav, v: float, ell: float):
+    """Array form of translation_antiderivative over an array of n a v
+    (v checked); non-finite where that would raise."""
+    import numpy as np
+
+    delta = z_prime - z
+    if abs(delta) < _DIAGONAL_EPS * (abs(z) + abs(z_prime)):
+        return 1.0 / (8.0 * nav * nav)
+    p_arg = (1.0 + v) * delta + 2.0 * nav
+    q_arg = (1.0 - v) * (z - z_prime) + 2.0 * nav
+    log_diff = _log_differences(p_arg, q_arg, 2.0 * delta, ell, 2.0 * np.abs(nav) + abs(delta))
+    num = 8.0 * nav + ((1.0 - v * v) * (z - z_prime) + 2.0 * nav * v) * log_diff
+    return num / (64.0 * nav**3)
+
+
+def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_SCALE):
+    """Four-image contribution of +n and -n for each index in the array ns.
+
+    For each n the sum, over s = n then -n, of reflected_image_integral and
+    translated_image_integral, evaluated with the same corner construction,
+    diagonal limits, log1p branch and singular-locus test on whole arrays.
+    A block holding any index those functions would refuse (a corner on the
+    singular locus, n = 0) is re-evaluated through them one index at a time,
+    so it raises the same error at the same index.
+    """
+    import numpy as np
+
+    _check_v(seg.v)
+    if not a > 0.0:
+        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    v, ell = seg.v, scale.ell
+    shift = a * np.stack([ns, -ns])  # rows +n and -n
+    with np.errstate(all="ignore"):
+        reflected = _corner_combination(
+            lambda x, y: _reflection_antiderivatives(x - shift, y - shift, v, ell),
+            seg.z0, seg.z0 + seg.b,
+        )
+        translated = _corner_combination(
+            lambda x, y: _translation_antiderivatives(x, y, shift * v, v, ell),
+            seg.z0, seg.z0 + seg.b,
+        )
+        terms = reflected[0] + translated[0] + reflected[1] + translated[1]
+    if np.isfinite(terms).all():
+        return terms
+    return np.array([_image_pair_term(seg, a, int(n), scale) for n in ns])
 
 
 # ---------------------------------------------------------------------------

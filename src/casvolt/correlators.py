@@ -92,22 +92,24 @@ def correlator_single_plate(pair: SpacetimePair) -> float:
     return _inverse_square_factor(dt, pair.z + pair.z_prime, "(z+z')") / math.pi**2
 
 
-def _dual_tail_bound(n_used: int, a: float, dt: float, dz: float, sz: float) -> float:
-    """Upper bound on the dropped |n| > n_used image-pair terms.
+def _dual_tail_bound(ns, a: float, dt: float, dz: float, sz: float):
+    """Upper bound on the dropped |n| > N image-pair terms, for each N in ns.
 
     Beyond the last summed index every image separation is at least
-    m_n = 2an - max(z+z', |z-z'|), so each of the four terms per pair is at
-    most 1/(m_n^2 - dt^2)^2; an integral test over the 1/(2an - M)^4 envelope
+    m_N = 2aN - max(z+z', |z-z'|), so each of the four terms per pair is at
+    most 1/(m_N^2 - dt^2)^2; an integral test over the 1/(2an - M)^4 envelope
     gives the closed form used here. Returns inf while the bound is not yet
     valid (images still inside the light cone scale).
     """
+    import numpy as np
+
     big = max(sz, abs(dz))
-    m_next = 2.0 * a * (n_used + 1) - big
-    edge = 2.0 * a * n_used - big
-    if m_next <= abs(dt) or edge <= 0.0:
-        return math.inf
+    m_next = 2.0 * a * (ns + 1.0) - big
+    edge = 2.0 * a * ns - big
     gamma = 1.0 - (dt * dt) / (m_next * m_next)
-    return 4.0 / (math.pi**2 * gamma * gamma) / (6.0 * a * edge**3)
+    with np.errstate(divide="ignore"):
+        bound = 4.0 / (math.pi**2 * gamma * gamma) / (6.0 * a * edge**3)
+    return np.where((m_next > abs(dt)) & (edge > 0.0), bound, np.inf)
 
 
 def _dual_pair_term(n: int, a: float, dt: float, dz: float, sz: float) -> float:
@@ -116,6 +118,35 @@ def _dual_pair_term(n: int, a: float, dt: float, dz: float, sz: float) -> float:
         total += _inverse_square_factor(dt, dz - 2.0 * a * s, f"(z-z'-2an), n={s}")
         total += _inverse_square_factor(dt, sz - 2.0 * a * s, f"(z+z'-2an), n={s}")
     return total / math.pi**2
+
+
+def _dual_pair_terms(ns, a: float, dt: float, dz: float, sz: float):
+    """_dual_pair_term for each index in the array ns, as the same float
+    operations in a plain loop; a block holding a singular image is
+    re-evaluated through _dual_pair_term, which raises.
+
+    Deliberately a loop, not numpy array arithmetic. A dual-plate sum stops
+    after a few hundred pairs; array arithmetic does them about 8x faster,
+    but on a shared machine its cost does not follow the interpreter's,
+    which the benchmark's pure-Python speed calibration assumes, and
+    point_evals throughput then spreads too widely between runs to be
+    compared (docs/decisions.md).
+    """
+    import numpy as np
+
+    reach = abs(dt)
+    terms = []
+    for n in ns.tolist():
+        shift = 2.0 * a * n
+        total = 0.0
+        for separation in (dz - shift, sz - shift, dz + shift, sz + shift):
+            factor = (dt - separation) * (dt + separation)
+            denom = factor * factor
+            if denom < _SINGULAR_EPS * max(reach, abs(separation)) ** 4:
+                return np.array([_dual_pair_term(int(m), a, dt, dz, sz) for m in ns])
+            total += 1.0 / denom
+        terms.append(total / math.pi**2)
+    return np.array(terms)
 
 
 def correlator_dual_plate(
@@ -141,8 +172,8 @@ def correlator_dual_plate(
     base = correlator_single_plate(pair)
     try:
         return sum_symmetric_images(
-            lambda n: _dual_pair_term(n, a, dt, dz, sz),
-            lambda n: _dual_tail_bound(n, a, dt, dz, sz),
+            lambda ns: _dual_pair_terms(ns, a, dt, dz, sz),
+            lambda ns: _dual_tail_bound(ns, a, dt, dz, sz),
             control,
             base=base,
         )

@@ -19,9 +19,8 @@ from .closed_forms import (
     DEFAULT_SCALE,
     LogScale,
     PathSegment,
+    image_pair_terms,
     one_plate_integral,
-    reflected_image_integral,
-    translated_image_integral,
 )
 from .errors import ConvergenceError, DomainError
 from .summation import SummationControl, sum_symmetric_images
@@ -161,10 +160,15 @@ class WindowReport:
     """Where the exact one-plate result is trustworthy in flight distance b.
 
     Below lower_bound = 2 v z0 / sqrt(3) the fluctuation picture breaks down
-    (the formal rms would exceed the mean kinetic energy scale); at
-    pole_entry = 2 v z0 / (1 - v) the integration square touches the image
-    light cone and the integral diverges. The upper edge z0 is soft: b must
-    stay well below z0 for the one-plate geometry to be meaningful.
+    (the formal rms would exceed the mean kinetic energy scale). At
+    pole_entry = 2 v z0 / (1 - v) a corner of the integration square
+    reaches the image light cone. The closed form stays finite there but is
+    sharply peaked: for z0 = 1, v = 0.01 it is 2.6 times the plateau
+    1/(4 z0^2 v^2) at b = 0.02 and 5.2 times at b = 0.020203. Only a corner
+    within rounding of the locus raises SingularityError. pole_entry lies
+    above lower_bound, so `inside` is True across the peak. The upper edge
+    z0 is soft: b must stay well below z0 for the one-plate geometry to be
+    meaningful.
     """
 
     b: float
@@ -176,6 +180,7 @@ class WindowReport:
 
 
 def validity_window(seg: PathSegment) -> WindowReport:
+    """Place seg.b against the one-plate window edges described in WindowReport."""
     lower = 2.0 * seg.v * seg.z0 / math.sqrt(3.0)
     pole = 2.0 * seg.v * seg.z0 / (1.0 - seg.v)
     inside = lower <= seg.b <= seg.z0
@@ -239,27 +244,20 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     return _result(rms * rms, particle.charge_e, flags)
 
 
-def _two_plate_tail_bound(n: int, seg: PathSegment, a: float) -> float:
-    """Certified bound on the dropped image quartets beyond index n.
+def _two_plate_tail_bound(ns, seg: PathSegment, a: float):
+    """Certified bound on the dropped image quartets beyond each index n in ns.
 
     Each |m| > n quartet is at most 4 b^2 / [v^2 (2am - 2(z0+b))^2 - b^2]^2;
     an integral test in the variable u = v (2ax - 2(z0+b)) / b gives
     (4 / (2avb)) * (1/4) [1/(U-1) + 1/(U+1) - ln((U+1)/(U-1))] once
     U = v (2an - 2(z0+b)) / b exceeds 1. Returns inf before that.
     """
-    u = seg.v * (2.0 * a * n - 2.0 * (seg.z0 + seg.b)) / seg.b
-    if u <= 1.0:
-        return math.inf
-    q_u = 0.25 * (1.0 / (u - 1.0) + 1.0 / (u + 1.0) - math.log((u + 1.0) / (u - 1.0)))
-    return 4.0 * q_u / (2.0 * a * seg.v * seg.b)
+    import numpy as np
 
-
-def _two_plate_pair_term(n: int, seg: PathSegment, a: float, scale: LogScale) -> float:
-    total = 0.0
-    for s in (n, -n):
-        total += reflected_image_integral(seg, a, s, scale)
-        total += translated_image_integral(seg, a, s, scale)
-    return total
+    u = seg.v * (2.0 * a * ns - 2.0 * (seg.z0 + seg.b)) / seg.b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_u = 0.25 * (1.0 / (u - 1.0) + 1.0 / (u + 1.0) - np.log((u + 1.0) / (u - 1.0)))
+    return np.where(u > 1.0, 4.0 * q_u / (2.0 * a * seg.v * seg.b), np.inf)
 
 
 def variance_two_plate_exact(
@@ -291,8 +289,8 @@ def variance_two_plate_exact(
     prefactor = q * q * seg.v**4 / math.pi**2
     try:
         summed = sum_symmetric_images(
-            lambda n: _two_plate_pair_term(n, seg, a, scale),
-            lambda n: _two_plate_tail_bound(n, seg, a),
+            lambda ns: image_pair_terms(seg, a, ns, scale),
+            lambda ns: _two_plate_tail_bound(ns, seg, a),
             control,
             base=one_plate_integral(seg, scale),
         )
@@ -346,20 +344,22 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
     return _result(variance, particle.charge_e, flags)
 
 
-def _series_tail_bound(n: int, z0: float, a: float, v: float) -> float:
-    """Integral-test bound on the dropped small-v image terms beyond n.
+def _series_tail_bound(ns, z0: float, a: float, v: float):
+    """Integral-test bound on the dropped small-v image terms beyond each n in ns.
 
     Each dropped index m contributes [1/(am - z0)^2 + 1/(am + z0)^2 + 2/(am)^2]
     / (4 v^2); integrating each envelope over x > n bounds the tail by
     [1/(a (an - z0)) + 1/(a (an + z0)) + 2/(a^2 n)] / (4 v^2).
     """
-    if a * n - z0 <= 0.0:
-        return math.inf
-    return (
-        1.0 / (a * (a * n - z0))
-        + 1.0 / (a * (a * n + z0))
-        + 2.0 / (a * a * n)
-    ) / (4.0 * v * v)
+    import numpy as np
+
+    with np.errstate(divide="ignore"):
+        bound = (
+            1.0 / (a * (a * ns - z0))
+            + 1.0 / (a * (a * ns + z0))
+            + 2.0 / (a * a * ns)
+        ) / (4.0 * v * v)
+    return np.where(a * ns - z0 > 0.0, bound, np.inf)
 
 
 def variance_two_plate_series_smallv(
@@ -396,15 +396,15 @@ def variance_two_plate_series_smallv(
     q = particle.charge_natural
     prefactor = q * q * v**4 / math.pi**2
 
-    def pair_term(n: int) -> float:
-        reflected = 1.0 / (a * n - z0) ** 2 + 1.0 / (a * n + z0) ** 2
-        translated = 2.0 / (a * n) ** 2
+    def pair_term(ns):
+        reflected = 1.0 / (a * ns - z0) ** 2 + 1.0 / (a * ns + z0) ** 2
+        translated = 2.0 / (a * ns) ** 2
         return (reflected + translated) / (4.0 * v * v)
 
     try:
         summed = sum_symmetric_images(
             pair_term,
-            lambda n: _series_tail_bound(n, z0, a, v),
+            lambda ns: _series_tail_bound(ns, z0, a, v),
             control,
             base=1.0 / (4.0 * v * v * z0 * z0),
         )

@@ -7,14 +7,17 @@ import math
 import pytest
 
 from casvolt import (
+    ConvergenceError,
     Particle,
+    PoleInsideDomainError,
+    SingularityError,
     PathSegment,
     SpacetimePair,
     correlator_dual_plate,
     length_to_natural,
     variance_one_plate,
 )
-from casvolt.cli import main
+from casvolt.cli import _collect_sweep_rows, main
 
 
 def _run(capsys, *argv):
@@ -146,6 +149,42 @@ def test_sweep_speed_conflict_fails(capsys):
     )
     assert code == 2
     assert "sweep value v=" in err
+
+
+@pytest.mark.parametrize("error", [
+    SingularityError("corner on the locus", factor=1e-13, threshold=1e-11),
+    PoleInsideDomainError("pole inside the square", threshold=0.25),
+    ConvergenceError("not certified"),
+])
+def test_sweep_error_keeps_class_and_attributes(error):
+    def results():
+        yield {"row": 1}
+        raise error
+
+    with pytest.raises(type(error)) as excinfo:
+        _collect_sweep_rows("b", [1.0, 2.0, 3.0], results())
+    assert type(excinfo.value) is type(error)
+    assert str(excinfo.value).startswith("sweep value b=2.0: ")
+    assert vars(excinfo.value) == vars(error)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_failure_names_failing_value_and_exit_code(capsys, jobs):
+    pole_b = 2.0 * 0.01 * 1.0 / (1.0 - 0.01)  # a corner on the singular locus
+    code, _, err = _run(
+        capsys,
+        "sweep", "--over", "b", "--values", f"0.1,{pole_b!r},0.3", "--plates", "one",
+        "--z0", "1", "--speed", "0.01", "--natural-units", "--jobs", jobs,
+    )
+    assert code == 2
+    assert f"sweep value b={pole_b!r}: integration corner" in err
+    code, _, err = _run(
+        capsys,
+        "sweep", "--over", "v", "--values", "0.01,0.02", "--plates", "two", "--z0", "0.3",
+        "--b", "0.1", "--a", "1", "--natural-units", "--n-max", "5", "--jobs", jobs,
+    )
+    assert code == 3
+    assert "sweep value v=0.01: two-plate variance" in err
 
 
 def test_sweep_requires_exactly_one_grid_spec(capsys):

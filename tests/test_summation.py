@@ -1,10 +1,11 @@
 """Certified symmetric image summation."""
 import math
 
+import numpy as np
 import pytest
 
 from casvolt import ConvergenceError, DomainError, SummationControl
-from casvolt.summation import sum_symmetric_images
+from casvolt.summation import _BLOCK_CAP, _HEAD_BLOCK, sum_symmetric_images
 
 ZETA4_PAIR_SUM = math.pi**4 / 45.0  # 2 * zeta(4)
 
@@ -54,10 +55,8 @@ def test_base_term_included():
 
 def test_infinite_bound_defers_termination():
     # bound unavailable until n >= 5: the sum must keep going, then certify
-    def bound(n: int) -> float:
-        if n < 5:
-            return math.inf
-        return 2.0 / (3.0 * n**3)
+    def bound(n):
+        return np.where(n < 5, np.inf, 2.0 / (3.0 * n**3))
 
     result = sum_symmetric_images(
         lambda n: 2.0 / n**4, bound, SummationControl(tol=1e-6)
@@ -74,3 +73,139 @@ def test_budget_exhaustion_raises():
             SummationControl(tol=1e-10, n_max=50),
         )
     assert "n_max=50" in str(excinfo.value)
+
+
+# The callables below use only +, -, * and /, which round identically in any
+# numpy loop, so the block engine and the per-index reference see bit-equal
+# terms and bounds.
+
+def _zeta4_pair(n):
+    return 2.0 / (n * n * n * n)
+
+
+def _zeta4_bound(n):
+    return 2.0 / (3.0 * n * n * n)
+
+
+def _reference(pair_term, tail_bound, control, base=0.0, n_min=1):
+    """The one-index-at-a-time loop: (value, terms_used, tail) or the
+    ConvergenceError message."""
+    parts = [base]
+    running = base
+    bound = math.inf
+    for n in range(n_min, control.n_max + 1):
+        index = np.array([float(n)])
+        term = float(pair_term(index)[0])
+        parts.append(term)
+        running += term
+        bound = float(tail_bound(index)[0])
+        if bound <= control.tol * abs(running):
+            return math.fsum(parts), n, bound
+    return (
+        f"image sum not certified below relative tolerance {control.tol:g} "
+        f"within n_max={control.n_max} terms (last tail bound {bound:.3e})"
+    )
+
+
+def _assert_matches_reference(pair_term, tail_bound, control, base=0.0, n_min=1):
+    expected = _reference(pair_term, tail_bound, control, base=base, n_min=n_min)
+    if isinstance(expected, str):
+        with pytest.raises(ConvergenceError) as excinfo:
+            sum_symmetric_images(pair_term, tail_bound, control, base=base, n_min=n_min)
+        assert str(excinfo.value) == expected
+        return None
+    result = sum_symmetric_images(pair_term, tail_bound, control, base=base, n_min=n_min)
+    assert (result.value, result.terms_used, result.tail_estimate) == expected
+    return result
+
+
+def test_stop_inside_first_block_matches_reference():
+    result = _assert_matches_reference(_zeta4_pair, _zeta4_bound, SummationControl(tol=1e-3))
+    assert 1 < result.terms_used < _HEAD_BLOCK
+
+
+def test_stop_inside_second_block_matches_reference():
+    result = _assert_matches_reference(_zeta4_pair, _zeta4_bound, SummationControl(tol=1e-6))
+    assert _HEAD_BLOCK < result.terms_used < _HEAD_BLOCK + _BLOCK_CAP
+
+
+# the first block ends at _HEAD_BLOCK, the second _BLOCK_CAP indices later
+_EDGES = (_HEAD_BLOCK, _HEAD_BLOCK + _BLOCK_CAP)
+
+
+@pytest.mark.parametrize("stop", [edge + step for edge in _EDGES for step in (-1, 0, 1)])
+def test_stop_on_block_edge_matches_reference(stop):
+    def bound(n):
+        return np.where(n < stop, np.inf, _zeta4_bound(n))
+
+    # at tol 1e-3 the zeta(4) bound alone certifies from n = 7 on
+    result = _assert_matches_reference(_zeta4_pair, bound, SummationControl(tol=1e-3))
+    assert result.terms_used == stop
+
+
+def test_shrinking_total_spans_blocks_and_matches_reference():
+    # negative terms shrink the running total, so every predicted stop falls
+    # short of the true one and the engine must carry on in later blocks
+    result = _assert_matches_reference(
+        lambda n: -0.5 / (n * n), lambda n: 0.5 / n, SummationControl(tol=1e-3), base=1.0
+    )
+    assert result.terms_used > 1000
+
+
+@pytest.mark.parametrize("n_max", [50, _BLOCK_CAP + 10])
+def test_n_max_inside_block_matches_reference(n_max):
+    _assert_matches_reference(
+        lambda n: 1.0 / (n * n), lambda n: 1.0 / n, SummationControl(tol=1e-10, n_max=n_max)
+    )
+
+
+def test_running_total_adds_left_to_right():
+    # each term is below half an ulp of the base, so a left-to-right running
+    # total stays exactly 1.0 and never meets the bound, while adding the
+    # terms up first would reach 1 + 2**-52 and stop
+    tol = 0.5
+    _assert_matches_reference(
+        lambda n: np.full_like(n, 1e-17),
+        lambda n: np.full_like(n, tol * (1.0 + 2.0**-52)),
+        SummationControl(tol=tol, n_max=100),
+        base=1.0,
+    )
+
+
+def test_n_min_above_one_matches_reference():
+    result = _assert_matches_reference(
+        _zeta4_pair, _zeta4_bound, SummationControl(tol=1e-12), n_min=3
+    )
+    assert result.value == pytest.approx(ZETA4_PAIR_SUM - 2.0 - 2.0 / 16.0, rel=1e-11)
+
+
+def test_blocks_never_exceed_cap():
+    sizes = []
+
+    def pair(n):
+        sizes.append(len(n))
+        return 2.0 / (n * n)
+
+    def bound(n):
+        sizes.append(len(n))
+        return 2.0 / n
+
+    result = _assert_matches_reference(pair, bound, SummationControl(tol=1e-4), base=1.0)
+    assert result.terms_used > _BLOCK_CAP
+    assert max(sizes) <= _BLOCK_CAP
+
+
+def test_pair_terms_stop_near_the_true_stop():
+    # against the small base alone the stop would be predicted about
+    # (sum/base)^(1/3) ~ 3x too far out; after the first block the
+    # prediction is within an index of the true stop
+    seen = []
+
+    def pair(n):
+        seen.extend(n.tolist())
+        return _zeta4_pair(n)
+
+    result = _assert_matches_reference(pair, _zeta4_bound, SummationControl(tol=1e-10),
+                                       base=0.05)
+    assert result.terms_used > _HEAD_BLOCK
+    assert max(seen) <= result.terms_used + 1
