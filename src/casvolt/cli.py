@@ -23,7 +23,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .closed_forms import PathSegment, reflection_antiderivative
 from .correlators import DualPlate, SinglePlate, SpacetimePair, correlator_dual_plate, correlator_single_plate
@@ -336,11 +335,7 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
             )
             return row
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = _collect_sweep_rows(args.over, values, pool.map(build, values))
-    else:
-        rows = _collect_sweep_rows(args.over, values, map(build, values))
+    rows = _collect_sweep_rows(args.over, values, map(build, values))
     _emit(rows, args, "sweep")
     return 0
 
@@ -495,7 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--voltage", type=float, default=1e-4, help="applied voltage for d_C sweeps"
     )
     sweep.add_argument(
-        "--jobs", type=int, default=1, help="worker threads; output order is unchanged"
+        "--jobs", type=int, default=1,
+        help="kept for compatibility, must be at least 1; points are evaluated in order",
     )
     _add_particle_flags(sweep)
     _add_control_flags(sweep)

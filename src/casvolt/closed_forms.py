@@ -128,6 +128,28 @@ def _log_difference(first: float, second: float, diff: float, ell: float,
     )
 
 
+def _reflection_value(z: float, z_prime: float, delta: float, v: float, ell: float) -> float:
+    """reflection_antiderivative at (z, z'), given delta = z' - z separately.
+
+    A corner square [base, base + b]^2 far from the origin has exact corner
+    offsets 0 and +-b, while z' - z formed from the rounded corners carries an
+    error of order ulp(base), which the corner cancellation amplifies by
+    |base| / b. Every difference the value needs is therefore built from
+    delta: B = (1+v) z + (v-1) z' = 2 v z - (1-v) delta, A = B + 2 delta and
+    z^2 - z'^2 = -(z + z') delta.
+    """
+    if z == 0.0 or z_prime == 0.0:
+        raise DomainError("antiderivative undefined at z = 0 or z' = 0")
+    coord_scale = abs(z) + abs(z_prime)
+    if abs(delta) < _DIAGONAL_EPS * coord_scale:
+        return 1.0 / (16.0 * v * v * z * z_prime)
+    a_arg = 2.0 * v * z + (1.0 + v) * delta
+    b_arg = 2.0 * v * z + (v - 1.0) * delta
+    log_diff = _log_difference(a_arg, b_arg, 2.0 * delta, ell, v * coord_scale + abs(delta))
+    num = 8.0 * v * z * z_prime - (1.0 - v * v) * (z + z_prime) * delta * log_diff
+    return num / (128.0 * v**3 * (z * z_prime) ** 2)
+
+
 def reflection_antiderivative(z: float, z_prime: float, v: float,
                               scale: LogScale = DEFAULT_SCALE) -> float:
     """Antiderivative whose mixed second derivative is the one-plate kernel.
@@ -136,22 +158,11 @@ def reflection_antiderivative(z: float, z_prime: float, v: float,
         [8 v z z' + (1-v^2)(z^2-z'^2) (log(A^2/ell^2) - log(B^2/ell^2))]
             / (128 v^3 (z z')^2)
     with A = (1+v) z' + (v-1) z and B = (1+v) z + (v-1) z'; on the diagonal
-    the analytic limit 1/(16 v^2 z z') is used.
+    the analytic limit 1/(16 v^2 z z') is used. The corner integrals evaluate
+    the same value from a base corner and exact offsets (_reflection_square).
     """
     _check_v(v)
-    if z == 0.0 or z_prime == 0.0:
-        raise DomainError("antiderivative undefined at z = 0 or z' = 0")
-    coord_scale = abs(z) + abs(z_prime)
-    delta = z_prime - z
-    if abs(delta) < _DIAGONAL_EPS * coord_scale:
-        return 1.0 / (16.0 * v * v * z * z_prime)
-    a_arg = (1.0 + v) * z_prime + (v - 1.0) * z
-    b_arg = (1.0 + v) * z + (v - 1.0) * z_prime
-    # A - B = 2 (z' - z) exactly
-    log_diff = _log_difference(a_arg, b_arg, 2.0 * delta, scale.ell,
-                               v * coord_scale + abs(delta))
-    num = 8.0 * v * z * z_prime + (1.0 - v * v) * (z * z - z_prime * z_prime) * log_diff
-    return num / (128.0 * v**3 * (z * z_prime) ** 2)
+    return _reflection_value(z, z_prime, z_prime - z, v, scale.ell)
 
 
 def translation_antiderivative(z: float, z_prime: float, v: float, a: float, n: int,
@@ -186,6 +197,17 @@ def _corner_combination(f: Callable[[float, float], float], c0: float, c1: float
     return f(c1, c1) - f(c1, c0) - f(c0, c1) + f(c0, c0)
 
 
+def _reflection_square(value: Callable, base, b: float):
+    """Four-corner difference over [base, base + b]^2 of value(z, z', z' - z).
+
+    The corner offsets 0 and +-b are passed as the differences, so the side
+    of the square is b exactly wherever the base lies (base may be an array).
+    """
+    top = base + b
+    return (value(top, top, 0.0) - value(top, base, -b)
+            - value(base, top, b) + value(base, base, 0.0))
+
+
 def one_plate_integral(seg: PathSegment, scale: LogScale = DEFAULT_SCALE) -> float:
     """Double integral of the one-plate kernel over the segment square.
 
@@ -193,9 +215,10 @@ def one_plate_integral(seg: PathSegment, scale: LogScale = DEFAULT_SCALE) -> flo
     A corner can land on the singular locus when b = 2 v z0 / (1-v); that
     raises SingularityError with guidance to perturb b.
     """
+    _check_v(seg.v)
     try:
-        return _corner_combination(
-            lambda x, y: reflection_antiderivative(x, y, seg.v, scale), seg.z0, seg.z0 + seg.b
+        return _reflection_square(
+            lambda z, zp, d: _reflection_value(z, zp, d, seg.v, scale.ell), seg.z0, seg.b
         )
     except SingularityError as exc:
         raise SingularityError(
@@ -236,18 +259,19 @@ def reflected_image_integral(seg: PathSegment, a: float, n: int,
                              scale: LogScale = DEFAULT_SCALE) -> float:
     """Segment-square integral of the reflected-image kernel (index n != 0).
 
-    Equals the one-plate corner combination with both arguments shifted by
-    -a*n, since the kernel only sees z + z' - 2an.
+    Equals the one-plate corner combination over the square shifted by -a*n,
+    since the kernel only sees z + z' - 2an. The shifted square starts at
+    z0 - a*n and keeps the exact side b: shifting both corners first would
+    round the side at the magnitude of a*n.
     """
     if n == 0:
         raise DomainError("image index n must be a nonzero integer")
     if not a > 0.0:
         raise DomainError(f"plate separation a must be positive, got {a!r}")
-    shift = a * n
+    _check_v(seg.v)
     try:
-        return _corner_combination(
-            lambda x, y: reflection_antiderivative(x - shift, y - shift, seg.v, scale),
-            seg.z0, seg.z0 + seg.b,
+        return _reflection_square(
+            lambda z, zp, d: _reflection_value(z, zp, d, seg.v, scale.ell), seg.z0 - a * n, seg.b
         )
     except SingularityError as exc:
         raise SingularityError(
@@ -310,6 +334,29 @@ def _image_pair_term(seg: PathSegment, a: float, n: int, scale: LogScale) -> flo
     return total
 
 
+def _image_pair_corners(seg: PathSegment, a: float, n: int, scale: LogScale) -> list[float]:
+    """The sixteen signed corner antiderivatives whose sum is the +n/-n pair
+    term, built as image_pair_terms builds it. Their magnitudes set the
+    scale of the pair term's rounding error, since the corners cancel."""
+    v, b = seg.v, seg.b
+    c0, c1 = seg.z0, seg.z0 + b
+    corners = []
+    for s in (n, -n):
+        base = seg.z0 - a * s
+        top = base + b
+        corners += [
+            _reflection_value(top, top, 0.0, v, scale.ell),
+            -_reflection_value(top, base, -b, v, scale.ell),
+            -_reflection_value(base, top, b, v, scale.ell),
+            _reflection_value(base, base, 0.0, v, scale.ell),
+            translation_antiderivative(c1, c1, v, a, s, scale),
+            -translation_antiderivative(c1, c0, v, a, s, scale),
+            -translation_antiderivative(c0, c1, v, a, s, scale),
+            translation_antiderivative(c0, c0, v, a, s, scale),
+        ]
+    return corners
+
+
 def _log_differences(first, second, diff, ell: float, touch_scale):
     """Array form of _log_difference: nan where that would raise."""
     import numpy as np
@@ -320,32 +367,31 @@ def _log_differences(first, second, diff, ell: float, touch_scale):
     far = (np.abs(ratio) > _LOG1P_MAX) & ~touched
     value = 2.0 * np.log1p(np.where(far, 0.0, ratio))
     if far.any():
-        # numpy's log and math.log can differ by an ulp, which the
-        # cancellation inside a corner value amplifies far beyond an ulp of
-        # the result; the few elements on this branch take math.log, exactly
-        # as the scalar form does
+        # numpy's log and math.log can differ by an ulp; with the corner
+        # differences built from exact offsets, that stays far inside the
+        # 1e-12 of the corner magnitudes by which block and scalar pair
+        # terms may differ (tests/test_image_blocks.py)
         log_ell = 2.0 * math.log(ell)
-        value[far] = [
-            (2.0 * math.log(abs(f)) - log_ell) - (2.0 * math.log(abs(s)) - log_ell)
-            for f, s in zip(first[far].tolist(), second[far].tolist())
-        ]
+        value[far] = (2.0 * np.log(np.abs(first[far])) - log_ell) - (
+            2.0 * np.log(np.abs(second[far])) - log_ell)
     value[touched] = np.nan
     return value
 
 
-def _reflection_antiderivatives(z, z_prime, v: float, ell: float):
-    """Array form of reflection_antiderivative for arrays z, z' (v checked);
-    non-finite where that would raise."""
+def _reflection_values(z, z_prime, delta: float, v: float, ell: float):
+    """Array form of _reflection_value for arrays z, z' and one difference
+    delta (v checked); non-finite where that would raise."""
     import numpy as np
 
+    if delta == 0.0:
+        return 1.0 / (16.0 * v * v * z * z_prime)
     coord_scale = np.abs(z) + np.abs(z_prime)
-    delta = z_prime - z
-    a_arg = (1.0 + v) * z_prime + (v - 1.0) * z
-    b_arg = (1.0 + v) * z + (v - 1.0) * z_prime
-    log_diff = _log_differences(a_arg, b_arg, 2.0 * delta, ell, v * coord_scale + np.abs(delta))
-    num = 8.0 * v * z * z_prime + (1.0 - v * v) * (z * z - z_prime * z_prime) * log_diff
+    a_arg = 2.0 * v * z + (1.0 + v) * delta
+    b_arg = 2.0 * v * z + (v - 1.0) * delta
+    log_diff = _log_differences(a_arg, b_arg, 2.0 * delta, ell, v * coord_scale + abs(delta))
+    num = 8.0 * v * z * z_prime - (1.0 - v * v) * (z + z_prime) * delta * log_diff
     return np.where(
-        np.abs(delta) < _DIAGONAL_EPS * coord_scale,
+        abs(delta) < _DIAGONAL_EPS * coord_scale,
         1.0 / (16.0 * v * v * z * z_prime),
         num / (128.0 * v**3 * (z * z_prime) ** 2),
     )
@@ -384,9 +430,8 @@ def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_S
     v, ell = seg.v, scale.ell
     shift = a * np.stack([ns, -ns])  # rows +n and -n
     with np.errstate(all="ignore"):
-        reflected = _corner_combination(
-            lambda x, y: _reflection_antiderivatives(x - shift, y - shift, v, ell),
-            seg.z0, seg.z0 + seg.b,
+        reflected = _reflection_square(
+            lambda z, zp, d: _reflection_values(z, zp, d, v, ell), seg.z0 - shift, seg.b
         )
         translated = _corner_combination(
             lambda x, y: _translation_antiderivatives(x, y, shift * v, v, ell),

@@ -23,6 +23,9 @@ from .closed_forms import (
     DEFAULT_SCALE,
     LogScale,
     PathSegment,
+    _corner_combination,
+    _reflection_square,
+    _reflection_value,
     one_plate_kernel,
     reflected_image_kernel,
     reflection_antiderivative,
@@ -404,38 +407,32 @@ class VerificationReport:
         }
 
 
-def _closed_one_plate(seg: PathSegment, antiderivative) -> float:
-    corners = (seg.z0, seg.z0 + seg.b)
+def _closed_reflection(seg: PathSegment, base: float, antiderivative=None) -> float:
+    """Reflection corner difference over the quadrature's square, shifted to
+    start at base: the one-plate integral at base z0, the reflected image n
+    at base z0 - a n.
 
-    def f(z: float, zp: float) -> float:
-        return antiderivative(z, zp, seg.v, DEFAULT_SCALE)
-
-    return f(corners[1], corners[1]) - f(corners[1], corners[0]) - f(
-        corners[0], corners[1]
-    ) + f(corners[0], corners[0])
-
-
-def _closed_reflected(seg: PathSegment, a: float, n: int, antiderivative) -> float:
-    shift = a * n
-    corners = (seg.z0 - shift, seg.z0 + seg.b - shift)
-
-    def f(z: float, zp: float) -> float:
-        return antiderivative(z, zp, seg.v, DEFAULT_SCALE)
-
-    return f(corners[1], corners[1]) - f(corners[1], corners[0]) - f(
-        corners[0], corners[1]
-    ) + f(corners[0], corners[0])
+    The quadrature integrates over [z0, fl(z0 + b)]^2, whose side
+    fl(z0 + b) - z0 is exact in floating point and can differ from b by half
+    an ulp of z0 + b, which is 1e-13 of the integral at b = 1e-3 z0. The
+    closed form is taken over that same side, with the production
+    antiderivative evaluated from exact corner offsets (see
+    closed_forms._reflection_square); an injected antiderivative is called
+    on the corner coordinates.
+    """
+    if antiderivative is None:
+        def value(z: float, zp: float, delta: float) -> float:
+            return _reflection_value(z, zp, delta, seg.v, DEFAULT_SCALE.ell)
+    else:
+        def value(z: float, zp: float, delta: float) -> float:
+            return antiderivative(z, zp, seg.v, DEFAULT_SCALE)
+    return _reflection_square(value, base, (seg.z0 + seg.b) - seg.z0)
 
 
 def _closed_translated(seg: PathSegment, a: float, n: int, antiderivative) -> float:
-    corners = (seg.z0, seg.z0 + seg.b)
-
-    def f(z: float, zp: float) -> float:
-        return antiderivative(z, zp, seg.v, a, n, DEFAULT_SCALE)
-
-    return f(corners[1], corners[1]) - f(corners[1], corners[0]) - f(
-        corners[0], corners[1]
-    ) + f(corners[0], corners[0])
+    return _corner_combination(
+        lambda z, zp: antiderivative(z, zp, seg.v, a, n, DEFAULT_SCALE), seg.z0, seg.z0 + seg.b
+    )
 
 
 def _sample_one_plate(rng: random.Random) -> PathSegment:
@@ -517,7 +514,6 @@ def run_verification(
     """
     start = time.perf_counter()
     rng = random.Random(seed)
-    refl = reflection_override or reflection_antiderivative
     trans = translation_override or translation_antiderivative
     checks: list[CheckResult] = []
 
@@ -559,14 +555,17 @@ def run_verification(
     one_plate_rows = []
     for _ in range(sets_per_family):
         seg = _sample_one_plate(rng)
-        one_plate_rows.append((_closed_one_plate(seg, refl), quad_one_plate(seg, spec)))
+        one_plate_rows.append(
+            (_closed_reflection(seg, seg.z0, reflection_override), quad_one_plate(seg, spec))
+        )
     record_quads("quad_one_plate_vs_closed", one_plate_rows)
 
     reflected_rows = []
     for _ in range(sets_per_family):
         seg, a, n = _sample_image(rng, "reflected")
         reflected_rows.append(
-            (_closed_reflected(seg, a, n, refl), quad_image(seg, a, n, "reflected", spec))
+            (_closed_reflection(seg, seg.z0 - a * n, reflection_override),
+             quad_image(seg, a, n, "reflected", spec))
         )
     record_quads("quad_reflected_vs_closed", reflected_rows)
 
@@ -596,7 +595,7 @@ def run_verification(
     refl_ok = True
     for _ in range(grid_points):
         z, zp, v = _sample_reflection_point(rng)
-        report = deriv_check("reflection", z, zp, v, antiderivative=refl if reflection_override else None)
+        report = deriv_check("reflection", z, zp, v, antiderivative=reflection_override)
         worst_refl = max(worst_refl, report.relative_error)
         refl_ok = refl_ok and report.converged
     checks.append(
@@ -620,7 +619,7 @@ def run_verification(
             v,
             a=a,
             n=n,
-            antiderivative=trans if translation_override else None,
+            antiderivative=translation_override,
         )
         worst_trans = max(worst_trans, report.relative_error)
         trans_ok = trans_ok and report.converged

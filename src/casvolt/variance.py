@@ -19,11 +19,12 @@ from .closed_forms import (
     DEFAULT_SCALE,
     LogScale,
     PathSegment,
+    _image_pair_corners,
     image_pair_terms,
     one_plate_integral,
 )
 from .errors import ConvergenceError, DomainError
-from .summation import SummationControl, sum_symmetric_images
+from .summation import _HEAD_BLOCK, SummationControl, hurwitz_zeta, sum_symmetric_images
 from .units import CONSTANTS, Constants, speed_from_kinetic
 
 __all__ = [
@@ -43,6 +44,20 @@ __all__ = [
 
 _SMALLV_WARN = 0.1
 _SPEED_MATCH_RTOL = 1e-9
+# The two-plate sum subtracts its analytic tail from the first index n >= the
+# head block at which U = v (2an - 2(z0+b)) / b reaches this value: there the
+# pair terms' expansion in 1/n gains a factor (1/U)^2 <= 1/4 per order, so
+# the envelope coefficient taken at that index is close to its limit.
+_TAIL_REFERENCE_U = 2.0
+# Rounding allowance on the pair term at the reference index, relative to the
+# summed magnitude of its sixteen corner antiderivatives (against a 50-digit
+# mpmath pair term the error measured at most 1.9e-15 of that magnitude over
+# 3000 random geometries; see docs/decisions.md).
+_CORNER_ROUNDING = 1e-12
+# Rounding allowance on the subtracted tail T, relative to T: its Euler-
+# Maclaurin anchor and a cumulative sum over at most 4096 indices round it by
+# fewer than 4200 ulps.
+_TAIL_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,7 +131,8 @@ class FluctuationResult:
     variance_eV2 is <(Delta U)^2>; rms_energy_eV its square root; the rms
     voltage is the energy spread per unit charge. regime records which
     approximations produced the number, terms_used and tail_estimate_eV2 how
-    an image sum was truncated (both zero for closed-form evaluations).
+    an image sum was truncated (both zero for closed-form evaluations):
+    tail_estimate_eV2 bounds the truncation error of variance_eV2.
     """
 
     variance_eV2: float
@@ -266,6 +282,71 @@ def _two_plate_tail_bound(ns, seg: PathSegment, a: float):
     return np.where(u > 1.0, 4.0 * q_u / (2.0 * a * seg.v * seg.b), np.inf)
 
 
+def _tail_coefficients(seg: PathSegment, a: float) -> tuple[float, float]:
+    """C and D in pair_term(n) = C n^-4 + D n^-6 + O(n^-8) for the two-plate sum.
+
+    With d = z - z' and s = z + z', the +n/-n reflected kernels sum to
+    1/(v^4 (2an)^4) [2 + 20 s^2/(2an)^2 + 4 d^2/(v^2 (2an)^2) + ...] and the
+    translated ones to the same with s replaced by d. Over the square,
+    int d^2 = b^4/6 and int s^2 = b^2 (4 zc^2 + b^2/6) with zc = z0 + b/2.
+    """
+    v, b = seg.v, seg.b
+    zc = seg.z0 + 0.5 * b
+    c4 = b * b / (4.0 * a**4 * v**4)
+    c6 = (20.0 * b * b * (4.0 * zc * zc + b * b / 6.0)
+          + (20.0 + 8.0 / (v * v)) * b**4 / 6.0) / (v**4 * (2.0 * a) ** 6)
+    return c4, c6
+
+
+def _two_plate_tail(seg: PathSegment, a: float, scale: LogScale):
+    """The tail_bound callable of variance_two_plate_exact.
+
+    Below the reference index n_ref (the first n >= _HEAD_BLOCK with
+    U >= _TAIL_REFERENCE_U) it returns the plain bound of
+    _two_plate_tail_bound. From n_ref on it returns, for each N, the
+    subtracted tail T(N) = C zeta(4, N+1) + D zeta(6, N+1) and the envelope
+    n_ref^8 r(n_ref) zeta(8, N+1) on the remainder r(n) = pair_term(n) -
+    C n^-4 - D n^-6, plus rounding allowances. Past the light cone (U > 1)
+    every coefficient of the pair term's expansion in 1/n^2 is nonnegative,
+    so r >= 0 and n^8 r(n) does not increase: r(m) <= n_ref^8 r(n_ref) / m^8
+    for every m > N >= n_ref.
+    """
+    import numpy as np
+
+    v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
+    n_ref = max(_HEAD_BLOCK, math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a)))
+    while v * (2.0 * a * n_ref - 2.0 * z1) / b < _TAIL_REFERENCE_U:
+        n_ref += 1
+    c4, c6 = _tail_coefficients(seg, a)
+    corners = _image_pair_corners(seg, a, n_ref, scale)
+    remainder = math.fsum(corners) - c4 / n_ref**4 - c6 / n_ref**6
+    envelope = n_ref**8 * (abs(remainder) + _CORNER_ROUNDING * math.fsum(map(abs, corners)))
+
+    def tail_bound(ns):
+        # ns holds consecutive indices; T over the block is its value at the
+        # block's last index plus the explicit C m^-4 + D m^-6 in between
+        near = ns < n_ref
+        if near.all():
+            return _two_plate_tail_bound(ns, seg, a)
+        bounds = np.empty_like(ns)
+        bounds[near] = _two_plate_tail_bound(ns[near], seg, a)
+        far = ns[~near]
+        last = float(far[-1]) + 1.0
+        inv_sq = 1.0 / (far * far)
+        leading = inv_sq * inv_sq * (c4 + c6 * inv_sq)
+        tails = np.zeros_like(ns)
+        tails[~near] = (c4 * hurwitz_zeta(4, last) + c6 * hurwitz_zeta(6, last)
+                        + np.append(np.cumsum(leading[:0:-1])[::-1], 0.0))
+        # zeta(8, x) <= x^-7/7 + x^-8/2 + (2/3) x^-9: Euler-Maclaurin stopped
+        # after a positive term, which overestimates a completely monotone sum
+        x = far + 1.0
+        zeta8 = (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
+        bounds[~near] = envelope * zeta8 + _TAIL_ROUNDING * tails[~near]
+        return bounds, tails
+
+    return tail_bound
+
+
 def variance_two_plate_exact(
     particle: Particle,
     seg: PathSegment,
@@ -276,9 +357,12 @@ def variance_two_plate_exact(
     """Exact two-plate <(Delta U)^2> by summing image contributions.
 
     The n=0 one-plate term plus reflected and translated image integrals in
-    symmetric pairs n, -n, truncated when the certified tail bound falls
-    below control.tol of the running total. The flight must stay between the
-    plates: 0 < z0 and z0 + b < a.
+    symmetric pairs n, -n. Past a reference index the analytic tail
+    C zeta(4, N+1) + D zeta(6, N+1) of the dropped pairs is added and only
+    its remainder is bounded (_two_plate_tail); the sum stops when that
+    bound falls below control.tol of the total. tail_estimate_eV2 bounds
+    the truncation error of the returned variance. The flight must stay
+    between the plates: 0 < z0 and z0 + b < a.
     """
     if not a > 0.0:
         raise DomainError(f"plate separation a must be positive, got {a!r}")
@@ -296,7 +380,7 @@ def variance_two_plate_exact(
     try:
         summed = sum_symmetric_images(
             lambda ns: image_pair_terms(seg, a, ns, scale),
-            lambda ns: _two_plate_tail_bound(ns, seg, a),
+            _two_plate_tail(seg, a, scale),
             control,
             base=one_plate_integral(seg, scale),
         )

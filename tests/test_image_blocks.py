@@ -75,7 +75,8 @@ def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns, ell):
 
 
 def _reference_sum(pair_term, tail_bound, tol, base):
-    """The per-index stop rule: (compensated value, terms used)."""
+    """The per-index stop rule: (compensated value, terms used). tail_bound
+    gives (bound, subtracted tail) for each index."""
     parts = [base]
     running = base
     n = 0
@@ -84,8 +85,9 @@ def _reference_sum(pair_term, tail_bound, tol, base):
         term = pair_term(n)
         parts.append(term)
         running += term
-        if tail_bound(n) <= tol * abs(running):
-            return math.fsum(parts), n
+        bound, subtracted = tail_bound(n)
+        if bound <= tol * abs(running + subtracted):
+            return math.fsum([*parts, subtracted]), n
 
 
 def _two_plate_bound(n, seg, a):
@@ -96,10 +98,42 @@ def _two_plate_bound(n, seg, a):
     return 4.0 * q_u / (2.0 * a * seg.v * seg.b)
 
 
+def _two_plate_tail(seg, a):
+    """variance_two_plate_exact's tail rule for one index N: (bound, T).
+
+    From the first N >= 16 with U = v (2aN - 2(z0+b)) / b >= 2 on, the sum
+    adds T(N) = C zeta(4, N+1) + D zeta(6, N+1) and bounds the remainder by
+    n_ref^8 r(n_ref) zeta(8, N+1) plus rounding allowances, r being the pair
+    term minus C n^-4 and D n^-6; before n_ref, T = 0 under the plain bound.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    z0, b, v = seg.z0, seg.b, seg.v
+    c4 = b * b / (4.0 * a**4 * v**4)
+    zc = z0 + b / 2.0
+    c6 = (20.0 * b * b * (4.0 * zc * zc + b * b / 6.0)
+          + (20.0 + 8.0 / v**2) * b**4 / 6.0) / (v**4 * (2.0 * a) ** 6)
+    n_ref = 16
+    while v * (2.0 * a * n_ref - 2.0 * (z0 + b)) / b < 2.0:
+        n_ref += 1
+    remainder = _scalar_pair(seg, a, n_ref) - c4 / n_ref**4 - c6 / n_ref**6
+    magnitude = _corner_magnitude(seg, a, n_ref, DEFAULT_SCALE)
+    envelope = n_ref**8 * (abs(remainder) + 1e-12 * magnitude)
+
+    def rule(n):
+        if n < n_ref:
+            return _two_plate_bound(n, seg, a), 0.0
+        x = n + 1.0
+        tail = c4 * float(mpmath.zeta(4, x)) + c6 * float(mpmath.zeta(6, x))
+        zeta8 = (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
+        return envelope * zeta8 + 1e-12 * tail, tail
+
+    return rule
+
+
 @pytest.mark.parametrize("z0, b, a, v", [
     (0.3, 0.1, 1.0, 0.1),
     (0.3, 0.1, 1.0, 0.02),
-    (0.3, 0.1, 1.0, 1e-3),  # about 12700 pairs: several blocks
+    (0.3, 0.1, 1.0, 1e-3),  # reference index 101: the tail is subtracted in a later block
     (0.05, 0.4, 0.5, 0.05),
     (1.2, 0.3, 1.6, 0.01),
 ])
@@ -109,7 +143,7 @@ def test_two_plate_exact_matches_per_index_reference(z0, b, a, v):
     result = variance_two_plate_exact(particle, seg, a)
     value, terms = _reference_sum(
         lambda n: _scalar_pair(seg, a, n),
-        lambda n: _two_plate_bound(n, seg, a),
+        _two_plate_tail(seg, a),
         1e-10,
         one_plate_integral(seg),
     )
@@ -140,7 +174,7 @@ def test_dual_plate_matches_per_index_reference(t, z, z_prime, a):
     dz, sz = z - z_prime, z + z_prime
     value, terms = _reference_sum(
         lambda n: _dual_pair_term(n, a, t, dz, sz),
-        lambda n: _dual_bound(n, a, t, dz, sz),
+        lambda n: (_dual_bound(n, a, t, dz, sz), 0.0),
         1e-10,
         correlator_single_plate(pair),
     )

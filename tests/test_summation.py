@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from casvolt import ConvergenceError, DomainError, SummationControl
-from casvolt.summation import _BLOCK_CAP, _HEAD_BLOCK, sum_symmetric_images
+from casvolt.summation import _BLOCK_CAP, _HEAD_BLOCK, hurwitz_zeta, sum_symmetric_images
 
 ZETA4_PAIR_SUM = math.pi**4 / 45.0  # 2 * zeta(4)
 
@@ -89,7 +89,9 @@ def _zeta4_bound(n):
 
 def _reference(pair_term, tail_bound, control, base=0.0, n_min=1):
     """The one-index-at-a-time loop: (value, terms_used, tail) or the
-    ConvergenceError message."""
+    ConvergenceError message. A tail_bound returning (bound, subtracted)
+    stops against the running total plus the subtracted tail, which the
+    value then includes."""
     parts = [base]
     running = base
     bound = math.inf
@@ -98,9 +100,13 @@ def _reference(pair_term, tail_bound, control, base=0.0, n_min=1):
         term = float(pair_term(index)[0])
         parts.append(term)
         running += term
-        bound = float(tail_bound(index)[0])
-        if bound <= control.tol * abs(running):
-            return math.fsum(parts), n, bound
+        bounds = tail_bound(index)
+        subtracted = 0.0
+        if isinstance(bounds, tuple):
+            bounds, subtracted = bounds[0], float(bounds[1][0])
+        bound = float(bounds[0])
+        if bound <= control.tol * abs(running + subtracted):
+            return math.fsum([*parts, subtracted]), n, bound
     return (
         f"image sum not certified below relative tolerance {control.tol:g} "
         f"within n_max={control.n_max} terms (last tail bound {bound:.3e})"
@@ -209,3 +215,66 @@ def test_pair_terms_stop_near_the_true_stop():
                                        base=0.05)
     assert result.terms_used > _HEAD_BLOCK
     assert max(seen) <= result.terms_used + 1
+
+
+# pair term 2/n^4 + 8/n^8: subtracting T(N) = 2 zeta(4, N+1) from N = 16 on
+# leaves the remainder 8 zeta(8, N+1), bounded by its first Euler-Maclaurin terms
+ZETA8 = math.pi**8 / 9450.0
+ZETA48_PAIR_SUM = ZETA4_PAIR_SUM + 8.0 * ZETA8
+
+
+def _zeta48_pair(n):
+    inv_sq = 1.0 / (n * n)
+    return 2.0 * inv_sq * inv_sq + 8.0 * inv_sq * inv_sq * inv_sq * inv_sq
+
+
+def _zeta48_tail(n):
+    far = n >= _HEAD_BLOCK
+    x = n + 1.0
+    remainder = 8.0 * (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
+    subtracted = np.array([2.0 * hurwitz_zeta(4, float(m)) if f else 0.0
+                           for m, f in zip(x, far)])
+    return np.where(far, remainder, 2.0 / (3.0 * n**3)), subtracted
+
+
+def test_subtracted_tail_certifies_early_and_matches_reference():
+    control = SummationControl(tol=1e-12)
+    result = _assert_matches_reference(_zeta48_pair, _zeta48_tail, control)
+    assert _HEAD_BLOCK < result.terms_used < 60
+    assert abs(result.value - ZETA48_PAIR_SUM) <= result.tail_estimate
+    plain = sum_symmetric_images(_zeta48_pair, lambda n: 2.0 / (3.0 * n**3), control)
+    assert plain.terms_used > 100 * result.terms_used
+
+
+@pytest.mark.parametrize("stop", [_HEAD_BLOCK + _BLOCK_CAP + step for step in (-1, 0, 1)])
+def test_subtracted_tail_on_block_edge_matches_reference(stop):
+    def tail(n):
+        bounds, subtracted = _zeta48_tail(n)
+        return np.where(n < stop, np.inf, bounds), subtracted
+
+    result = _assert_matches_reference(_zeta48_pair, tail, SummationControl(tol=1e-12))
+    assert result.terms_used == stop
+
+
+def test_zero_subtracted_tail_is_the_plain_bound():
+    control = SummationControl(tol=1e-8)
+    plain = sum_symmetric_images(_zeta4_pair, _zeta4_bound, control, base=0.5)
+    paired = sum_symmetric_images(
+        _zeta4_pair, lambda n: (_zeta4_bound(n), np.zeros_like(n)), control, base=0.5
+    )
+    assert paired == plain
+
+
+def test_hurwitz_zeta_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for s in (2, 4, 6, 8):
+        for x in (16.0, 17.0, 18.5, 100.0, 4113.0, 1e6):
+            expected = mpmath.zeta(s, x)
+            assert abs(hurwitz_zeta(s, x) - expected) <= 3e-16 * expected
+
+
+@pytest.mark.parametrize("s, x", [(1, 20.0), (4, 15.5), (4, math.nan)])
+def test_hurwitz_zeta_domain(s, x):
+    with pytest.raises(DomainError):
+        hurwitz_zeta(s, x)
