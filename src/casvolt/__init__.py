@@ -6,6 +6,10 @@ Natural units throughout the numerics: energies in eV, lengths and times in
 1/eV, with converters in casvolt.units. The closed forms continue through
 the light-cone pole; the quadrature oracle refuses such domains, which is
 what makes it an independent check where both are defined.
+
+The oracle (and with it numpy) loads on first use: its names below resolve
+through the module `__getattr__`, so `import casvolt` and the CLI commands
+that never reach the oracle or the block image sums start without numpy.
 """
 from .closed_forms import (
     DEFAULT_SCALE,
@@ -53,17 +57,6 @@ from .experiment import (
     moddel_report,
     regime_classify,
     rms_estimate_eV,
-)
-from .oracle import (
-    DerivativeReport,
-    QuadratureResult,
-    QuadratureSpec,
-    VerificationReport,
-    brute_dual_correlator,
-    deriv_check,
-    quad_image,
-    quad_one_plate,
-    run_verification,
 )
 from .summation import SummationControl, SummationResult
 from .units import (
@@ -164,3 +157,23 @@ __all__ = [
     "zeta_two_series",
     "__version__",
 ]
+
+_ORACLE_NAMES = frozenset({
+    "DerivativeReport",
+    "QuadratureResult",
+    "QuadratureSpec",
+    "VerificationReport",
+    "brute_dual_correlator",
+    "deriv_check",
+    "quad_image",
+    "quad_one_plate",
+    "run_verification",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from importlib import import_module
+
+        return getattr(import_module(".oracle", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -39,7 +39,6 @@ from .experiment import (
     moddel_report,
     rms_estimate_eV,
 )
-from .oracle import run_verification
 from .summation import SummationControl
 from .units import CONSTANTS, length_to_natural
 from .variance import (
@@ -358,6 +357,8 @@ def _collect_sweep_rows(param: str, values: list[float], results) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
+    from .oracle import run_verification
+
     reflection_override = None
     if args.inject_wrong_sign:
         def reflection_override(z, z_prime, v, scale):

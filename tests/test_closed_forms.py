@@ -48,7 +48,7 @@ def test_reflection_antiderivative_diagonal():
     # on the diagonal the closed form reduces to 1/(16 v^2 z z')
     for z, v in ((0.5, 0.01), (1.7, 0.2)):
         assert reflection_antiderivative(z, z, v) == pytest.approx(
-            1.0 / (16.0 * v * v * z * z), rel=1e-15
+            1.0 / (16.0 * v * v * z * z), rel=1e-15, abs=0.0
         )
 
 
@@ -57,13 +57,13 @@ def test_reflection_antiderivative_diagonal_continuity():
     z, v = 1.3, 0.05
     diag = reflection_antiderivative(z, z, v)
     near = reflection_antiderivative(z, z * (1.0 + 5e-7), v)
-    assert near == pytest.approx(diag, rel=1e-5)
+    assert near == pytest.approx(diag, rel=1e-5, abs=0.0)
 
 
 def test_reflection_antiderivative_symmetric():
     value = reflection_antiderivative(0.8, 1.3, 0.07)
     swapped = reflection_antiderivative(1.3, 0.8, 0.07)
-    assert value == pytest.approx(swapped, rel=1e-14)
+    assert value == pytest.approx(swapped, rel=1e-14, abs=0.0)
 
 
 def test_translation_antiderivative_diagonal():
@@ -71,20 +71,20 @@ def test_translation_antiderivative_diagonal():
     v, a, n = 0.05, 1.2, 2
     expected = 1.0 / (8.0 * (n * a * v) ** 2)
     assert translation_antiderivative(0.7, 0.7, v, a, n) == pytest.approx(
-        expected, rel=1e-15
+        expected, rel=1e-15, abs=0.0
     )
 
 
 def test_one_plate_integral_goldens():
     # frozen against the adaptive-quadrature oracle
     assert one_plate_integral(PathSegment(1.0, 0.05, 0.01)) == pytest.approx(
-        2532.3517781561696, rel=1e-12
+        2532.3517781561696, rel=1e-12, abs=0.0
     )
     assert one_plate_integral(PathSegment(1.0, 0.005, 0.01)) == pytest.approx(
-        158.03089619354606, rel=1e-12
+        158.03089619354606, rel=1e-12, abs=0.0
     )
     assert one_plate_integral(PathSegment(1.0, 1000.0, 0.01)) == pytest.approx(
-        1249.9595802954851, rel=1e-12
+        1249.9595802954851, rel=1e-12, abs=0.0
     )
 
 
@@ -93,7 +93,7 @@ def test_one_plate_integral_scale_invariance():
     seg = PathSegment(0.7, 0.02, 0.03)
     base = one_plate_integral(seg, LogScale(1.0))
     other = one_plate_integral(seg, LogScale(7.3))
-    assert other == pytest.approx(base, rel=1e-12)
+    assert other == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 def test_one_plate_integral_homogeneity():
@@ -102,13 +102,13 @@ def test_one_plate_integral_homogeneity():
     lam = 3.7
     scaled = PathSegment(lam * seg.z0, lam * seg.b, seg.v)
     assert one_plate_integral(scaled) == pytest.approx(
-        one_plate_integral(seg) / lam**2, rel=1e-12
+        one_plate_integral(seg) / lam**2, rel=1e-12, abs=0.0
     )
 
 
 def test_one_plate_smallv_golden():
     assert one_plate_integral_smallv(PathSegment(1.0, 0.05, 0.01)) == pytest.approx(
-        2517.0407218442933, rel=1e-12
+        2517.0407218442933, rel=1e-12, abs=0.0
     )
 
 
@@ -128,14 +128,14 @@ def test_one_plate_pole_touch_raises_with_guidance():
 def test_reflected_image_goldens():
     seg = PathSegment(0.3, 0.05, 0.01)
     assert reflected_image_integral(seg, 1.0, 1) == pytest.approx(
-        5648.9068948243971, rel=1e-12
+        5648.9068948243971, rel=1e-12, abs=0.0
     )
     assert reflected_image_integral(seg, 1.0, -1) == pytest.approx(
-        1587.0693877401477, rel=1e-12
+        1587.0693877401477, rel=1e-12, abs=0.0
     )
     tiny = PathSegment(0.3, 1e-4, 0.01)
     assert reflected_image_integral(tiny, 1.0, 1) == pytest.approx(
-        0.26038702322852106, rel=1e-12
+        0.26038702322852106, rel=1e-12, abs=0.0
     )
 
 
@@ -152,7 +152,7 @@ def test_reflected_smallv_form():
     d1 = a * n - seg.z0 - seg.b
     expected = (d0 * d0 + d1 * d1) / (8.0 * seg.v**2 * d0 * d0 * d1 * d1)
     assert reflected_image_integral_smallv(seg, a, n) == pytest.approx(
-        expected, rel=1e-15
+        expected, rel=1e-15, abs=0.0
     )
 
 
@@ -171,20 +171,20 @@ def test_reflected_smallv_is_second_order_in_v():
 
 def test_translated_image_goldens():
     assert translated_image_integral(PathSegment(0.3, 0.2, 0.01), 1.0, 1) == pytest.approx(
-        2508.1353975993175, rel=1e-12
+        2508.1353975993175, rel=1e-12, abs=0.0
     )
     assert translated_image_integral(PathSegment(0.3, 0.2, 0.01), 1.0, 2) == pytest.approx(
-        633.47858840333756, rel=1e-12
+        633.47858840333756, rel=1e-12, abs=0.0
     )
     assert translated_image_integral(
         PathSegment(0.3, 0.005, 0.005), 1.0, 1
-    ) == pytest.approx(2746.5731702078004, rel=1e-12)
+    ) == pytest.approx(2746.5731702078004, rel=1e-12, abs=0.0)
 
 
 def test_translated_smallv_form():
     seg = PathSegment(0.4, 0.01, 0.02)
     assert translated_image_integral_smallv(seg, 1.5, 2) == pytest.approx(
-        1.0 / (4.0 * 1.5**2 * 0.02**2 * 4.0), rel=1e-15
+        1.0 / (4.0 * 1.5**2 * 0.02**2 * 4.0), rel=1e-15, abs=0.0
     )
 
 
@@ -195,21 +195,21 @@ def test_translated_image_sign_symmetry():
     plus = translated_image_integral(seg, 1.0, 1)
     minus = translated_image_integral(seg, 1.0, -1)
     assert plus > 0.0
-    assert minus == pytest.approx(plus, rel=1e-10)
+    assert minus == pytest.approx(plus, rel=1e-10, abs=0.0)
 
 
 def test_kernels_match_their_definitions():
     z, zp, v = 1.2, 0.7, 0.1
     expected = 1.0 / ((z - zp) ** 2 - v * v * (z + zp) ** 2) ** 2
-    assert one_plate_kernel(z, zp, v) == pytest.approx(expected, rel=1e-15)
+    assert one_plate_kernel(z, zp, v) == pytest.approx(expected, rel=1e-15, abs=0.0)
     a, n = 1.0, 1
     expected_refl = 1.0 / ((z - zp) ** 2 - v * v * (z + zp - 2 * a * n) ** 2) ** 2
     assert reflected_image_kernel(z, zp, v, a, n) == pytest.approx(
-        expected_refl, rel=1e-15
+        expected_refl, rel=1e-15, abs=0.0
     )
     expected_trans = 1.0 / ((z - zp) ** 2 - v * v * (z - zp - 2 * a * n) ** 2) ** 2
     assert translated_image_kernel(z, zp, v, a, n) == pytest.approx(
-        expected_trans, rel=1e-15
+        expected_trans, rel=1e-15, abs=0.0
     )
 
 

@@ -36,18 +36,18 @@ def test_single_plate_equal_time_values():
     # equal-time correlator is 1/(pi^2 (z+z')^4)
     pair = SpacetimePair(t=0.0, z=1.0, t_prime=0.0, z_prime=1.0)
     assert correlator_single_plate(pair) == pytest.approx(
-        1.0 / (16.0 * math.pi**2), rel=1e-14
+        1.0 / (16.0 * math.pi**2), rel=1e-14, abs=0.0
     )
     pair = SpacetimePair(t=0.0, z=1.5, t_prime=0.0, z_prime=1.5)
     assert correlator_single_plate(pair) == pytest.approx(
-        1.0 / (81.0 * math.pi**2), rel=1e-14
+        1.0 / (81.0 * math.pi**2), rel=1e-14, abs=0.0
     )
 
 
 def test_single_plate_time_translation_invariance():
     a = correlator_single_plate(SpacetimePair(t=2.0, z=0.8, t_prime=1.7, z_prime=1.1))
     b = correlator_single_plate(SpacetimePair(t=0.3, z=0.8, t_prime=0.0, z_prime=1.1))
-    assert a == pytest.approx(b, rel=1e-15)
+    assert a == pytest.approx(b, rel=1e-15, abs=0.0)
 
 
 def test_single_plate_light_cone_raises():
@@ -61,15 +61,15 @@ def test_dual_plate_goldens():
     mid = correlator_dual_plate(
         SpacetimePair(t=0.0, z=0.5, t_prime=0.0, z_prime=0.5), 1.0
     )
-    assert mid.value == pytest.approx(0.21932454224643, rel=1e-9)
+    assert mid.value == pytest.approx(0.21932454224643, rel=1e-9, abs=0.0)
     off = correlator_dual_plate(
         SpacetimePair(t=0.0, z=0.3, t_prime=0.0, z_prime=0.4), 1.0
     )
-    assert off.value == pytest.approx(0.474751268919025, rel=1e-9)
+    assert off.value == pytest.approx(0.474751268919025, rel=1e-9, abs=0.0)
     timelike = correlator_dual_plate(
         SpacetimePair(t=0.2, z=0.3, t_prime=0.0, z_prime=0.4), 1.0
     )
-    assert timelike.value == pytest.approx(0.55515208407463, rel=1e-9)
+    assert timelike.value == pytest.approx(0.55515208407463, rel=1e-9, abs=0.0)
 
 
 def test_dual_plate_mirror_symmetry():
@@ -81,7 +81,7 @@ def test_dual_plate_mirror_symmetry():
     right = correlator_dual_plate(
         SpacetimePair(t=0.0, z=0.7, t_prime=0.0, z_prime=0.6), a
     )
-    assert right.value == pytest.approx(left.value, rel=1e-11)
+    assert right.value == pytest.approx(left.value, rel=1e-11, abs=0.0)
 
 
 def test_dual_plate_matches_brute_force():
@@ -102,7 +102,7 @@ def test_dual_plate_reduces_to_single_as_a_grows():
     pair = SpacetimePair(t=0.0, z=0.4, t_prime=0.0, z_prime=0.5)
     single = correlator_single_plate(pair)
     dual = correlator_dual_plate(pair, 500.0)
-    assert dual.value == pytest.approx(single, rel=1e-8)
+    assert dual.value == pytest.approx(single, rel=1e-8, abs=0.0)
 
 
 def test_dual_plate_requires_points_between_plates():
@@ -136,12 +136,12 @@ def test_mean_squared_field_regimes():
     # perfect-reflector branch: 3/(16 pi^2 z^4) once omega_p z >= 1
     good = mean_squared_field(z=1.0, omega_p=2.0)
     assert good.regime == "perfect_reflector"
-    assert good.value == pytest.approx(3.0 / (16.0 * math.pi**2), rel=1e-14)
+    assert good.value == pytest.approx(3.0 / (16.0 * math.pi**2), rel=1e-14, abs=0.0)
     # finite-reflectivity branch: sqrt(2) omega_p / (32 pi z^3)
     poor = mean_squared_field(z=1.0, omega_p=0.1)
     assert poor.regime == "finite_reflectivity"
     assert poor.value == pytest.approx(
-        math.sqrt(2.0) * 0.1 / (32.0 * math.pi), rel=1e-14
+        math.sqrt(2.0) * 0.1 / (32.0 * math.pi), rel=1e-14, abs=0.0
     )
 
 

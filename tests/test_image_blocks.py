@@ -149,7 +149,8 @@ def test_two_plate_exact_matches_per_index_reference(z0, b, a, v):
     )
     q = particle.charge_natural
     assert result.terms_used == terms
-    assert result.variance_eV2 == pytest.approx(q * q * v**4 / math.pi**2 * value, rel=1e-14)
+    expected = q * q * v**4 / math.pi**2 * value
+    assert result.variance_eV2 == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def _dual_bound(n, a, dt, dz, sz):
@@ -179,7 +180,7 @@ def test_dual_plate_matches_per_index_reference(t, z, z_prime, a):
         correlator_single_plate(pair),
     )
     assert result.terms_used == terms
-    assert result.value == pytest.approx(value, rel=1e-14)
+    assert result.value == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
 def test_pole_touching_image_raises_as_scalar_path():

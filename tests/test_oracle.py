@@ -37,7 +37,7 @@ def test_quad_one_plate_matches_closed_form():
     seg = PathSegment(1.0, 0.005, 0.01)
     result = quad_one_plate(seg)
     closed = one_plate_integral(seg)
-    assert result.value == pytest.approx(closed, rel=1e-12)
+    assert result.value == pytest.approx(closed, rel=1e-12, abs=0.0)
     assert abs(result.value - closed) <= result.error_estimate
     assert result.error_estimate <= 1e-9 * abs(closed)
 
@@ -47,7 +47,7 @@ def test_quad_one_plate_refuses_pole_inside_domain():
     seg = PathSegment(1.0, 0.05, 0.01)
     with pytest.raises(PoleInsideDomainError) as excinfo:
         quad_one_plate(seg)
-    assert excinfo.value.threshold == pytest.approx(0.0202020202, rel=1e-8)
+    assert excinfo.value.threshold == pytest.approx(0.0202020202, rel=1e-8, abs=0.0)
     # the closed form continues through the pole and still evaluates
     assert one_plate_integral(seg) > 0.0
 
@@ -55,14 +55,14 @@ def test_quad_one_plate_refuses_pole_inside_domain():
 def test_quad_image_goldens():
     tiny = PathSegment(0.3, 1e-4, 0.01)
     result = quad_image(tiny, 1.0, 1, "reflected")
-    assert result.value == pytest.approx(0.26038702322852106, rel=1e-11)
+    assert result.value == pytest.approx(0.26038702322852106, rel=1e-11, abs=0.0)
     assert result.value == pytest.approx(
-        reflected_image_integral(tiny, 1.0, 1), rel=1e-12
+        reflected_image_integral(tiny, 1.0, 1), rel=1e-12, abs=0.0
     )
     seg = PathSegment(0.3, 0.005, 0.005)
     trans = quad_image(seg, 1.0, 1, "translated")
     assert trans.value == pytest.approx(
-        translated_image_integral(seg, 1.0, 1), rel=1e-12
+        translated_image_integral(seg, 1.0, 1), rel=1e-12, abs=0.0
     )
 
 
@@ -82,16 +82,16 @@ def test_quad_image_validation_and_refusal():
 
 
 def test_pole_entry_thresholds():
-    assert pole_entry_one_plate(1.0, 0.01) == pytest.approx(0.0202020202, rel=1e-8)
+    assert pole_entry_one_plate(1.0, 0.01) == pytest.approx(0.0202020202, rel=1e-8, abs=0.0)
     # reflected images: closer threshold for the n=1 image ahead of the flight
     assert pole_entry_reflected(0.3, 0.01, 1.0, 1) == pytest.approx(
-        2.0 * 0.01 * 0.7 / 1.01, rel=1e-12
+        2.0 * 0.01 * 0.7 / 1.01, rel=1e-12, abs=0.0
     )
     assert pole_entry_reflected(0.3, 0.01, 1.0, -1) == pytest.approx(
-        2.0 * 0.01 * 1.3 / 0.99, rel=1e-12
+        2.0 * 0.01 * 1.3 / 0.99, rel=1e-12, abs=0.0
     )
     assert pole_entry_translated(0.01, 1.0, 2) == pytest.approx(
-        2.0 * 2.0 * 0.01 / 1.01, rel=1e-12
+        2.0 * 2.0 * 0.01 / 1.01, rel=1e-12, abs=0.0
     )
     with pytest.raises(DomainError):
         pole_entry_reflected(0.3, 0.01, 1.0, 0)

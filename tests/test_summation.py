@@ -28,7 +28,7 @@ def test_converges_to_known_series():
         control,
     )
     assert abs(result.value - ZETA4_PAIR_SUM) <= result.tail_estimate
-    assert result.value == pytest.approx(ZETA4_PAIR_SUM, rel=1e-11)
+    assert result.value == pytest.approx(ZETA4_PAIR_SUM, rel=1e-11, abs=0.0)
     assert result.terms_used > 10
 
 
@@ -50,7 +50,7 @@ def test_base_term_included():
         SummationControl(tol=1e-12),
         base=10.0,
     )
-    assert result.value == pytest.approx(10.0 + ZETA4_PAIR_SUM, rel=1e-12)
+    assert result.value == pytest.approx(10.0 + ZETA4_PAIR_SUM, rel=1e-12, abs=0.0)
 
 
 def test_infinite_bound_defers_termination():
@@ -182,7 +182,7 @@ def test_n_min_above_one_matches_reference():
     result = _assert_matches_reference(
         _zeta4_pair, _zeta4_bound, SummationControl(tol=1e-12), n_min=3
     )
-    assert result.value == pytest.approx(ZETA4_PAIR_SUM - 2.0 - 2.0 / 16.0, rel=1e-11)
+    assert result.value == pytest.approx(ZETA4_PAIR_SUM - 2.0 - 2.0 / 16.0, rel=1e-11, abs=0.0)
 
 
 def test_blocks_never_exceed_cap():

@@ -17,7 +17,7 @@ from casvolt import (
 
 def test_constants_values():
     assert CONSTANTS.hbar_c_eV_nm == 197.3269804
-    assert CONSTANTS.alpha == pytest.approx(1.0 / 137.035999, rel=1e-15)
+    assert CONSTANTS.alpha == pytest.approx(1.0 / 137.035999, rel=1e-15, abs=0.0)
     assert CONSTANTS.electron_mass_eV == 510998.95
 
 
@@ -29,16 +29,16 @@ def test_constants_frozen():
 def test_length_conversion_round_trip():
     for nm in (0.1, 1.0, 33.0, 100.0, 1100.0):
         nat = length_to_natural(nm)
-        assert natural_to_length(nat) == pytest.approx(nm, rel=1e-15)
+        assert natural_to_length(nat) == pytest.approx(nm, rel=1e-15, abs=0.0)
 
 
 def test_length_of_one_hbar_c_is_unity():
-    assert length_to_natural(197.3269804) == pytest.approx(1.0, rel=1e-15)
+    assert length_to_natural(197.3269804) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 def test_length_to_natural_100nm():
     # 100 nm / (197.3269804 eV nm) = 0.50677 1/eV
-    assert length_to_natural(100.0) == pytest.approx(0.5067730717679395, rel=1e-11)
+    assert length_to_natural(100.0) == pytest.approx(0.5067730717679395, rel=1e-11, abs=0.0)
 
 
 def test_length_rejects_nonpositive():
@@ -53,8 +53,8 @@ def test_length_rejects_nonpositive():
 def test_speed_from_kinetic_electron_1ev():
     # v = sqrt(2 K / m) = sqrt(2 / 510998.95)
     v = speed_from_kinetic(1.0, 510998.95)
-    assert v == pytest.approx(1.9783585e-3, rel=1e-7)
-    assert kinetic_from_speed(v, 510998.95) == pytest.approx(1.0, rel=1e-14)
+    assert v == pytest.approx(1.9783585e-3, rel=1e-7, abs=0.0)
+    assert kinetic_from_speed(v, 510998.95) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
 
 def test_speed_rejects_relativistic_and_bad_inputs():
@@ -71,17 +71,17 @@ def test_speed_rejects_relativistic_and_bad_inputs():
 def test_elementary_charge_natural():
     # e = sqrt(4 pi alpha) in Heaviside-Lorentz natural units
     expected = math.sqrt(4.0 * math.pi / 137.035999)
-    assert CONSTANTS.elementary_charge_natural == pytest.approx(expected, rel=1e-15)
+    assert CONSTANTS.elementary_charge_natural == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert CONSTANTS.elementary_charge_natural == pytest.approx(
-        0.302822120965, rel=1e-11
+        0.302822120965, rel=1e-11, abs=0.0
     )
 
 
 def test_charge_natural_scales_linearly():
     assert charge_natural(2.0) == pytest.approx(
-        2.0 * CONSTANTS.elementary_charge_natural, rel=1e-15
+        2.0 * CONSTANTS.elementary_charge_natural, rel=1e-15, abs=0.0
     )
     assert charge_natural(0.0) == 0.0
     assert charge_natural(-1.0) == pytest.approx(
-        -CONSTANTS.elementary_charge_natural, rel=1e-15
+        -CONSTANTS.elementary_charge_natural, rel=1e-15, abs=0.0
     )

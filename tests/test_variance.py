@@ -39,10 +39,10 @@ def test_particle_requires_exactly_one_energy_input():
 def test_particle_electron_derives_speed():
     p = Particle.electron(kinetic_energy_eV=1.0)
     assert p.mass_eV == M_E
-    assert p.speed_value == pytest.approx(math.sqrt(2.0 / M_E), rel=1e-14)
+    assert p.speed_value == pytest.approx(math.sqrt(2.0 / M_E), rel=1e-14, abs=0.0)
     assert p.kinetic_eV == 1.0
     q = Particle.electron(speed=0.01)
-    assert q.kinetic_eV == pytest.approx(0.5 * M_E * 1e-4, rel=1e-14)
+    assert q.kinetic_eV == pytest.approx(0.5 * M_E * 1e-4, rel=1e-14, abs=0.0)
 
 
 def test_segment_speed_must_match_particle():
@@ -56,9 +56,10 @@ def test_variance_one_plate_golden():
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.01)
     seg = PathSegment(1.0, 0.05, 0.01)
     result = variance_one_plate(p, seg)
-    assert result.variance_eV2 == pytest.approx(2.3528784032353669e-07, rel=1e-12)
-    assert result.rms_energy_eV == pytest.approx(math.sqrt(result.variance_eV2), rel=1e-15)
-    assert result.rms_voltage_V == pytest.approx(result.rms_energy_eV, rel=1e-15)
+    assert result.variance_eV2 == pytest.approx(2.3528784032353669e-07, rel=1e-12, abs=0.0)
+    rms = math.sqrt(result.variance_eV2)
+    assert result.rms_energy_eV == pytest.approx(rms, rel=1e-15, abs=0.0)
+    assert result.rms_voltage_V == pytest.approx(result.rms_energy_eV, rel=1e-15, abs=0.0)
     assert "exact" in result.regime and "one_plate" in result.regime
 
 
@@ -66,9 +67,9 @@ def test_variance_scales_with_charge_squared():
     seg = PathSegment(1.0, 0.05, 0.01)
     single = variance_one_plate(Particle(charge_e=1.0, mass_eV=M_E, speed=0.01), seg)
     double = variance_one_plate(Particle(charge_e=2.0, mass_eV=M_E, speed=0.01), seg)
-    assert double.variance_eV2 == pytest.approx(4.0 * single.variance_eV2, rel=1e-14)
+    assert double.variance_eV2 == pytest.approx(4.0 * single.variance_eV2, rel=1e-14, abs=0.0)
     # rms voltage is energy spread per unit charge: doubles once, not twice
-    assert double.rms_voltage_V == pytest.approx(single.rms_voltage_V, rel=1e-14)
+    assert double.rms_voltage_V == pytest.approx(single.rms_voltage_V, rel=1e-14, abs=0.0)
 
 
 def test_neutral_particle_zero_with_flag():
@@ -83,7 +84,7 @@ def test_rms_one_plate_smallv_golden():
     # Delta U_rms = e v / (2 pi z0): 1 eV electron at 100 nm gives 1.88e-4 eV
     p = Particle.electron(kinetic_energy_eV=1.0)
     result = rms_one_plate_smallv(p, length_to_natural(100.0))
-    assert result.rms_energy_eV == pytest.approx(1.88147820861e-4, rel=1e-11)
+    assert result.rms_energy_eV == pytest.approx(1.88147820861e-4, rel=1e-11, abs=0.0)
     assert "small_v" in result.regime
 
 
@@ -96,8 +97,8 @@ def test_rms_one_plate_smallv_warns_at_large_speed():
 def test_validity_window():
     seg = PathSegment(1.0, 0.05, 0.01)
     report = validity_window(seg)
-    assert report.lower_bound == pytest.approx(2.0 * 0.01 / math.sqrt(3.0), rel=1e-12)
-    assert report.pole_entry == pytest.approx(0.0202020202, rel=1e-9)
+    assert report.lower_bound == pytest.approx(2.0 * 0.01 / math.sqrt(3.0), rel=1e-12, abs=0.0)
+    assert report.pole_entry == pytest.approx(0.0202020202, rel=1e-9, abs=0.0)
     assert report.inside and not report.below_window
     short = validity_window(PathSegment(1.0, 0.005, 0.01))
     assert short.below_window and not short.inside
@@ -115,7 +116,7 @@ def test_variance_two_plate_exact_golden():
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.005)
     result = variance_two_plate_exact(p, PathSegment(0.3, 0.005, 0.005), 1.0)
     ratio = result.variance_eV2 / p.charge_natural**2
-    assert ratio == pytest.approx(9.3252416830100971e-06, rel=1e-9)
+    assert ratio == pytest.approx(9.3252416830100971e-06, rel=1e-9, abs=0.0)
     assert result.terms_used > 0
     assert result.tail_estimate_eV2 <= 1.1e-10 * result.variance_eV2
 
@@ -133,7 +134,7 @@ def test_variance_two_plate_mirror_symmetry():
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.01)
     left = variance_two_plate_exact(p, PathSegment(0.2, 0.05, 0.01), 1.0)
     right = variance_two_plate_exact(p, PathSegment(0.75, 0.05, 0.01), 1.0)
-    assert left.variance_eV2 == pytest.approx(6.3224835678640e-06, rel=1e-9)
+    assert left.variance_eV2 == pytest.approx(6.3224835678640e-06, rel=1e-9, abs=0.0)
     # each side is certified to its own tail, and the two remainders after
     # the subtracted analytic tail differ, so they agree within both tails
     assert abs(right.variance_eV2 - left.variance_eV2) <= (
@@ -157,13 +158,13 @@ def test_variance_two_plate_requires_flight_between_plates():
 def test_variance_two_plate_smallv_golden():
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.005)
     result = variance_two_plate_smallv(p, 0.3, 1.0)
-    assert result.variance_eV2 == pytest.approx(1.0667131362055282e-06, rel=1e-12)
+    assert result.variance_eV2 == pytest.approx(1.0667131362055282e-06, rel=1e-12, abs=0.0)
     # and against the formula written out
     q, v, a, z0 = p.charge_natural, 0.005, 1.0, 0.3
     expected = q * q * v * v / (12.0 * a * a) * (
         1.0 + 3.0 / math.sin(math.pi * z0 / a) ** 2
     )
-    assert result.variance_eV2 == pytest.approx(expected, rel=1e-14)
+    assert result.variance_eV2 == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_variance_two_plate_smallv_midpoint_exact():
@@ -173,7 +174,7 @@ def test_variance_two_plate_smallv_midpoint_exact():
     result = variance_two_plate_smallv(p, 0.4, a)
     q = p.charge_natural
     assert result.variance_eV2 == pytest.approx(
-        q * q * 0.005**2 / (3.0 * a * a), rel=1e-15
+        q * q * 0.005**2 / (3.0 * a * a), rel=1e-15, abs=0.0
     )
 
 
@@ -218,10 +219,10 @@ def test_smallv_needs_short_flights():
 
 def test_csc_identity_values():
     quarter = csc_identity(0.25)
-    assert quarter.closed_form == pytest.approx(2.0 * math.pi**2 - 16.0, rel=1e-14)
+    assert quarter.closed_form == pytest.approx(2.0 * math.pi**2 - 16.0, rel=1e-14, abs=0.0)
     assert abs(quarter.series_value - quarter.closed_form) <= quarter.tail_bound
     half = csc_identity(0.5)
-    assert half.closed_form == pytest.approx(math.pi**2 - 4.0, rel=1e-14)
+    assert half.closed_form == pytest.approx(math.pi**2 - 4.0, rel=1e-14, abs=0.0)
     assert abs(half.series_value - half.closed_form) <= half.tail_bound
 
 
@@ -235,6 +236,6 @@ def test_csc_identity_validation():
 
 def test_zeta_two_series():
     result = zeta_two_series(terms=10000)
-    assert result.closed_form == pytest.approx(math.pi**2 / 3.0, rel=1e-15)
+    assert result.closed_form == pytest.approx(math.pi**2 / 3.0, rel=1e-15, abs=0.0)
     assert abs(result.series_value - result.closed_form) <= result.tail_bound
-    assert result.tail_bound == pytest.approx(2e-4, rel=1e-15)
+    assert result.tail_bound == pytest.approx(2e-4, rel=1e-15, abs=0.0)
