@@ -110,6 +110,14 @@ def _to_natural(value: float | None, args) -> float | None:
     return length_to_natural(value)
 
 
+def _time_to_natural(value: float, args) -> float:
+    """A time given as c*t (nm unless --natural-units) in 1/eV; unlike a
+    length it may be zero or negative."""
+    if args.natural_units:
+        return value
+    return value / CONSTANTS.hbar_c_eV_nm
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
@@ -132,7 +140,11 @@ def _add_control_flags(parser: argparse.ArgumentParser) -> None:
         "--tol", type=float, default=1e-10, help="relative tail tolerance for image sums"
     )
     parser.add_argument(
-        "--n-max", type=int, default=10**6, help="image-pair budget for sums"
+        "--n-max",
+        type=int,
+        default=10**6,
+        help="image-pair budget for sums; for dual-plate correlators, the most "
+        "image pairs summed term by term before the analytic tail",
     )
 
 
@@ -170,9 +182,9 @@ def _build_particle(args, speed_override: float | None = None) -> Particle:
 def _cmd_correlator(args) -> int:
     suffix = _length_suffix(args)
     pair = SpacetimePair(
-        t=_to_natural(args.t, args),
+        t=_time_to_natural(args.t, args),
         z=_to_natural(args.z, args),
-        t_prime=_to_natural(args.t_prime, args),
+        t_prime=_time_to_natural(args.t_prime, args),
         z_prime=_to_natural(args.z_prime, args),
     )
     row: dict = {

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .summation import SummationControl, SummationResult, sum_symmetric_images
+from .summation import SummationControl, SummationResult, hurwitz_zeta
 
 __all__ = [
     "SpacetimePair",
@@ -29,6 +29,12 @@ __all__ = [
 # a denominator (difference of squares, then squared) counts as singular when
 # it falls below this relative fraction of its scale to the fourth power
 _SINGULAR_EPS = 1e-12
+# The dual-plate correlator sums at least this many image pairs term by term;
+# its analytic tail then starts every Hurwitz zeta argument at 16 or more.
+_DUAL_HEAD = 16
+# Most orders of the dual-plate tail's expansion in (t-t')^2/s^2, so that
+# hurwitz_zeta is asked for orders s <= 2 * _TAIL_ORDERS + 2 = 16 only.
+_TAIL_ORDERS = 7
 
 
 @dataclass(frozen=True)
@@ -92,26 +98,6 @@ def correlator_single_plate(pair: SpacetimePair) -> float:
     return _inverse_square_factor(dt, pair.z + pair.z_prime, "(z+z')") / math.pi**2
 
 
-def _dual_tail_bound(ns, a: float, dt: float, dz: float, sz: float):
-    """Upper bound on the dropped |n| > N image-pair terms, for each N in ns.
-
-    Beyond the last summed index every image separation is at least
-    m_N = 2aN - max(z+z', |z-z'|), so each of the four terms per pair is at
-    most 1/(m_N^2 - dt^2)^2; an integral test over the 1/(2an - M)^4 envelope
-    gives the closed form used here. Returns inf while the bound is not yet
-    valid (images still inside the light cone scale).
-    """
-    import numpy as np
-
-    big = max(sz, abs(dz))
-    m_next = 2.0 * a * (ns + 1.0) - big
-    edge = 2.0 * a * ns - big
-    gamma = 1.0 - (dt * dt) / (m_next * m_next)
-    with np.errstate(divide="ignore"):
-        bound = 4.0 / (math.pi**2 * gamma * gamma) / (6.0 * a * edge**3)
-    return np.where((m_next > abs(dt)) & (edge > 0.0), bound, np.inf)
-
-
 def _dual_pair_term(n: int, a: float, dt: float, dz: float, sz: float) -> float:
     total = 0.0
     for s in (n, -n):
@@ -120,33 +106,40 @@ def _dual_pair_term(n: int, a: float, dt: float, dz: float, sz: float) -> float:
     return total / math.pi**2
 
 
-def _dual_pair_terms(ns, a: float, dt: float, dz: float, sz: float):
-    """_dual_pair_term for each index in the array ns, as the same float
-    operations in a plain loop; a block holding a singular image is
-    re-evaluated through _dual_pair_term, which raises.
+def _dual_head(n_head: int, a: float, dt: float, dz: float, sz: float) -> list[float]:
+    """1/(dt^2 - s^2)^2 for the four images of each index 1 <= n <= n_head.
 
-    Deliberately a loop, not numpy array arithmetic. A dual-plate sum stops
-    after a few hundred pairs; array arithmetic does them about 8x faster,
-    but on a shared machine its cost does not follow the interpreter's,
-    which the benchmark's pure-Python speed calibration assumes, and
-    point_evals throughput then spreads too widely between runs to be
-    compared (docs/decisions.md).
+    The same float operations as _dual_pair_term, inlined so that no message
+    is formatted; an index holding a singular image is re-evaluated through
+    _dual_pair_term, which raises.
     """
-    import numpy as np
-
     reach = abs(dt)
     terms = []
-    for n in ns.tolist():
+    for n in range(1, n_head + 1):
         shift = 2.0 * a * n
-        total = 0.0
         for separation in (dz - shift, sz - shift, dz + shift, sz + shift):
             factor = (dt - separation) * (dt + separation)
             denom = factor * factor
             if denom < _SINGULAR_EPS * max(reach, abs(separation)) ** 4:
-                return np.array([_dual_pair_term(int(m), a, dt, dz, sz) for m in ns])
-            total += 1.0 / denom
-        terms.append(total / math.pi**2)
-    return np.array(terms)
+                _dual_pair_term(n, a, dt, dz, sz)
+            terms.append(1.0 / denom)
+    return terms
+
+
+def _dual_head_length(a: float, dt: float, dz: float, sz: float, tol: float) -> float:
+    """The least N >= _DUAL_HEAD whose dropped images all lie at distance
+    s >= |dt| / sqrt(x_max) or more, x_max = min(1/4, (tol/16)^(1/_TAIL_ORDERS));
+    inf or nan where no such integer exists.
+
+    With x = (dt/s)^2 <= x_max the remainder after _TAIL_ORDERS orders is
+    at most lead * 16 x^_TAIL_ORDERS <= tol * lead, and the lead order is
+    part of the value, so the tail always certifies within _TAIL_ORDERS.
+    """
+    x_max = min(0.25, (tol / 16.0) ** (1.0 / _TAIL_ORDERS))
+    needed = (abs(dt) / math.sqrt(x_max) + max(sz, abs(dz))) / (2.0 * a)
+    if not needed < math.inf:
+        return needed
+    return max(_DUAL_HEAD, math.ceil(needed) - 1)
 
 
 def correlator_dual_plate(
@@ -154,10 +147,25 @@ def correlator_dual_plate(
 ) -> SummationResult:
     """Renormalized <E_z E_z> between plates at z=0 and z=a.
 
-    The n=0 single-plate term plus both image families summed over n != 0 in
-    symmetric pairs, truncated once the certified tail bound drops below
-    control.tol relative to the accumulated value. Returns the SummationResult
-    (value, terms_used, tail_estimate).
+    The n=0 single-plate term plus both image families z -+ z' - 2an, with
+    d = t - t'. Every image with |n| <= N is summed term by term, N being at
+    least 16 and large enough that each dropped image lies at a distance
+    s >= 2|d|, outside its light cone. There
+        1/(s^2 - d^2)^2 = sum_k (k+1) d^2k s^-(2k+4),
+    so the images beyond N add up, order by order, to
+        sum_k (k+1) d^2k (2a)^-(2k+4) sum_c [zeta(2k+4, N+1 - c/2a)
+                                             + zeta(2k+4, N+1 + c/2a)]
+    over c = z - z' and z + z', with the Hurwitz zeta function. The orders
+    stop at the first K whose geometric remainder bound lead x^K (K+1 - Kx)
+    / (1-x)^2 is within control.tol of the value, lead being the k = 0 order
+    and x = (d/s_min)^2 for the nearest dropped image s_min. N also keeps
+    x small enough that K never exceeds 7, so the zeta orders stay at 16 or
+    below (see _dual_head_length); at d = 0 the tail is exact after k = 0.
+
+    Returns the SummationResult: the value, terms_used = N, the largest |n|
+    summed term by term, and tail_estimate, the remainder bound. Raises
+    ConvergenceError when N exceeds control.n_max, and SingularityError when
+    a summed image lies on the light cone.
     """
     if not a > 0.0:
         raise DomainError(f"plate separation a must be positive, got {a!r}")
@@ -169,16 +177,33 @@ def correlator_dual_plate(
     dt = pair.t - pair.t_prime
     dz = pair.z - pair.z_prime
     sz = pair.z + pair.z_prime
-    base = correlator_single_plate(pair)
-    try:
-        return sum_symmetric_images(
-            lambda ns: _dual_pair_terms(ns, a, dt, dz, sz),
-            lambda ns: _dual_tail_bound(ns, a, dt, dz, sz),
-            control,
-            base=base,
+    n_head = _dual_head_length(a, dt, dz, sz, control.tol)
+    if not n_head <= control.n_max:
+        raise ConvergenceError(
+            f"dual-plate correlator: {n_head} image pairs must be summed term by term "
+            f"before the analytic tail applies, beyond n_max={control.n_max}"
         )
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"dual-plate correlator: {exc}") from exc
+    base = _inverse_square_factor(dt, sz, "(z+z')")
+    head = math.fsum([base, *_dual_head(n_head, a, dt, dz, sz)])
+
+    s_min = 2.0 * a * (n_head + 1) - max(sz, abs(dz))
+    x = (dt / s_min) ** 2
+    inv_2a = 0.5 / a
+    q = (dt * inv_2a) ** 2
+    starts = [n_head + 1.0 + sign * c * inv_2a for c in (dz, sz) for sign in (-1.0, 1.0)]
+    orders = []
+    for k in range(_TAIL_ORDERS):
+        s = 2 * k + 4
+        zetas = sum(hurwitz_zeta(s, start) for start in starts)
+        orders.append((k + 1) * q**k * inv_2a**4 * zetas)
+        bound = orders[0] * x ** (k + 1) * (k + 2 - (k + 1) * x) / (1.0 - x) ** 2
+        if bound <= control.tol * (head + sum(orders)):
+            break
+    return SummationResult(
+        value=math.fsum([head, *orders]) / math.pi**2,
+        terms_used=n_head,
+        tail_estimate=bound / math.pi**2,
+    )
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,8 @@ class SummationResult:
     """
 
     value: float
-    terms_used: int       # largest |n| included
+    terms_used: int       # largest |n| summed term by term (the dual-plate
+                          # correlator adds every |n| beyond it analytically)
     tail_estimate: float  # certified bound on the truncation error of value
 
 
@@ -165,8 +166,10 @@ def hurwitz_zeta(s: int, x: float) -> float:
     Euler-Maclaurin summation from k = 0 (DLMF 25.11.5 with N = 0, 2.10.1):
     x^(1-s)/(s-1) + x^-s/2 + sum_k B_2k/(2k)! (s)_(2k-1) x^(1-s-2k), with
     ten Bernoulli terms. For real x the remainder is smaller than the first
-    omitted term, below 1e-17 relative for s <= 8 at x >= 16; against
-    mpmath the result is within 2e-16 relative.
+    omitted term: below 1e-17 relative for s <= 8 and below 8e-14 for
+    s <= 16 at x >= 16. Against 60-digit mpmath the result is within 2.5e-16
+    relative for s <= 10 and 4.4e-14 at s = 16, the highest order the
+    dual-plate correlator requests.
     """
     if s < 2 or not x >= 16.0:
         raise DomainError(f"hurwitz_zeta needs s >= 2 and x >= 16, got s={s!r}, x={x!r}")

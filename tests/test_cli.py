@@ -12,8 +12,10 @@ from casvolt import (
     PoleInsideDomainError,
     SingularityError,
     PathSegment,
+    CONSTANTS,
     SpacetimePair,
     correlator_dual_plate,
+    correlator_single_plate,
     length_to_natural,
     variance_one_plate,
 )
@@ -116,6 +118,30 @@ def test_correlator_dual_without_separation_fails(capsys):
     )
     assert code == 2
     assert "--a" in err
+
+
+@pytest.mark.parametrize("plates", ["single", "dual"])
+@pytest.mark.parametrize("times", [(), ("--t", "-3.5", "--t-prime", "1.25")])
+def test_correlator_lab_units_accept_zero_and_negative_times(capsys, plates, times):
+    # c*t is a signed time in nm: t = 0 (the default) and t < 0 convert by
+    # 1/(hbar c) like lengths but are not refused as non-positive lengths
+    geometry = ("--a", "50") if plates == "dual" else ()
+    code, out, err = _run(
+        capsys,
+        "correlator", "--plates", plates, "--z", "10", "--z-prime", "20", *times, *geometry,
+    )
+    assert code == 0, err
+    (row,) = _rows(out)
+    t, t_prime = (float(value) for value in times[1::2]) if times else (0.0, 0.0)
+    assert (float(row["t_nm"]), float(row["t_prime_nm"])) == (t, t_prime)
+    hbar_c = CONSTANTS.hbar_c_eV_nm
+    pair = SpacetimePair(t=t / hbar_c, z=length_to_natural(10.0), t_prime=t_prime / hbar_c,
+                         z_prime=length_to_natural(20.0))
+    if plates == "single":
+        expected = correlator_single_plate(pair)
+    else:
+        expected = correlator_dual_plate(pair, length_to_natural(50.0)).value
+    assert float(row["correlator_eV4"]) == _sig9(expected)
 
 
 def test_sweep_values_emitted_in_ascending_order(capsys):

@@ -15,7 +15,6 @@ from casvolt import (
     SingularityError,
     SpacetimePair,
     correlator_dual_plate,
-    correlator_single_plate,
     one_plate_integral,
     reflected_image_integral,
     reflection_antiderivative,
@@ -151,36 +150,6 @@ def test_two_plate_exact_matches_per_index_reference(z0, b, a, v):
     assert result.terms_used == terms
     expected = q * q * v**4 / math.pi**2 * value
     assert result.variance_eV2 == pytest.approx(expected, rel=1e-14, abs=0.0)
-
-
-def _dual_bound(n, a, dt, dz, sz):
-    big = max(sz, abs(dz))
-    m_next = 2.0 * a * (n + 1) - big
-    edge = 2.0 * a * n - big
-    if m_next <= abs(dt) or edge <= 0.0:
-        return math.inf
-    gamma = 1.0 - (dt * dt) / (m_next * m_next)
-    return 4.0 / (math.pi**2 * gamma * gamma) / (6.0 * a * edge**3)
-
-
-@pytest.mark.parametrize("t, z, z_prime, a", [
-    (0.0, 0.3, 0.4, 1.0),
-    (0.25, 0.1, 0.9, 1.0),
-    (0.9, 0.5, 0.5, 1.0),
-    (0.02, 0.01, 0.03, 0.05),
-])
-def test_dual_plate_matches_per_index_reference(t, z, z_prime, a):
-    pair = SpacetimePair(t=t, z=z, t_prime=0.0, z_prime=z_prime)
-    result = correlator_dual_plate(pair, a)
-    dz, sz = z - z_prime, z + z_prime
-    value, terms = _reference_sum(
-        lambda n: _dual_pair_term(n, a, t, dz, sz),
-        lambda n: (_dual_bound(n, a, t, dz, sz), 0.0),
-        1e-10,
-        correlator_single_plate(pair),
-    )
-    assert result.terms_used == terms
-    assert result.value == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
 def test_pole_touching_image_raises_as_scalar_path():

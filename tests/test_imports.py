@@ -49,6 +49,8 @@ def test_import_leaves_oracle_and_numpy_unloaded(module):
     ["variance", "--plates", "two", "--mode", "small-v", "--z0", "30", "--a", "100",
      "--kinetic-eV", "1"],
     ["moddel"],
+    ["correlator", "--plates", "dual", "--z", "0.3", "--z-prime", "0.4", "--t", "0.2",
+     "--a", "1", "--natural-units"],
 ])
 def test_commands_without_the_oracle_run_without_numpy(argv):
     code, loaded = _fresh(

@@ -1,5 +1,6 @@
 """Certified symmetric image summation."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -266,12 +267,19 @@ def test_zero_subtracted_tail_is_the_plain_bound():
 
 
 def test_hurwitz_zeta_matches_mpmath():
+    # every order the two-plate tail (4, 6) and the dual-plate tail (4 to 16)
+    # request, at integer and non-integer x; the Euler-Maclaurin remainder is
+    # below its first omitted term, B_22/22! (s)_21 x^(1-s-22), which reaches
+    # 8e-14 relative at s = 16, x = 16. The reference takes 60 digits: at 40,
+    # mpmath's own zeta(12, 4113) is off by 1e-13.
     mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    for s in (2, 4, 6, 8):
-        for x in (16.0, 17.0, 18.5, 100.0, 4113.0, 1e6):
-            expected = mpmath.zeta(s, x)
-            assert abs(hurwitz_zeta(s, x) - expected) <= 3e-16 * expected
+    b22 = Fraction(854513, 138) / math.factorial(22)
+    with mpmath.workdps(60):
+        for s in range(2, 17):
+            for x in (16.0, 16.37, 16.5, 17.0, 17.81, 17.99, 18.5, 100.0, 4113.0, 1e6):
+                expected = mpmath.zeta(s, x)
+                omitted = float(b22 * math.prod(range(s, s + 21))) * x ** (1 - s - 22)
+                assert abs(hurwitz_zeta(s, x) - expected) <= 3e-16 * expected + omitted
 
 
 @pytest.mark.parametrize("s, x", [(1, 20.0), (4, 15.5), (4, math.nan)])

@@ -10,12 +10,9 @@ from casvolt import (
     Particle,
     PathSegment,
     SingularityError,
-    SpacetimePair,
-    correlator_dual_plate,
     one_plate_integral,
     variance_two_plate_exact,
 )
-from casvolt import correlators
 from casvolt.closed_forms import image_pair_terms
 
 # speeds 1e-3 to 1e-1; a in [0.5, 2], z0/a in [0.05, 0.8], b/(a - z0) in [0.02, 0.5]
@@ -97,23 +94,3 @@ def test_two_plate_variance_mirror_symmetry(a, z0_frac, b_frac, v):
     right = _variance(PathSegment(z0=a - seg.z0 - seg.b, b=seg.b, v=v), a)
     allowed = left.tail_estimate_eV2 + right.tail_estimate_eV2 + 1e-13 * left.variance_eV2
     assert abs(left.variance_eV2 - right.variance_eV2) <= allowed
-
-
-def test_dual_correlator_subtracts_no_tail(monkeypatch):
-    # the dual-plate bound is a plain array: its sum adds nothing beyond its
-    # own pair terms, so it stays identical to the per-index reference
-    seen = []
-    engine = correlators.sum_symmetric_images
-
-    def spy(pair_term, tail_bound, *args, **kwargs):
-        def recorded(ns):
-            bounds = tail_bound(ns)
-            seen.append(bounds)
-            return bounds
-
-        return engine(pair_term, recorded, *args, **kwargs)
-
-    monkeypatch.setattr(correlators, "sum_symmetric_images", spy)
-    correlator_dual_plate(SpacetimePair(t=0.25, z=0.1, t_prime=0.0, z_prime=0.9), 1.0)
-    assert seen
-    assert all(isinstance(bounds, np.ndarray) for bounds in seen)
