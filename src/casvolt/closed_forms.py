@@ -64,17 +64,17 @@ _POLE_TOUCH_EPS = 1e-10
 
 @dataclass(frozen=True)
 class PathSegment:
-    """Straight worldline segment: start z0 > 0, length b > 0, speed v."""
+    """Straight worldline segment: finite start z0 > 0, finite length b > 0, speed v."""
 
     z0: float
     b: float
     v: float
 
     def __post_init__(self) -> None:
-        if not self.z0 > 0.0:
-            raise DomainError(f"segment start z0 must be positive, got {self.z0!r}")
-        if not self.b > 0.0:
-            raise DomainError(f"segment length b must be positive, got {self.b!r}")
+        if not 0.0 < self.z0 < math.inf:
+            raise DomainError(f"segment start z0 must be positive and finite, got {self.z0!r}")
+        if not 0.0 < self.b < math.inf:
+            raise DomainError(f"segment length b must be positive and finite, got {self.b!r}")
         if not 0.0 < self.v < 1.0:
             raise DomainError(f"speed v must lie in (0, 1), got {self.v!r}")
 
@@ -201,7 +201,8 @@ def _reflection_square(value: Callable, base, b: float):
     """Four-corner difference over [base, base + b]^2 of value(z, z', z' - z).
 
     The corner offsets 0 and +-b are passed as the differences, so the side
-    of the square is b exactly wherever the base lies (base may be an array).
+    of the square is b exactly wherever the base lies. image_pair_terms
+    builds the same square on arrays.
     """
     top = base + b
     return (value(top, top, 0.0) - value(top, base, -b)
@@ -361,11 +362,9 @@ def _log_differences(first, second, diff, ell: float, touch_scale):
     """Array form of _log_difference: nan where that would raise."""
     import numpy as np
 
-    tol = _POLE_TOUCH_EPS * touch_scale
-    touched = (np.abs(first) < tol) | (np.abs(second) < tol)
     ratio = diff / second
-    far = (np.abs(ratio) > _LOG1P_MAX) & ~touched
-    value = 2.0 * np.log1p(np.where(far, 0.0, ratio))
+    value = 2.0 * np.log1p(ratio)
+    far = np.abs(ratio) > _LOG1P_MAX
     if far.any():
         # numpy's log and math.log can differ by an ulp; with the corner
         # differences built from exact offsets, that stays far inside the
@@ -374,50 +373,21 @@ def _log_differences(first, second, diff, ell: float, touch_scale):
         log_ell = 2.0 * math.log(ell)
         value[far] = (2.0 * np.log(np.abs(first[far])) - log_ell) - (
             2.0 * np.log(np.abs(second[far])) - log_ell)
-    value[touched] = np.nan
+    value[np.minimum(np.abs(first), np.abs(second)) < _POLE_TOUCH_EPS * touch_scale] = np.nan
     return value
-
-
-def _reflection_values(z, z_prime, delta: float, v: float, ell: float):
-    """Array form of _reflection_value for arrays z, z' and one difference
-    delta (v checked); non-finite where that would raise."""
-    import numpy as np
-
-    if delta == 0.0:
-        return 1.0 / (16.0 * v * v * z * z_prime)
-    coord_scale = np.abs(z) + np.abs(z_prime)
-    a_arg = 2.0 * v * z + (1.0 + v) * delta
-    b_arg = 2.0 * v * z + (v - 1.0) * delta
-    log_diff = _log_differences(a_arg, b_arg, 2.0 * delta, ell, v * coord_scale + abs(delta))
-    num = 8.0 * v * z * z_prime - (1.0 - v * v) * (z + z_prime) * delta * log_diff
-    return np.where(
-        abs(delta) < _DIAGONAL_EPS * coord_scale,
-        1.0 / (16.0 * v * v * z * z_prime),
-        num / (128.0 * v**3 * (z * z_prime) ** 2),
-    )
-
-
-def _translation_antiderivatives(z: float, z_prime: float, nav, v: float, ell: float):
-    """Array form of translation_antiderivative over an array of n a v
-    (v checked); non-finite where that would raise."""
-    import numpy as np
-
-    delta = z_prime - z
-    if abs(delta) < _DIAGONAL_EPS * (abs(z) + abs(z_prime)):
-        return 1.0 / (8.0 * nav * nav)
-    p_arg = (1.0 + v) * delta + 2.0 * nav
-    q_arg = (1.0 - v) * (z - z_prime) + 2.0 * nav
-    log_diff = _log_differences(p_arg, q_arg, 2.0 * delta, ell, 2.0 * np.abs(nav) + abs(delta))
-    num = 8.0 * nav + ((1.0 - v * v) * (z - z_prime) + 2.0 * nav * v) * log_diff
-    return num / (64.0 * nav**3)
 
 
 def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_SCALE):
     """Four-image contribution of +n and -n for each index in the array ns.
 
     For each n the sum, over s = n then -n, of reflected_image_integral and
-    translated_image_integral, evaluated with the same corner construction,
-    diagonal limits, log1p branch and singular-locus test on whole arrays.
+    translated_image_integral, with the same float operations, diagonal
+    limits, log1p branch and singular-locus test, in one pass over arrays of
+    shape (corner, sign, index). The diagonal corners take no logarithm. The
+    off-diagonal ones all compare log((X + (1+v) d)^2) with log((X + (v-1) d)^2):
+    X = 2 v z with the exact offsets d = -b, +b for the reflected corners,
+    X = 2 a s v with d = -+(z1 - z0) for the translated ones; one
+    _log_differences call takes all of them, for +n and -n together.
     A block holding any index those functions would refuse (a corner on the
     singular locus, n = 0) is re-evaluated through them one index at a time,
     so it raises the same error at the same index.
@@ -427,16 +397,39 @@ def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_S
     _check_v(seg.v)
     if not a > 0.0:
         raise DomainError(f"plate separation a must be positive, got {a!r}")
-    v, ell = seg.v, scale.ell
-    shift = a * np.stack([ns, -ns])  # rows +n and -n
+    v, b, c0, c1 = seg.v, seg.b, seg.z0, seg.z0 + seg.b
+    shift = np.multiply.outer((a, -a), ns)  # rows +n and -n
+    base = c0 - shift
+    top = base + b
+    # off-diagonal corners (z, z'): reflected (top, base) and (base, top),
+    # translated (z1, z0) and (z0, z1)
+    z = np.stack([top, base, shift, shift])
+    delta = np.array([-b, b, c0 - c1, c1 - c0])[:, None, None]
     with np.errstate(all="ignore"):
-        reflected = _reflection_square(
-            lambda z, zp, d: _reflection_values(z, zp, d, v, ell), seg.z0 - shift, seg.b
-        )
-        translated = _corner_combination(
-            lambda x, y: _translation_antiderivatives(x, y, shift * v, v, ell),
-            seg.z0, seg.z0 + seg.b,
-        )
+        x = 2.0 * v * z
+        coord_scale = np.abs(top) + np.abs(base)
+        touch = np.abs(x)
+        touch[:2] = v * coord_scale
+        log_diff = _log_differences(x + (1.0 + v) * delta, x + (v - 1.0) * delta,
+                                    2.0 * delta, scale.ell, touch + np.abs(delta))
+        z_prime = z[1::-1]
+        reflected = (8.0 * v * z[:2] * z_prime
+                     - (1.0 - v * v) * (top + base) * delta[:2] * log_diff[:2]
+                     ) / (128.0 * v**3 * (top * base) ** 2)
+        reflected = np.where(b < _DIAGONAL_EPS * coord_scale,
+                             1.0 / (16.0 * v * v * z[:2] * z_prime), reflected)
+        on_diagonal = 1.0 / (16.0 * v * v * z[:2] * z[:2])
+        reflected = on_diagonal[0] - reflected[0] - reflected[1] + on_diagonal[1]
+        nav = shift * v
+        nav8 = 8.0 * nav
+        translated_diagonal = 1.0 / (nav8 * nav)
+        if abs(c1 - c0) < _DIAGONAL_EPS * (abs(c0) + abs(c1)):
+            translated = np.stack([translated_diagonal, translated_diagonal])
+        else:
+            translated = (nav8 + ((1.0 - v * v) * -delta[2:] + 2.0 * nav * v)
+                          * log_diff[2:]) / (64.0 * nav**3)
+        translated = (translated_diagonal - translated[0] - translated[1]
+                      + translated_diagonal)
         terms = reflected[0] + translated[0] + reflected[1] + translated[1]
     if np.isfinite(terms).all():
         return terms

@@ -39,7 +39,8 @@ _TAIL_ORDERS = 7
 
 @dataclass(frozen=True)
 class SpacetimePair:
-    """Two evaluation events (t, z) and (t', z') at equal transverse position."""
+    """Two evaluation events (t, z) and (t', z') at equal transverse position;
+    every coordinate finite, z and z' above the plate at z = 0."""
 
     t: float
     z: float
@@ -47,10 +48,12 @@ class SpacetimePair:
     z_prime: float
 
     def __post_init__(self) -> None:
-        if not (self.z > 0.0 and self.z_prime > 0.0):
+        if not (math.isfinite(self.t) and math.isfinite(self.t_prime)):
+            raise DomainError(f"event times must be finite, got t={self.t!r}, t'={self.t_prime!r}")
+        if not (0.0 < self.z < math.inf and 0.0 < self.z_prime < math.inf):
             raise DomainError(
-                f"evaluation points must lie above the plate at z=0, got z={self.z!r}, "
-                f"z'={self.z_prime!r}"
+                f"evaluation points must lie a finite distance above the plate at z=0, "
+                f"got z={self.z!r}, z'={self.z_prime!r}"
             )
 
 
@@ -66,8 +69,8 @@ class DualPlate:
     a: float
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise DomainError(f"plate separation a must be positive, got {self.a!r}")
+        if not 0.0 < self.a < math.inf:
+            raise DomainError(f"plate separation a must be positive and finite, got {self.a!r}")
 
 
 Geometry = SinglePlate | DualPlate
@@ -167,8 +170,8 @@ def correlator_dual_plate(
     ConvergenceError when N exceeds control.n_max, and SingularityError when
     a summed image lies on the light cone.
     """
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")
     if not (pair.z < a and pair.z_prime < a):
         raise DomainError(
             f"evaluation points must lie between the plates: z={pair.z!r}, "

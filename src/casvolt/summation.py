@@ -1,6 +1,6 @@
 """Truncation control and the symmetric image-sum engine.
 
-The dual-plate quantities are sums over image index n = ..., -2, -1, 1, 2, ...
+The two-plate quantities are sums over image index n = ..., -2, -1, 1, 2, ...
 (n = 0 excluded). Terms are accumulated in symmetric +n/-n pairs moving
 outward; the sum stops at the first n whose caller-supplied rigorous tail
 bound drops below the requested relative tolerance of the running total. The
@@ -14,9 +14,15 @@ which decays faster than the tail itself.
 
 The engine evaluates its callables on blocks of indices: pair_term and
 tail_bound each take a float ndarray of indices and return an ndarray of the
-same length. Running totals within a block are formed left to right, exactly
-as a one-index-at-a-time loop would add them, so the stop index does not
-depend on how the indices are blocked.
+same length. Every block, the first included, starts as a window of at most
+_BLOCK_CAP tail bounds and ends at the first index those bounds certify
+against the running total plus T(n); while the terms do not shrink that
+total, the true stop lies at or before it. In the first block the running
+total is the base alone, and a T(n) close to the dropped pairs keeps the
+prediction close to the true stop, so such a sum takes one pair_term call
+on little more than its own indices. Running totals within a block are
+formed left to right, exactly as a one-index-at-a-time loop would add them,
+so the stop index does not depend on how the indices are blocked.
 """
 from __future__ import annotations
 
@@ -32,15 +38,14 @@ if TYPE_CHECKING:
 
 __all__ = ["SummationControl", "SummationResult", "sum_symmetric_images", "hurwitz_zeta"]
 
-# Most indices handed to pair_term or tail_bound in one call. Bounds the
-# memory of a block, whose temporaries scale with its length, and the work
-# spent past the stop when the stop prediction overshoots.
-_BLOCK_CAP = 4096
-# Length of the first block. The leading pair terms carry nearly all of the
-# sum, so the stop predicted against the total after them is close to the
-# true stop, where a prediction against the base alone can overshoot it
-# several times over.
-_HEAD_BLOCK = 16
+# Most indices handed to pair_term or tail_bound in one call, the first call
+# included. Bounds the memory of a block, whose temporaries scale with its
+# length, the cost of the first window of tail bounds, and the work spent
+# past the stop when the stop prediction overshoots.
+_BLOCK_CAP = 1024
+# Least argument x that hurwitz_zeta accepts; a caller's subtracted tail built
+# from zeta(s, N + 1) needs N + 1 >= this.
+_ZETA_X_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,8 @@ def sum_symmetric_images(
     running = base
     bound = math.inf
     start = n_min
-    size = _HEAD_BLOCK
     while start <= control.n_max:
-        ns = np.arange(start, min(start + size, control.n_max + 1), dtype=float)
+        ns = np.arange(start, min(start + _BLOCK_CAP, control.n_max + 1), dtype=float)
         bounds = tail_bound(ns)
         tails = None  # the subtracted tail T(n); None for a plain bound, T = 0
         if isinstance(bounds, tuple):
@@ -135,7 +139,6 @@ def sum_symmetric_images(
         running = float(totals[-1])
         bound = float(bounds[-1])
         start += ns.size
-        size = _BLOCK_CAP
     raise ConvergenceError(
         f"image sum not certified below relative tolerance {control.tol:g} "
         f"within n_max={control.n_max} terms (last tail bound {bound:.3e})"
@@ -171,7 +174,7 @@ def hurwitz_zeta(s: int, x: float) -> float:
     relative for s <= 10 and 4.4e-14 at s = 16, the highest order the
     dual-plate correlator requests.
     """
-    if s < 2 or not x >= 16.0:
+    if s < 2 or not x >= _ZETA_X_MIN:
         raise DomainError(f"hurwitz_zeta needs s >= 2 and x >= 16, got s={s!r}, x={x!r}")
     inv_sq = 1.0 / (x * x)
     series = 0.0

@@ -24,7 +24,7 @@ from .closed_forms import (
     one_plate_integral,
 )
 from .errors import ConvergenceError, DomainError
-from .summation import _HEAD_BLOCK, SummationControl, hurwitz_zeta, sum_symmetric_images
+from .summation import _ZETA_X_MIN, SummationControl, hurwitz_zeta, sum_symmetric_images
 from .units import CONSTANTS, Constants, speed_from_kinetic
 
 __all__ = [
@@ -44,10 +44,11 @@ __all__ = [
 
 _SMALLV_WARN = 0.1
 _SPEED_MATCH_RTOL = 1e-9
-# The two-plate sum subtracts its analytic tail from the first index n >= the
-# head block at which U = v (2an - 2(z0+b)) / b reaches this value: there the
-# pair terms' expansion in 1/n gains a factor (1/U)^2 <= 1/4 per order, so
-# the envelope coefficient taken at that index is close to its limit.
+# The two-plate sum subtracts its analytic tail from the first index n >= 16,
+# the least argument of hurwitz_zeta, at which U = v (2an - 2(z0+b)) / b
+# reaches this value: there the pair terms' expansion in 1/n gains a factor
+# (1/U)^2 <= 1/4 per order, so the envelope coefficient taken at that index
+# is close to its limit.
 _TAIL_REFERENCE_U = 2.0
 # Rounding allowance on the pair term at the reference index, relative to the
 # summed magnitude of its sixteen corner antiderivatives (against a 50-digit
@@ -55,8 +56,8 @@ _TAIL_REFERENCE_U = 2.0
 # 3000 random geometries; see docs/decisions.md).
 _CORNER_ROUNDING = 1e-12
 # Rounding allowance on the subtracted tail T, relative to T: its Euler-
-# Maclaurin anchor and a cumulative sum over at most 4096 indices round it by
-# fewer than 4200 ulps.
+# Maclaurin anchor and a cumulative sum over at most 1024 indices round it by
+# fewer than 1100 ulps.
 _TAIL_ROUNDING = 1e-12
 
 
@@ -251,8 +252,8 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     b = z0 it is 0.625 times the plateau. Warns when the particle speed is
     large enough (v > 0.1) that the dropped O(v^0) terms matter.
     """
-    if not z0 > 0.0:
-        raise DomainError(f"starting distance z0 must be positive, got {z0!r}")
+    if not 0.0 < z0 < math.inf:
+        raise DomainError(f"starting distance z0 must be positive and finite, got {z0!r}")
     v = particle.speed_value
     if v > _SMALLV_WARN:
         warnings.warn(
@@ -301,7 +302,7 @@ def _tail_coefficients(seg: PathSegment, a: float) -> tuple[float, float]:
 def _two_plate_tail(seg: PathSegment, a: float, scale: LogScale):
     """The tail_bound callable of variance_two_plate_exact.
 
-    Below the reference index n_ref (the first n >= _HEAD_BLOCK with
+    Below the reference index n_ref (the first n >= _ZETA_X_MIN = 16 with
     U >= _TAIL_REFERENCE_U) it returns the plain bound of
     _two_plate_tail_bound. From n_ref on it returns, for each N, the
     subtracted tail T(N) = C zeta(4, N+1) + D zeta(6, N+1) and the envelope
@@ -314,7 +315,7 @@ def _two_plate_tail(seg: PathSegment, a: float, scale: LogScale):
     import numpy as np
 
     v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
-    n_ref = max(_HEAD_BLOCK, math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a)))
+    n_ref = max(_ZETA_X_MIN, math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a)))
     while v * (2.0 * a * n_ref - 2.0 * z1) / b < _TAIL_REFERENCE_U:
         n_ref += 1
     c4, c6 = _tail_coefficients(seg, a)
@@ -364,8 +365,8 @@ def variance_two_plate_exact(
     the truncation error of the returned variance. The flight must stay
     between the plates: 0 < z0 and z0 + b < a.
     """
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")
     if not seg.z0 + seg.b < a:
         raise DomainError(
             f"flight must stay between the plates: z0 + b = {seg.z0 + seg.b!r} "
@@ -406,8 +407,8 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
     above a/2 subtracts exactly), so the mirror symmetry z0 <-> a - z0 holds
     to the last bit.
     """
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")
     if not 0.0 < z0 < a:
         raise DomainError(
             f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"
@@ -473,8 +474,8 @@ def variance_two_plate_series_smallv(
     """
     if control is None:
         control = SummationControl(tol=1e-5, n_max=10**6)
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")
     if not 0.0 < z0 < a:
         raise DomainError(
             f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"

@@ -144,6 +144,29 @@ def test_correlator_lab_units_accept_zero_and_negative_times(capsys, plates, tim
     assert float(row["correlator_eV4"]) == _sig9(expected)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--plates", "single", "--z", "1", "--z-prime", "2", "--t", "nan"),
+    ("--plates", "single", "--z", "1", "--z-prime", "2", "--t", "inf"),
+    ("--plates", "dual", "--a", "1", "--z", "0.3", "--z-prime", "0.4", "--t", "inf"),
+], ids=["single-nan", "single-inf", "dual-inf"])
+def test_correlator_non_finite_time_exits_two(capsys, argv):
+    # these printed nan, printed 0.0, and exited 3, all at natural units
+    code, out, err = _run(capsys, "correlator", *argv, "--natural-units")
+    assert code == 2 and out == ""
+    assert "event times must be finite" in err
+
+
+@pytest.mark.parametrize("lengths", [("--plates", "one", "--z0", "inf"),
+                                     ("--plates", "two", "--z0", "0.3", "--a", "inf")],
+                         ids=["one-z0", "two-a"])
+def test_small_speed_variance_infinite_length_exits_two(capsys, lengths):
+    # these printed a zero and a nan spread and exited 0
+    code, out, err = _run(capsys, "variance", "--mode", "small-v", *lengths,
+                          "--speed", "0.01", "--natural-units")
+    assert code == 2 and out == ""
+    assert "positive and finite" in err
+
+
 def test_sweep_values_emitted_in_ascending_order(capsys):
     code, out, _ = _run(
         capsys,

@@ -34,6 +34,17 @@ def test_segment_validation():
         LogScale(ell=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("z0", math.inf), ("z0", math.nan), ("b", math.inf), ("b", math.nan),
+])
+def test_segment_rejects_non_finite_lengths(field, value):
+    # z0 = inf gave variance 0.0 and b = inf gave nan
+    lengths = {"z0": 0.3, "b": 0.1}
+    lengths[field] = value
+    with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
+        PathSegment(v=0.1, **lengths)
+
+
 def test_exact_integral_rejects_out_of_range_speeds():
     # the corner construction carries 1/v^3 prefactors, so it refuses speeds
     # it cannot evaluate accurately; the small-v form has no lower limit

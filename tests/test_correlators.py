@@ -26,6 +26,24 @@ def test_pair_validation():
         SpacetimePair(t=0.0, z=1.0, t_prime=0.0, z_prime=-0.2)
 
 
+@pytest.mark.parametrize("coordinates", [
+    {"t": math.nan}, {"t": math.inf}, {"t_prime": -math.inf},
+    {"z": math.inf}, {"z_prime": math.nan},
+])
+def test_pair_rejects_non_finite_coordinates(coordinates):
+    with pytest.raises(DomainError):
+        SpacetimePair(**{"t": 0.0, "z": 0.3, "t_prime": 0.0, "z_prime": 0.4, **coordinates})
+
+
+@pytest.mark.parametrize("a", [math.inf, math.nan])
+def test_plate_separation_must_be_finite(a):
+    pair = SpacetimePair(t=0.0, z=0.3, t_prime=0.0, z_prime=0.4)
+    with pytest.raises(DomainError, match="positive and finite"):
+        correlator_dual_plate(pair, a)
+    with pytest.raises(DomainError, match="positive and finite"):
+        DualPlate(a=a)
+
+
 def test_geometry_validation():
     SinglePlate()
     with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from casvolt import ConvergenceError, DomainError, SummationControl
-from casvolt.summation import _BLOCK_CAP, _HEAD_BLOCK, hurwitz_zeta, sum_symmetric_images
+from casvolt.summation import _BLOCK_CAP, _ZETA_X_MIN, hurwitz_zeta, sum_symmetric_images
 
 ZETA4_PAIR_SUM = math.pi**4 / 45.0  # 2 * zeta(4)
 
@@ -128,16 +128,18 @@ def _assert_matches_reference(pair_term, tail_bound, control, base=0.0, n_min=1)
 
 def test_stop_inside_first_block_matches_reference():
     result = _assert_matches_reference(_zeta4_pair, _zeta4_bound, SummationControl(tol=1e-3))
-    assert 1 < result.terms_used < _HEAD_BLOCK
+    assert 1 < result.terms_used < _BLOCK_CAP
 
 
 def test_stop_inside_second_block_matches_reference():
-    result = _assert_matches_reference(_zeta4_pair, _zeta4_bound, SummationControl(tol=1e-6))
-    assert _HEAD_BLOCK < result.terms_used < _HEAD_BLOCK + _BLOCK_CAP
+    # the bound 2/(3n^3) meets 1e-10 of 2 zeta(4) at n = 1455
+    result = _assert_matches_reference(_zeta4_pair, _zeta4_bound, SummationControl(tol=1e-10))
+    assert _BLOCK_CAP < result.terms_used < 2 * _BLOCK_CAP
 
 
-# the first block ends at _HEAD_BLOCK, the second _BLOCK_CAP indices later
-_EDGES = (_HEAD_BLOCK, _HEAD_BLOCK + _BLOCK_CAP)
+# every block holds _BLOCK_CAP indices until one certifies: the first ends at
+# _BLOCK_CAP, the second _BLOCK_CAP indices later
+_EDGES = (_BLOCK_CAP, 2 * _BLOCK_CAP)
 
 
 @pytest.mark.parametrize("stop", [edge + step for edge in _EDGES for step in (-1, 0, 1)])
@@ -159,7 +161,8 @@ def test_shrinking_total_spans_blocks_and_matches_reference():
     assert result.terms_used > 1000
 
 
-@pytest.mark.parametrize("n_max", [50, _BLOCK_CAP + 10])
+# n_max cuts the first block short, or the fifth after four whole blocks
+@pytest.mark.parametrize("n_max", [50, 4 * _BLOCK_CAP + 10])
 def test_n_max_inside_block_matches_reference(n_max):
     _assert_matches_reference(
         lambda n: 1.0 / (n * n), lambda n: 1.0 / n, SummationControl(tol=1e-10, n_max=n_max)
@@ -204,8 +207,9 @@ def test_blocks_never_exceed_cap():
 
 def test_pair_terms_stop_near_the_true_stop():
     # against the small base alone the stop would be predicted about
-    # (sum/base)^(1/3) ~ 3x too far out; after the first block the
-    # prediction is within an index of the true stop
+    # (sum/base)^(1/3) ~ 3x too far out, past the first block, which is
+    # therefore evaluated whole; after it the prediction is within an index
+    # of the true stop
     seen = []
 
     def pair(n):
@@ -214,7 +218,7 @@ def test_pair_terms_stop_near_the_true_stop():
 
     result = _assert_matches_reference(pair, _zeta4_bound, SummationControl(tol=1e-10),
                                        base=0.05)
-    assert result.terms_used > _HEAD_BLOCK
+    assert result.terms_used > _BLOCK_CAP
     assert max(seen) <= result.terms_used + 1
 
 
@@ -230,7 +234,7 @@ def _zeta48_pair(n):
 
 
 def _zeta48_tail(n):
-    far = n >= _HEAD_BLOCK
+    far = n >= _ZETA_X_MIN
     x = n + 1.0
     remainder = 8.0 * (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
     subtracted = np.array([2.0 * hurwitz_zeta(4, float(m)) if f else 0.0
@@ -241,13 +245,13 @@ def _zeta48_tail(n):
 def test_subtracted_tail_certifies_early_and_matches_reference():
     control = SummationControl(tol=1e-12)
     result = _assert_matches_reference(_zeta48_pair, _zeta48_tail, control)
-    assert _HEAD_BLOCK < result.terms_used < 60
+    assert _ZETA_X_MIN < result.terms_used < 60
     assert abs(result.value - ZETA48_PAIR_SUM) <= result.tail_estimate
     plain = sum_symmetric_images(_zeta48_pair, lambda n: 2.0 / (3.0 * n**3), control)
     assert plain.terms_used > 100 * result.terms_used
 
 
-@pytest.mark.parametrize("stop", [_HEAD_BLOCK + _BLOCK_CAP + step for step in (-1, 0, 1)])
+@pytest.mark.parametrize("stop", [edge + step for edge in _EDGES for step in (-1, 0, 1)])
 def test_subtracted_tail_on_block_edge_matches_reference(stop):
     def tail(n):
         bounds, subtracted = _zeta48_tail(n)

@@ -52,6 +52,23 @@ def test_segment_speed_must_match_particle():
         variance_one_plate(p, seg)
 
 
+@pytest.mark.parametrize("a", [math.inf, math.nan])
+def test_two_plate_separation_must_be_finite(a):
+    # a = inf gave nan from the small-speed closed form
+    particle = Particle.electron(speed=0.1)
+    with pytest.raises(DomainError, match="positive and finite"):
+        variance_two_plate_exact(particle, PathSegment(z0=0.3, b=0.1, v=0.1), a)
+    for small_speed in (variance_two_plate_smallv, variance_two_plate_series_smallv):
+        with pytest.raises(DomainError, match="positive and finite"):
+            small_speed(particle, 0.3, a)
+
+
+def test_one_plate_small_speed_start_must_be_finite():
+    # z0 = inf gave a zero spread
+    with pytest.raises(DomainError, match="positive and finite"):
+        rms_one_plate_smallv(Particle.electron(speed=0.01), math.inf)
+
+
 def test_variance_one_plate_golden():
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.01)
     seg = PathSegment(1.0, 0.05, 0.01)
