@@ -69,18 +69,14 @@ from .units import (
     speed_from_kinetic,
 )
 from .variance import (
-    CscSeriesComparison,
     FluctuationResult,
     Particle,
     WindowReport,
-    csc_identity,
     rms_one_plate_smallv,
     validity_window,
     variance_one_plate,
     variance_two_plate_exact,
-    variance_two_plate_series_smallv,
     variance_two_plate_smallv,
-    zeta_two_series,
 )
 
 __version__ = "0.1.0"
@@ -159,15 +155,19 @@ __all__ = [
 ]
 
 _ORACLE_NAMES = frozenset({
+    "CscSeriesComparison",
     "DerivativeReport",
     "QuadratureResult",
     "QuadratureSpec",
     "VerificationReport",
     "brute_dual_correlator",
+    "csc_identity",
     "deriv_check",
     "quad_image",
     "quad_one_plate",
     "run_verification",
+    "variance_two_plate_series_smallv",
+    "zeta_two_series",
 })
 
 

@@ -25,7 +25,7 @@ import json
 import sys
 
 from .closed_forms import PathSegment, reflection_antiderivative
-from .correlators import DualPlate, SinglePlate, SpacetimePair, correlator_dual_plate, correlator_single_plate
+from .correlators import SpacetimePair, correlator_dual_plate, correlator_single_plate
 from .errors import (
     CasvoltError,
     ConvergenceError,
@@ -91,6 +91,11 @@ def _emit(rows: list[dict], args, command: str) -> None:
             ],
         }
         text = json.dumps(payload, indent=2) + "\n"
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    """Write text to --output (default stdout)."""
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -199,9 +204,8 @@ def _cmd_correlator(args) -> int:
     else:
         if args.a is None:
             raise DomainError("dual-plate correlators need the separation --a")
-        geometry = DualPlate(a=_to_natural(args.a, args))
         control = SummationControl(tol=args.tol, n_max=args.n_max)
-        result = correlator_dual_plate(pair, geometry.a, control)
+        result = correlator_dual_plate(pair, _to_natural(args.a, args), control)
         row[f"a_{suffix}"] = args.a
         row["correlator_eV4"] = result.value
         row["terms_used"] = result.terms_used
@@ -383,12 +387,7 @@ def _cmd_verify(args) -> int:
         reflection_override=reflection_override,
     )
     if args.format == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+        _write(json.dumps(report.to_dict(), indent=2) + "\n", args)
     else:
         rows = [
             {

@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, check_separation
 
 __all__ = [
     "PathSegment",
@@ -178,8 +178,7 @@ def translation_antiderivative(z: float, z_prime: float, v: float, a: float, n: 
     _check_v(v)
     if n == 0:
         raise DomainError("image index n must be a nonzero integer")
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    check_separation(a)
     delta = z_prime - z
     nav = n * a * v
     if abs(delta) < _DIAGONAL_EPS * (abs(z) + abs(z_prime)):
@@ -267,8 +266,7 @@ def reflected_image_integral(seg: PathSegment, a: float, n: int,
     """
     if n == 0:
         raise DomainError("image index n must be a nonzero integer")
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    check_separation(a)
     _check_v(seg.v)
     try:
         return _reflection_square(
@@ -290,8 +288,7 @@ def reflected_image_integral_smallv(seg: PathSegment, a: float, n: int) -> float
     """
     if n == 0:
         raise DomainError("image index n must be a nonzero integer")
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    check_separation(a)
     d0 = a * n - seg.z0
     d1 = a * n - seg.z0 - seg.b
     if d0 == 0.0 or d1 == 0.0:
@@ -320,8 +317,7 @@ def translated_image_integral_smallv(seg: PathSegment, a: float, n: int) -> floa
     """
     if n == 0:
         raise DomainError("image index n must be a nonzero integer")
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    check_separation(a)
     return 1.0 / (4.0 * a * a * seg.v * seg.v * n * n)
 
 
@@ -395,8 +391,7 @@ def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_S
     import numpy as np
 
     _check_v(seg.v)
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    check_separation(a)
     v, b, c0, c1 = seg.v, seg.b, seg.z0, seg.z0 + seg.b
     shift = np.multiply.outer((a, -a), ns)  # rows +n and -n
     base = c0 - shift
@@ -446,9 +441,11 @@ def one_plate_kernel(z, z_prime, v: float):
 
 def reflected_image_kernel(z, z_prime, v: float, a: float, n: int):
     """1/[(z-z')^2 - v^2 (z+z' - 2an)^2]^2."""
+    check_separation(a)
     return 1.0 / ((z - z_prime) ** 2 - v * v * (z + z_prime - 2.0 * a * n) ** 2) ** 2
 
 
 def translated_image_kernel(z, z_prime, v: float, a: float, n: int):
     """1/[(z-z')^2 - v^2 (z-z' - 2an)^2]^2."""
+    check_separation(a)
     return 1.0 / ((z - z_prime) ** 2 - v * v * (z - z_prime - 2.0 * a * n) ** 2) ** 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, SingularityError
+from .errors import ConvergenceError, DomainError, SingularityError, check_separation
 from .summation import SummationControl, SummationResult, hurwitz_zeta
 
 __all__ = [
@@ -69,8 +69,7 @@ class DualPlate:
     a: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.a < math.inf:
-            raise DomainError(f"plate separation a must be positive and finite, got {self.a!r}")
+        check_separation(self.a)
 
 
 Geometry = SinglePlate | DualPlate
@@ -170,8 +169,7 @@ def correlator_dual_plate(
     ConvergenceError when N exceeds control.n_max, and SingularityError when
     a summed image lies on the light cone.
     """
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")
+    check_separation(a)
     if not (pair.z < a and pair.z_prime < a):
         raise DomainError(
             f"evaluation points must lie between the plates: z={pair.z!r}, "
@@ -227,8 +225,8 @@ def mean_squared_field(z: float, omega_p: float) -> MeanSquaredField:
     the value may jump at the boundary while the regime flag flips exactly
     there.
     """
-    if not z > 0.0:
-        raise DomainError(f"distance z must be positive, got {z!r}")
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"distance z must be positive and finite, got {z!r}")
     if not omega_p > 0.0:
         raise DomainError(f"plasma frequency must be positive, got {omega_p!r}")
     product = omega_p * z

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by all casvolt modules.
+"""Exception hierarchy shared by all casvolt modules, and the plate
+separation check they share.
 
 The command line front end maps these onto its exit-code contract:
 validation and singularity problems exit 2, convergence failures exit 3,
 verification failures exit 4.
 """
 from __future__ import annotations
+
+import math
 
 
 class CasvoltError(Exception):
@@ -46,3 +49,9 @@ class ConvergenceError(CasvoltError):
 
 class VerificationError(CasvoltError):
     """The self-verification suite found at least one failing check."""
+
+
+def check_separation(a: float) -> None:
+    """Raise DomainError unless the plate separation a is positive and finite."""
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")

@@ -1,12 +1,14 @@
 """Independent numerical checks for the closed-form results.
 
 Everything in this module recomputes quantities from their defining double
-integrals or derivative identities, sharing no algebra with closed_forms
-beyond the integrand kernels themselves. The adaptive quadrature refuses
-domains that contain the light-cone pole (it cannot take principal values),
-reporting the threshold flight distance at which the pole enters; the
-Richardson derivative check differentiates the antiderivatives numerically
-and compares against the kernels they must reproduce.
+integrals, derivative identities or image series, sharing no algebra with
+closed_forms beyond the integrand kernels themselves; the truncated series
+are plain sums, not the production summation engine. The adaptive
+quadrature refuses domains that contain the light-cone pole (it cannot take
+principal values), reporting the threshold flight distance at which the
+pole enters; the Richardson derivative check differentiates the
+antiderivatives numerically and compares against the kernels they must
+reproduce.
 """
 from __future__ import annotations
 
@@ -32,19 +34,29 @@ from .closed_forms import (
     translated_image_kernel,
     translation_antiderivative,
 )
-from .errors import CasvoltError, ConvergenceError, DomainError, PoleInsideDomainError
-from .variance import csc_identity, zeta_two_series
+from .errors import (
+    CasvoltError,
+    ConvergenceError,
+    DomainError,
+    PoleInsideDomainError,
+    check_separation,
+)
+from .variance import FluctuationResult, Particle, _result
 
 __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
     "DerivativeReport",
     "CheckResult",
+    "CscSeriesComparison",
     "VerificationReport",
     "quad_one_plate",
     "quad_image",
     "deriv_check",
     "brute_dual_correlator",
+    "csc_identity",
+    "zeta_two_series",
+    "variance_two_plate_series_smallv",
     "pole_entry_one_plate",
     "pole_entry_reflected",
     "pole_entry_translated",
@@ -165,6 +177,7 @@ def pole_entry_reflected(z0: float, v: float, a: float, n: int) -> float:
     square's corner when b = 2 v (an - z0) / (1 + v); for n <= -1 when
     b = 2 v (a|n| + z0) / (1 - v).
     """
+    check_separation(a)
     if n == 0:
         raise DomainError("image index n must be nonzero")
     if n > 0:
@@ -175,6 +188,7 @@ def pole_entry_reflected(z0: float, v: float, a: float, n: int) -> float:
 def pole_entry_translated(v: float, a: float, n: int) -> float:
     """Pole-entry flight distance for the translated image at index n:
     b = 2 a |n| v / (1 + v), independent of z0."""
+    check_separation(a)
     if n == 0:
         raise DomainError("image index n must be nonzero")
     return 2.0 * a * abs(n) * v / (1.0 + v)
@@ -213,8 +227,7 @@ def quad_image(
     family "translated" integrates 1/[(z-z')^2 - v^2 (z-z'-2an)^2]^2 over
     [z0, z0+b]^2. Refuses domains containing the image's light-cone pole.
     """
-    if not a > 0.0:
-        raise DomainError(f"plate separation a must be positive, got {a!r}")
+    check_separation(a)
     if n == 0:
         raise DomainError("image index n must be nonzero")
     if family == "reflected":
@@ -299,6 +312,7 @@ def deriv_check(
     elif family == "translation":
         if a is None or n is None:
             raise DomainError("translation checks need the plate separation a and index n")
+        check_separation(a)
         target = antiderivative or translation_antiderivative
         g = lambda x, y: target(x, y, v, a, n, scale)
         kernel = lambda: translated_image_kernel(z, z_prime, v, a, n)
@@ -353,6 +367,7 @@ def brute_dual_correlator(
     No tail logic, no convergence gating; used to cross-check the production
     summation's truncation control on benign points.
     """
+    check_separation(a)
     dt = t - t_prime
     dz = z - z_prime
     sz = z + z_prime
@@ -366,6 +381,92 @@ def brute_dual_correlator(
             factors = dt * dt - sep * sep
             total += float(np.sum(1.0 / (factors * factors)))
     return (base + total) / math.pi**2
+
+
+@dataclass(frozen=True)
+class CscSeriesComparison:
+    """A truncated image series next to its closed form, with a tail bound."""
+
+    series_value: float
+    closed_form: float
+    tail_bound: float
+    terms: int
+
+
+def csc_identity(x: float, terms: int = 10000) -> CscSeriesComparison:
+    """sum_{n>=1} [1/(n+x)^2 + 1/(n-x)^2] = -1/x^2 + pi^2 csc^2(pi x).
+
+    The identity that collapses the reflected-image series into the csc^2
+    closed form. Returns the truncated series, the closed form, and the
+    integral-test tail bound 1/(N+x) + 1/(N-x) on the dropped terms.
+    """
+    if not 0.0 < x < 1.0:
+        raise DomainError(f"x must lie strictly between 0 and 1, got {x!r}")
+    if terms < 1:
+        raise DomainError(f"terms must be at least 1, got {terms!r}")
+    series = math.fsum(
+        1.0 / (n + x) ** 2 + 1.0 / (n - x) ** 2 for n in range(1, terms + 1)
+    )
+    closed = -1.0 / (x * x) + math.pi**2 / math.sin(math.pi * x) ** 2
+    tail = 1.0 / (terms + x) + 1.0 / (terms - x)
+    return CscSeriesComparison(
+        series_value=series, closed_form=closed, tail_bound=tail, terms=terms
+    )
+
+
+def zeta_two_series(terms: int = 10000) -> CscSeriesComparison:
+    """Truncated 2 sum_{n>=1} 1/n^2 next to its closed form pi^2/3.
+
+    The translated-image series at b -> 0. The tail bound is the integral
+    test 2/N on the dropped terms.
+    """
+    if terms < 1:
+        raise DomainError(f"terms must be at least 1, got {terms!r}")
+    series = math.fsum(2.0 / (n * n) for n in range(1, terms + 1))
+    return CscSeriesComparison(
+        series_value=series,
+        closed_form=math.pi**2 / 3.0,
+        tail_bound=2.0 / terms,
+        terms=terms,
+    )
+
+
+def variance_two_plate_series_smallv(
+    particle: Particle, z0: float, a: float, terms: int = 10000
+) -> FluctuationResult:
+    """Small-v two-plate variance as a truncated image series (b -> 0 limit).
+
+    q^2 v^4 / pi^2 times the n=0 term 1/(4 v^2 z0^2) plus, for each image
+    pair 1 <= n <= terms, [1/(an - z0)^2 + 1/(an + z0)^2 + 2/(an)^2] / (4 v^2).
+    With x = z0/a that pair term is [1/(n-x)^2 + 1/(n+x)^2 + 2/n^2] / (4 a^2
+    v^2): the csc_identity(x) series plus the zeta_two_series one. So
+        value = q^2 v^2 / (4 pi^2) [1/z0^2 + (S_csc + S_zeta) / a^2]
+    and tail_estimate_eV2 = q^2 v^2 / (4 pi^2 a^2) (tail_csc + tail_zeta),
+    their integral-test bounds on the dropped terms. Both series collapse
+    to the csc^2 closed form of variance_two_plate_smallv, which must agree
+    with this within tail_estimate_eV2.
+    """
+    check_separation(a)
+    if not 0.0 < z0 < a:
+        raise DomainError(
+            f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"
+        )
+    v = particle.speed_value
+    flags = ("small_v", "two_plate", "series")
+    if particle.charge_e == 0.0:
+        return _result(0.0, 0.0, flags + ("neutral",))
+    reflected = csc_identity(z0 / a, terms)
+    translated = zeta_two_series(terms)
+    q = particle.charge_natural
+    prefactor = q * q * v * v / (4.0 * math.pi**2)
+    images = (reflected.series_value + translated.series_value) / (a * a)
+    return _result(
+        prefactor * (1.0 / (z0 * z0) + images),
+        particle.charge_e,
+        flags,
+        terms_used=terms,
+        tail=prefactor * (reflected.tail_bound + translated.tail_bound) / (a * a),
+    )
 
 
 @dataclass(frozen=True)

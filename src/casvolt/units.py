@@ -42,15 +42,15 @@ CONSTANTS = Constants()
 
 def length_to_natural(length_nm: float, constants: Constants = CONSTANTS) -> float:
     """Convert a laboratory length in nm to natural units (1/eV)."""
-    if not length_nm > 0.0:
-        raise DomainError(f"length must be positive, got {length_nm!r} nm")
+    if not 0.0 < length_nm < math.inf:
+        raise DomainError(f"length must be positive and finite, got {length_nm!r} nm")
     return length_nm / constants.hbar_c_eV_nm
 
 
 def natural_to_length(length_inv_eV: float, constants: Constants = CONSTANTS) -> float:
     """Convert a natural-unit length (1/eV) back to nm."""
-    if not length_inv_eV > 0.0:
-        raise DomainError(f"length must be positive, got {length_inv_eV!r} /eV")
+    if not 0.0 < length_inv_eV < math.inf:
+        raise DomainError(f"length must be positive and finite, got {length_inv_eV!r} /eV")
     return length_inv_eV * constants.hbar_c_eV_nm
 
 

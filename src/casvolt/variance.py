@@ -23,7 +23,7 @@ from .closed_forms import (
     image_pair_terms,
     one_plate_integral,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_separation
 from .summation import _ZETA_X_MIN, SummationControl, hurwitz_zeta, sum_symmetric_images
 from .units import CONSTANTS, Constants, speed_from_kinetic
 
@@ -31,15 +31,11 @@ __all__ = [
     "Particle",
     "FluctuationResult",
     "WindowReport",
-    "CscSeriesComparison",
     "variance_one_plate",
     "rms_one_plate_smallv",
     "validity_window",
     "variance_two_plate_exact",
     "variance_two_plate_smallv",
-    "variance_two_plate_series_smallv",
-    "csc_identity",
-    "zeta_two_series",
 ]
 
 _SMALLV_WARN = 0.1
@@ -365,8 +361,7 @@ def variance_two_plate_exact(
     the truncation error of the returned variance. The flight must stay
     between the plates: 0 < z0 and z0 + b < a.
     """
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")
+    check_separation(a)
     if not seg.z0 + seg.b < a:
         raise DomainError(
             f"flight must stay between the plates: z0 + b = {seg.z0 + seg.b!r} "
@@ -407,8 +402,7 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
     above a/2 subtracts exactly), so the mirror symmetry z0 <-> a - z0 holds
     to the last bit.
     """
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")
+    check_separation(a)
     if not 0.0 < z0 < a:
         raise DomainError(
             f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"
@@ -433,126 +427,3 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
     q = particle.charge_natural
     variance = q * q * v * v / (12.0 * a * a) * (1.0 + 3.0 * csc2)
     return _result(variance, particle.charge_e, flags)
-
-
-def _series_tail_bound(ns, z0: float, a: float, v: float):
-    """Integral-test bound on the dropped small-v image terms beyond each n in ns.
-
-    Each dropped index m contributes [1/(am - z0)^2 + 1/(am + z0)^2 + 2/(am)^2]
-    / (4 v^2); integrating each envelope over x > n bounds the tail by
-    [1/(a (an - z0)) + 1/(a (an + z0)) + 2/(a^2 n)] / (4 v^2).
-    """
-    import numpy as np
-
-    with np.errstate(divide="ignore"):
-        bound = (
-            1.0 / (a * (a * ns - z0))
-            + 1.0 / (a * (a * ns + z0))
-            + 2.0 / (a * a * ns)
-        ) / (4.0 * v * v)
-    return np.where(a * ns - z0 > 0.0, bound, np.inf)
-
-
-def variance_two_plate_series_smallv(
-    particle: Particle,
-    z0: float,
-    a: float,
-    control: SummationControl | None = None,
-) -> FluctuationResult:
-    """Small-v two-plate variance as a truncated image series (b -> 0 limit).
-
-    Sums q^2 v^4 / pi^2 times 1/(4 v^2 (an - z0)^2) + 1/(4 v^2 (an + z0)^2)
-    + 2/(4 a^2 v^2 n^2) over image pairs, plus the n=0 term 1/(4 v^2 z0^2).
-    Collapses analytically to the csc^2 closed form; the reported
-    tail_estimate_eV2 is a certified bound on the truncation, so the closed
-    form and this series must agree within it.
-
-    The tail of this series decays like 1/n, so tight relative tolerances are
-    impractical; when control is omitted, a default of tol=1e-5 keeps the
-    cross-check fast (tens of thousands of terms at worst) while still
-    certified. Production evaluations should use the closed form.
-    """
-    if control is None:
-        control = SummationControl(tol=1e-5, n_max=10**6)
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")
-    if not 0.0 < z0 < a:
-        raise DomainError(
-            f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"
-        )
-    v = particle.speed_value
-    flags = ("small_v", "two_plate", "series")
-    if particle.charge_e == 0.0:
-        return _result(0.0, 0.0, flags + ("neutral",))
-    q = particle.charge_natural
-    prefactor = q * q * v**4 / math.pi**2
-
-    def pair_term(ns):
-        reflected = 1.0 / (a * ns - z0) ** 2 + 1.0 / (a * ns + z0) ** 2
-        translated = 2.0 / (a * ns) ** 2
-        return (reflected + translated) / (4.0 * v * v)
-
-    try:
-        summed = sum_symmetric_images(
-            pair_term,
-            lambda ns: _series_tail_bound(ns, z0, a, v),
-            control,
-            base=1.0 / (4.0 * v * v * z0 * z0),
-        )
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"two-plate small-v series: {exc}") from exc
-    return _result(
-        prefactor * summed.value,
-        particle.charge_e,
-        flags,
-        terms_used=summed.terms_used,
-        tail=prefactor * summed.tail_estimate,
-    )
-
-
-@dataclass(frozen=True)
-class CscSeriesComparison:
-    """A truncated image series next to its closed form, with a tail bound."""
-
-    series_value: float
-    closed_form: float
-    tail_bound: float
-    terms: int
-
-
-def csc_identity(x: float, terms: int = 10000) -> CscSeriesComparison:
-    """sum_{n>=1} [1/(n+x)^2 + 1/(n-x)^2] = -1/x^2 + pi^2 csc^2(pi x).
-
-    The identity that collapses the reflected-image series into the csc^2
-    closed form. Returns the truncated series, the closed form, and the
-    integral-test tail bound 1/(N+x) + 1/(N-x) on the dropped terms.
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x must lie strictly between 0 and 1, got {x!r}")
-    if terms < 1:
-        raise DomainError(f"terms must be at least 1, got {terms!r}")
-    series = math.fsum(
-        1.0 / (n + x) ** 2 + 1.0 / (n - x) ** 2 for n in range(1, terms + 1)
-    )
-    closed = -1.0 / (x * x) + math.pi**2 / math.sin(math.pi * x) ** 2
-    tail = 1.0 / (terms + x) + 1.0 / (terms - x)
-    return CscSeriesComparison(
-        series_value=series, closed_form=closed, tail_bound=tail, terms=terms
-    )
-
-
-def zeta_two_series(terms: int = 10000) -> CscSeriesComparison:
-    """Truncated 2 sum_{n>=1} 1/n^2 next to its closed form pi^2/3.
-
-    The translated-image series at b -> 0. The tail bound is the integral
-    test 2/N on the dropped terms.
-    """
-    if terms < 1:
-        raise DomainError(f"terms must be at least 1, got {terms!r}")
-    series = math.fsum(2.0 / (n * n) for n in range(1, terms + 1))
-    return CscSeriesComparison(
-        series_value=series,
-        closed_form=math.pi**2 / 3.0,
-        tail_bound=2.0 / terms,
-        terms=terms,
-    )

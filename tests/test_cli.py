@@ -167,6 +167,18 @@ def test_small_speed_variance_infinite_length_exits_two(capsys, lengths):
     assert "positive and finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("variance", "--plates", "one", "--z0", "inf", "--b", "10", "--kinetic-eV", "1"),
+    ("correlator", "--plates", "dual", "--a", "nan", "--z", "10", "--z-prime", "20"),
+    ("sweep", "--over", "d_C", "--values", "inf"),
+], ids=["variance-z0", "correlator-a", "sweep-d_C"])
+def test_lab_unit_non_finite_length_exits_two(capsys, argv):
+    # the cavity sweep printed a zero spread and exited 0
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "length must be positive and finite" in err
+
+
 def test_sweep_values_emitted_in_ascending_order(capsys):
     code, out, _ = _run(
         capsys,

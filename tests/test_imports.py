@@ -14,16 +14,23 @@ import casvolt
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ORACLE_NAMES = [
+    "CscSeriesComparison",
     "DerivativeReport",
     "QuadratureResult",
     "QuadratureSpec",
     "VerificationReport",
     "brute_dual_correlator",
+    "csc_identity",
     "deriv_check",
     "quad_image",
     "quad_one_plate",
     "run_verification",
+    "variance_two_plate_series_smallv",
+    "zeta_two_series",
 ]
+# the small-speed series cross-checks live in the oracle only
+SERIES_CHECKS = ["CscSeriesComparison", "csc_identity", "zeta_two_series",
+                 "variance_two_plate_series_smallv", "_series_tail_bound"]
 LOADED = "{m: m in sys.modules for m in ('numpy', 'casvolt.oracle')}"
 
 
@@ -85,3 +92,13 @@ def test_oracle_names_resolve_to_the_oracle_objects():
 def test_unknown_attribute_names_the_module():
     with pytest.raises(AttributeError, match="module 'casvolt' has no attribute 'no_such_name'"):
         casvolt.no_such_name
+
+
+def test_series_cross_checks_live_outside_production():
+    import casvolt.oracle as oracle
+    import casvolt.variance as variance
+
+    assert [name for name in SERIES_CHECKS if hasattr(variance, name)] == []
+    # the oracle shares no summation engine with production
+    assert [name for name, value in vars(oracle).items()
+            if getattr(value, "__module__", None) == "casvolt.summation"] == []

@@ -214,12 +214,19 @@ def test_variance_two_plate_smallv_validation():
 
 def test_series_smallv_matches_closed_within_tail():
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.01)
+    q2v2 = p.charge_natural**2 * 0.01**2
     rng = random.Random(314159)
     for _ in range(10):
         z0 = rng.uniform(0.05, 0.95)
         closed = variance_two_plate_smallv(p, z0, 1.0).variance_eV2
-        series = variance_two_plate_series_smallv(p, z0, 1.0)
-        assert abs(series.variance_eV2 - closed) <= series.tail_estimate_eV2
+        for terms in (100, 1000, 10000):
+            series = variance_two_plate_series_smallv(p, z0, 1.0, terms=terms)
+            assert abs(series.variance_eV2 - closed) <= series.tail_estimate_eV2
+            assert series.terms_used == terms
+            # the csc_identity and zeta_two_series integral-test bounds at N
+            tail = q2v2 / (4.0 * math.pi**2) * (
+                1.0 / (terms - z0) + 1.0 / (terms + z0) + 2.0 / terms)
+            assert series.tail_estimate_eV2 == pytest.approx(tail, rel=1e-14, abs=0.0)
         assert series.terms_used > 0
 
 
