@@ -61,6 +61,11 @@ _LOG1P_MAX = 0.5
 # this fraction of its natural magnitude scale
 _POLE_TOUCH_EPS = 1e-10
 
+# Most indices image_pair_terms broadcasts in one pass. Its temporaries take
+# about 1 kB per index, so a sum of 75,000 pairs (v = 1e-5) in one pass would
+# peak near 100 MB; pieces of this length keep it within a few MB.
+_KERNEL_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class PathSegment:
@@ -386,10 +391,14 @@ def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_S
     _log_differences call takes all of them, for +n and -n together.
     A block holding any index those functions would refuse (a corner on the
     singular locus, n = 0) is re-evaluated through them one index at a time,
-    so it raises the same error at the same index.
+    so it raises the same error at the same index. An ns longer than
+    _KERNEL_BLOCK is taken in pieces of that length, in order.
     """
     import numpy as np
 
+    if len(ns) > _KERNEL_BLOCK:
+        return np.concatenate([image_pair_terms(seg, a, ns[i:i + _KERNEL_BLOCK], scale)
+                               for i in range(0, len(ns), _KERNEL_BLOCK)])
     _check_v(seg.v)
     check_separation(a)
     v, b, c0, c1 = seg.v, seg.b, seg.z0, seg.z0 + seg.b

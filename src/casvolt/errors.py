@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all casvolt modules, and the plate
-separation check they share.
+"""Exception hierarchy shared by all casvolt modules, and the positive-and-
+finite checks they share.
 
 The command line front end maps these onto its exit-code contract:
 validation and singularity problems exit 2, convergence failures exit 3,
@@ -51,7 +51,13 @@ class VerificationError(CasvoltError):
     """The self-verification suite found at least one failing check."""
 
 
+def check_positive_finite(label: str, value: float) -> None:
+    """Raise DomainError, naming the quantity by label, unless value is
+    positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{label} must be positive and finite, got {value!r}")
+
+
 def check_separation(a: float) -> None:
     """Raise DomainError unless the plate separation a is positive and finite."""
-    if not 0.0 < a < math.inf:
-        raise DomainError(f"plate separation a must be positive and finite, got {a!r}")
+    check_positive_finite("plate separation a", a)

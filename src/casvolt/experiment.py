@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_positive_finite
 from .units import CONSTANTS, Constants, length_to_natural, speed_from_kinetic
 
 __all__ = [
@@ -51,14 +51,10 @@ class MaterialMirror:
     distance_nm: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.plasma_frequency_eV > 0.0:
-            raise DomainError(
-                f"plasma frequency must be positive, got {self.plasma_frequency_eV!r}"
-            )
-        if not self.thickness_nm > 0.0:
-            raise DomainError(f"thickness must be positive, got {self.thickness_nm!r}")
-        if self.distance_nm is not None and not self.distance_nm > 0.0:
-            raise DomainError(f"distance must be positive, got {self.distance_nm!r}")
+        check_positive_finite("plasma frequency", self.plasma_frequency_eV)
+        check_positive_finite("thickness", self.thickness_nm)
+        if self.distance_nm is not None:
+            check_positive_finite("distance", self.distance_nm)
 
     def skin_depth_nm(self, constants: Constants = CONSTANTS) -> float:
         """Penetration depth 1/omega_p expressed in nm."""
@@ -76,14 +72,8 @@ class ExperimentConfig:
     applied_voltage_V: float
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("cavity_nm", self.cavity_nm),
-            ("insulator_nm", self.insulator_nm),
-            ("electrode_nm", self.electrode_nm),
-            ("applied_voltage_V", self.applied_voltage_V),
-        ):
-            if not value > 0.0:
-                raise DomainError(f"{label} must be positive, got {value!r}")
+        for label in ("cavity_nm", "insulator_nm", "electrode_nm", "applied_voltage_V"):
+            check_positive_finite(label, getattr(self, label))
         if not self.mirrors:
             raise DomainError("at least one mirror layer is required")
 
@@ -101,8 +91,7 @@ def rms_estimate_eV(
     Delta U_rms = e v / (2 pi z0) with v = sqrt(2 K / m), all in natural
     units, reported in eV. z0 is the distance from the mirror in nm.
     """
-    if not kinetic_eV > 0.0:
-        raise DomainError(f"kinetic energy must be positive, got {kinetic_eV!r}")
+    check_positive_finite("kinetic energy", kinetic_eV)
     v = speed_from_kinetic(kinetic_eV, constants.electron_mass_eV)
     z0_nat = length_to_natural(z0_nm, constants)
     return constants.elementary_charge_natural * v / (2.0 * math.pi * z0_nat)
@@ -117,8 +106,7 @@ def minkowski_rms(
     fluctuations; serves as the baseline the mirror enhancement is measured
     against.
     """
-    if not kinetic_eV > 0.0:
-        raise DomainError(f"kinetic energy must be positive, got {kinetic_eV!r}")
+    check_positive_finite("kinetic energy", kinetic_eV)
     a_nat = length_to_natural(a_nm, constants)
     e = constants.elementary_charge_natural
     m = constants.electron_mass_eV
@@ -146,8 +134,7 @@ def enhancement_ratio(
     a_nat = length_to_natural(a_nm, constants)
     e = constants.elementary_charge_natural
     m = constants.electron_mass_eV
-    if not kinetic_eV > 0.0:
-        raise DomainError(f"kinetic energy must be positive, got {kinetic_eV!r}")
+    check_positive_finite("kinetic energy", kinetic_eV)
     formula = a_nat * a_nat * m**1.5 / (math.pi * e * z0_nat * math.sqrt(kinetic_eV))
     quotient = rms_estimate_eV(kinetic_eV, z0_nm, constants) / minkowski_rms(
         kinetic_eV, a_nm, constants
@@ -181,8 +168,7 @@ def regime_classify(
     omega_p * thickness <= transparent_threshold marks it transparent. In
     between it reflects partially.
     """
-    if not distance_nm > 0.0:
-        raise DomainError(f"distance must be positive, got {distance_nm!r}")
+    check_positive_finite("distance", distance_nm)
     if not 0.0 < transparent_threshold < _PERFECT_THRESHOLD:
         raise DomainError(
             f"transparent threshold must lie in (0, 1), got {transparent_threshold!r}"

@@ -1,50 +1,27 @@
-"""Truncation control and the symmetric image-sum engine.
+"""Truncation control, truncated-sum results and the Hurwitz zeta function.
 
 The two-plate quantities are sums over image index n = ..., -2, -1, 1, 2, ...
-(n = 0 excluded). Terms are accumulated in symmetric +n/-n pairs moving
-outward; the sum stops at the first n whose caller-supplied rigorous tail
-bound drops below the requested relative tolerance of the running total. The
-tail bound, not the last term, is what certifies the truncation.
-
-A caller that knows the tail's leading asymptotics can hand them over with
-the bound: for each N a subtracted tail T(N), an analytic approximation of
-the dropped pairs, and a bound on the error of that approximation. The sum
-then returns the kept terms plus T(N) and certifies only the remainder,
-which decays faster than the tail itself.
-
-The engine evaluates its callables on blocks of indices: pair_term and
-tail_bound each take a float ndarray of indices and return an ndarray of the
-same length. Every block, the first included, starts as a window of at most
-_BLOCK_CAP tail bounds and ends at the first index those bounds certify
-against the running total plus T(n); while the terms do not shrink that
-total, the true stop lies at or before it. In the first block the running
-total is the base alone, and a T(n) close to the dropped pairs keeps the
-prediction close to the true stop, so such a sum takes one pair_term call
-on little more than its own indices. Running totals within a block are
-formed left to right, exactly as a one-index-at-a-time loop would add them,
-so the stop index does not depend on how the indices are blocked.
+(n = 0 excluded), taken in symmetric +n/-n pairs. Each sum lives next to
+its quantity and follows one pattern: a head of pairs summed term by term
+and, beyond it, a tail whose leading asymptotics are added in closed form
+through Hurwitz zeta values, with a rigorous bound on what is left.
+variance._two_plate_sum stops at the first pair whose bound falls below
+SummationControl.tol of the running total; correlators.correlator_dual_plate
+picks its head length from the geometry and sums the tail to all orders.
+Both report a SummationResult.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
-if TYPE_CHECKING:
-    from numpy import ndarray
+__all__ = ["SummationControl", "SummationResult", "hurwitz_zeta"]
 
-__all__ = ["SummationControl", "SummationResult", "sum_symmetric_images", "hurwitz_zeta"]
-
-# Most indices handed to pair_term or tail_bound in one call, the first call
-# included. Bounds the memory of a block, whose temporaries scale with its
-# length, the cost of the first window of tail bounds, and the work spent
-# past the stop when the stop prediction overshoots.
-_BLOCK_CAP = 1024
-# Least argument x that hurwitz_zeta accepts; a caller's subtracted tail built
-# from zeta(s, N + 1) needs N + 1 >= this.
+# Least argument x that hurwitz_zeta accepts; a subtracted tail built from
+# zeta(s, N + 1) needs N + 1 >= this.
 _ZETA_X_MIN = 16
 
 
@@ -67,82 +44,13 @@ class SummationResult:
     """A truncated image sum.
 
     tail_estimate bounds the truncation error of value: the dropped pair
-    terms when no tail was subtracted, otherwise the dropped terms minus
-    the subtracted tail.
+    terms minus the tail added in closed form.
     """
 
     value: float
-    terms_used: int       # largest |n| summed term by term (the dual-plate
-                          # correlator adds every |n| beyond it analytically)
+    terms_used: int       # largest |n| summed term by term (both sums add
+                          # every |n| beyond it analytically)
     tail_estimate: float  # certified bound on the truncation error of value
-
-
-def sum_symmetric_images(
-    pair_term: Callable[[ndarray], ndarray],
-    tail_bound: Callable[[ndarray], ndarray | tuple[ndarray, ndarray]],
-    control: SummationControl,
-    base: float = 0.0,
-    n_min: int = 1,
-) -> SummationResult:
-    """Sum base + sum_{n>=n_min} pair_term(n) with a certified tail.
-
-    Both callables take a float ndarray of consecutive indices. pair_term
-    must give, for each n, the combined contribution of +n and -n.
-    tail_bound gives, for each N, either a bound on sum_{n>N} |pair_term(n)|
-    alone, or a pair (bound, subtracted) of arrays: a subtracted tail T(N)
-    approximating sum_{n>N} pair_term(n), and a bound on the error
-    |sum_{n>N} pair_term(n) - T(N)|; a plain bound is a pair with T = 0. An
-    infinite bound signals "no valid bound yet at this N", e.g. inside a
-    pole-dominated head region. Neither callable is called with more than
-    _BLOCK_CAP indices or with an index beyond control.n_max.
-
-    The sum stops at the first n with bound(n) <= tol * |running(n) + T(n)|,
-    running(n) being base plus the pair terms up to n added left to right;
-    the returned value is the compensated sum of base, those terms and T(n),
-    and tail_estimate is bound(n), so it bounds the truncation error of the
-    returned value. Raises ConvergenceError if the bound has not certified
-    tol by n_max.
-    """
-    import numpy as np
-
-    blocks = []
-    running = base
-    bound = math.inf
-    start = n_min
-    while start <= control.n_max:
-        ns = np.arange(start, min(start + _BLOCK_CAP, control.n_max + 1), dtype=float)
-        bounds = tail_bound(ns)
-        tails = None  # the subtracted tail T(n); None for a plain bound, T = 0
-        if isinstance(bounds, tuple):
-            bounds, tails = bounds
-        # While each term is at least the step down of T(n) (for T = 0: while
-        # the terms are nonnegative) running(n) + T(n) only grows, so the
-        # first index certified against the current total is at or past the
-        # true stop: end the block there.
-        current = abs(running) if tails is None else np.abs(running + tails)
-        predicted = np.flatnonzero(bounds <= control.tol * current)
-        if predicted.size:
-            ns, bounds = ns[: predicted[0] + 1], bounds[: predicted[0] + 1]
-        terms = pair_term(ns)
-        blocks.append(terms)
-        totals = np.add.accumulate(np.concatenate(([running], terms)))[1:]
-        certified = totals if tails is None else totals + tails[: ns.size]
-        stops = np.flatnonzero(bounds <= control.tol * np.abs(certified))
-        if stops.size:
-            k = int(stops[0])
-            blocks[-1] = terms[: k + 1]
-            subtracted = 0.0 if tails is None else float(tails[k])
-            # deterministic compensated accumulation for the returned value
-            value = math.fsum([base, *np.concatenate(blocks).tolist(), subtracted])
-            return SummationResult(value=value, terms_used=start + k,
-                                   tail_estimate=float(bounds[k]))
-        running = float(totals[-1])
-        bound = float(bounds[-1])
-        start += ns.size
-    raise ConvergenceError(
-        f"image sum not certified below relative tolerance {control.tol:g} "
-        f"within n_max={control.n_max} terms (last tail bound {bound:.3e})"
-    )
 
 
 # B_2, B_4, ..., B_20 as (numerator, denominator): enough Euler-Maclaurin

@@ -24,7 +24,7 @@ from .closed_forms import (
     one_plate_integral,
 )
 from .errors import ConvergenceError, DomainError, check_separation
-from .summation import _ZETA_X_MIN, SummationControl, hurwitz_zeta, sum_symmetric_images
+from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta
 from .units import CONSTANTS, Constants, speed_from_kinetic
 
 __all__ = [
@@ -51,10 +51,12 @@ _TAIL_REFERENCE_U = 2.0
 # mpmath pair term the error measured at most 1.9e-15 of that magnitude over
 # 3000 random geometries; see docs/decisions.md).
 _CORNER_ROUNDING = 1e-12
-# Rounding allowance on the subtracted tail T, relative to T: its Euler-
-# Maclaurin anchor and a cumulative sum over at most 1024 indices round it by
-# fewer than 1100 ulps.
+# Rounding allowance on the subtracted tail T(n), relative to T(n): the
+# cumulative sum that forms it from the top of its block rounds it by at most
+# about n/2 ulps (its partial sums decay like m^-3) and its Euler-Maclaurin
+# anchor by a few more. The allowance is max(_TAIL_ROUNDING, n ulps).
 _TAIL_ROUNDING = 1e-12
+_ULP = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -295,22 +297,67 @@ def _tail_coefficients(seg: PathSegment, a: float) -> tuple[float, float]:
     return c4, c6
 
 
-def _two_plate_tail(seg: PathSegment, a: float, scale: LogScale):
-    """The tail_bound callable of variance_two_plate_exact.
+def _first_certified(certifies, lo: int, hi: int, guess: float) -> int:
+    """The least n in [lo, hi] with certifies(n), or hi if there is none.
+
+    certifies is taken to turn true once and stay true. Steps of 1, 2, 4, ...
+    away from the guess bracket that n and bisection closes the bracket, so
+    a guess one index off costs two evaluations.
+    """
+    n = max(lo, math.floor(guess)) if guess < hi else hi
+    step = 1
+    if certifies(n):
+        hi = n
+        while hi - step >= lo and certifies(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step + 1)
+    else:
+        while n + step < hi and not certifies(n + step):
+            n, step = n + step, 2 * step
+        lo, hi = n + 1, min(hi, n + step)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if certifies(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _zeta8_bound(x):
+    """zeta(8, x) <= x^-7/7 + x^-8/2 + (2/3) x^-9: Euler-Maclaurin stopped
+    after a positive term, which overestimates a completely monotone sum."""
+    return (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
+
+
+def _two_plate_sum(
+    seg: PathSegment, a: float, scale: LogScale, control: SummationControl
+) -> SummationResult:
+    """The one-plate integral plus the image pairs n >= 1, with a certified tail.
 
     Below the reference index n_ref (the first n >= _ZETA_X_MIN = 16 with
-    U >= _TAIL_REFERENCE_U) it returns the plain bound of
-    _two_plate_tail_bound. From n_ref on it returns, for each N, the
-    subtracted tail T(N) = C zeta(4, N+1) + D zeta(6, N+1) and the envelope
-    n_ref^8 r(n_ref) zeta(8, N+1) on the remainder r(n) = pair_term(n) -
-    C n^-4 - D n^-6, plus rounding allowances. Past the light cone (U > 1)
-    every coefficient of the pair term's expansion in 1/n^2 is nonnegative,
-    so r >= 0 and n^8 r(n) does not increase: r(m) <= n_ref^8 r(n_ref) / m^8
-    for every m > N >= n_ref.
+    U >= _TAIL_REFERENCE_U) the dropped pairs are bounded by
+    _two_plate_tail_bound. From n_ref on the sum adds, at each N, the
+    subtracted tail T(N) = C zeta(4, N+1) + D zeta(6, N+1) and bounds only
+    its remainder, by the envelope n_ref^8 r(n_ref) zeta(8, N+1) on
+    r(n) = pair_term(n) - C n^-4 - D n^-6, plus rounding allowances. Past
+    the light cone (U > 1) every coefficient of the pair term's expansion
+    in 1/n^2 is nonnegative, so r >= 0 and n^8 r(n) does not increase:
+    r(m) <= n_ref^8 r(n_ref) / m^8 for every m > N >= n_ref.
+
+    The sum stops at the first n with bound(n) <= tol |running(n) + T(n)|,
+    running(n) being the one-plate term plus the pairs up to n added left
+    to right, and returns the compensated sum of those terms and T(n), with
+    tail_estimate = bound(n). The pair terms and bounds are formed once, on
+    1..N for the first N >= n_ref that certifies against the one-plate term
+    alone, solved from the envelope's N^-7 decay: while the pairs sum to a
+    nonnegative amount the stop lies at or before N. Otherwise the sum
+    carries on from N + 1 against the running total.
     """
     import numpy as np
 
     v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
+    tol, n_max = control.tol, control.n_max
     n_ref = max(_ZETA_X_MIN, math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a)))
     while v * (2.0 * a * n_ref - 2.0 * z1) / b < _TAIL_REFERENCE_U:
         n_ref += 1
@@ -319,29 +366,57 @@ def _two_plate_tail(seg: PathSegment, a: float, scale: LogScale):
     remainder = math.fsum(corners) - c4 / n_ref**4 - c6 / n_ref**6
     envelope = n_ref**8 * (abs(remainder) + _CORNER_ROUNDING * math.fsum(map(abs, corners)))
 
-    def tail_bound(ns):
-        # ns holds consecutive indices; T over the block is its value at the
-        # block's last index plus the explicit C m^-4 + D m^-6 in between
-        near = ns < n_ref
-        if near.all():
-            return _two_plate_tail_bound(ns, seg, a)
+    def certifies(n: int, total: float) -> bool:
+        x = n + 1.0
+        tail = c4 * hurwitz_zeta(4, x) + c6 * hurwitz_zeta(6, x)
+        bound = envelope * _zeta8_bound(x) + max(_TAIL_ROUNDING, n * _ULP) * tail
+        return bound <= tol * abs(total + tail)
+
+    def bounds_and_tails(ns):
+        # T over the consecutive indices ns is its value at the last index
+        # plus the explicit C m^-4 + D m^-6 in between, added from the top
+        split = max(0, min(n_ref - int(ns[0]), ns.size))
         bounds = np.empty_like(ns)
-        bounds[near] = _two_plate_tail_bound(ns[near], seg, a)
-        far = ns[~near]
-        last = float(far[-1]) + 1.0
-        inv_sq = 1.0 / (far * far)
-        leading = inv_sq * inv_sq * (c4 + c6 * inv_sq)
+        bounds[:split] = _two_plate_tail_bound(ns[:split], seg, a)
         tails = np.zeros_like(ns)
-        tails[~near] = (c4 * hurwitz_zeta(4, last) + c6 * hurwitz_zeta(6, last)
-                        + np.append(np.cumsum(leading[:0:-1])[::-1], 0.0))
-        # zeta(8, x) <= x^-7/7 + x^-8/2 + (2/3) x^-9: Euler-Maclaurin stopped
-        # after a positive term, which overestimates a completely monotone sum
-        x = far + 1.0
-        zeta8 = (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
-        bounds[~near] = envelope * zeta8 + _TAIL_ROUNDING * tails[~near]
+        far = ns[split:]
+        if far.size:
+            last = float(far[-1]) + 1.0
+            inv_sq = 1.0 / (far * far)
+            leading = inv_sq * inv_sq * (c4 + c6 * inv_sq)
+            tails[split:] = (c4 * hurwitz_zeta(4, last) + c6 * hurwitz_zeta(6, last)
+                             + np.append(np.cumsum(leading[:0:-1])[::-1], 0.0))
+            bounds[split:] = (envelope * _zeta8_bound(far + 1.0)
+                              + np.maximum(_TAIL_ROUNDING, far * _ULP) * tails[split:])
         return bounds, tails
 
-    return tail_bound
+    base = one_plate_integral(seg, scale)
+    parts, running, start = [base], base, 1
+    while True:
+        # envelope * zeta8(x) is about envelope / (7 (x - 1/2)^7), which meets
+        # tol |running| at x - 1/2 = x0: the first certified N = x - 1 is
+        # then the least integer above x0 - 1/2
+        guess = ((envelope / (7.0 * tol)) ** (1.0 / 7.0) / abs(running) ** (1.0 / 7.0) + 0.5
+                 if running else math.inf)
+        end = (n_max if n_max <= max(start, n_ref) else
+               _first_certified(lambda n: certifies(n, running), max(start, n_ref), n_max, guess))
+        ns = np.arange(start, end + 1, dtype=float)
+        terms = image_pair_terms(seg, a, ns, scale)
+        bounds, tails = bounds_and_tails(ns)
+        totals = np.add.accumulate(np.concatenate(([running], terms)))[1:]
+        stops = np.flatnonzero(bounds <= tol * np.abs(totals + tails))
+        if stops.size:
+            k = int(stops[0])
+            value = math.fsum([*parts, *terms[: k + 1].tolist(), float(tails[k])])
+            return SummationResult(value=value, terms_used=start + k,
+                                   tail_estimate=float(bounds[k]))
+        if end == n_max:
+            raise ConvergenceError(
+                f"two-plate variance: image sum not certified below relative tolerance "
+                f"{tol:g} within n_max={n_max} terms (last tail bound {bounds[-1]:.3e})"
+            )
+        parts += terms.tolist()
+        running, start = float(totals[-1]), end + 1
 
 
 def variance_two_plate_exact(
@@ -354,12 +429,16 @@ def variance_two_plate_exact(
     """Exact two-plate <(Delta U)^2> by summing image contributions.
 
     The n=0 one-plate term plus reflected and translated image integrals in
-    symmetric pairs n, -n. Past a reference index the analytic tail
-    C zeta(4, N+1) + D zeta(6, N+1) of the dropped pairs is added and only
-    its remainder is bounded (_two_plate_tail); the sum stops when that
-    bound falls below control.tol of the total. tail_estimate_eV2 bounds
-    the truncation error of the returned variance. The flight must stay
-    between the plates: 0 < z0 and z0 + b < a.
+    symmetric pairs n, -n (_two_plate_sum). Past a reference index the
+    analytic tail C zeta(4, N+1) + D zeta(6, N+1) of the dropped pairs is
+    added and only its remainder is bounded; the sum stops at the first
+    pair whose bound falls below control.tol of the total. That stop is
+    predicted from the bound's decay, so the pair terms are evaluated in
+    one block reaching little past it. terms_used is the last pair summed
+    and tail_estimate_eV2 bounds the truncation error of the returned
+    variance. Raises ConvergenceError when no pair up to control.n_max
+    certifies. The flight must stay between the plates: 0 < z0 and
+    z0 + b < a.
     """
     check_separation(a)
     if not seg.z0 + seg.b < a:
@@ -373,15 +452,7 @@ def variance_two_plate_exact(
         return _result(0.0, 0.0, flags + ("neutral",))
     q = particle.charge_natural
     prefactor = q * q * seg.v**4 / math.pi**2
-    try:
-        summed = sum_symmetric_images(
-            lambda ns: image_pair_terms(seg, a, ns, scale),
-            _two_plate_tail(seg, a, scale),
-            control,
-            base=one_plate_integral(seg, scale),
-        )
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"two-plate variance: {exc}") from exc
+    summed = _two_plate_sum(seg, a, scale, control)
     return _result(
         prefactor * summed.value,
         particle.charge_e,

@@ -13,6 +13,7 @@ from casvolt import (
     SingularityError,
     PathSegment,
     CONSTANTS,
+    DEFAULT_SCENARIO,
     SpacetimePair,
     correlator_dual_plate,
     correlator_single_plate,
@@ -390,6 +391,16 @@ def test_moddel_malformed_scenario_exits_two(capsys, tmp_path):
     code, _, err = _run(capsys, "moddel", "--scenario", str(path))
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_moddel_infinite_scenario_value_exits_two(capsys, tmp_path):
+    path = tmp_path / "infinite.json"
+    text = json.dumps(dict(DEFAULT_SCENARIO, cavities_nm=[50.0, math.inf]))
+    assert "Infinity" in text
+    path.write_text(text, encoding="utf-8")
+    code, _, err = _run(capsys, "moddel", "--scenario", str(path))
+    assert code == 2
+    assert "cavity_nm must be positive and finite, got inf" in err
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

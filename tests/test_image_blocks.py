@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from casvolt import (
     DEFAULT_SCALE,
+    ConvergenceError,
     DomainError,
     LogScale,
     Particle,
     PathSegment,
     SingularityError,
     SpacetimePair,
+    SummationControl,
     correlator_dual_plate,
     one_plate_integral,
     reflected_image_integral,
@@ -25,9 +27,15 @@ from casvolt import (
     variance_two_plate_exact,
 )
 import casvolt.variance
-from casvolt.closed_forms import _DIAGONAL_EPS, _LOG1P_MAX, _image_pair_term, image_pair_terms
+from casvolt.closed_forms import (
+    _DIAGONAL_EPS,
+    _KERNEL_BLOCK,
+    _LOG1P_MAX,
+    _image_pair_term,
+    image_pair_terms,
+)
 from casvolt.correlators import _dual_pair_term
-from casvolt.summation import _BLOCK_CAP
+from casvolt.variance import _first_certified, _two_plate_sum
 
 
 def _scalar_pair(seg, a, n, scale=DEFAULT_SCALE):
@@ -77,20 +85,21 @@ def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns, ell):
         assert abs(value - reference) <= 1e-12 * _corner_magnitude(seg, a, n, scale)
 
 
-def _reference_sum(pair_term, tail_bound, tol, base):
-    """The per-index stop rule: (compensated value, terms used). tail_bound
-    gives (bound, subtracted tail) for each index."""
+def _reference_sum(pair_term, tail_bound, control, base):
+    """The per-index stop rule: (compensated value, terms used), or the
+    ConvergenceError message when no index up to control.n_max certifies.
+    tail_bound gives (bound, subtracted tail) for each index."""
     parts = [base]
     running = base
-    n = 0
-    while True:
-        n += 1
+    for n in range(1, control.n_max + 1):
         term = pair_term(n)
         parts.append(term)
         running += term
         bound, subtracted = tail_bound(n)
-        if bound <= tol * abs(running + subtracted):
+        if bound <= control.tol * abs(running + subtracted):
             return math.fsum([*parts, subtracted]), n
+    return (f"two-plate variance: image sum not certified below relative tolerance "
+            f"{control.tol:g} within n_max={control.n_max} terms (last tail bound {bound:.3e})")
 
 
 def _two_plate_bound(n, seg, a):
@@ -108,6 +117,7 @@ def _two_plate_tail(seg, a):
     adds T(N) = C zeta(4, N+1) + D zeta(6, N+1) and bounds the remainder by
     n_ref^8 r(n_ref) zeta(8, N+1) plus rounding allowances, r being the pair
     term minus C n^-4 and D n^-6; before n_ref, T = 0 under the plain bound.
+    Returns the rule and n_ref.
     """
     mpmath = pytest.importorskip("mpmath")
     z0, b, v = seg.z0, seg.b, seg.v
@@ -128,32 +138,92 @@ def _two_plate_tail(seg, a):
         x = n + 1.0
         tail = c4 * float(mpmath.zeta(4, x)) + c6 * float(mpmath.zeta(6, x))
         zeta8 = (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
-        return envelope * zeta8 + 1e-12 * tail, tail
+        return envelope * zeta8 + max(1e-12, n * 2.0**-53) * tail, tail
 
-    return rule
+    return rule, n_ref
 
 
-@pytest.mark.parametrize("z0, b, a, v", [
-    (0.3, 0.1, 1.0, 0.1),
-    (0.3, 0.1, 1.0, 0.02),
-    (0.3, 0.1, 1.0, 1e-3),  # reference index 101, stop at 388
-    (0.05, 0.4, 0.5, 0.05),
-    (1.2, 0.3, 1.6, 0.01),
-])
-def test_two_plate_exact_matches_per_index_reference(z0, b, a, v):
+def _case(z0, b, a, v, tol=1e-10):
+    name = "-".join(map(str, (z0, b, a, v))) + ("" if tol == 1e-10 else f"-tol{tol:g}")
+    return pytest.param(z0, b, a, v, tol, id=name)
+
+
+def _assert_matches_per_index_reference(z0, b, a, v, control, shift=0.0):
+    """variance_two_plate_exact against the per-index loop, with shift
+    subtracted from the first pair term on both sides."""
     particle = Particle.electron(speed=v)
     seg = PathSegment(z0=z0, b=b, v=v)
-    result = variance_two_plate_exact(particle, seg, a)
-    value, terms = _reference_sum(
-        lambda n: _scalar_pair(seg, a, n),
-        _two_plate_tail(seg, a),
-        1e-10,
+    rule, n_ref = _two_plate_tail(seg, a)
+    expected = _reference_sum(
+        lambda n: _scalar_pair(seg, a, n) - (shift if n == 1 else 0.0),
+        rule,
+        control,
         one_plate_integral(seg),
     )
+    if isinstance(expected, str):
+        with pytest.raises(ConvergenceError) as excinfo:
+            variance_two_plate_exact(particle, seg, a, control)
+        assert str(excinfo.value) == expected
+        return None, n_ref
+    result = variance_two_plate_exact(particle, seg, a, control)
+    value, terms = expected
     q = particle.charge_natural
     assert result.terms_used == terms
     expected = q * q * v**4 / math.pi**2 * value
     assert result.variance_eV2 == pytest.approx(expected, rel=1e-14, abs=0.0)
+    return result, n_ref
+
+
+@pytest.mark.parametrize("z0, b, a, v, tol", [
+    _case(0.3, 0.1, 1.0, 0.1),
+    _case(0.3, 0.1, 1.0, 0.02),
+    _case(0.3, 0.1, 1.0, 1e-3),  # reference index 101, stop at 388
+    _case(0.05, 0.4, 0.5, 0.05),
+    _case(1.2, 0.3, 1.6, 0.01),
+    _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # the plain bound stops at 7, before n_ref = 16
+    _case(0.3, 0.1, 1.0, 1e-3, tol=1e-13),
+])
+def test_two_plate_exact_matches_per_index_reference(z0, b, a, v, tol):
+    result, n_ref = _assert_matches_per_index_reference(z0, b, a, v, SummationControl(tol=tol))
+    if tol == 1e-4:
+        assert (result.terms_used, n_ref) == (7, 16)
+
+
+# (0.3, 0.1, 1.0, 1e-3) has n_ref = 101 and stops at 388: n_max 8 and 50 end
+# under the plain bound (infinite at 50, inside the light cone), 200 under
+# the envelope
+@pytest.mark.parametrize("n_max", [8, 50, 200])
+def test_two_plate_exact_n_max_refusal_matches_per_index_reference(n_max):
+    result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 1e-3,
+                                                    SummationControl(n_max=n_max))
+    assert result is None
+
+
+def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
+    # pair terms are nonnegative on every geometry tried, so the continuation
+    # is forced: taking 0.9 of the whole sum off the first pair leaves a
+    # total about a fifth of the one-plate term, so the stop predicted from
+    # that term (33) falls short of the true one
+    seg = PathSegment(z0=0.3, b=0.1, v=0.02)
+    shift = 0.9 * _two_plate_sum(seg, 1.0, DEFAULT_SCALE, SummationControl()).value
+    sizes = []
+
+    def shifted(seg, a, ns, scale):
+        sizes.append(ns.size)
+        return image_pair_terms(seg, a, ns, scale) - np.where(ns == 1.0, shift, 0.0)
+
+    monkeypatch.setattr(casvolt.variance, "image_pair_terms", shifted)
+    result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 0.02, SummationControl(),
+                                                    shift=shift)
+    assert len(sizes) > 1
+    assert sum(sizes) >= result.terms_used
+
+
+def test_long_block_is_taken_in_pieces_with_the_same_terms():
+    seg = PathSegment(z0=0.3, b=0.5, v=1e-4)
+    ns = np.arange(1.0, 2.5 * _KERNEL_BLOCK)
+    pieces = [image_pair_terms(seg, 1.0, ns[i:i + 100]) for i in range(0, ns.size, 100)]
+    assert image_pair_terms(seg, 1.0, ns).tolist() == np.concatenate(pieces).tolist()
 
 
 def test_pole_touching_image_raises_as_scalar_path():
@@ -197,14 +267,49 @@ def _image_sums_grid(seed):
         yield a, z0, (0.02 + 0.48 * ub) * (a - z0), 10.0 ** (-3.0 + 2.0 * uv)
 
 
+def test_two_plate_sum_adds_the_running_total_left_to_right(monkeypatch):
+    # below n_ref = 16 only the plain bound applies. Each pair term is below
+    # half an ulp of the one-plate term, so a left-to-right running total
+    # stays exactly 1.0 and never meets the bound, while adding the terms up
+    # first would reach 1 + 2**-52 and stop
+    control = SummationControl(tol=0.5, n_max=10)
+    bound = control.tol * (1.0 + 2.0**-52)
+    monkeypatch.setattr(casvolt.variance, "one_plate_integral", lambda seg, scale: 1.0)
+    monkeypatch.setattr(casvolt.variance, "image_pair_terms",
+                        lambda seg, a, ns, scale: np.full_like(ns, 6e-17))
+    monkeypatch.setattr(casvolt.variance, "_two_plate_tail_bound",
+                        lambda ns, seg, a: np.full_like(ns, bound))
+    expected = _reference_sum(lambda n: 6e-17, lambda n: (bound, 0.0), control, 1.0)
+    with pytest.raises(ConvergenceError) as excinfo:
+        variance_two_plate_exact(Particle.electron(speed=0.1), PathSegment(z0=0.3, b=0.1, v=0.1),
+                                 1.0, control)
+    assert str(excinfo.value) == expected
+
+
+# stop 1001 lies past hi = 1000: nothing certifies and hi comes back
+@pytest.mark.parametrize("stop", [16, 40, 1000, 1001])
+@pytest.mark.parametrize("guess", [3.0, 39.0, 40.0, 41.7, 5000.0, math.nan])
+def test_first_certified_finds_the_least_certified_index(stop, guess):
+    seen = []
+
+    def certifies(n):
+        assert 16 <= n <= 1000
+        seen.append(n)
+        return n >= stop
+
+    assert _first_certified(certifies, 16, 1000, guess) == min(stop, 1000)
+    # steps from the guess and bisection: logarithmic in the distance; a nan
+    # guess starts at hi
+    start = max(16, math.floor(guess)) if guess < 1000 else 1000
+    assert len(seen) <= 2 * math.log2(abs(stop - start) + 2) + 2
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
-    # the first window of tail bounds predicts the stop against the one-plate
-    # term plus the subtracted tail, so the pair terms are evaluated once, on
-    # at most twice the indices the sum keeps (1.94x at worst over the whole
-    # ranges, for z0/a = 0.8 at v = 0.1). Only a sum keeping more than
-    # _BLOCK_CAP pairs takes a second block: near v = 1e-3 with b/(a - z0)
-    # = 0.5, which this grid's cells do not reach.
+    # the stop is predicted against the one-plate term plus the subtracted
+    # tail, so the pair terms are evaluated once, on at most twice the
+    # indices the sum keeps (1.94x at worst over the whole ranges, for
+    # z0/a = 0.8 at v = 0.1)
     sizes = []
 
     def counted(seg, a, ns, scale):
@@ -219,7 +324,6 @@ def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
                                               PathSegment(z0=z0, b=b, v=v), a)
         except SingularityError:
             continue
-        assert result.terms_used <= _BLOCK_CAP
         assert len(sizes) == 1
         assert sizes[0] <= 2 * result.terms_used
 

@@ -1,25 +1,32 @@
-"""Every public function that takes a plate separation, and the length
-conversions, refuse infinite and nan lengths instead of returning 0.0 or nan."""
+"""Every public function that takes a plate separation, the length
+conversions and the experiment layer's lengths, plasma frequencies and
+voltage refuse infinite and nan values instead of returning 0.0, nan or a
+confident regime."""
 import math
 
 import numpy as np
 import pytest
 
 from casvolt import (
+    DEFAULT_SCENARIO,
     DomainError,
     DualPlate,
+    ExperimentConfig,
+    MaterialMirror,
     Particle,
     PathSegment,
     SpacetimePair,
     correlator_dual_plate,
     enhancement_ratio,
     length_to_natural,
+    load_scenario,
     mean_squared_field,
     minkowski_rms,
     natural_to_length,
     reflected_image_integral,
     reflected_image_integral_smallv,
     reflected_image_kernel,
+    regime_classify,
     rms_estimate_eV,
     translated_image_integral,
     translated_image_integral_smallv,
@@ -41,6 +48,8 @@ from casvolt.oracle import (
 SEG = PathSegment(z0=0.3, b=0.1, v=0.1)
 ELECTRON = Particle.electron(speed=0.1)
 PAIR = SpacetimePair(t=0.0, z=0.3, t_prime=0.0, z_prime=0.4)
+CONFIG = {"cavity_nm": 50.0, "insulator_nm": 2.0, "electrode_nm": 8.0,
+          "mirrors": (MaterialMirror("Au", 9.0, 20.0),), "applied_voltage_V": 1e-4}
 
 SEPARATION = {
     "translation_antiderivative": lambda a: translation_antiderivative(0.3, 0.4, 0.1, a, 1),
@@ -70,6 +79,15 @@ LENGTH = {
     "rms_estimate_eV": lambda z0_nm: rms_estimate_eV(1.0, z0_nm),
     "minkowski_rms": lambda a_nm: minkowski_rms(1.0, a_nm),
     "enhancement_ratio": lambda a_nm: enhancement_ratio(1.0, 10.0, a_nm),
+    "MaterialMirror.plasma_frequency_eV": lambda x: MaterialMirror("Au", x, 20.0),
+    "MaterialMirror.thickness_nm": lambda x: MaterialMirror("Au", 9.0, x),
+    "MaterialMirror.distance_nm": lambda x: MaterialMirror("Au", 9.0, 20.0, x),
+    **{f"ExperimentConfig.{field}": lambda x, field=field: ExperimentConfig(
+        **dict(CONFIG, **{field: x}))
+       for field in ("cavity_nm", "insulator_nm", "electrode_nm", "applied_voltage_V")},
+    "regime_classify": lambda d: regime_classify(MaterialMirror("Au", 9.0, 20.0), d),
+    # json.load reads Infinity and NaN as floats
+    "load_scenario": lambda x: load_scenario(dict(DEFAULT_SCENARIO, cavities_nm=[x])),
 }
 CASES = ([(call, "plate separation a must be positive and finite")
           for call in SEPARATION.values()]
