@@ -13,7 +13,11 @@ Each kernel is the mixed second derivative d^2/dz dz' of a closed-form
 antiderivative, so the double integral over the square [z0, z0+b]^2 collapses
 to a four-corner difference. That corner construction stays meaningful even
 when the kernel's singular locus crosses the square (the integral is then
-defined by the antiderivative, not by a convergent Riemann integral).
+defined by the antiderivative, not by a convergent Riemann integral). The
+corners share their log arguments and their other parts cancel exactly, so
+each square is evaluated in collapsed form, with one log ratio per pair of
+off-diagonal corners and no cancellation between corners
+(_reflection_square, _translation_square).
 
 All lengths are natural units (1/eV); integral values carry eV^2.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from types import SimpleNamespace
 
 from .errors import DomainError, SingularityError, check_separation
 
@@ -51,9 +55,10 @@ __all__ = [
 _V_MIN = 1e-6
 _V_MAX = 0.99
 
-# |z - z'| below this fraction of the coordinate scale switches to the
-# analytic diagonal limit; below _LOG1P_MAX the log difference is evaluated
-# via log1p to dodge the near-diagonal cancellation.
+# |z - z'| below this fraction of the coordinate scale switches the
+# antiderivatives to their analytic diagonal limit; below _LOG1P_MAX their
+# log difference is evaluated via log1p to dodge the near-diagonal
+# cancellation.
 _DIAGONAL_EPS = 1e-8
 _LOG1P_MAX = 0.5
 
@@ -61,9 +66,9 @@ _LOG1P_MAX = 0.5
 # this fraction of its natural magnitude scale
 _POLE_TOUCH_EPS = 1e-10
 
-# Most indices image_pair_terms broadcasts in one pass. Its temporaries take
-# about 1 kB per index, so a sum of 75,000 pairs (v = 1e-5) in one pass would
-# peak near 100 MB; pieces of this length keep it within a few MB.
+# Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
+# at about 160 bytes per index, so the n_max = 10^6 pairs a sum may take
+# would need about 160 MB in one pass; pieces of this length need 160 kB.
 _KERNEL_BLOCK = 1024
 
 
@@ -86,10 +91,12 @@ class PathSegment:
 
 @dataclass(frozen=True)
 class LogScale:
-    """Arbitrary length scale entering only inside logarithms.
+    """Arbitrary length scale inside the antiderivatives' logarithms.
 
-    Assembled corner differences are independent of ell; the parameter exists
-    so that invariance can be exercised directly.
+    Their corner differences are independent of ell, and the segment-square
+    integrals, which take log ratios, do not see it at all: they return the
+    same float for every ell. The parameter exists so that invariance can
+    be exercised directly.
     """
 
     ell: float = 1.0
@@ -110,13 +117,9 @@ def _check_v(v: float) -> None:
         )
 
 
-def _log_difference(first: float, second: float, diff: float, ell: float,
-                    touch_scale: float) -> float:
-    """log(first^2/ell^2) - log(second^2/ell^2) with first = second + diff.
-
-    Guards the singular locus (either argument ~ 0 relative to touch_scale)
-    and uses a cancellation-safe log1p path when the two arguments are close.
-    """
+def _on_locus(first: float, second: float, touch_scale: float) -> None:
+    """Raise SingularityError when either log argument lies within
+    _POLE_TOUCH_EPS * touch_scale of zero: the singular locus."""
     tol = _POLE_TOUCH_EPS * touch_scale
     if abs(first) < tol or abs(second) < tol:
         raise SingularityError(
@@ -125,34 +128,22 @@ def _log_difference(first: float, second: float, diff: float, ell: float,
             factor=min(abs(first), abs(second)),
             threshold=tol,
         )
+
+
+def _log_difference(first: float, second: float, diff: float, ell: float,
+                    touch_scale: float) -> float:
+    """log(first^2/ell^2) - log(second^2/ell^2) with first = second + diff.
+
+    Guards the singular locus (either argument ~ 0 relative to touch_scale)
+    and uses a cancellation-safe log1p path when the two arguments are close.
+    """
+    _on_locus(first, second, touch_scale)
     ratio = diff / second
     if abs(ratio) <= _LOG1P_MAX:
         return 2.0 * math.log1p(ratio)
     return (2.0 * math.log(abs(first)) - 2.0 * math.log(ell)) - (
         2.0 * math.log(abs(second)) - 2.0 * math.log(ell)
     )
-
-
-def _reflection_value(z: float, z_prime: float, delta: float, v: float, ell: float) -> float:
-    """reflection_antiderivative at (z, z'), given delta = z' - z separately.
-
-    A corner square [base, base + b]^2 far from the origin has exact corner
-    offsets 0 and +-b, while z' - z formed from the rounded corners carries an
-    error of order ulp(base), which the corner cancellation amplifies by
-    |base| / b. Every difference the value needs is therefore built from
-    delta: B = (1+v) z + (v-1) z' = 2 v z - (1-v) delta, A = B + 2 delta and
-    z^2 - z'^2 = -(z + z') delta.
-    """
-    if z == 0.0 or z_prime == 0.0:
-        raise DomainError("antiderivative undefined at z = 0 or z' = 0")
-    coord_scale = abs(z) + abs(z_prime)
-    if abs(delta) < _DIAGONAL_EPS * coord_scale:
-        return 1.0 / (16.0 * v * v * z * z_prime)
-    a_arg = 2.0 * v * z + (1.0 + v) * delta
-    b_arg = 2.0 * v * z + (v - 1.0) * delta
-    log_diff = _log_difference(a_arg, b_arg, 2.0 * delta, ell, v * coord_scale + abs(delta))
-    num = 8.0 * v * z * z_prime - (1.0 - v * v) * (z + z_prime) * delta * log_diff
-    return num / (128.0 * v**3 * (z * z_prime) ** 2)
 
 
 def reflection_antiderivative(z: float, z_prime: float, v: float,
@@ -163,11 +154,22 @@ def reflection_antiderivative(z: float, z_prime: float, v: float,
         [8 v z z' + (1-v^2)(z^2-z'^2) (log(A^2/ell^2) - log(B^2/ell^2))]
             / (128 v^3 (z z')^2)
     with A = (1+v) z' + (v-1) z and B = (1+v) z + (v-1) z'; on the diagonal
-    the analytic limit 1/(16 v^2 z z') is used. The corner integrals evaluate
-    the same value from a base corner and exact offsets (_reflection_square).
+    the analytic limit 1/(16 v^2 z z') is used. The square integrals take
+    the collapsed form of its corner difference (_reflection_square).
     """
     _check_v(v)
-    return _reflection_value(z, z_prime, z_prime - z, v, scale.ell)
+    if z == 0.0 or z_prime == 0.0:
+        raise DomainError("antiderivative undefined at z = 0 or z' = 0")
+    delta = z_prime - z
+    coord_scale = abs(z) + abs(z_prime)
+    if abs(delta) < _DIAGONAL_EPS * coord_scale:
+        return 1.0 / (16.0 * v * v * z * z_prime)
+    # B = (1+v) z + (v-1) z' = 2 v z - (1-v) delta and A = B + 2 delta
+    a_arg = 2.0 * v * z + (1.0 + v) * delta
+    b_arg = 2.0 * v * z + (v - 1.0) * delta
+    log_diff = _log_difference(a_arg, b_arg, 2.0 * delta, scale.ell, v * coord_scale + abs(delta))
+    num = 8.0 * v * z * z_prime - (1.0 - v * v) * (z + z_prime) * delta * log_diff
+    return num / (128.0 * v**3 * (z * z_prime) ** 2)
 
 
 def translation_antiderivative(z: float, z_prime: float, v: float, a: float, n: int,
@@ -197,34 +199,82 @@ def translation_antiderivative(z: float, z_prime: float, v: float, a: float, n: 
     return num / (64.0 * nav**3)
 
 
-def _corner_combination(f: Callable[[float, float], float], c0: float, c1: float) -> float:
-    return f(c1, c1) - f(c1, c0) - f(c0, c1) + f(c0, c0)
+# The float operations _log_ratio needs; numpy supplies the same for arrays.
+_FLOAT_OPS = SimpleNamespace(log1p=math.log1p, copysign=math.copysign, minimum=min)
 
 
-def _reflection_square(value: Callable, base, b: float):
-    """Four-corner difference over [base, base + b]^2 of value(z, z', z' - z).
+def _log_ratio(p, q, d, s, xp=_FLOAT_OPS):
+    """log p^2 - log q^2, given d = p - q and s = p + q formed without
+    cancellation.
 
-    The corner offsets 0 and +-b are passed as the differences, so the side
-    of the square is b exactly wherever the base lies. image_pair_terms
-    builds the same square on arrays.
+    |p| - |q| = d s / (|p| + |q|), so with m the smaller of |p| and |q| the
+    ratio is 2 log1p(|d s| / ((|p| + |q|) m)), signed as d s: one log of a
+    nonnegative argument, as accurate as p and q are whether they share a
+    sign or not and however far apart their magnitudes lie.
+    """
+    abs_p, abs_q = abs(p), abs(q)
+    ds = d * s
+    return 2.0 * xp.copysign(xp.log1p(abs(ds) / ((abs_p + abs_q) * xp.minimum(abs_p, abs_q))), ds)
+
+
+def _reflection_square(base, b: float, v: float, xp=_FLOAT_OPS, check=_on_locus):
+    """One-plate kernel integrated over the square [base, base + b]^2.
+
+    The corner difference of reflection_antiderivative, collapsed: its two
+    off-diagonal corners share the log ratio l(X, Y) = log X^2 - log Y^2,
+    X = 2 v base - (1-v) b, Y = X + 2 b, and its diagonal and 8 v z z'
+    parts sum exactly to b^2 / (16 v^2 (base top)^2), top = base + b:
+        b [4 v b - (1-v^2)(base + top) l(X, Y)] / (64 v^3 (base top)^2).
+    Both parts are nonnegative when base and top share a sign, so nothing
+    cancels. X and Y are formed as the corner (top, base) formed them,
+    2 v top - (1+v) b and 2 v top + (1-v) b, so that a refusal reports the
+    same log argument. check(X, Y, scale) sees them first; the default
+    raises on the singular locus. Takes an array of bases with xp=numpy.
     """
     top = base + b
-    return (value(top, top, 0.0) - value(top, base, -b)
-            - value(base, top, b) + value(base, base, 0.0))
+    x = 2.0 * v * top - (1.0 + v) * b
+    y = 2.0 * v * top + (1.0 - v) * b
+    check(x, y, v * (abs(top) + abs(base)) + b)
+    ell = _log_ratio(x, y, -2.0 * b, 2.0 * v * (base + top), xp)
+    return b * (4.0 * v * b - (1.0 - v * v) * (base + top) * ell) / (64.0 * v**3 * (base * top) ** 2)
+
+
+def _translation_square(b: float, v: float, nav, xp=_FLOAT_OPS, check=_on_locus):
+    """Translated-image kernel of index n integrated over a square of side b,
+    given nav = |n| a v > 0 (the integral is even in n).
+
+    The corner difference of translation_antiderivative, collapsed: its
+    8 n a v parts cancel exactly, leaving with c = 2 nav
+        -[c v (l1 + l2) + (1-v^2) b (l1 - l2)] / (64 nav^3),
+    l1 = l(c - (1+v) b, c + (1-v) b), l2 = l(c + (1+v) b, c - (1-v) b).
+    l1 + l2 and l1 - l2 are taken as single log ratios of products, whose
+    differences -4 v b^2 and -4 c b are exact, so that at large n neither
+    is formed from two nearly opposite logs. check and xp as in
+    _reflection_square; takes an array of nav.
+    """
+    c = 2.0 * nav
+    p1, q1 = c - (1.0 + v) * b, c + (1.0 - v) * b
+    p2, q2 = c + (1.0 + v) * b, c - (1.0 - v) * b
+    check(p1, q1, c + b)
+    check(p2, q2, c + b)
+    outer_p, outer_q = p1 * p2, q1 * q2
+    cross_p, cross_q = p1 * q2, q1 * p2
+    l_sum = _log_ratio(outer_p, outer_q, -4.0 * v * b * b, outer_p + outer_q, xp)
+    l_diff = _log_ratio(cross_p, cross_q, -4.0 * c * b, cross_p + cross_q, xp)
+    return -(c * v * l_sum + (1.0 - v * v) * b * l_diff) / (64.0 * nav**3)
 
 
 def one_plate_integral(seg: PathSegment, scale: LogScale = DEFAULT_SCALE) -> float:
     """Double integral of the one-plate kernel over the segment square.
 
-    Evaluated as the four-corner difference of the reflection antiderivative.
-    A corner can land on the singular locus when b = 2 v z0 / (1-v); that
-    raises SingularityError with guidance to perturb b.
+    Evaluated as the collapsed corner difference of the reflection
+    antiderivative (_reflection_square). A corner can land on the singular
+    locus when b = 2 v z0 / (1-v); that raises SingularityError with
+    guidance to perturb b.
     """
     _check_v(seg.v)
     try:
-        return _reflection_square(
-            lambda z, zp, d: _reflection_value(z, zp, d, seg.v, scale.ell), seg.z0, seg.b
-        )
+        return _reflection_square(seg.z0, seg.b, seg.v)
     except SingularityError as exc:
         raise SingularityError(
             f"integration corner on the singular locus (b near 2 v z0/(1-v) = "
@@ -264,8 +314,8 @@ def reflected_image_integral(seg: PathSegment, a: float, n: int,
                              scale: LogScale = DEFAULT_SCALE) -> float:
     """Segment-square integral of the reflected-image kernel (index n != 0).
 
-    Equals the one-plate corner combination over the square shifted by -a*n,
-    since the kernel only sees z + z' - 2an. The shifted square starts at
+    Equals the one-plate integral over the square shifted by -a*n, since
+    the kernel only sees z + z' - 2an. The shifted square starts at
     z0 - a*n and keeps the exact side b: shifting both corners first would
     round the side at the magnitude of a*n.
     """
@@ -273,10 +323,11 @@ def reflected_image_integral(seg: PathSegment, a: float, n: int,
         raise DomainError("image index n must be a nonzero integer")
     check_separation(a)
     _check_v(seg.v)
+    base = seg.z0 - a * n
+    if base == 0.0 or base + seg.b == 0.0:
+        raise DomainError("antiderivative undefined at z = 0 or z' = 0")
     try:
-        return _reflection_square(
-            lambda z, zp, d: _reflection_value(z, zp, d, seg.v, scale.ell), seg.z0 - a * n, seg.b
-        )
+        return _reflection_square(base, seg.b, seg.v)
     except SingularityError as exc:
         raise SingularityError(
             f"reflected image n={n}: {exc}", factor=exc.factor, threshold=exc.threshold
@@ -303,12 +354,17 @@ def reflected_image_integral_smallv(seg: PathSegment, a: float, n: int) -> float
 
 def translated_image_integral(seg: PathSegment, a: float, n: int,
                               scale: LogScale = DEFAULT_SCALE) -> float:
-    """Segment-square integral of the translated-image kernel (index n != 0)."""
+    """Segment-square integral of the translated-image kernel (index n != 0).
+
+    The kernel only sees z - z', so the integral depends on the side b
+    alone and is even in n (_translation_square).
+    """
+    _check_v(seg.v)
+    if n == 0:
+        raise DomainError("image index n must be a nonzero integer")
+    check_separation(a)
     try:
-        return _corner_combination(
-            lambda x, y: translation_antiderivative(x, y, seg.v, a, n, scale),
-            seg.z0, seg.z0 + seg.b,
-        )
+        return _translation_square(seg.b, seg.v, abs(n) * a * seg.v)
     except SingularityError as exc:
         raise SingularityError(
             f"translated image n={n}: {exc}", factor=exc.factor, threshold=exc.threshold
@@ -327,72 +383,25 @@ def translated_image_integral_smallv(seg: PathSegment, a: float, n: int) -> floa
 
 
 def _image_pair_term(seg: PathSegment, a: float, n: int, scale: LogScale) -> float:
-    """Scalar sum of the four image integrals of +n and -n, in the order
-    image_pair_terms adds them."""
-    total = 0.0
-    for s in (n, -n):
-        total += reflected_image_integral(seg, a, s, scale)
-        total += translated_image_integral(seg, a, s, scale)
-    return total
-
-
-def _image_pair_corners(seg: PathSegment, a: float, n: int, scale: LogScale) -> list[float]:
-    """The sixteen signed corner antiderivatives whose sum is the +n/-n pair
-    term, built as image_pair_terms builds it. Their magnitudes set the
-    scale of the pair term's rounding error, since the corners cancel."""
-    v, b = seg.v, seg.b
-    c0, c1 = seg.z0, seg.z0 + b
-    corners = []
-    for s in (n, -n):
-        base = seg.z0 - a * s
-        top = base + b
-        corners += [
-            _reflection_value(top, top, 0.0, v, scale.ell),
-            -_reflection_value(top, base, -b, v, scale.ell),
-            -_reflection_value(base, top, b, v, scale.ell),
-            _reflection_value(base, base, 0.0, v, scale.ell),
-            translation_antiderivative(c1, c1, v, a, s, scale),
-            -translation_antiderivative(c1, c0, v, a, s, scale),
-            -translation_antiderivative(c0, c1, v, a, s, scale),
-            translation_antiderivative(c0, c0, v, a, s, scale),
-        ]
-    return corners
-
-
-def _log_differences(first, second, diff, ell: float, touch_scale):
-    """Array form of _log_difference: nan where that would raise."""
-    import numpy as np
-
-    ratio = diff / second
-    value = 2.0 * np.log1p(ratio)
-    far = np.abs(ratio) > _LOG1P_MAX
-    if far.any():
-        # numpy's log and math.log can differ by an ulp; with the corner
-        # differences built from exact offsets, that stays far inside the
-        # 1e-12 of the corner magnitudes by which block and scalar pair
-        # terms may differ (tests/test_image_blocks.py)
-        log_ell = 2.0 * math.log(ell)
-        value[far] = (2.0 * np.log(np.abs(first[far])) - log_ell) - (
-            2.0 * np.log(np.abs(second[far])) - log_ell)
-    value[np.minimum(np.abs(first), np.abs(second)) < _POLE_TOUCH_EPS * touch_scale] = np.nan
-    return value
+    """The +n/-n pair term of one index, as image_pair_terms forms it:
+    R(z0 - an) + R(z0 + an) + 2 T(n). It raises what the image integrals
+    raise, in the order reflected +n, translated, reflected -n."""
+    reflected = reflected_image_integral(seg, a, n, scale)
+    translated = translated_image_integral(seg, a, n, scale)
+    return reflected + reflected_image_integral(seg, a, -n, scale) + 2.0 * translated
 
 
 def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_SCALE):
     """Four-image contribution of +n and -n for each index in the array ns.
 
-    For each n the sum, over s = n then -n, of reflected_image_integral and
-    translated_image_integral, with the same float operations, diagonal
-    limits, log1p branch and singular-locus test, in one pass over arrays of
-    shape (corner, sign, index). The diagonal corners take no logarithm. The
-    off-diagonal ones all compare log((X + (1+v) d)^2) with log((X + (v-1) d)^2):
-    X = 2 v z with the exact offsets d = -b, +b for the reflected corners,
-    X = 2 a s v with d = -+(z1 - z0) for the translated ones; one
-    _log_differences call takes all of them, for +n and -n together.
-    A block holding any index those functions would refuse (a corner on the
-    singular locus, n = 0) is re-evaluated through them one index at a time,
-    so it raises the same error at the same index. An ns longer than
-    _KERNEL_BLOCK is taken in pieces of that length, in order.
+    For each n, R(z0 - an) + R(z0 + an) + 2 T(n): the collapsed squares
+    _reflection_square and _translation_square on arrays, four log ratios
+    per index, with the float operations of the scalar image integrals.
+    A block holding any index those integrals would refuse (a log argument
+    on the singular locus, an image plane through a corner, n = 0) is
+    re-evaluated through them one index at a time, so it raises the same
+    error at the same index. An ns longer than _KERNEL_BLOCK is taken in
+    pieces of that length, in order.
     """
     import numpy as np
 
@@ -401,41 +410,17 @@ def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_S
                                for i in range(0, len(ns), _KERNEL_BLOCK)])
     _check_v(seg.v)
     check_separation(a)
-    v, b, c0, c1 = seg.v, seg.b, seg.z0, seg.z0 + seg.b
-    shift = np.multiply.outer((a, -a), ns)  # rows +n and -n
-    base = c0 - shift
-    top = base + b
-    # off-diagonal corners (z, z'): reflected (top, base) and (base, top),
-    # translated (z1, z0) and (z0, z1)
-    z = np.stack([top, base, shift, shift])
-    delta = np.array([-b, b, c0 - c1, c1 - c0])[:, None, None]
+    on_locus = []
+
+    def check(first, second, touch_scale):
+        on_locus.append(np.minimum(abs(first), abs(second)) < _POLE_TOUCH_EPS * touch_scale)
+
     with np.errstate(all="ignore"):
-        x = 2.0 * v * z
-        coord_scale = np.abs(top) + np.abs(base)
-        touch = np.abs(x)
-        touch[:2] = v * coord_scale
-        log_diff = _log_differences(x + (1.0 + v) * delta, x + (v - 1.0) * delta,
-                                    2.0 * delta, scale.ell, touch + np.abs(delta))
-        z_prime = z[1::-1]
-        reflected = (8.0 * v * z[:2] * z_prime
-                     - (1.0 - v * v) * (top + base) * delta[:2] * log_diff[:2]
-                     ) / (128.0 * v**3 * (top * base) ** 2)
-        reflected = np.where(b < _DIAGONAL_EPS * coord_scale,
-                             1.0 / (16.0 * v * v * z[:2] * z_prime), reflected)
-        on_diagonal = 1.0 / (16.0 * v * v * z[:2] * z[:2])
-        reflected = on_diagonal[0] - reflected[0] - reflected[1] + on_diagonal[1]
-        nav = shift * v
-        nav8 = 8.0 * nav
-        translated_diagonal = 1.0 / (nav8 * nav)
-        if abs(c1 - c0) < _DIAGONAL_EPS * (abs(c0) + abs(c1)):
-            translated = np.stack([translated_diagonal, translated_diagonal])
-        else:
-            translated = (nav8 + ((1.0 - v * v) * -delta[2:] + 2.0 * nav * v)
-                          * log_diff[2:]) / (64.0 * nav**3)
-        translated = (translated_diagonal - translated[0] - translated[1]
-                      + translated_diagonal)
-        terms = reflected[0] + translated[0] + reflected[1] + translated[1]
-    if np.isfinite(terms).all():
+        reflected = _reflection_square(seg.z0 - np.multiply.outer((a, -a), ns), seg.b, seg.v,
+                                       np, check)
+        translated = _translation_square(seg.b, seg.v, ns * a * seg.v, np, check)
+        terms = reflected[0] + reflected[1] + 2.0 * translated
+    if np.isfinite(terms).all() and not any(mask.any() for mask in on_locus):
         return terms
     return np.array([_image_pair_term(seg, a, int(n), scale) for n in ns])
 

@@ -25,9 +25,8 @@ from .closed_forms import (
     DEFAULT_SCALE,
     LogScale,
     PathSegment,
-    _corner_combination,
     _reflection_square,
-    _reflection_value,
+    _translation_square,
     one_plate_kernel,
     reflected_image_kernel,
     reflection_antiderivative,
@@ -508,30 +507,35 @@ class VerificationReport:
         }
 
 
+def _corner_difference(antiderivative, c0: float, c1: float) -> float:
+    return (antiderivative(c1, c1) - antiderivative(c1, c0)
+            - antiderivative(c0, c1) + antiderivative(c0, c0))
+
+
 def _closed_reflection(seg: PathSegment, base: float, antiderivative=None) -> float:
-    """Reflection corner difference over the quadrature's square, shifted to
-    start at base: the one-plate integral at base z0, the reflected image n
-    at base z0 - a n.
+    """The reflection square production evaluates, over the quadrature's
+    square shifted to start at base: the one-plate integral at base z0, the
+    reflected image n at base z0 - a n.
 
     The quadrature integrates over [z0, fl(z0 + b)]^2, whose side
     fl(z0 + b) - z0 is exact in floating point and can differ from b by half
-    an ulp of z0 + b, which is 1e-13 of the integral at b = 1e-3 z0. The
-    closed form is taken over that same side, with the production
-    antiderivative evaluated from exact corner offsets (see
-    closed_forms._reflection_square); an injected antiderivative is called
-    on the corner coordinates.
+    an ulp of z0 + b, which is 1e-13 of the integral at b = 1e-3 z0, so the
+    closed form takes that same side. An injected antiderivative is
+    differenced at the corners instead.
     """
+    side = (seg.z0 + seg.b) - seg.z0
     if antiderivative is None:
-        def value(z: float, zp: float, delta: float) -> float:
-            return _reflection_value(z, zp, delta, seg.v, DEFAULT_SCALE.ell)
-    else:
-        def value(z: float, zp: float, delta: float) -> float:
-            return antiderivative(z, zp, seg.v, DEFAULT_SCALE)
-    return _reflection_square(value, base, (seg.z0 + seg.b) - seg.z0)
+        return _reflection_square(base, side, seg.v)
+    return _corner_difference(lambda z, zp: antiderivative(z, zp, seg.v, DEFAULT_SCALE),
+                              base, base + side)
 
 
-def _closed_translated(seg: PathSegment, a: float, n: int, antiderivative) -> float:
-    return _corner_combination(
+def _closed_translated(seg: PathSegment, a: float, n: int, antiderivative=None) -> float:
+    """The translated square production evaluates, over the quadrature's side,
+    or the corner difference of an injected antiderivative."""
+    if antiderivative is None:
+        return _translation_square((seg.z0 + seg.b) - seg.z0, seg.v, abs(n) * a * seg.v)
+    return _corner_difference(
         lambda z, zp: antiderivative(z, zp, seg.v, a, n, DEFAULT_SCALE), seg.z0, seg.z0 + seg.b
     )
 
@@ -615,7 +619,6 @@ def run_verification(
     """
     start = time.perf_counter()
     rng = random.Random(seed)
-    trans = translation_override or translation_antiderivative
     checks: list[CheckResult] = []
 
     quad_rel_gate = 1e-7
@@ -630,9 +633,10 @@ def run_verification(
             rel = abs(quad.value - closed) / abs(closed)
             worst = max(worst, rel)
             true_err = abs(quad.value - closed)
-            # the closed form itself carries rounding from its corner
-            # cancellation, so the estimate only has to cover the deviation
-            # beyond that reference allowance
+            # the closed form itself carries rounding (a few ulps for the
+            # production squares, corner cancellation for an injected
+            # antiderivative), so the estimate only has to cover the
+            # deviation beyond that reference allowance
             allowed = quad.error_estimate + _NOISE_FLOOR * abs(closed)
             if true_err > allowed:
                 conservative = False
@@ -675,7 +679,7 @@ def run_verification(
         seg, a, n = _sample_image(rng, "translated")
         translated_rows.append(
             (
-                _closed_translated(seg, a, n, trans),
+                _closed_translated(seg, a, n, translation_override),
                 quad_image(seg, a, n, "translated", spec),
             )
         )

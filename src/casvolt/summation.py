@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 from .errors import DomainError
 
@@ -27,7 +28,11 @@ _ZETA_X_MIN = 16
 
 @dataclass(frozen=True)
 class SummationControl:
-    """Relative truncation tolerance and the hard cap on the image index."""
+    """Relative truncation tolerance and the hard cap on the image index.
+
+    n_max must be an integer; bools and floats, even integral or infinite
+    ones, are refused.
+    """
 
     tol: float = 1e-10
     n_max: int = 10**6
@@ -35,8 +40,8 @@ class SummationControl:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < 1.0:
             raise DomainError(f"tol must lie in (0, 1), got {self.tol!r}")
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max!r}")
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, Integral) or self.n_max < 1:
+            raise DomainError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .closed_forms import (
     DEFAULT_SCALE,
     LogScale,
     PathSegment,
-    _image_pair_corners,
+    _image_pair_term,
     image_pair_terms,
     one_plate_integral,
 )
@@ -47,10 +47,11 @@ _SPEED_MATCH_RTOL = 1e-9
 # is close to its limit.
 _TAIL_REFERENCE_U = 2.0
 # Rounding allowance on the pair term at the reference index, relative to the
-# summed magnitude of its sixteen corner antiderivatives (against a 50-digit
-# mpmath pair term the error measured at most 1.9e-15 of that magnitude over
-# 3000 random geometries; see docs/decisions.md).
-_CORNER_ROUNDING = 1e-12
+# summed magnitude of its parts R(z0 - an), R(z0 + an) and 2 T(n): past the
+# light cone every part is positive, so that is the pair term itself. Against
+# 60-digit mpmath the remainder pair - C n^-4 - D n^-6 was off by at most
+# 1.2e-15 of it over 4500 random geometries (docs/decisions.md).
+_PAIR_ROUNDING = 1e-12
 # Rounding allowance on the subtracted tail T(n), relative to T(n): the
 # cumulative sum that forms it from the top of its block rounds it by at most
 # about n/2 ulps (its partial sums decay like m^-3) and its Euler-Maclaurin
@@ -362,9 +363,9 @@ def _two_plate_sum(
     while v * (2.0 * a * n_ref - 2.0 * z1) / b < _TAIL_REFERENCE_U:
         n_ref += 1
     c4, c6 = _tail_coefficients(seg, a)
-    corners = _image_pair_corners(seg, a, n_ref, scale)
-    remainder = math.fsum(corners) - c4 / n_ref**4 - c6 / n_ref**6
-    envelope = n_ref**8 * (abs(remainder) + _CORNER_ROUNDING * math.fsum(map(abs, corners)))
+    pair = _image_pair_term(seg, a, n_ref, scale)
+    remainder = pair - c4 / n_ref**4 - c6 / n_ref**6
+    envelope = n_ref**8 * (abs(remainder) + _PAIR_ROUNDING * pair)
 
     def certifies(n: int, total: float) -> bool:
         x = n + 1.0

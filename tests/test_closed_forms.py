@@ -237,26 +237,6 @@ def test_integrals_positive_on_random_segments():
         assert value > 0.0
 
 
-def _mp_reflected_square(mpmath, seg, a, n):
-    """60-digit reflected-image corner difference over the exact square
-    [z0, z0 + b]^2 shifted by -a n (no rounding of the corners)."""
-    mpmath.mp.dps = 60
-    v = mpmath.mpf(seg.v)
-    c0 = mpmath.mpf(seg.z0) - mpmath.mpf(a) * n
-    c1 = c0 + mpmath.mpf(seg.b)
-
-    def f(z, zp):
-        if z == zp:
-            return 1 / (16 * v * v * z * zp)
-        big_a = (1 + v) * zp + (v - 1) * z
-        big_b = (1 + v) * z + (v - 1) * zp
-        log_diff = mpmath.log(big_a**2) - mpmath.log(big_b**2)
-        return (8 * v * z * zp + (1 - v * v) * (z * z - zp * zp) * log_diff) / (
-            128 * v**3 * (z * zp) ** 2)
-
-    return f(c1, c1) - f(c1, c0) - f(c0, c1) + f(c0, c0)
-
-
 @pytest.mark.parametrize("seg, a, n", [
     # the cases behind verify failures at seeds 279810 and 97803
     (PathSegment(z0=0.08577874980435383, b=0.0048999048989935914, v=0.003000442850510922),
@@ -267,6 +247,8 @@ def _mp_reflected_square(mpmath, seg, a, n):
 def test_reflected_image_keeps_the_exact_side(seg, a, n):
     # shifting the corners by -a n first rounded the side b at the magnitude
     # of a n, 1.7e-13 and 1.9e-13 relative here
-    mpmath = pytest.importorskip("mpmath")
-    expected = _mp_reflected_square(mpmath, seg, a, n)
+    pytest.importorskip("mpmath")
+    import mp_squares
+
+    expected = mp_squares.reflected(seg.z0, seg.b, seg.v, a, n)
     assert abs(reflected_image_integral(seg, a, n) - expected) <= 1e-14 * abs(expected)

@@ -37,6 +37,9 @@ from casvolt.closed_forms import (
 from casvolt.correlators import _dual_pair_term
 from casvolt.variance import _first_certified, _two_plate_sum
 
+pytest.importorskip("mpmath")
+import mp_squares as mp  # noqa: E402
+
 
 def _scalar_pair(seg, a, n, scale=DEFAULT_SCALE):
     total = 0.0
@@ -46,8 +49,9 @@ def _scalar_pair(seg, a, n, scale=DEFAULT_SCALE):
     return total
 
 
-def _corner_magnitude(seg, a, n, scale):
-    """Sum of |antiderivative| over the sixteen corners of the +n/-n images."""
+def _corner_magnitude(seg, a, n, scale=DEFAULT_SCALE):
+    """Sum of |antiderivative| over the sixteen corners of the +n/-n images:
+    the scale of the rounding error of their corner difference."""
     corners = (seg.z0, seg.z0 + seg.b)
     total = 0.0
     for s in (n, -n):
@@ -66,14 +70,15 @@ lengths = st.floats(1e-5, 0.5)
        ns=st.lists(st.integers(1, 20000), min_size=1, max_size=6),
        ell=st.sampled_from([1.0, 7.3, 1e-3]))
 def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns, ell):
-    # no per-term relative tolerance: at large n and v both paths are
-    # dominated by the cancellation between corners, so the error scale is
-    # the corner magnitudes themselves
+    # block and scalar pair terms against the 60-digit corner difference,
+    # within the rounding scale of that difference in floats: 1e-12 of the
+    # summed corner magnitudes (tests/test_square_accuracy.py holds the
+    # tighter map over the physical ranges)
     seg = PathSegment(z0=z0, b=b, v=v)
     scale = LogScale(ell=ell)
     block = np.array(ns, dtype=float)
     try:
-        expected = [_scalar_pair(seg, a, n, scale) for n in ns]
+        scalar = [_image_pair_term(seg, a, n, scale) for n in ns]
     except (DomainError, SingularityError) as exc:
         # a corner on the light cone, or an image plane through a corner
         with pytest.raises(type(exc)) as excinfo:
@@ -81,8 +86,11 @@ def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns, ell):
         assert str(excinfo.value) == str(exc)
         return
     got = image_pair_terms(seg, a, block, scale)
-    for n, value, reference in zip(ns, got, expected):
-        assert abs(value - reference) <= 1e-12 * _corner_magnitude(seg, a, n, scale)
+    for n, value, scalar_value in zip(ns, got, scalar):
+        reference = float(mp.pair(z0, b, v, a, n))
+        bound = 1e-12 * _corner_magnitude(seg, a, n, scale)
+        assert abs(value - reference) <= bound
+        assert abs(scalar_value - reference) <= bound
 
 
 def _reference_sum(pair_term, tail_bound, control, base):
@@ -116,8 +124,9 @@ def _two_plate_tail(seg, a):
     From the first N >= 16 with U = v (2aN - 2(z0+b)) / b >= 2 on, the sum
     adds T(N) = C zeta(4, N+1) + D zeta(6, N+1) and bounds the remainder by
     n_ref^8 r(n_ref) zeta(8, N+1) plus rounding allowances, r being the pair
-    term minus C n^-4 and D n^-6; before n_ref, T = 0 under the plain bound.
-    Returns the rule and n_ref.
+    term minus C n^-4 and D n^-6, and the pair term's allowance 1e-12 of
+    itself; before n_ref, T = 0 under the plain bound. Returns the rule and
+    n_ref.
     """
     mpmath = pytest.importorskip("mpmath")
     z0, b, v = seg.z0, seg.b, seg.v
@@ -128,9 +137,9 @@ def _two_plate_tail(seg, a):
     n_ref = 16
     while v * (2.0 * a * n_ref - 2.0 * (z0 + b)) / b < 2.0:
         n_ref += 1
-    remainder = _scalar_pair(seg, a, n_ref) - c4 / n_ref**4 - c6 / n_ref**6
-    magnitude = _corner_magnitude(seg, a, n_ref, DEFAULT_SCALE)
-    envelope = n_ref**8 * (abs(remainder) + 1e-12 * magnitude)
+    pair = _image_pair_term(seg, a, n_ref, DEFAULT_SCALE)
+    remainder = pair - c4 / n_ref**4 - c6 / n_ref**6
+    envelope = n_ref**8 * (abs(remainder) + 1e-12 * pair)
 
     def rule(n):
         if n < n_ref:
@@ -242,6 +251,17 @@ def test_pole_touching_image_raises_as_scalar_path():
         assert (raised.factor, raised.threshold) == (scalar.value.factor, scalar.value.threshold)
 
 
+@pytest.mark.parametrize("a", [0.25, 0.5], ids=["base", "top"])
+def test_image_plane_through_a_corner_raises_as_scalar_path(a):
+    # the n = 1 reflected square starts (a = z0) or ends (a = z0 + b) at z = 0
+    seg = PathSegment(z0=0.25, b=0.25, v=0.1)
+    with pytest.raises(DomainError) as scalar:
+        reflected_image_integral(seg, a, 1)
+    with pytest.raises(DomainError) as block:
+        image_pair_terms(seg, a, np.arange(1.0, 4.0))
+    assert str(block.value) == str(scalar.value) == "antiderivative undefined at z = 0 or z' = 0"
+
+
 def test_light_like_dual_image_raises_as_scalar_path():
     a, z, z_prime = 1.0, 0.3, 0.4
     dt = 2.0 * a - (z - z_prime)  # the n = 1 image of z - z' sits on the light cone
@@ -329,10 +349,14 @@ def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
 
 
 def _assert_block_matches_scalar(seg, a, ns):
+    """Block and scalar pair terms both within 1e-12 of the corner
+    magnitudes of the 60-digit pair term."""
     block = image_pair_terms(seg, a, np.array(ns, dtype=float))
     for n, value in zip(ns, block):
-        reference = _image_pair_term(seg, a, n, DEFAULT_SCALE)
-        assert abs(value - reference) <= 1e-12 * _corner_magnitude(seg, a, n, DEFAULT_SCALE)
+        reference = float(mp.pair(seg.z0, seg.b, seg.v, a, n))
+        bound = 1e-12 * _corner_magnitude(seg, a, n)
+        assert abs(value - reference) <= bound
+        assert abs(_image_pair_term(seg, a, n, DEFAULT_SCALE) - reference) <= bound
 
 
 def _near_edge(edge, measure, above, step=1e-9):
@@ -341,10 +365,13 @@ def _near_edge(edge, measure, above, step=1e-9):
     return next(x for x in (edge * (1.0 - step), edge * (1.0 + step)) if measure(x) == above)
 
 
-# One off-diagonal corner per family whose |2 delta / second|, the fused
-# kernel's log1p test, crosses _LOG1P_MAX = 1/2 at a solvable separation a,
-# for z0 = 0.3, b = 0.1, v = 0.1 and image index n. Each entry holds n, that
-# a, delta and second(a), the last two formed as the kernel forms them:
+# The branch edges of the former 16-corner kernel, pinned against the
+# 60-digit pair term: the collapsed squares have no branch there, and these
+# geometries keep checking that. One off-diagonal corner per family whose
+# |2 delta / second|, that kernel's log1p test, crosses _LOG1P_MAX = 1/2 at
+# a solvable separation a, for z0 = 0.3, b = 0.1, v = 0.1 and image index n.
+# Each entry holds n, that a, delta and second(a), the last two formed as
+# that kernel formed them:
 #   reflected (top, base) of s = +1: second = 2 v top + (1-v) b = -4 b,
 #   reflected (top, base) of s = -1: second = +4 b,
 #   translated (z1, z0) of s = +2:   second = 2 (2a) v + (1-v) b = +4 b.
@@ -374,8 +401,9 @@ def test_fused_kernel_log1p_edge_matches_scalar(family, above):
 
 @pytest.mark.parametrize("above", [False, True])
 def test_fused_kernel_reflected_diagonal_edge_matches_scalar(above):
-    # the off-diagonal reflected corners of s = +1 switch to the diagonal
-    # limit where b < _DIAGONAL_EPS (|top| + |base|) = _DIAGONAL_EPS (2(a - z0) - b)
+    # the former kernel switched the off-diagonal reflected corners of s = +1
+    # to the diagonal limit where b < _DIAGONAL_EPS (|top| + |base|)
+    # = _DIAGONAL_EPS (2(a - z0) - b)
     z0, b, v = 0.3, 1e-6, 0.1
 
     def diagonal(a):
@@ -388,9 +416,9 @@ def test_fused_kernel_reflected_diagonal_edge_matches_scalar(above):
 
 @pytest.mark.parametrize("above", [False, True])
 def test_fused_kernel_translated_diagonal_edge_matches_scalar(above):
-    # the off-diagonal translated corners switch to the diagonal limit where
-    # z1 - z0 < _DIAGONAL_EPS (z0 + z1); z1 - z0 is rounded to 1.1e-8 of b,
-    # so b steps by 1e-7 across the edge
+    # the former kernel switched the off-diagonal translated corners to the
+    # diagonal limit where z1 - z0 < _DIAGONAL_EPS (z0 + z1); z1 - z0 is
+    # rounded to 1.1e-8 of b, so b steps by 1e-7 across the edge
     z0, a, v = 1.0, 3.0, 0.1
 
     def diagonal(b):

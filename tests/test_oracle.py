@@ -18,6 +18,8 @@ from casvolt import (
 )
 from casvolt.closed_forms import reflection_antiderivative
 from casvolt.oracle import (
+    _closed_reflection,
+    _closed_translated,
     pole_entry_one_plate,
     pole_entry_reflected,
     pole_entry_translated,
@@ -171,8 +173,19 @@ def test_run_verification_detects_wrong_sign():
 # At these seeds the reflected closed form used to shift both corners by -a n
 # before differencing them, rounding the side of the square at the magnitude
 # of a n: 1.7e-13 and 1.9e-13 relative error against a quadrature good to
-# 1e-15, which failed quad_error_estimates_conservative.
-@pytest.mark.parametrize("seed", [279810, 97803])
+# 1e-15, which failed quad_error_estimates_conservative (the last two seeds
+# failed the same check before the corners kept the exact side).
+@pytest.mark.parametrize("seed", [279810, 97803, 529264, 509533])
 def test_run_verification_passes_at_former_corner_rounding_seeds(seed):
     report = run_verification(seed=seed)
     assert report.passed, [check.detail for check in report.checks if not check.passed]
+
+
+def test_verification_closed_side_is_the_production_square():
+    # on a square whose side z0 + b - z0 rounds to b exactly, verify's
+    # closed-form side returns what production returns, bit for bit
+    seg, a, n = PathSegment(z0=0.25, b=0.125, v=0.05), 1.5, 2
+    assert (seg.z0 + seg.b) - seg.z0 == seg.b
+    assert _closed_reflection(seg, seg.z0) == one_plate_integral(seg)
+    assert _closed_reflection(seg, seg.z0 - a * n) == reflected_image_integral(seg, a, n)
+    assert _closed_translated(seg, a, -n) == translated_image_integral(seg, a, -n)

@@ -17,6 +17,13 @@ def test_control_validation():
         SummationControl(n_max=0)
 
 
+@pytest.mark.parametrize("n_max", [True, 40.5, math.inf])
+def test_control_refuses_n_max_that_is_not_an_integer(n_max):
+    # these passed and the sum then refused "within n_max=True terms"
+    with pytest.raises(DomainError, match="n_max must be an integer >= 1"):
+        SummationControl(n_max=n_max)
+
+
 def test_hurwitz_zeta_matches_mpmath():
     # every order the two-plate tail (4, 6) and the dual-plate tail (4 to 16)
     # request, at integer and non-integer x; the Euler-Maclaurin remainder is
