@@ -12,8 +12,6 @@ through the module `__getattr__`, so `import casvolt` and the CLI commands
 that never reach the oracle or the block image sums start without numpy.
 """
 from .closed_forms import (
-    DEFAULT_SCALE,
-    LogScale,
     PathSegment,
     one_plate_integral,
     one_plate_integral_smallv,
@@ -21,16 +19,12 @@ from .closed_forms import (
     reflected_image_integral,
     reflected_image_integral_smallv,
     reflected_image_kernel,
-    reflection_antiderivative,
     translated_image_integral,
     translated_image_integral_smallv,
     translated_image_kernel,
-    translation_antiderivative,
 )
 from .correlators import (
-    DualPlate,
     MeanSquaredField,
-    SinglePlate,
     SpacetimePair,
     correlator_dual_plate,
     correlator_single_plate,
@@ -87,15 +81,12 @@ __all__ = [
     "CasvoltError",
     "ConvergenceError",
     "CscSeriesComparison",
-    "DEFAULT_SCALE",
     "DEFAULT_SCENARIO",
     "DerivativeReport",
     "DomainError",
-    "DualPlate",
     "EnhancementRatio",
     "ExperimentConfig",
     "FluctuationResult",
-    "LogScale",
     "MaterialMirror",
     "MeanSquaredField",
     "ModdelRow",
@@ -105,7 +96,6 @@ __all__ = [
     "QuadratureResult",
     "QuadratureSpec",
     "RegimeReport",
-    "SinglePlate",
     "SingularityError",
     "SpacetimePair",
     "SummationControl",
@@ -135,7 +125,6 @@ __all__ = [
     "reflected_image_integral",
     "reflected_image_integral_smallv",
     "reflected_image_kernel",
-    "reflection_antiderivative",
     "regime_classify",
     "rms_estimate_eV",
     "rms_one_plate_smallv",
@@ -144,7 +133,6 @@ __all__ = [
     "translated_image_integral",
     "translated_image_integral_smallv",
     "translated_image_kernel",
-    "translation_antiderivative",
     "validity_window",
     "variance_one_plate",
     "variance_two_plate_exact",

@@ -24,7 +24,7 @@ import io
 import json
 import sys
 
-from .closed_forms import PathSegment, reflection_antiderivative
+from .closed_forms import PathSegment, _reflection_square
 from .correlators import SpacetimePair, correlator_dual_plate, correlator_single_plate
 from .errors import (
     CasvoltError,
@@ -372,13 +372,16 @@ def _collect_sweep_rows(param: str, values: list[float], results) -> list[dict]:
     return rows
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    for flag, count in (("--sets", args.sets), ("--grid-points", args.grid_points)):
+        if count < 1:
+            parser.error(f"{flag} must be at least 1, got {count}")
     from .oracle import run_verification
 
     reflection_override = None
     if args.inject_wrong_sign:
-        def reflection_override(z, z_prime, v, scale):
-            return -reflection_antiderivative(z, z_prime, v, scale)
+        def reflection_override(base, b, v):
+            return -_reflection_square(base, b, v)
 
     report = run_verification(
         seed=args.seed,
@@ -552,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         if args.command == "verify":
-            return _cmd_verify(args)
+            return _cmd_verify(args, parser)
         if args.command == "moddel":
             return _cmd_moddel(args)
         parser.error(f"unknown command {args.command!r}")

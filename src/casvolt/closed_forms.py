@@ -1,4 +1,4 @@
-"""Antiderivatives and corner-difference evaluation of the worldline integrals.
+"""Closed-form segment-square integrals of the worldline kernels.
 
 A charged particle crossing the vacuum gap traverses the straight segment
 z0 -> z0+b at constant speed v (worldline t = z/v). The variance of the work
@@ -10,14 +10,20 @@ three kernel families:
     translated image: 1/[(z-z')^2 - v^2 (z-z' - 2an)^2]^2
 
 Each kernel is the mixed second derivative d^2/dz dz' of a closed-form
-antiderivative, so the double integral over the square [z0, z0+b]^2 collapses
-to a four-corner difference. That corner construction stays meaningful even
-when the kernel's singular locus crosses the square (the integral is then
-defined by the antiderivative, not by a convergent Riemann integral). The
-corners share their log arguments and their other parts cancel exactly, so
-each square is evaluated in collapsed form, with one log ratio per pair of
-off-diagonal corners and no cancellation between corners
-(_reflection_square, _translation_square).
+antiderivative. With l(p, q) = log p^2 - log q^2 these are
+    one-plate:   [8 v z z' + (1-v^2)(z^2-z'^2) l(A, B)] / (128 v^3 (z z')^2),
+                 A = (1+v) z' + (v-1) z, B = (1+v) z + (v-1) z';
+    translated:  [8 n a v + ((1-v^2)(z-z') + 2 n a v^2) l(P, Q)] / (64 (n a v)^3),
+                 P = (1+v)(z'-z) + 2 n a v, Q = (1-v)(z-z') + 2 n a v;
+and the reflected image is the one-plate form shifted by -a n. The double
+integral over the square [z0, z0+b]^2 is then a four-corner difference,
+which stays meaningful even when the kernel's singular locus crosses the
+square (the integral is then defined by the antiderivative, not by a
+convergent Riemann integral). The corners share their log arguments and
+their other parts cancel exactly, so each square is evaluated in collapsed
+form, with one log ratio per pair of off-diagonal corners and no
+cancellation between corners (_reflection_square, _translation_square).
+The oracle checks these squares against the kernels they integrate.
 
 All lengths are natural units (1/eV); integral values carry eV^2.
 """
@@ -32,10 +38,6 @@ from .errors import DomainError, SingularityError, check_separation
 
 __all__ = [
     "PathSegment",
-    "LogScale",
-    "DEFAULT_SCALE",
-    "reflection_antiderivative",
-    "translation_antiderivative",
     "one_plate_integral",
     "one_plate_integral_smallv",
     "reflected_image_integral",
@@ -48,19 +50,12 @@ __all__ = [
     "translated_image_kernel",
 ]
 
-# Evaluation limits for the exact antiderivatives: below v ~ 1e-6 the 1/v^3
+# Evaluation limits for the exact squares: below v ~ 1e-6 the 1/v^3
 # prefactors destroy all precision in the corner differences (use the small-v
 # operations instead); the construction also assumes distinctly sub-luminal
 # motion, so v >= 0.99 is rejected.
 _V_MIN = 1e-6
 _V_MAX = 0.99
-
-# |z - z'| below this fraction of the coordinate scale switches the
-# antiderivatives to their analytic diagonal limit; below _LOG1P_MAX their
-# log difference is evaluated via log1p to dodge the near-diagonal
-# cancellation.
-_DIAGONAL_EPS = 1e-8
-_LOG1P_MAX = 0.5
 
 # a corner sits "on the singular locus" when a log argument is smaller than
 # this fraction of its natural magnitude scale
@@ -89,26 +84,6 @@ class PathSegment:
             raise DomainError(f"speed v must lie in (0, 1), got {self.v!r}")
 
 
-@dataclass(frozen=True)
-class LogScale:
-    """Arbitrary length scale inside the antiderivatives' logarithms.
-
-    Their corner differences are independent of ell, and the segment-square
-    integrals, which take log ratios, do not see it at all: they return the
-    same float for every ell. The parameter exists so that invariance can
-    be exercised directly.
-    """
-
-    ell: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.ell > 0.0:
-            raise DomainError(f"log scale ell must be positive, got {self.ell!r}")
-
-
-DEFAULT_SCALE = LogScale()
-
-
 def _check_v(v: float) -> None:
     if not _V_MIN < v < _V_MAX:
         raise DomainError(
@@ -128,75 +103,6 @@ def _on_locus(first: float, second: float, touch_scale: float) -> None:
             factor=min(abs(first), abs(second)),
             threshold=tol,
         )
-
-
-def _log_difference(first: float, second: float, diff: float, ell: float,
-                    touch_scale: float) -> float:
-    """log(first^2/ell^2) - log(second^2/ell^2) with first = second + diff.
-
-    Guards the singular locus (either argument ~ 0 relative to touch_scale)
-    and uses a cancellation-safe log1p path when the two arguments are close.
-    """
-    _on_locus(first, second, touch_scale)
-    ratio = diff / second
-    if abs(ratio) <= _LOG1P_MAX:
-        return 2.0 * math.log1p(ratio)
-    return (2.0 * math.log(abs(first)) - 2.0 * math.log(ell)) - (
-        2.0 * math.log(abs(second)) - 2.0 * math.log(ell)
-    )
-
-
-def reflection_antiderivative(z: float, z_prime: float, v: float,
-                              scale: LogScale = DEFAULT_SCALE) -> float:
-    """Antiderivative whose mixed second derivative is the one-plate kernel.
-
-    Value of
-        [8 v z z' + (1-v^2)(z^2-z'^2) (log(A^2/ell^2) - log(B^2/ell^2))]
-            / (128 v^3 (z z')^2)
-    with A = (1+v) z' + (v-1) z and B = (1+v) z + (v-1) z'; on the diagonal
-    the analytic limit 1/(16 v^2 z z') is used. The square integrals take
-    the collapsed form of its corner difference (_reflection_square).
-    """
-    _check_v(v)
-    if z == 0.0 or z_prime == 0.0:
-        raise DomainError("antiderivative undefined at z = 0 or z' = 0")
-    delta = z_prime - z
-    coord_scale = abs(z) + abs(z_prime)
-    if abs(delta) < _DIAGONAL_EPS * coord_scale:
-        return 1.0 / (16.0 * v * v * z * z_prime)
-    # B = (1+v) z + (v-1) z' = 2 v z - (1-v) delta and A = B + 2 delta
-    a_arg = 2.0 * v * z + (1.0 + v) * delta
-    b_arg = 2.0 * v * z + (v - 1.0) * delta
-    log_diff = _log_difference(a_arg, b_arg, 2.0 * delta, scale.ell, v * coord_scale + abs(delta))
-    num = 8.0 * v * z * z_prime - (1.0 - v * v) * (z + z_prime) * delta * log_diff
-    return num / (128.0 * v**3 * (z * z_prime) ** 2)
-
-
-def translation_antiderivative(z: float, z_prime: float, v: float, a: float, n: int,
-                               scale: LogScale = DEFAULT_SCALE) -> float:
-    """Antiderivative whose mixed second derivative is the translated-image kernel.
-
-    Value of
-        [8 n a v + ((1-v^2)(z-z') + 2 n a v^2) (log(P^2/ell^2) - log(Q^2/ell^2))]
-            / (64 (n a v)^3)
-    with P = (1+v)(z'-z) + 2 n a v and Q = (1-v)(z-z') + 2 n a v; on the
-    diagonal the analytic limit 1/(8 (n a v)^2) is used.
-    """
-    _check_v(v)
-    if n == 0:
-        raise DomainError("image index n must be a nonzero integer")
-    check_separation(a)
-    delta = z_prime - z
-    nav = n * a * v
-    if abs(delta) < _DIAGONAL_EPS * (abs(z) + abs(z_prime)):
-        return 1.0 / (8.0 * nav * nav)
-    p_arg = (1.0 + v) * delta + 2.0 * nav
-    q_arg = (1.0 - v) * (z - z_prime) + 2.0 * nav
-    # P - Q = 2 (z' - z) exactly
-    log_diff = _log_difference(p_arg, q_arg, 2.0 * delta, scale.ell,
-                               2.0 * abs(nav) + abs(delta))
-    num = 8.0 * nav + ((1.0 - v * v) * (z - z_prime) + 2.0 * nav * v) * log_diff
-    return num / (64.0 * nav**3)
 
 
 # The float operations _log_ratio needs; numpy supplies the same for arrays.
@@ -220,7 +126,7 @@ def _log_ratio(p, q, d, s, xp=_FLOAT_OPS):
 def _reflection_square(base, b: float, v: float, xp=_FLOAT_OPS, check=_on_locus):
     """One-plate kernel integrated over the square [base, base + b]^2.
 
-    The corner difference of reflection_antiderivative, collapsed: its two
+    The corner difference of the one-plate antiderivative, collapsed: its two
     off-diagonal corners share the log ratio l(X, Y) = log X^2 - log Y^2,
     X = 2 v base - (1-v) b, Y = X + 2 b, and its diagonal and 8 v z z'
     parts sum exactly to b^2 / (16 v^2 (base top)^2), top = base + b:
@@ -243,7 +149,7 @@ def _translation_square(b: float, v: float, nav, xp=_FLOAT_OPS, check=_on_locus)
     """Translated-image kernel of index n integrated over a square of side b,
     given nav = |n| a v > 0 (the integral is even in n).
 
-    The corner difference of translation_antiderivative, collapsed: its
+    The corner difference of the translated antiderivative, collapsed: its
     8 n a v parts cancel exactly, leaving with c = 2 nav
         -[c v (l1 + l2) + (1-v^2) b (l1 - l2)] / (64 nav^3),
     l1 = l(c - (1+v) b, c + (1-v) b), l2 = l(c + (1+v) b, c - (1-v) b).
@@ -264,7 +170,7 @@ def _translation_square(b: float, v: float, nav, xp=_FLOAT_OPS, check=_on_locus)
     return -(c * v * l_sum + (1.0 - v * v) * b * l_diff) / (64.0 * nav**3)
 
 
-def one_plate_integral(seg: PathSegment, scale: LogScale = DEFAULT_SCALE) -> float:
+def one_plate_integral(seg: PathSegment) -> float:
     """Double integral of the one-plate kernel over the segment square.
 
     Evaluated as the collapsed corner difference of the reflection
@@ -310,8 +216,7 @@ def one_plate_integral_smallv(seg: PathSegment) -> float:
     return lead + corr
 
 
-def reflected_image_integral(seg: PathSegment, a: float, n: int,
-                             scale: LogScale = DEFAULT_SCALE) -> float:
+def reflected_image_integral(seg: PathSegment, a: float, n: int) -> float:
     """Segment-square integral of the reflected-image kernel (index n != 0).
 
     Equals the one-plate integral over the square shifted by -a*n, since
@@ -352,8 +257,7 @@ def reflected_image_integral_smallv(seg: PathSegment, a: float, n: int) -> float
     return (d0 * d0 + d1 * d1) / (8.0 * seg.v * seg.v * d0 * d0 * d1 * d1)
 
 
-def translated_image_integral(seg: PathSegment, a: float, n: int,
-                              scale: LogScale = DEFAULT_SCALE) -> float:
+def translated_image_integral(seg: PathSegment, a: float, n: int) -> float:
     """Segment-square integral of the translated-image kernel (index n != 0).
 
     The kernel only sees z - z', so the integral depends on the side b
@@ -382,16 +286,16 @@ def translated_image_integral_smallv(seg: PathSegment, a: float, n: int) -> floa
     return 1.0 / (4.0 * a * a * seg.v * seg.v * n * n)
 
 
-def _image_pair_term(seg: PathSegment, a: float, n: int, scale: LogScale) -> float:
+def _image_pair_term(seg: PathSegment, a: float, n: int) -> float:
     """The +n/-n pair term of one index, as image_pair_terms forms it:
     R(z0 - an) + R(z0 + an) + 2 T(n). It raises what the image integrals
     raise, in the order reflected +n, translated, reflected -n."""
-    reflected = reflected_image_integral(seg, a, n, scale)
-    translated = translated_image_integral(seg, a, n, scale)
-    return reflected + reflected_image_integral(seg, a, -n, scale) + 2.0 * translated
+    reflected = reflected_image_integral(seg, a, n)
+    translated = translated_image_integral(seg, a, n)
+    return reflected + reflected_image_integral(seg, a, -n) + 2.0 * translated
 
 
-def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_SCALE):
+def image_pair_terms(seg: PathSegment, a: float, ns):
     """Four-image contribution of +n and -n for each index in the array ns.
 
     For each n, R(z0 - an) + R(z0 + an) + 2 T(n): the collapsed squares
@@ -406,7 +310,7 @@ def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_S
     import numpy as np
 
     if len(ns) > _KERNEL_BLOCK:
-        return np.concatenate([image_pair_terms(seg, a, ns[i:i + _KERNEL_BLOCK], scale)
+        return np.concatenate([image_pair_terms(seg, a, ns[i:i + _KERNEL_BLOCK])
                                for i in range(0, len(ns), _KERNEL_BLOCK)])
     _check_v(seg.v)
     check_separation(a)
@@ -422,7 +326,7 @@ def image_pair_terms(seg: PathSegment, a: float, ns, scale: LogScale = DEFAULT_S
         terms = reflected[0] + reflected[1] + 2.0 * translated
     if np.isfinite(terms).all() and not any(mask.any() for mask in on_locus):
         return terms
-    return np.array([_image_pair_term(seg, a, int(n), scale) for n in ns])
+    return np.array([_image_pair_term(seg, a, int(n)) for n in ns])
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@ from .summation import SummationControl, SummationResult, hurwitz_zeta
 
 __all__ = [
     "SpacetimePair",
-    "SinglePlate",
-    "DualPlate",
-    "Geometry",
     "MeanSquaredField",
     "correlator_single_plate",
     "correlator_dual_plate",
@@ -55,24 +52,6 @@ class SpacetimePair:
                 f"evaluation points must lie a finite distance above the plate at z=0, "
                 f"got z={self.z!r}, z'={self.z_prime!r}"
             )
-
-
-@dataclass(frozen=True)
-class SinglePlate:
-    """One perfectly reflecting plate at z = 0."""
-
-
-@dataclass(frozen=True)
-class DualPlate:
-    """Perfectly reflecting plates at z = 0 and z = a."""
-
-    a: float
-
-    def __post_init__(self) -> None:
-        check_separation(self.a)
-
-
-Geometry = SinglePlate | DualPlate
 
 
 def _inverse_square_factor(dt: float, separation: float, description: str) -> float:

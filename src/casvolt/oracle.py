@@ -6,9 +6,9 @@ closed_forms beyond the integrand kernels themselves; the truncated series
 are plain sums, not the production summation engine. The adaptive
 quadrature refuses domains that contain the light-cone pole (it cannot take
 principal values), reporting the threshold flight distance at which the
-pole enters; the Richardson derivative check differentiates the
-antiderivatives numerically and compares against the kernels they must
-reproduce.
+pole enters; the Richardson derivative check differentiates the squares
+production evaluates, F(z0, z1) = the kernel integrated over [z0, z1]^2,
+numerically and compares d^2 F / dz0 dz1 with -[K(z0, z1) + K(z1, z0)].
 """
 from __future__ import annotations
 
@@ -22,16 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import (
-    DEFAULT_SCALE,
-    LogScale,
     PathSegment,
     _reflection_square,
     _translation_square,
     one_plate_kernel,
     reflected_image_kernel,
-    reflection_antiderivative,
     translated_image_kernel,
-    translation_antiderivative,
 )
 from .errors import (
     CasvoltError,
@@ -293,28 +289,40 @@ def deriv_check(
     h0: float | None = None,
     levels: int = 7,
     tol: float = 1e-6,
-    scale: LogScale = DEFAULT_SCALE,
-    antiderivative=None,
+    square=None,
 ) -> DerivativeReport:
-    """Check d^2/dz dz' of an antiderivative against its integrand kernel.
+    """Check d^2 F / dz0 dz1 of a production square against its kernel.
+
+    F(z0, z1) is the kernel K integrated over [z0, z1]^2, so
+    d^2 F / dz0 dz1 = -[K(z0, z1) + K(z1, z0)]. Family "reflection" takes
+    F = _reflection_square(z0, z1 - z0, v) against -2 K for the symmetric
+    one-plate kernel; family "translation" takes
+    F = _translation_square(z1 - z0, v, |n| a v) against the translated
+    kernel of index n at (z0, z1) plus at (z1, z0). The point (z, z') is
+    taken as z0 < z1; both sides are symmetric under the swap. square
+    replaces the production square, with its signature.
 
     Central mixed differences at step sizes h0 / 2^k are Richardson
-    extrapolated and compared with the analytic kernel at (z, z'). Evaluation
-    failures (a stencil point touching a singular locus or domain edge) are
-    reported as a non-converged result rather than raised, so grid sweeps
-    can continue past bad points.
+    extrapolated and compared with the kernel sum. Evaluation failures (a
+    stencil point touching a singular locus) are reported as a non-converged
+    result rather than raised, so grid sweeps can continue past bad points.
     """
+    z0, z1 = min(z, z_prime), max(z, z_prime)
     if family == "reflection":
-        target = antiderivative or reflection_antiderivative
-        g = lambda x, y: target(x, y, v, scale)
-        kernel = lambda: one_plate_kernel(z, z_prime, v)
+        target = square or _reflection_square
+        g = lambda x, y: target(x, y - x, v)
+        kernel = lambda: -2.0 * one_plate_kernel(z0, z1, v)
     elif family == "translation":
-        if a is None or n is None:
-            raise DomainError("translation checks need the plate separation a and index n")
+        if a is None or not n:
+            raise DomainError(
+                "translation checks need the plate separation a and a nonzero index n"
+            )
         check_separation(a)
-        target = antiderivative or translation_antiderivative
-        g = lambda x, y: target(x, y, v, a, n, scale)
-        kernel = lambda: translated_image_kernel(z, z_prime, v, a, n)
+        target = square or _translation_square
+        nav = abs(n) * a * v
+        g = lambda x, y: target(y - x, v, nav)
+        kernel = lambda: -(translated_image_kernel(z0, z1, v, a, n)
+                           + translated_image_kernel(z1, z0, v, a, n))
     else:
         raise DomainError(
             f"family must be 'reflection' or 'translation', got {family!r}"
@@ -329,7 +337,7 @@ def deriv_check(
         raise DomainError(f"at least 3 Richardson levels are needed, got {levels!r}")
     try:
         reference = kernel()
-        raw = [_mixed_difference(g, z, z_prime, h0 / 2.0**k) for k in range(levels)]
+        raw = [_mixed_difference(g, z0, z1, h0 / 2.0**k) for k in range(levels)]
     except (CasvoltError, ZeroDivisionError, OverflowError) as exc:
         return DerivativeReport(
             converged=False,
@@ -507,12 +515,7 @@ class VerificationReport:
         }
 
 
-def _corner_difference(antiderivative, c0: float, c1: float) -> float:
-    return (antiderivative(c1, c1) - antiderivative(c1, c0)
-            - antiderivative(c0, c1) + antiderivative(c0, c0))
-
-
-def _closed_reflection(seg: PathSegment, base: float, antiderivative=None) -> float:
+def _closed_reflection(seg: PathSegment, base: float, square=_reflection_square) -> float:
     """The reflection square production evaluates, over the quadrature's
     square shifted to start at base: the one-plate integral at base z0, the
     reflected image n at base z0 - a n.
@@ -520,24 +523,15 @@ def _closed_reflection(seg: PathSegment, base: float, antiderivative=None) -> fl
     The quadrature integrates over [z0, fl(z0 + b)]^2, whose side
     fl(z0 + b) - z0 is exact in floating point and can differ from b by half
     an ulp of z0 + b, which is 1e-13 of the integral at b = 1e-3 z0, so the
-    closed form takes that same side. An injected antiderivative is
-    differenced at the corners instead.
+    closed form takes that same side. square replaces the production square.
     """
-    side = (seg.z0 + seg.b) - seg.z0
-    if antiderivative is None:
-        return _reflection_square(base, side, seg.v)
-    return _corner_difference(lambda z, zp: antiderivative(z, zp, seg.v, DEFAULT_SCALE),
-                              base, base + side)
+    return square(base, (seg.z0 + seg.b) - seg.z0, seg.v)
 
 
-def _closed_translated(seg: PathSegment, a: float, n: int, antiderivative=None) -> float:
-    """The translated square production evaluates, over the quadrature's side,
-    or the corner difference of an injected antiderivative."""
-    if antiderivative is None:
-        return _translation_square((seg.z0 + seg.b) - seg.z0, seg.v, abs(n) * a * seg.v)
-    return _corner_difference(
-        lambda z, zp: antiderivative(z, zp, seg.v, a, n, DEFAULT_SCALE), seg.z0, seg.z0 + seg.b
-    )
+def _closed_translated(seg: PathSegment, a: float, n: int,
+                       square=_translation_square) -> float:
+    """The translated square production evaluates, over the quadrature's side."""
+    return square((seg.z0 + seg.b) - seg.z0, seg.v, abs(n) * a * seg.v)
 
 
 def _sample_one_plate(rng: random.Random) -> PathSegment:
@@ -553,6 +547,10 @@ def _sample_one_plate(rng: random.Random) -> PathSegment:
 _DERIV_MARGIN = 0.3
 
 
+def _clear_of_locus(delta_sq: float, image_sq: float) -> bool:
+    return abs(delta_sq - image_sq) >= _DERIV_MARGIN * max(delta_sq, image_sq)
+
+
 def _sample_reflection_point(rng: random.Random) -> tuple[float, float, float]:
     while True:
         z = rng.uniform(0.5, 2.0)
@@ -560,9 +558,7 @@ def _sample_reflection_point(rng: random.Random) -> tuple[float, float, float]:
         if zp <= 0.1:
             continue
         v = rng.uniform(0.05, 0.3)
-        delta_sq = (z - zp) ** 2
-        image_sq = (v * (z + zp)) ** 2
-        if abs(delta_sq - image_sq) >= _DERIV_MARGIN * max(delta_sq, image_sq):
+        if _clear_of_locus((z - zp) ** 2, (v * (z + zp)) ** 2):
             return z, zp, v
 
 
@@ -577,9 +573,10 @@ def _sample_translation_point(
         v = rng.uniform(0.05, 0.3)
         a = rng.uniform(0.8, 1.5)
         n = rng.choice((1, 2, -1, -2))
-        delta = z - zp
-        image_sq = (v * (delta - 2.0 * a * n)) ** 2
-        if abs(delta * delta - image_sq) >= _DERIV_MARGIN * max(delta * delta, image_sq):
+        # the square's mixed derivative takes the kernel at (z, z') and at
+        # (z', z), so both orderings must stay clear of the locus
+        if all(_clear_of_locus(delta * delta, (v * (delta - 2.0 * a * n)) ** 2)
+               for delta in (z - zp, zp - z)):
             return z, zp, v, a, n
 
 
@@ -610,13 +607,22 @@ def run_verification(
     on sets_per_family pole-free parameter sets for the one-plate integral
     and for each image family (relative gate 1e-7, expected 1e-12 or
     better); error-estimate conservativeness on the same cases; Richardson
-    derivative identity checks on grid_points off-singular points per
-    antiderivative (gate 1e-6); and the series identities behind the small-v
-    closed form, gated by their analytic tail bounds.
+    derivative identity checks (deriv_check) on grid_points off-singular
+    points per square (gate 1e-6); and the series identities behind the
+    small-v closed form, gated by their analytic tail bounds. Raises
+    DomainError when sets_per_family or grid_points is below 1.
 
-    The override hooks substitute a deliberately wrong antiderivative on the
-    closed-form side, for exercising the failure path end to end.
+    The override hooks substitute a deliberately wrong square, with the
+    production square's signature, on both the quadrature and the
+    derivative side, for exercising the failure path end to end.
     """
+    if sets_per_family < 1 or grid_points < 1:
+        raise DomainError(
+            f"verification needs at least one case per check, got "
+            f"sets_per_family={sets_per_family!r}, grid_points={grid_points!r}"
+        )
+    reflection = reflection_override or _reflection_square
+    translation = translation_override or _translation_square
     start = time.perf_counter()
     rng = random.Random(seed)
     checks: list[CheckResult] = []
@@ -634,8 +640,7 @@ def run_verification(
             worst = max(worst, rel)
             true_err = abs(quad.value - closed)
             # the closed form itself carries rounding (a few ulps for the
-            # production squares, corner cancellation for an injected
-            # antiderivative), so the estimate only has to cover the
+            # production squares), so the estimate only has to cover the
             # deviation beyond that reference allowance
             allowed = quad.error_estimate + _NOISE_FLOOR * abs(closed)
             if true_err > allowed:
@@ -661,7 +666,7 @@ def run_verification(
     for _ in range(sets_per_family):
         seg = _sample_one_plate(rng)
         one_plate_rows.append(
-            (_closed_reflection(seg, seg.z0, reflection_override), quad_one_plate(seg, spec))
+            (_closed_reflection(seg, seg.z0, reflection), quad_one_plate(seg, spec))
         )
     record_quads("quad_one_plate_vs_closed", one_plate_rows)
 
@@ -669,7 +674,7 @@ def run_verification(
     for _ in range(sets_per_family):
         seg, a, n = _sample_image(rng, "reflected")
         reflected_rows.append(
-            (_closed_reflection(seg, seg.z0 - a * n, reflection_override),
+            (_closed_reflection(seg, seg.z0 - a * n, reflection),
              quad_image(seg, a, n, "reflected", spec))
         )
     record_quads("quad_reflected_vs_closed", reflected_rows)
@@ -679,7 +684,7 @@ def run_verification(
         seg, a, n = _sample_image(rng, "translated")
         translated_rows.append(
             (
-                _closed_translated(seg, a, n, translation_override),
+                _closed_translated(seg, a, n, translation),
                 quad_image(seg, a, n, "translated", spec),
             )
         )
@@ -700,7 +705,7 @@ def run_verification(
     refl_ok = True
     for _ in range(grid_points):
         z, zp, v = _sample_reflection_point(rng)
-        report = deriv_check("reflection", z, zp, v, antiderivative=reflection_override)
+        report = deriv_check("reflection", z, zp, v, square=reflection)
         worst_refl = max(worst_refl, report.relative_error)
         refl_ok = refl_ok and report.converged
     checks.append(
@@ -724,7 +729,7 @@ def run_verification(
             v,
             a=a,
             n=n,
-            antiderivative=translation_override,
+            square=translation,
         )
         worst_trans = max(worst_trans, report.relative_error)
         trans_ok = trans_ok and report.converged

@@ -15,14 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .closed_forms import (
-    DEFAULT_SCALE,
-    LogScale,
-    PathSegment,
-    _image_pair_term,
-    image_pair_terms,
-    one_plate_integral,
-)
+from .closed_forms import PathSegment, _image_pair_term, image_pair_terms, one_plate_integral
 from .errors import ConvergenceError, DomainError, check_separation
 from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta
 from .units import CONSTANTS, Constants, speed_from_kinetic
@@ -220,9 +213,7 @@ def _window_flags(seg: PathSegment) -> tuple[str, ...]:
     return flags
 
 
-def variance_one_plate(
-    particle: Particle, seg: PathSegment, scale: LogScale = DEFAULT_SCALE
-) -> FluctuationResult:
+def variance_one_plate(particle: Particle, seg: PathSegment) -> FluctuationResult:
     """Exact <(Delta U)^2> = q^2 v^4 I(z0, b, v) / pi^2 for one plate.
 
     The segment's speed must match the particle's. An uncharged particle
@@ -233,7 +224,7 @@ def variance_one_plate(
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
     q = particle.charge_natural
-    integral = one_plate_integral(seg, scale)
+    integral = one_plate_integral(seg)
     variance = q * q * seg.v**4 * integral / math.pi**2
     return _result(variance, particle.charge_e, flags)
 
@@ -331,9 +322,7 @@ def _zeta8_bound(x):
     return (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
 
 
-def _two_plate_sum(
-    seg: PathSegment, a: float, scale: LogScale, control: SummationControl
-) -> SummationResult:
+def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> SummationResult:
     """The one-plate integral plus the image pairs n >= 1, with a certified tail.
 
     Below the reference index n_ref (the first n >= _ZETA_X_MIN = 16 with
@@ -363,7 +352,7 @@ def _two_plate_sum(
     while v * (2.0 * a * n_ref - 2.0 * z1) / b < _TAIL_REFERENCE_U:
         n_ref += 1
     c4, c6 = _tail_coefficients(seg, a)
-    pair = _image_pair_term(seg, a, n_ref, scale)
+    pair = _image_pair_term(seg, a, n_ref)
     remainder = pair - c4 / n_ref**4 - c6 / n_ref**6
     envelope = n_ref**8 * (abs(remainder) + _PAIR_ROUNDING * pair)
 
@@ -391,7 +380,7 @@ def _two_plate_sum(
                               + np.maximum(_TAIL_ROUNDING, far * _ULP) * tails[split:])
         return bounds, tails
 
-    base = one_plate_integral(seg, scale)
+    base = one_plate_integral(seg)
     parts, running, start = [base], base, 1
     while True:
         # envelope * zeta8(x) is about envelope / (7 (x - 1/2)^7), which meets
@@ -402,7 +391,7 @@ def _two_plate_sum(
         end = (n_max if n_max <= max(start, n_ref) else
                _first_certified(lambda n: certifies(n, running), max(start, n_ref), n_max, guess))
         ns = np.arange(start, end + 1, dtype=float)
-        terms = image_pair_terms(seg, a, ns, scale)
+        terms = image_pair_terms(seg, a, ns)
         bounds, tails = bounds_and_tails(ns)
         totals = np.add.accumulate(np.concatenate(([running], terms)))[1:]
         stops = np.flatnonzero(bounds <= tol * np.abs(totals + tails))
@@ -425,7 +414,6 @@ def variance_two_plate_exact(
     seg: PathSegment,
     a: float,
     control: SummationControl = SummationControl(),
-    scale: LogScale = DEFAULT_SCALE,
 ) -> FluctuationResult:
     """Exact two-plate <(Delta U)^2> by summing image contributions.
 
@@ -453,7 +441,7 @@ def variance_two_plate_exact(
         return _result(0.0, 0.0, flags + ("neutral",))
     q = particle.charge_natural
     prefactor = q * q * seg.v**4 / math.pi**2
-    summed = _two_plate_sum(seg, a, scale, control)
+    summed = _two_plate_sum(seg, a, control)
     return _result(
         prefactor * summed.value,
         particle.charge_e,

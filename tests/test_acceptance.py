@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from casvolt import (
-    LogScale,
     Particle,
     PathSegment,
     SingularityError,
@@ -100,18 +99,22 @@ def test_criterion_05_derivative_identities(verification):
 
 
 def test_criterion_06_log_scale_invariance():
-    rescaled = LogScale(ell=7.3)
+    # the scale ell inside the antiderivatives' logs cancels between the
+    # corners: the squares match the 60-digit corner difference at any ell
+    pytest.importorskip("mpmath")
+    import mp_squares as mp
+
     seg = PathSegment(z0=1.0, b=0.05, v=0.01)
-    base = one_plate_integral(seg)
-    assert abs(one_plate_integral(seg, scale=rescaled) / base - 1.0) <= 1e-12
     image_seg = PathSegment(z0=0.3, b=0.01, v=0.005)
-    for n in (-2, -1, 1, 2):
-        base = reflected_image_integral(image_seg, a=1.0, n=n)
-        moved = reflected_image_integral(image_seg, a=1.0, n=n, scale=rescaled)
-        assert abs(moved / base - 1.0) <= 1e-12
-        base = translated_image_integral(image_seg, a=1.0, n=n)
-        moved = translated_image_integral(image_seg, a=1.0, n=n, scale=rescaled)
-        assert abs(moved / base - 1.0) <= 1e-12
+    z0, b, v = image_seg.z0, image_seg.b, image_seg.v
+    for ell in (1.0, 7.3):
+        reference = mp.one_plate(seg.z0, seg.b, seg.v, ell)
+        assert abs(one_plate_integral(seg) / reference - 1.0) <= 1e-12
+        for n in (-2, -1, 1, 2):
+            reference = mp.reflected(z0, b, v, 1.0, n, ell)
+            assert abs(reflected_image_integral(image_seg, a=1.0, n=n) / reference - 1.0) <= 1e-12
+            reference = mp.translated(z0, b, v, 1.0, n, ell)
+            assert abs(translated_image_integral(image_seg, a=1.0, n=n) / reference - 1.0) <= 1e-12
 
 
 def _criterion_07_segments():

@@ -329,6 +329,21 @@ def test_verify_detects_injected_wrong_sign(capsys):
     assert status["quad_translated_vs_closed"] == "true"
 
 
+@pytest.mark.parametrize("counts", [
+    ["--sets", "0", "--grid-points", "0"],
+    ["--sets", "-3"],
+    ["--grid-points", "0"],
+    ["--sets", "0", "--grid-points", "0", "--inject-wrong-sign"],
+])
+def test_verify_refuses_empty_checks(capsys, counts):
+    # with no cases verify printed "PASSED 7/7" and exited 0, even with
+    # --inject-wrong-sign
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", *counts])
+    assert excinfo.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_json_payload(capsys):
     code, out, _ = _run(
         capsys, "verify", "--sets", "8", "--grid-points", "5", "--format", "json"

@@ -7,8 +7,6 @@ import pytest
 from casvolt import (
     ConvergenceError,
     DomainError,
-    DualPlate,
-    SinglePlate,
     SingularityError,
     SpacetimePair,
     SummationControl,
@@ -40,14 +38,6 @@ def test_plate_separation_must_be_finite(a):
     pair = SpacetimePair(t=0.0, z=0.3, t_prime=0.0, z_prime=0.4)
     with pytest.raises(DomainError, match="positive and finite"):
         correlator_dual_plate(pair, a)
-    with pytest.raises(DomainError, match="positive and finite"):
-        DualPlate(a=a)
-
-
-def test_geometry_validation():
-    SinglePlate()
-    with pytest.raises(DomainError):
-        DualPlate(a=0.0)
 
 
 def test_single_plate_equal_time_values():

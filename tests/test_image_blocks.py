@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casvolt import (
-    DEFAULT_SCALE,
     ConvergenceError,
     DomainError,
-    LogScale,
     Particle,
     PathSegment,
     SingularityError,
@@ -21,19 +19,11 @@ from casvolt import (
     correlator_dual_plate,
     one_plate_integral,
     reflected_image_integral,
-    reflection_antiderivative,
     translated_image_integral,
-    translation_antiderivative,
     variance_two_plate_exact,
 )
 import casvolt.variance
-from casvolt.closed_forms import (
-    _DIAGONAL_EPS,
-    _KERNEL_BLOCK,
-    _LOG1P_MAX,
-    _image_pair_term,
-    image_pair_terms,
-)
+from casvolt.closed_forms import _KERNEL_BLOCK, _image_pair_term, image_pair_terms
 from casvolt.correlators import _dual_pair_term
 from casvolt.variance import _first_certified, _two_plate_sum
 
@@ -41,24 +31,22 @@ pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
 
 
-def _scalar_pair(seg, a, n, scale=DEFAULT_SCALE):
+def _scalar_pair(seg, a, n):
     total = 0.0
     for s in (n, -n):
-        total += reflected_image_integral(seg, a, s, scale)
-        total += translated_image_integral(seg, a, s, scale)
+        total += reflected_image_integral(seg, a, s)
+        total += translated_image_integral(seg, a, s)
     return total
 
 
-def _corner_magnitude(seg, a, n, scale=DEFAULT_SCALE):
+def _corner_magnitude(seg, a, n):
     """Sum of |antiderivative| over the sixteen corners of the +n/-n images:
     the scale of the rounding error of their corner difference."""
     corners = (seg.z0, seg.z0 + seg.b)
     total = 0.0
     for s in (n, -n):
-        for x in corners:
-            for y in corners:
-                total += abs(reflection_antiderivative(x - a * s, y - a * s, seg.v, scale))
-                total += abs(translation_antiderivative(x, y, seg.v, a, s, scale))
+        total += mp.corner_magnitude(mp.reflection_corner, [c - a * s for c in corners], seg.v)
+        total += mp.corner_magnitude(mp.translation_corner, corners, seg.v, s * a * seg.v)
     return total
 
 
@@ -67,28 +55,26 @@ lengths = st.floats(1e-5, 0.5)
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(z0=lengths, b=lengths, a=lengths, v=lengths,
-       ns=st.lists(st.integers(1, 20000), min_size=1, max_size=6),
-       ell=st.sampled_from([1.0, 7.3, 1e-3]))
-def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns, ell):
+       ns=st.lists(st.integers(1, 20000), min_size=1, max_size=6))
+def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns):
     # block and scalar pair terms against the 60-digit corner difference,
     # within the rounding scale of that difference in floats: 1e-12 of the
     # summed corner magnitudes (tests/test_square_accuracy.py holds the
     # tighter map over the physical ranges)
     seg = PathSegment(z0=z0, b=b, v=v)
-    scale = LogScale(ell=ell)
     block = np.array(ns, dtype=float)
     try:
-        scalar = [_image_pair_term(seg, a, n, scale) for n in ns]
+        scalar = [_image_pair_term(seg, a, n) for n in ns]
     except (DomainError, SingularityError) as exc:
         # a corner on the light cone, or an image plane through a corner
         with pytest.raises(type(exc)) as excinfo:
-            image_pair_terms(seg, a, block, scale)
+            image_pair_terms(seg, a, block)
         assert str(excinfo.value) == str(exc)
         return
-    got = image_pair_terms(seg, a, block, scale)
+    got = image_pair_terms(seg, a, block)
     for n, value, scalar_value in zip(ns, got, scalar):
         reference = float(mp.pair(z0, b, v, a, n))
-        bound = 1e-12 * _corner_magnitude(seg, a, n, scale)
+        bound = 1e-12 * _corner_magnitude(seg, a, n)
         assert abs(value - reference) <= bound
         assert abs(scalar_value - reference) <= bound
 
@@ -137,7 +123,7 @@ def _two_plate_tail(seg, a):
     n_ref = 16
     while v * (2.0 * a * n_ref - 2.0 * (z0 + b)) / b < 2.0:
         n_ref += 1
-    pair = _image_pair_term(seg, a, n_ref, DEFAULT_SCALE)
+    pair = _image_pair_term(seg, a, n_ref)
     remainder = pair - c4 / n_ref**4 - c6 / n_ref**6
     envelope = n_ref**8 * (abs(remainder) + 1e-12 * pair)
 
@@ -214,12 +200,12 @@ def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
     # total about a fifth of the one-plate term, so the stop predicted from
     # that term (33) falls short of the true one
     seg = PathSegment(z0=0.3, b=0.1, v=0.02)
-    shift = 0.9 * _two_plate_sum(seg, 1.0, DEFAULT_SCALE, SummationControl()).value
+    shift = 0.9 * _two_plate_sum(seg, 1.0, SummationControl()).value
     sizes = []
 
-    def shifted(seg, a, ns, scale):
+    def shifted(seg, a, ns):
         sizes.append(ns.size)
-        return image_pair_terms(seg, a, ns, scale) - np.where(ns == 1.0, shift, 0.0)
+        return image_pair_terms(seg, a, ns) - np.where(ns == 1.0, shift, 0.0)
 
     monkeypatch.setattr(casvolt.variance, "image_pair_terms", shifted)
     result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 0.02, SummationControl(),
@@ -294,9 +280,9 @@ def test_two_plate_sum_adds_the_running_total_left_to_right(monkeypatch):
     # first would reach 1 + 2**-52 and stop
     control = SummationControl(tol=0.5, n_max=10)
     bound = control.tol * (1.0 + 2.0**-52)
-    monkeypatch.setattr(casvolt.variance, "one_plate_integral", lambda seg, scale: 1.0)
+    monkeypatch.setattr(casvolt.variance, "one_plate_integral", lambda seg: 1.0)
     monkeypatch.setattr(casvolt.variance, "image_pair_terms",
-                        lambda seg, a, ns, scale: np.full_like(ns, 6e-17))
+                        lambda seg, a, ns: np.full_like(ns, 6e-17))
     monkeypatch.setattr(casvolt.variance, "_two_plate_tail_bound",
                         lambda ns, seg, a: np.full_like(ns, bound))
     expected = _reference_sum(lambda n: 6e-17, lambda n: (bound, 0.0), control, 1.0)
@@ -332,9 +318,9 @@ def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
     # z0/a = 0.8 at v = 0.1)
     sizes = []
 
-    def counted(seg, a, ns, scale):
+    def counted(seg, a, ns):
         sizes.append(ns.size)
-        return image_pair_terms(seg, a, ns, scale)
+        return image_pair_terms(seg, a, ns)
 
     monkeypatch.setattr(casvolt.variance, "image_pair_terms", counted)
     for a, z0, b, v in _image_sums_grid(seed):
@@ -356,7 +342,7 @@ def _assert_block_matches_scalar(seg, a, ns):
         reference = float(mp.pair(seg.z0, seg.b, seg.v, a, n))
         bound = 1e-12 * _corner_magnitude(seg, a, n)
         assert abs(value - reference) <= bound
-        assert abs(_image_pair_term(seg, a, n, DEFAULT_SCALE) - reference) <= bound
+        assert abs(_image_pair_term(seg, a, n) - reference) <= bound
 
 
 def _near_edge(edge, measure, above, step=1e-9):
@@ -367,7 +353,12 @@ def _near_edge(edge, measure, above, step=1e-9):
 
 # The branch edges of the former 16-corner kernel, pinned against the
 # 60-digit pair term: the collapsed squares have no branch there, and these
-# geometries keep checking that. One off-diagonal corner per family whose
+# geometries keep checking that. That kernel took a corner's log difference
+# through log1p where |2 delta / second| <= _LOG1P_MAX, and took the diagonal
+# limit where |z - z'| < _DIAGONAL_EPS (|z| + |z'|).
+_LOG1P_MAX = 0.5
+_DIAGONAL_EPS = 1e-8
+# One off-diagonal corner per family whose
 # |2 delta / second|, that kernel's log1p test, crosses _LOG1P_MAX = 1/2 at
 # a solvable separation a, for z0 = 0.3, b = 0.1, v = 0.1 and image index n.
 # Each entry holds n, that a, delta and second(a), the last two formed as
@@ -440,7 +431,7 @@ def test_singular_corner_inside_block_raises_as_scalar_path(family, a):
     seg = PathSegment(z0=0.3, b=0.5, v=0.01)
     with pytest.raises(SingularityError) as scalar:
         for n in range(1, 10):
-            _image_pair_term(seg, a, n, DEFAULT_SCALE)
+            _image_pair_term(seg, a, n)
     assert str(scalar.value).startswith(family)
     with pytest.raises(SingularityError) as block:
         image_pair_terms(seg, a, np.arange(1.0, 10.0))

@@ -10,7 +10,6 @@ import pytest
 from casvolt import (
     DEFAULT_SCENARIO,
     DomainError,
-    DualPlate,
     ExperimentConfig,
     MaterialMirror,
     Particle,
@@ -31,7 +30,6 @@ from casvolt import (
     translated_image_integral,
     translated_image_integral_smallv,
     translated_image_kernel,
-    translation_antiderivative,
     variance_two_plate_exact,
     variance_two_plate_smallv,
 )
@@ -52,7 +50,6 @@ CONFIG = {"cavity_nm": 50.0, "insulator_nm": 2.0, "electrode_nm": 8.0,
           "mirrors": (MaterialMirror("Au", 9.0, 20.0),), "applied_voltage_V": 1e-4}
 
 SEPARATION = {
-    "translation_antiderivative": lambda a: translation_antiderivative(0.3, 0.4, 0.1, a, 1),
     "reflected_image_integral": lambda a: reflected_image_integral(SEG, a, 1),
     "reflected_image_integral_smallv": lambda a: reflected_image_integral_smallv(SEG, a, 1),
     "translated_image_integral": lambda a: translated_image_integral(SEG, a, 1),
@@ -60,7 +57,6 @@ SEPARATION = {
     "image_pair_terms": lambda a: image_pair_terms(SEG, a, np.arange(1.0, 5.0)),
     "reflected_image_kernel": lambda a: reflected_image_kernel(0.3, 0.4, 0.1, a, 1),
     "translated_image_kernel": lambda a: translated_image_kernel(0.3, 0.4, 0.1, a, 1),
-    "DualPlate": lambda a: DualPlate(a=a),
     "correlator_dual_plate": lambda a: correlator_dual_plate(PAIR, a),
     "variance_two_plate_exact": lambda a: variance_two_plate_exact(ELECTRON, SEG, a),
     "variance_two_plate_smallv": lambda a: variance_two_plate_smallv(ELECTRON, 0.3, a),

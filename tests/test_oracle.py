@@ -1,5 +1,6 @@
 """Independent quadrature, derivative, and verification oracles."""
 import math
+import random
 
 import pytest
 
@@ -16,10 +17,12 @@ from casvolt import (
     run_verification,
     translated_image_integral,
 )
-from casvolt.closed_forms import reflection_antiderivative
+from casvolt.closed_forms import _reflection_square, _translation_square
 from casvolt.oracle import (
+    _DERIV_MARGIN,
     _closed_reflection,
     _closed_translated,
+    _sample_translation_point,
     pole_entry_one_plate,
     pole_entry_reflected,
     pole_entry_translated,
@@ -110,6 +113,23 @@ def test_deriv_check_translation():
     report = deriv_check("translation", 0.3, 0.5, 0.1, a=1.0, n=1)
     assert report.converged
     assert report.relative_error < 1e-8
+    # the point is ordered before differencing: both sides are symmetric
+    assert deriv_check("translation", 0.5, 0.3, 0.1, a=1.0, n=1) == report
+
+
+@pytest.mark.parametrize("family, square, point", [
+    ("reflection", _reflection_square, {}),
+    ("translation", _translation_square, {"a": 1.0, "n": 1}),
+])
+def test_deriv_check_detects_a_square_off_by_a_part_in_1e5(family, square, point):
+    def scaled(*args):
+        return (1.0 + 1e-5) * square(*args)
+
+    z, z_prime = (1.0, 1.3) if family == "reflection" else (0.3, 0.5)
+    assert deriv_check(family, z, z_prime, 0.1, **point).converged
+    report = deriv_check(family, z, z_prime, 0.1, square=scaled, **point)
+    assert not report.converged
+    assert report.relative_error == pytest.approx(1e-5, rel=1e-2)
 
 
 def test_deriv_check_fails_near_singular_locus():
@@ -124,10 +144,10 @@ def test_deriv_check_fails_near_singular_locus():
 def test_deriv_check_reports_evaluation_failure_gracefully():
     from casvolt import SingularityError
 
-    def exploding(z, z_prime, v, scale):
+    def exploding(base, b, v):
         raise SingularityError("synthetic failure")
 
-    report = deriv_check("reflection", 1.0, 1.3, 0.1, antiderivative=exploding)
+    report = deriv_check("reflection", 1.0, 1.3, 0.1, square=exploding)
     assert not report.converged
     assert math.isinf(report.relative_error)
     assert "synthetic failure" in report.message
@@ -138,6 +158,8 @@ def test_deriv_check_validation():
         deriv_check("bogus", 1.0, 1.3, 0.1)
     with pytest.raises(DomainError):
         deriv_check("translation", 1.0, 1.3, 0.1)  # missing a, n
+    with pytest.raises(DomainError):
+        deriv_check("translation", 1.0, 1.3, 0.1, a=1.0, n=0)
     with pytest.raises(DomainError):
         deriv_check("reflection", 1.0, 1.3, 0.1, levels=2)
 
@@ -157,9 +179,19 @@ def test_run_verification_passes():
     assert payload["seed"] == 12345
 
 
+@pytest.mark.parametrize("counts", [
+    {"sets_per_family": 0}, {"grid_points": 0}, {"sets_per_family": -3},
+])
+def test_run_verification_refuses_empty_checks(counts):
+    # with no cases every check passed vacuously, and an injected fault
+    # went unseen
+    with pytest.raises(DomainError, match="at least one case"):
+        run_verification(seed=12345, **counts)
+
+
 def test_run_verification_detects_wrong_sign():
-    def wrong(z, z_prime, v, scale):
-        return -reflection_antiderivative(z, z_prime, v, scale)
+    def wrong(base, b, v):
+        return -_reflection_square(base, b, v)
 
     report = run_verification(
         seed=12345, sets_per_family=5, grid_points=3, reflection_override=wrong
@@ -179,6 +211,24 @@ def test_run_verification_detects_wrong_sign():
 def test_run_verification_passes_at_former_corner_rounding_seeds(seed):
     report = run_verification(seed=seed)
     assert report.passed, [check.detail for check in report.checks if not check.passed]
+
+
+@pytest.mark.parametrize("seed", [12345, 1, 2, 3])
+def test_run_verification_passes_at_ci_seeds(seed):
+    report = run_verification(seed=seed)
+    assert report.passed, [check.detail for check in report.checks if not check.passed]
+
+
+def test_translation_points_keep_both_orderings_off_the_locus():
+    # the square's mixed derivative takes the translated kernel at (z, z')
+    # and at (z', z); a point whose mirrored kernel lay near its light cone
+    # failed the 1e-6 gate (3.6e-6 at the default seed)
+    rng = random.Random(12345)
+    for _ in range(2000):
+        z, z_prime, v, a, n = _sample_translation_point(rng)
+        for delta in (z - z_prime, z_prime - z):
+            image_sq = (v * (delta - 2.0 * a * n)) ** 2
+            assert abs(delta * delta - image_sq) >= _DERIV_MARGIN * max(delta * delta, image_sq)
 
 
 def test_verification_closed_side_is_the_production_square():

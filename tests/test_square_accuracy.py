@@ -17,7 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casvolt import (
-    DEFAULT_SCALE,
     PathSegment,
     SingularityError,
     one_plate_integral,
@@ -133,6 +132,6 @@ def test_pair_term_far_past_the_light_cone():
     reference = mp.pair(seg.z0, seg.b, seg.v, a, n)
     kappa = _pair_kappa(seg, a, n)
     _assert_close(image_pair_terms(seg, a, np.array([float(n)]))[0], reference, kappa)
-    _assert_close(_image_pair_term(seg, a, n, DEFAULT_SCALE), reference, kappa)
+    _assert_close(_image_pair_term(seg, a, n), reference, kappa)
     leading = seg.b**2 / (4.0 * a**4 * seg.v**4) / n**4
     assert float(reference) == pytest.approx(leading, rel=1e-5, abs=0.0)
