@@ -6,9 +6,11 @@ its quantity and follows one pattern: a head of pairs summed term by term
 and, beyond it, a tail whose leading asymptotics are added in closed form
 through Hurwitz zeta values, with a rigorous bound on what is left.
 variance._two_plate_sum stops at the first pair whose bound falls below
-SummationControl.tol of the running total; correlators.correlator_dual_plate
-picks its head length from the geometry and sums the tail to all orders.
-Both report a SummationResult.
+SummationControl.tol of the running total. It certifies only from its
+reference index n_ref >= 16 on, the least Hurwitz argument, so its
+terms_used is at least 16, and an n_max below n_ref refuses at once.
+correlators.correlator_dual_plate picks its head length from the geometry
+and sums the tail to all orders. Both report a SummationResult.
 """
 from __future__ import annotations
 

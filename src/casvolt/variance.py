@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .closed_forms import PathSegment, _image_pair_term, image_pair_terms, one_plate_integral
-from .errors import ConvergenceError, DomainError, check_separation
+from .errors import ConvergenceError, DomainError, check_positive_finite, check_separation
 from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta
 from .units import CONSTANTS, Constants, speed_from_kinetic
 
@@ -45,10 +45,10 @@ _TAIL_REFERENCE_U = 2.0
 # 60-digit mpmath the remainder pair - C n^-4 - D n^-6 was off by at most
 # 1.2e-15 of it over 4500 random geometries (docs/decisions.md).
 _PAIR_ROUNDING = 1e-12
-# Rounding allowance on the subtracted tail T(n), relative to T(n): the
-# cumulative sum that forms it from the top of its block rounds it by at most
-# about n/2 ulps (its partial sums decay like m^-3) and its Euler-Maclaurin
-# anchor by a few more. The allowance is max(_TAIL_ROUNDING, n ulps).
+# Rounding allowance on the subtracted tail T(n), relative to T(n): T is
+# formed from two hurwitz_zeta values, each within 2.5e-16 relative, so it is
+# off by a few ulps. The allowance max(_TAIL_ROUNDING, n ulps) covers that
+# with a wide margin.
 _TAIL_ROUNDING = 1e-12
 _ULP = 2.0**-53
 
@@ -69,8 +69,9 @@ class Particle:
     constants: Constants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.mass_eV > 0.0:
-            raise DomainError(f"particle mass must be positive, got {self.mass_eV!r}")
+        if not math.isfinite(self.charge_e):
+            raise DomainError(f"particle charge must be finite, got {self.charge_e!r}")
+        check_positive_finite("particle mass", self.mass_eV)
         given = (self.kinetic_energy_eV is not None) + (self.speed is not None)
         if given != 1:
             raise DomainError(
@@ -257,22 +258,6 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     return _result(rms * rms, particle.charge_e, flags)
 
 
-def _two_plate_tail_bound(ns, seg: PathSegment, a: float):
-    """Certified bound on the dropped image quartets beyond each index n in ns.
-
-    Each |m| > n quartet is at most 4 b^2 / [v^2 (2am - 2(z0+b))^2 - b^2]^2;
-    an integral test in the variable u = v (2ax - 2(z0+b)) / b gives
-    (4 / (2avb)) * (1/4) [1/(U-1) + 1/(U+1) - ln((U+1)/(U-1))] once
-    U = v (2an - 2(z0+b)) / b exceeds 1. Returns inf before that.
-    """
-    import numpy as np
-
-    u = seg.v * (2.0 * a * ns - 2.0 * (seg.z0 + seg.b)) / seg.b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q_u = 0.25 * (1.0 / (u - 1.0) + 1.0 / (u + 1.0) - np.log((u + 1.0) / (u - 1.0)))
-    return np.where(u > 1.0, 4.0 * q_u / (2.0 * a * seg.v * seg.b), np.inf)
-
-
 def _tail_coefficients(seg: PathSegment, a: float) -> tuple[float, float]:
     """C and D in pair_term(n) = C n^-4 + D n^-6 + O(n^-8) for the two-plate sum.
 
@@ -325,24 +310,28 @@ def _zeta8_bound(x):
 def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> SummationResult:
     """The one-plate integral plus the image pairs n >= 1, with a certified tail.
 
-    Below the reference index n_ref (the first n >= _ZETA_X_MIN = 16 with
-    U >= _TAIL_REFERENCE_U) the dropped pairs are bounded by
-    _two_plate_tail_bound. From n_ref on the sum adds, at each N, the
-    subtracted tail T(N) = C zeta(4, N+1) + D zeta(6, N+1) and bounds only
-    its remainder, by the envelope n_ref^8 r(n_ref) zeta(8, N+1) on
+    The sum certifies only from the reference index n_ref on, the first
+    n >= _ZETA_X_MIN = 16 with U = v (2an - 2(z0+b)) / b >= _TAIL_REFERENCE_U,
+    so terms_used >= 16. An n_max below n_ref raises ConvergenceError at
+    once, before any pair term is formed. At each N >= n_ref the sum adds
+    the subtracted tail T(N) = C zeta(4, N+1) + D zeta(6, N+1) and bounds
+    only its remainder, by the envelope n_ref^8 r(n_ref) zeta(8, N+1) on
     r(n) = pair_term(n) - C n^-4 - D n^-6, plus rounding allowances. Past
     the light cone (U > 1) every coefficient of the pair term's expansion
     in 1/n^2 is nonnegative, so r >= 0 and n^8 r(n) does not increase:
     r(m) <= n_ref^8 r(n_ref) / m^8 for every m > N >= n_ref.
 
-    The sum stops at the first n with bound(n) <= tol |running(n) + T(n)|,
-    running(n) being the one-plate term plus the pairs up to n added left
-    to right, and returns the compensated sum of those terms and T(n), with
-    tail_estimate = bound(n). The pair terms and bounds are formed once, on
-    1..N for the first N >= n_ref that certifies against the one-plate term
-    alone, solved from the envelope's N^-7 decay: while the pairs sum to a
-    nonnegative amount the stop lies at or before N. Otherwise the sum
-    carries on from N + 1 against the running total.
+    The sum stops at the first N >= n_ref with
+    bound(N) <= tol |running(N) + T(N)|, running(N) being the one-plate term
+    plus the pairs up to N added left to right, and returns the compensated
+    sum of those terms and T(N), with tail_estimate = bound(N). The pair
+    terms are formed once, on 1..E for the first E >= n_ref that certifies
+    against the one-plate term alone, solved from the envelope's N^-7
+    decay: while the pairs sum to a nonnegative amount the stop lies at or
+    before E. The stop is then found by scalar checks of the running totals
+    in that block, from the same N^-7 prediction, and T and its bound are
+    formed once more at it. If no index up to E certifies, the sum carries
+    on from E + 1 against the running total.
     """
     import numpy as np
 
@@ -351,62 +340,55 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     n_ref = max(_ZETA_X_MIN, math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a)))
     while v * (2.0 * a * n_ref - 2.0 * z1) / b < _TAIL_REFERENCE_U:
         n_ref += 1
+
+    def refuse(bound: float) -> ConvergenceError:
+        return ConvergenceError(
+            f"two-plate variance: image sum not certified below relative tolerance "
+            f"{tol:g} within n_max={n_max} terms (last tail bound {bound:.3e})"
+        )
+
+    if n_max < n_ref:
+        raise refuse(math.inf)
     c4, c6 = _tail_coefficients(seg, a)
     pair = _image_pair_term(seg, a, n_ref)
     remainder = pair - c4 / n_ref**4 - c6 / n_ref**6
     envelope = n_ref**8 * (abs(remainder) + _PAIR_ROUNDING * pair)
 
-    def certifies(n: int, total: float) -> bool:
+    def tail_and_bound(n: int) -> tuple[float, float]:
         x = n + 1.0
         tail = c4 * hurwitz_zeta(4, x) + c6 * hurwitz_zeta(6, x)
-        bound = envelope * _zeta8_bound(x) + max(_TAIL_ROUNDING, n * _ULP) * tail
+        return tail, envelope * _zeta8_bound(x) + max(_TAIL_ROUNDING, n * _ULP) * tail
+
+    def certifies(n: int, total: float) -> bool:
+        tail, bound = tail_and_bound(n)
         return bound <= tol * abs(total + tail)
 
-    def bounds_and_tails(ns):
-        # T over the consecutive indices ns is its value at the last index
-        # plus the explicit C m^-4 + D m^-6 in between, added from the top
-        split = max(0, min(n_ref - int(ns[0]), ns.size))
-        bounds = np.empty_like(ns)
-        bounds[:split] = _two_plate_tail_bound(ns[:split], seg, a)
-        tails = np.zeros_like(ns)
-        far = ns[split:]
-        if far.size:
-            last = float(far[-1]) + 1.0
-            inv_sq = 1.0 / (far * far)
-            leading = inv_sq * inv_sq * (c4 + c6 * inv_sq)
-            tails[split:] = (c4 * hurwitz_zeta(4, last) + c6 * hurwitz_zeta(6, last)
-                             + np.append(np.cumsum(leading[:0:-1])[::-1], 0.0))
-            bounds[split:] = (envelope * _zeta8_bound(far + 1.0)
-                              + np.maximum(_TAIL_ROUNDING, far * _ULP) * tails[split:])
-        return bounds, tails
+    def predicted(total: float) -> float:
+        # envelope * zeta8(x) is about envelope / (7 (x - 1/2)^7), which meets
+        # tol |total| at x - 1/2 = x0: the first certified N = x - 1 is then
+        # the least integer above x0 - 1/2
+        if not total:
+            return math.inf
+        return (envelope / (7.0 * tol)) ** (1.0 / 7.0) / abs(total) ** (1.0 / 7.0) + 0.5
 
     base = one_plate_integral(seg)
     parts, running, start = [base], base, 1
     while True:
-        # envelope * zeta8(x) is about envelope / (7 (x - 1/2)^7), which meets
-        # tol |running| at x - 1/2 = x0: the first certified N = x - 1 is
-        # then the least integer above x0 - 1/2
-        guess = ((envelope / (7.0 * tol)) ** (1.0 / 7.0) / abs(running) ** (1.0 / 7.0) + 0.5
-                 if running else math.inf)
-        end = (n_max if n_max <= max(start, n_ref) else
-               _first_certified(lambda n: certifies(n, running), max(start, n_ref), n_max, guess))
-        ns = np.arange(start, end + 1, dtype=float)
-        terms = image_pair_terms(seg, a, ns)
-        bounds, tails = bounds_and_tails(ns)
-        totals = np.add.accumulate(np.concatenate(([running], terms)))[1:]
-        stops = np.flatnonzero(bounds <= tol * np.abs(totals + tails))
-        if stops.size:
-            k = int(stops[0])
-            value = math.fsum([*parts, *terms[: k + 1].tolist(), float(tails[k])])
-            return SummationResult(value=value, terms_used=start + k,
-                                   tail_estimate=float(bounds[k]))
+        lo = max(start, n_ref)
+        end = (n_max if n_max <= lo else
+               _first_certified(lambda n: certifies(n, running), lo, n_max, predicted(running)))
+        terms = image_pair_terms(seg, a, np.arange(start, end + 1, dtype=float))
+        totals = np.add.accumulate(np.concatenate(([running], terms)))[1:].tolist()
+        n = _first_certified(lambda n: certifies(n, totals[n - start]), lo, end,
+                             predicted(totals[-1]))
+        tail, bound = tail_and_bound(n)
+        if bound <= tol * abs(totals[n - start] + tail):
+            value = math.fsum([*parts, *terms[: n - start + 1].tolist(), tail])
+            return SummationResult(value=value, terms_used=n, tail_estimate=bound)
         if end == n_max:
-            raise ConvergenceError(
-                f"two-plate variance: image sum not certified below relative tolerance "
-                f"{tol:g} within n_max={n_max} terms (last tail bound {bounds[-1]:.3e})"
-            )
+            raise refuse(bound)
         parts += terms.tolist()
-        running, start = float(totals[-1]), end + 1
+        running, start = totals[-1], end + 1
 
 
 def variance_two_plate_exact(
@@ -418,16 +400,17 @@ def variance_two_plate_exact(
     """Exact two-plate <(Delta U)^2> by summing image contributions.
 
     The n=0 one-plate term plus reflected and translated image integrals in
-    symmetric pairs n, -n (_two_plate_sum). Past a reference index the
-    analytic tail C zeta(4, N+1) + D zeta(6, N+1) of the dropped pairs is
-    added and only its remainder is bounded; the sum stops at the first
-    pair whose bound falls below control.tol of the total. That stop is
-    predicted from the bound's decay, so the pair terms are evaluated in
-    one block reaching little past it. terms_used is the last pair summed
-    and tail_estimate_eV2 bounds the truncation error of the returned
-    variance. Raises ConvergenceError when no pair up to control.n_max
-    certifies. The flight must stay between the plates: 0 < z0 and
-    z0 + b < a.
+    symmetric pairs n, -n (_two_plate_sum). From a reference index n_ref
+    >= 16 on, the analytic tail C zeta(4, N+1) + D zeta(6, N+1) of the
+    dropped pairs is added and only its remainder is bounded; the sum stops
+    at the first pair N >= n_ref whose bound falls below control.tol of the
+    total, so terms_used >= 16. That stop is predicted from the bound's
+    decay, so the pair terms are evaluated in one block reaching little
+    past it. terms_used is the last pair summed and tail_estimate_eV2
+    bounds the truncation error of the returned variance. Raises
+    ConvergenceError when no pair up to control.n_max certifies, at once
+    when control.n_max < n_ref. The flight must stay between the plates:
+    0 < z0 and z0 + b < a.
     """
     check_separation(a)
     if not seg.z0 + seg.b < a:

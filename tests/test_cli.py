@@ -180,6 +180,20 @@ def test_lab_unit_non_finite_length_exits_two(capsys, argv):
     assert "length must be positive and finite" in err
 
 
+@pytest.mark.parametrize("particle, message", [
+    (("--charge-e", "nan"), "particle charge must be finite"),
+    (("--charge-e", "inf"), "particle charge must be finite"),
+    (("--mass-eV", "inf"), "particle mass must be positive and finite"),
+], ids=["charge-nan", "charge-inf", "mass-inf"])
+def test_non_finite_particle_exits_two(capsys, particle, message):
+    # these printed a nan or infinite spread, or an infinite kinetic energy,
+    # and exited 0
+    code, out, err = _run(capsys, "variance", "--plates", "two", "--z0", "0.3", "--b", "0.1",
+                          "--a", "1", "--natural-units", "--speed", "0.01", *particle)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_sweep_values_emitted_in_ascending_order(capsys):
     code, out, _ = _run(
         capsys,

@@ -25,6 +25,7 @@ from casvolt import (
 import casvolt.variance
 from casvolt.closed_forms import _KERNEL_BLOCK, _image_pair_term, image_pair_terms
 from casvolt.correlators import _dual_pair_term
+from casvolt.summation import hurwitz_zeta
 from casvolt.variance import _first_certified, _two_plate_sum
 
 pytest.importorskip("mpmath")
@@ -96,14 +97,6 @@ def _reference_sum(pair_term, tail_bound, control, base):
             f"{control.tol:g} within n_max={control.n_max} terms (last tail bound {bound:.3e})")
 
 
-def _two_plate_bound(n, seg, a):
-    u = seg.v * (2.0 * a * n - 2.0 * (seg.z0 + seg.b)) / seg.b
-    if u <= 1.0:
-        return math.inf
-    q_u = 0.25 * (1.0 / (u - 1.0) + 1.0 / (u + 1.0) - math.log((u + 1.0) / (u - 1.0)))
-    return 4.0 * q_u / (2.0 * a * seg.v * seg.b)
-
-
 def _two_plate_tail(seg, a):
     """variance_two_plate_exact's tail rule for one index N: (bound, T).
 
@@ -111,8 +104,8 @@ def _two_plate_tail(seg, a):
     adds T(N) = C zeta(4, N+1) + D zeta(6, N+1) and bounds the remainder by
     n_ref^8 r(n_ref) zeta(8, N+1) plus rounding allowances, r being the pair
     term minus C n^-4 and D n^-6, and the pair term's allowance 1e-12 of
-    itself; before n_ref, T = 0 under the plain bound. Returns the rule and
-    n_ref.
+    itself. No index below n_ref certifies: there the rule gives an infinite
+    bound. Returns the rule and n_ref.
     """
     mpmath = pytest.importorskip("mpmath")
     z0, b, v = seg.z0, seg.b, seg.v
@@ -120,16 +113,14 @@ def _two_plate_tail(seg, a):
     zc = z0 + b / 2.0
     c6 = (20.0 * b * b * (4.0 * zc * zc + b * b / 6.0)
           + (20.0 + 8.0 / v**2) * b**4 / 6.0) / (v**4 * (2.0 * a) ** 6)
-    n_ref = 16
-    while v * (2.0 * a * n_ref - 2.0 * (z0 + b)) / b < 2.0:
-        n_ref += 1
+    n_ref = _reference_index(z0, b, a, v)
     pair = _image_pair_term(seg, a, n_ref)
     remainder = pair - c4 / n_ref**4 - c6 / n_ref**6
     envelope = n_ref**8 * (abs(remainder) + 1e-12 * pair)
 
     def rule(n):
         if n < n_ref:
-            return _two_plate_bound(n, seg, a), 0.0
+            return math.inf, 0.0
         x = n + 1.0
         tail = c4 * float(mpmath.zeta(4, x)) + c6 * float(mpmath.zeta(6, x))
         zeta8 = (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
@@ -175,18 +166,18 @@ def _assert_matches_per_index_reference(z0, b, a, v, control, shift=0.0):
     _case(0.3, 0.1, 1.0, 1e-3),  # reference index 101, stop at 388
     _case(0.05, 0.4, 0.5, 0.05),
     _case(1.2, 0.3, 1.6, 0.01),
-    _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # the plain bound stops at 7, before n_ref = 16
+    _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # stops at n_ref = 16, the least index that can certify
     _case(0.3, 0.1, 1.0, 1e-3, tol=1e-13),
 ])
 def test_two_plate_exact_matches_per_index_reference(z0, b, a, v, tol):
     result, n_ref = _assert_matches_per_index_reference(z0, b, a, v, SummationControl(tol=tol))
     if tol == 1e-4:
-        assert (result.terms_used, n_ref) == (7, 16)
+        # no index below n_ref certifies
+        assert result.terms_used == n_ref == 16
 
 
-# (0.3, 0.1, 1.0, 1e-3) has n_ref = 101 and stops at 388: n_max 8 and 50 end
-# under the plain bound (infinite at 50, inside the light cone), 200 under
-# the envelope
+# (0.3, 0.1, 1.0, 1e-3) has n_ref = 101 and stops at 388: n_max 8 and 50 lie
+# below n_ref and refuse with an infinite bound, 200 ends under the envelope
 @pytest.mark.parametrize("n_max", [8, 50, 200])
 def test_two_plate_exact_n_max_refusal_matches_per_index_reference(n_max):
     result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 1e-3,
@@ -274,22 +265,111 @@ def _image_sums_grid(seed):
 
 
 def test_two_plate_sum_adds_the_running_total_left_to_right(monkeypatch):
-    # below n_ref = 16 only the plain bound applies. Each pair term is below
+    # with no subtracted tail and a constant zeta(8) factor, the bound is the
+    # envelope at every index from n_ref = 16 on. Each pair term is below
     # half an ulp of the one-plate term, so a left-to-right running total
     # stays exactly 1.0 and never meets the bound, while adding the terms up
-    # first would reach 1 + 2**-52 and stop
-    control = SummationControl(tol=0.5, n_max=10)
-    bound = control.tol * (1.0 + 2.0**-52)
+    # first would reach 1 + 2**-52 or more and stop
+    pair = 2.0**-34
+    envelope = 16**8 * (pair + 1e-12 * pair)
+    control = SummationControl(tol=envelope * (1.0 - 2.0**-53), n_max=40)
+    assert control.tol < envelope <= control.tol * (1.0 + 2.0**-52)
+    assert 1.0 + 16 * 6e-17 >= 1.0 + 2.0**-52
     monkeypatch.setattr(casvolt.variance, "one_plate_integral", lambda seg: 1.0)
     monkeypatch.setattr(casvolt.variance, "image_pair_terms",
                         lambda seg, a, ns: np.full_like(ns, 6e-17))
-    monkeypatch.setattr(casvolt.variance, "_two_plate_tail_bound",
-                        lambda ns, seg, a: np.full_like(ns, bound))
-    expected = _reference_sum(lambda n: 6e-17, lambda n: (bound, 0.0), control, 1.0)
+    monkeypatch.setattr(casvolt.variance, "_image_pair_term", lambda seg, a, n: pair)
+    monkeypatch.setattr(casvolt.variance, "_tail_coefficients", lambda seg, a: (0.0, 0.0))
+    monkeypatch.setattr(casvolt.variance, "_zeta8_bound", lambda x: 1.0)
+    expected = _reference_sum(lambda n: 6e-17, lambda n: (math.inf, 0.0) if n < 16 else
+                              (envelope, 0.0), control, 1.0)
+    assert "last tail bound 2.500e-01" in expected
     with pytest.raises(ConvergenceError) as excinfo:
         variance_two_plate_exact(Particle.electron(speed=0.1), PathSegment(z0=0.3, b=0.1, v=0.1),
                                  1.0, control)
     assert str(excinfo.value) == expected
+
+
+@pytest.mark.parametrize("z0, b, a, v, n_max", [
+    (0.3, 0.1, 1.0, 1e-3, 100),  # n_ref = 101
+    (0.3, 0.1, 1.0, 0.1, 15),  # n_ref = 16
+])
+def test_n_max_below_reference_index_refuses_before_any_pair(z0, b, a, v, n_max, monkeypatch):
+    calls = []
+
+    def counted(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapped
+
+    monkeypatch.setattr(casvolt.variance, "image_pair_terms",
+                        counted("image_pair_terms", image_pair_terms))
+    monkeypatch.setattr(casvolt.variance, "_image_pair_term",
+                        counted("_image_pair_term", _image_pair_term))
+    with pytest.raises(ConvergenceError, match=rf"within n_max={n_max} terms "
+                                               r"\(last tail bound inf\)$"):
+        _two_plate_sum(PathSegment(z0=z0, b=b, v=v), a, SummationControl(n_max=n_max))
+    assert calls == []
+
+
+def _reference_index(z0, b, a, v):
+    """The first n >= 16 with U = v (2an - 2(z0+b)) / b >= 2."""
+    n = 16
+    while v * (2.0 * a * n - 2.0 * (z0 + b)) / b < 2.0:
+        n += 1
+    return n
+
+
+def _scanned_stop(seg, a, control, end):
+    """The stop of variance._two_plate_sum's scalar rule, found by trying
+    every index from n_ref on against the left-to-right running totals of
+    the pairs 1..end: (N, bound at N), or None when none up to end certifies."""
+    v = casvolt.variance
+    n_ref = _reference_index(seg.z0, seg.b, a, seg.v)
+    c4, c6 = v._tail_coefficients(seg, a)
+    pair = _image_pair_term(seg, a, n_ref)
+    envelope = n_ref**8 * (abs(pair - c4 / n_ref**4 - c6 / n_ref**6) + v._PAIR_ROUNDING * pair)
+    terms = image_pair_terms(seg, a, np.arange(1.0, end + 1.0))
+    totals = np.add.accumulate(np.concatenate(([one_plate_integral(seg)], terms)))
+    for n in range(n_ref, end + 1):
+        x = n + 1.0
+        tail = c4 * hurwitz_zeta(4, x) + c6 * hurwitz_zeta(6, x)
+        bound = envelope * v._zeta8_bound(x) + max(v._TAIL_ROUNDING, n * v._ULP) * tail
+        if bound <= control.tol * abs(float(totals[n]) + tail):
+            return n, bound
+    return None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scalar_stop_search_matches_a_linear_scan(seed):
+    # _first_certified takes the rule to turn true once and stay true past
+    # n_ref; a scan of every index finds the same stop and bound on the grid
+    control = SummationControl()
+    checked = 0
+    for a, z0, b, v in _image_sums_grid(seed):
+        seg = PathSegment(z0=z0, b=b, v=v)
+        try:
+            result = _two_plate_sum(seg, a, control)
+        except SingularityError:
+            continue
+        assert _scanned_stop(seg, a, control, result.terms_used) == (result.terms_used,
+                                                                    result.tail_estimate)
+        checked += 1
+    assert checked >= 55
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.floats(0.5, 2.0), uz=st.floats(0.05, 0.8), ub=st.floats(0.02, 0.5),
+       log_v=st.floats(-3.0, -1.0), tol=st.floats(1e-12, 0.5))
+def test_two_plate_sum_never_stops_before_the_reference_index(a, uz, ub, log_v, tol):
+    z0 = a * uz
+    b, v = ub * (a - z0), 10.0**log_v
+    try:
+        result = _two_plate_sum(PathSegment(z0=z0, b=b, v=v), a, SummationControl(tol=tol))
+    except SingularityError:
+        return
+    assert result.terms_used >= _reference_index(z0, b, a, v) >= 16
 
 
 # stop 1001 lies past hi = 1000: nothing certifies and hi comes back

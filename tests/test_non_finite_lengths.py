@@ -1,7 +1,7 @@
 """Every public function that takes a plate separation, the length
-conversions and the experiment layer's lengths, plasma frequencies and
-voltage refuse infinite and nan values instead of returning 0.0, nan or a
-confident regime."""
+conversions, the experiment layer's lengths, plasma frequencies and
+voltage, and a particle's charge and mass refuse infinite and nan values
+instead of returning 0.0, nan or a confident regime."""
 import math
 
 import numpy as np
@@ -84,11 +84,14 @@ LENGTH = {
     "regime_classify": lambda d: regime_classify(MaterialMirror("Au", 9.0, 20.0), d),
     # json.load reads Infinity and NaN as floats
     "load_scenario": lambda x: load_scenario(dict(DEFAULT_SCENARIO, cavities_nm=[x])),
+    "Particle.mass_eV": lambda m: Particle(charge_e=1.0, mass_eV=m, speed=0.01),
 }
 CASES = ([(call, "plate separation a must be positive and finite")
           for call in SEPARATION.values()]
-         + [(call, "must be positive and finite") for call in LENGTH.values()])
-IDS = [*SEPARATION, *LENGTH]
+         + [(call, "must be positive and finite") for call in LENGTH.values()]
+         + [(lambda q: Particle(charge_e=q, mass_eV=511e3, speed=0.01),
+             "particle charge must be finite")])
+IDS = [*SEPARATION, *LENGTH, "Particle.charge_e"]
 
 
 @pytest.mark.parametrize("length", [math.inf, math.nan], ids=["inf", "nan"])
@@ -96,3 +99,4 @@ IDS = [*SEPARATION, *LENGTH]
 def test_non_finite_length_raises(call, message, length):
     with pytest.raises(DomainError, match=message):
         call(length)
+
