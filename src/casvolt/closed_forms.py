@@ -109,9 +109,9 @@ def _on_locus(first: float, second: float, touch_scale: float) -> None:
 _FLOAT_OPS = SimpleNamespace(log1p=math.log1p, copysign=math.copysign, minimum=min)
 
 
-def _log_ratio(p, q, d, s, xp=_FLOAT_OPS):
-    """log p^2 - log q^2, given d = p - q and s = p + q formed without
-    cancellation.
+def _log_ratio(p, q, ds, xp=_FLOAT_OPS):
+    """log p^2 - log q^2, given ds = d s with d = p - q and s = p + q each
+    formed without cancellation.
 
     |p| - |q| = d s / (|p| + |q|), so with m the smaller of |p| and |q| the
     ratio is 2 log1p(|d s| / ((|p| + |q|) m)), signed as d s: one log of a
@@ -119,11 +119,30 @@ def _log_ratio(p, q, d, s, xp=_FLOAT_OPS):
     sign or not and however far apart their magnitudes lie.
     """
     abs_p, abs_q = abs(p), abs(q)
-    ds = d * s
     return 2.0 * xp.copysign(xp.log1p(abs(ds) / ((abs_p + abs_q) * xp.minimum(abs_p, abs_q))), ds)
 
 
-def _reflection_square(base, b: float, v: float, xp=_FLOAT_OPS, check=_on_locus):
+def _reflection_arguments(base, b: float, v: float):
+    """The log arguments of the one-plate square over [base, base + b]^2:
+    (top, X, Y, (X - Y)(X + Y), touch scale), top = base + b.
+
+    X = 2 v base - (1-v) b and Y = X + 2 b are formed as the corner
+    (top, base) formed them, 2 v top - (1+v) b and 2 v top + (1-v) b, so
+    that a refusal reports the same log argument; X - Y = -2 b and
+    X + Y = 2 v (base + top) are exact. Takes a float or an array of bases.
+    """
+    top = base + b
+    x = 2.0 * v * top - (1.0 + v) * b
+    y = 2.0 * v * top + (1.0 - v) * b
+    return top, x, y, -2.0 * b * (2.0 * v * (base + top)), v * (abs(top) + abs(base)) + b
+
+
+def _reflection_value(base, top, b: float, v: float, ell):
+    """The one-plate square over [base, top]^2, given ell = l(X, Y)."""
+    return b * (4.0 * v * b - (1.0 - v * v) * (base + top) * ell) / (64.0 * v**3 * (base * top) ** 2)
+
+
+def _reflection_square(base: float, b: float, v: float) -> float:
     """One-plate kernel integrated over the square [base, base + b]^2.
 
     The corner difference of the one-plate antiderivative, collapsed: its two
@@ -132,20 +151,39 @@ def _reflection_square(base, b: float, v: float, xp=_FLOAT_OPS, check=_on_locus)
     parts sum exactly to b^2 / (16 v^2 (base top)^2), top = base + b:
         b [4 v b - (1-v^2)(base + top) l(X, Y)] / (64 v^3 (base top)^2).
     Both parts are nonnegative when base and top share a sign, so nothing
-    cancels. X and Y are formed as the corner (top, base) formed them,
-    2 v top - (1+v) b and 2 v top + (1-v) b, so that a refusal reports the
-    same log argument. check(X, Y, scale) sees them first; the default
-    raises on the singular locus. Takes an array of bases with xp=numpy.
+    cancels. Raises SingularityError when X or Y lies on the singular
+    locus (_reflection_arguments).
     """
-    top = base + b
-    x = 2.0 * v * top - (1.0 + v) * b
-    y = 2.0 * v * top + (1.0 - v) * b
-    check(x, y, v * (abs(top) + abs(base)) + b)
-    ell = _log_ratio(x, y, -2.0 * b, 2.0 * v * (base + top), xp)
-    return b * (4.0 * v * b - (1.0 - v * v) * (base + top) * ell) / (64.0 * v**3 * (base * top) ** 2)
+    top, x, y, ds, touch_scale = _reflection_arguments(base, b, v)
+    _on_locus(x, y, touch_scale)
+    return _reflection_value(base, top, b, v, _log_ratio(x, y, ds))
 
 
-def _translation_square(b: float, v: float, nav, xp=_FLOAT_OPS, check=_on_locus):
+def _translation_arguments(b: float, v: float, nav):
+    """The log arguments of the translated square of side b, given
+    nav = |n| a v: (c, (p1, q1, p2, q2), sum, diff), c = 2 nav.
+
+    p1, q1 = c - (1+v) b, c + (1-v) b and p2, q2 = c + (1+v) b,
+    c - (1-v) b are the corners' log arguments; sum and diff are the
+    (p, q, (p - q)(p + q)) of the products whose log ratios are l1 + l2 and
+    l1 - l2, with the exact differences -4 v b^2 and -4 c b. Takes a float
+    or an array of nav.
+    """
+    c = 2.0 * nav
+    p1, q1 = c - (1.0 + v) * b, c + (1.0 - v) * b
+    p2, q2 = c + (1.0 + v) * b, c - (1.0 - v) * b
+    outer_p, outer_q = p1 * p2, q1 * q2
+    cross_p, cross_q = p1 * q2, q1 * p2
+    return (c, (p1, q1, p2, q2), (outer_p, outer_q, -4.0 * v * b * b * (outer_p + outer_q)),
+            (cross_p, cross_q, -4.0 * c * b * (cross_p + cross_q)))
+
+
+def _translation_value(b: float, v: float, nav, c, l_sum, l_diff):
+    """The translated square, given l_sum = l1 + l2 and l_diff = l1 - l2."""
+    return -(c * v * l_sum + (1.0 - v * v) * b * l_diff) / (64.0 * nav**3)
+
+
+def _translation_square(b: float, v: float, nav: float) -> float:
     """Translated-image kernel of index n integrated over a square of side b,
     given nav = |n| a v > 0 (the integral is even in n).
 
@@ -155,19 +193,13 @@ def _translation_square(b: float, v: float, nav, xp=_FLOAT_OPS, check=_on_locus)
     l1 = l(c - (1+v) b, c + (1-v) b), l2 = l(c + (1+v) b, c - (1-v) b).
     l1 + l2 and l1 - l2 are taken as single log ratios of products, whose
     differences -4 v b^2 and -4 c b are exact, so that at large n neither
-    is formed from two nearly opposite logs. check and xp as in
-    _reflection_square; takes an array of nav.
+    is formed from two nearly opposite logs. Raises SingularityError when
+    a corner's log argument lies on the singular locus.
     """
-    c = 2.0 * nav
-    p1, q1 = c - (1.0 + v) * b, c + (1.0 - v) * b
-    p2, q2 = c + (1.0 + v) * b, c - (1.0 - v) * b
-    check(p1, q1, c + b)
-    check(p2, q2, c + b)
-    outer_p, outer_q = p1 * p2, q1 * q2
-    cross_p, cross_q = p1 * q2, q1 * p2
-    l_sum = _log_ratio(outer_p, outer_q, -4.0 * v * b * b, outer_p + outer_q, xp)
-    l_diff = _log_ratio(cross_p, cross_q, -4.0 * c * b, cross_p + cross_q, xp)
-    return -(c * v * l_sum + (1.0 - v * v) * b * l_diff) / (64.0 * nav**3)
+    c, (p1, q1, p2, q2), outer, cross = _translation_arguments(b, v, nav)
+    _on_locus(p1, q1, c + b)
+    _on_locus(p2, q2, c + b)
+    return _translation_value(b, v, nav, c, _log_ratio(*outer), _log_ratio(*cross))
 
 
 def one_plate_integral(seg: PathSegment) -> float:
@@ -298,14 +330,16 @@ def _image_pair_term(seg: PathSegment, a: float, n: int) -> float:
 def image_pair_terms(seg: PathSegment, a: float, ns):
     """Four-image contribution of +n and -n for each index in the array ns.
 
-    For each n, R(z0 - an) + R(z0 + an) + 2 T(n): the collapsed squares
-    _reflection_square and _translation_square on arrays, four log ratios
-    per index, with the float operations of the scalar image integrals.
-    A block holding any index those integrals would refuse (a log argument
-    on the singular locus, an image plane through a corner, n = 0) is
-    re-evaluated through them one index at a time, so it raises the same
-    error at the same index. An ns longer than _KERNEL_BLOCK is taken in
-    pieces of that length, in order.
+    For each n, R(z0 - an) + R(z0 + an) + 2 T(n), with the float operations
+    of the scalar image integrals: the arguments and values of
+    _reflection_square and _translation_square on arrays, and their four log
+    ratios per index (reflected +n and -n, l1 + l2, l1 - l2) in one
+    _log_ratio pass over (4, len(ns)) rows, with one locus test over every
+    log argument. A block holding any index those integrals would refuse (a
+    log argument on the singular locus, an image plane through a corner,
+    n = 0) is re-evaluated through them one index at a time, so it raises
+    the same error at the same index. An ns longer than _KERNEL_BLOCK is
+    taken in pieces of that length, in order.
     """
     import numpy as np
 
@@ -314,17 +348,27 @@ def image_pair_terms(seg: PathSegment, a: float, ns):
                                for i in range(0, len(ns), _KERNEL_BLOCK)])
     _check_v(seg.v)
     check_separation(a)
-    on_locus = []
-
-    def check(first, second, touch_scale):
-        on_locus.append(np.minimum(abs(first), abs(second)) < _POLE_TOUCH_EPS * touch_scale)
-
+    b, v = seg.b, seg.v
     with np.errstate(all="ignore"):
-        reflected = _reflection_square(seg.z0 - np.multiply.outer((a, -a), ns), seg.b, seg.v,
-                                       np, check)
-        translated = _translation_square(seg.b, seg.v, ns * a * seg.v, np, check)
-        terms = reflected[0] + reflected[1] + 2.0 * translated
-    if np.isfinite(terms).all() and not any(mask.any() for mask in on_locus):
+        base = seg.z0 - np.multiply.outer((a, -a), ns)
+        top, x, y, ds, touch_scale = _reflection_arguments(base, b, v)
+        nav = ns * a * v
+        c, corners, outer, cross = _translation_arguments(b, v, nav)
+        # p, q and ds of the log ratios of reflected +n, reflected -n,
+        # l1 + l2 and l1 - l2
+        rows = np.empty((3, 4, len(ns)))
+        p, q, pq_ds = rows[0], rows[1], rows[2]
+        p[:2], q[:2], pq_ds[:2] = x, y, ds
+        p[2], q[2], pq_ds[2] = outer
+        p[3], q[3], pq_ds[3] = cross
+        # X and Y of both reflected images, rows[:2, :2], and the four
+        # translated corners, each against its touch scale as _on_locus takes it
+        on_locus = ((abs(rows[:2, :2]) < _POLE_TOUCH_EPS * touch_scale).any()
+                    or (abs(np.array(corners)) < _POLE_TOUCH_EPS * (c + b)).any())
+        ell = _log_ratio(p, q, pq_ds, np)
+        reflected = _reflection_value(base, top, b, v, ell[:2])
+        terms = reflected[0] + reflected[1] + 2.0 * _translation_value(b, v, nav, c, ell[2], ell[3])
+    if np.isfinite(terms).all() and not on_locus:
         return terms
     return np.array([_image_pair_term(seg, a, int(n)) for n in ns])
 

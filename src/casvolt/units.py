@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_positive_finite
 
 __all__ = [
     "Constants",
@@ -60,10 +60,11 @@ def speed_from_kinetic(kinetic_eV: float, mass_eV: float) -> float:
     The analysis behind this package assumes slow motion; speeds at or above
     c are rejected rather than silently clipped.
     """
-    if kinetic_eV < 0.0:
-        raise DomainError(f"kinetic energy must be non-negative, got {kinetic_eV!r} eV")
-    if not mass_eV > 0.0:
-        raise DomainError(f"mass must be positive, got {mass_eV!r} eV")
+    if not 0.0 <= kinetic_eV < math.inf:
+        raise DomainError(
+            f"kinetic energy must be non-negative and finite, got {kinetic_eV!r} eV"
+        )
+    check_positive_finite("mass", mass_eV)
     v = math.sqrt(2.0 * kinetic_eV / mass_eV)
     if v >= 1.0:
         raise DomainError(
@@ -76,8 +77,7 @@ def kinetic_from_speed(speed: float, mass_eV: float) -> float:
     """Kinetic energy K = m v^2 / 2 in eV for a dimensionless speed."""
     if not 0.0 <= speed < 1.0:
         raise DomainError(f"speed must lie in [0, 1), got {speed!r}")
-    if not mass_eV > 0.0:
-        raise DomainError(f"mass must be positive, got {mass_eV!r} eV")
+    check_positive_finite("mass", mass_eV)
     return 0.5 * mass_eV * speed * speed
 
 

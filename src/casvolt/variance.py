@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .closed_forms import PathSegment, _image_pair_term, image_pair_terms, one_plate_integral
+from .closed_forms import PathSegment, image_pair_terms, one_plate_integral
 from .errors import ConvergenceError, DomainError, check_positive_finite, check_separation
-from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta
+from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta_series
 from .units import CONSTANTS, Constants, speed_from_kinetic
 
 __all__ = [
@@ -39,16 +40,39 @@ _SPEED_MATCH_RTOL = 1e-9
 # (1/U)^2 <= 1/4 per order, so the envelope coefficient taken at that index
 # is close to its limit.
 _TAIL_REFERENCE_U = 2.0
+# The pair term's expansion in 1/n past the light cone, through n^-14:
+#   pair_term(n) = sum_{j=0..5} C_j n^-(4+2j) + O(n^-16),
+#   C_j = b^2 / (v^4 (2a)^4) sum_{k,i} q_jki g^k s^i h^(j-i),
+# with g = 1/v^2, s = (zc/2a)^2, h = (b/2a)^2 and zc = z0 + b/2. Entry j is
+# (denominator, rows): rows[k][i] is the numerator of q_jki. Every q_jki is
+# positive. Derived with sympy by expanding the four image kernels of +n
+# and -n in 1/(2an) and integrating each order over the square;
+# tests/test_tail_coefficients.py derives them again and compares exactly.
+_TAIL_ORDERS = (
+    (1, ((4,),)),
+    (3, ((20, 240), (4,))),
+    (15, ((140, 4200, 16800), (98, 840), (12,))),
+    (35, ((420, 23520, 235200, 376320), (672, 4704, 47040), (288, 2016), (20,))),
+    (315, ((4620, 415800, 7761600, 31046400, 26611200), (13398, 83160, 1552320, 6209280),
+           (14058, 35640, 665280), (3190, 19800), (140,))),
+    (3465, ((60060, 7927920, 237837600, 1775854080, 3805401600, 2029547520),
+            (276276, 1585584, 47567520, 355170816, 761080320),
+            (543114, 679536, 20386080, 152216064), (301730, 377520, 11325600),
+            (41860, 240240), (1260,))),
+)
+# The remainder past the subtracted orders falls like n^-16.
+_REMAINDER_ORDER = 4 + 2 * len(_TAIL_ORDERS)
 # Rounding allowance on the pair term at the reference index, relative to the
 # summed magnitude of its parts R(z0 - an), R(z0 + an) and 2 T(n): past the
 # light cone every part is positive, so that is the pair term itself. Against
-# 60-digit mpmath the remainder pair - C n^-4 - D n^-6 was off by at most
-# 1.2e-15 of it over 4500 random geometries (docs/decisions.md).
+# 60-digit mpmath the remainder pair - sum_j C_j n^-(4+2j), with the block's
+# pair term and the float C_j, was off by at most 1.2e-15 of it over 1,500
+# random geometries, v from 1e-4 to 0.3, at n_ref and up to 100 past it.
 _PAIR_ROUNDING = 1e-12
 # Rounding allowance on the subtracted tail T(n), relative to T(n): T is
-# formed from two hurwitz_zeta values, each within 2.5e-16 relative, so it is
-# off by a few ulps. The allowance max(_TAIL_ROUNDING, n ulps) covers that
-# with a wide margin.
+# formed from hurwitz_zeta_series, whose orders s = 4..14 are each within
+# 1.9e-15 relative at x = n + 1 >= 17, so it is off by a few ulps. The allowance
+# max(_TAIL_ROUNDING, n ulps) covers that with a wide margin.
 _TAIL_ROUNDING = 1e-12
 _ULP = 2.0**-53
 
@@ -258,20 +282,69 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     return _result(rms * rms, particle.charge_e, flags)
 
 
-def _tail_coefficients(seg: PathSegment, a: float) -> tuple[float, float]:
-    """C and D in pair_term(n) = C n^-4 + D n^-6 + O(n^-8) for the two-plate sum.
+@lru_cache(maxsize=None)
+def _tail_matrix():
+    """(exponents, matrix) for _tail_series.
 
-    With d = z - z' and s = z + z', the +n/-n reflected kernels sum to
-    1/(v^4 (2an)^4) [2 + 20 s^2/(2an)^2 + 4 d^2/(v^2 (2an)^2) + ...] and the
-    translated ones to the same with s replaced by d. Over the square,
-    int d^2 = b^4/6 and int s^2 = b^2 (4 zc^2 + b^2/6) with zc = z0 + b/2.
+    exponents has one column (k, i, j - i) per entry of _TAIL_ORDERS, the
+    powers of g, s and h in its monomial. matrix takes the monomials to
+    C_0, ..., C_5 / scale (rows 0-5: the q_jki, each rounded once) and,
+    below them, to the series of sum_j C_j zeta(4+2j, x) / scale in
+    hurwitz_zeta_series's form.
     """
-    v, b = seg.v, seg.b
-    zc = seg.z0 + 0.5 * b
-    c4 = b * b / (4.0 * a**4 * v**4)
-    c6 = (20.0 * b * b * (4.0 * zc * zc + b * b / 6.0)
-          + (20.0 + 8.0 / (v * v)) * b**4 / 6.0) / (v**4 * (2.0 * a) ** 6)
-    return c4, c6
+    import numpy as np
+
+    entries = [(j, k, i, numerator / denominator)
+               for j, (denominator, rows) in enumerate(_TAIL_ORDERS)
+               for k, row in enumerate(rows)
+               for i, numerator in enumerate(row)]
+    exponents = np.array([(k, i, j - i) for j, k, i, _ in entries], dtype=float).T
+    orders = np.zeros((len(_TAIL_ORDERS), len(entries)))
+    for column, (j, _, _, q) in enumerate(entries):
+        orders[j, column] = q
+    zeta_rows = np.array(hurwitz_zeta_series(4, len(_TAIL_ORDERS)))
+    return exponents, np.vstack((orders, zeta_rows.T @ orders))
+
+
+def _tail_series(seg: PathSegment, a: float):
+    """C_0, ..., C_5 in pair_term(n) = sum_j C_j n^-(4+2j) + O(n^-16) for the
+    two-plate sum, and the series of sum_j C_j zeta(4+2j, x) for _tail_sum,
+    highest power first.
+
+    From _TAIL_ORDERS: C_0 = b^2 / (4 a^4 v^4) and
+    C_1 = [20 b^2 (4 zc^2 + b^2/6) + (20 + 8/v^2) b^4/6] / (v^4 (2a)^6):
+    with d = z - z' and s = z + z', the +n/-n reflected kernels sum to
+    1/(v^4 (2an)^4) [2 + 20 s^2/(2an)^2 + 4 d^2/(v^2 (2an)^2) + ...] and the
+    translated ones to the same with s replaced by d. Every term of every
+    C_j is positive, so nothing cancels. Both come from one product of
+    _tail_matrix with the monomials g^k s^i h^(j-i).
+    """
+    v, b, w = seg.v, seg.b, 2.0 * a
+    exponents, matrix = _tail_matrix()
+    # exponents is an array: the rows g^k, s^i and h^(j-i) of every monomial
+    powers = [[1.0 / (v * v)], [((seg.z0 + 0.5 * b) / w) ** 2], [(b / w) ** 2]] ** exponents
+    values = (matrix @ (powers[0] * powers[1] * powers[2]) * (b / (v * v * w * w)) ** 2).tolist()
+    count = len(_TAIL_ORDERS)
+    return values[:count], values[:count - 1:-1]
+
+
+def _tail_sum(series: list[float], x: float) -> float:
+    """T = sum_j C_j zeta(4+2j, x) = x^-3 sum_m p_m x^-m, x >= 16, given the
+    p_m of _tail_series highest power first."""
+    inverse = 1.0 / x
+    total = 0.0
+    for p in series:
+        total = total * inverse + p
+    return x**-3 * total
+
+
+def _tail_expansion(coefficients: list[float], n: int) -> float:
+    """sum_j C_j n^-(4+2j): the subtracted orders of the pair term at n."""
+    inv_sq = 1.0 / (n * n)
+    total = 0.0
+    for c in reversed(coefficients):
+        total = total * inv_sq + c
+    return total * inv_sq * inv_sq
 
 
 def _first_certified(certifies, lo: int, hi: int, guess: float) -> int:
@@ -301,10 +374,10 @@ def _first_certified(certifies, lo: int, hi: int, guess: float) -> int:
     return hi
 
 
-def _zeta8_bound(x):
-    """zeta(8, x) <= x^-7/7 + x^-8/2 + (2/3) x^-9: Euler-Maclaurin stopped
+def _zeta16_bound(x):
+    """zeta(16, x) <= x^-15/15 + x^-16/2 + (4/3) x^-17: Euler-Maclaurin stopped
     after a positive term, which overestimates a completely monotone sum."""
-    return (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
+    return (1.0 / 15.0 + (0.5 + 4.0 / (3.0 * x)) / x) / x**15
 
 
 def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> SummationResult:
@@ -314,27 +387,24 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     n >= _ZETA_X_MIN = 16 with U = v (2an - 2(z0+b)) / b >= _TAIL_REFERENCE_U,
     so terms_used >= 16. An n_max below n_ref raises ConvergenceError at
     once, before any pair term is formed. At each N >= n_ref the sum adds
-    the subtracted tail T(N) = C zeta(4, N+1) + D zeta(6, N+1) and bounds
-    only its remainder, by the envelope n_ref^8 r(n_ref) zeta(8, N+1) on
-    r(n) = pair_term(n) - C n^-4 - D n^-6, plus rounding allowances. Past
-    the light cone (U > 1) every coefficient of the pair term's expansion
-    in 1/n^2 is nonnegative, so r >= 0 and n^8 r(n) does not increase:
-    r(m) <= n_ref^8 r(n_ref) / m^8 for every m > N >= n_ref.
+    the subtracted tail T(N) = sum_j C_j zeta(4+2j, N+1), j = 0..5, and
+    bounds only its remainder, by the envelope n_ref^16 r(n_ref) zeta(16, N+1)
+    on r(n) = pair_term(n) - sum_j C_j n^-(4+2j), plus rounding allowances.
+    Past the light cone (U > 1) every coefficient of the pair term's
+    expansion in 1/n^2 is nonnegative, so r >= 0 and n^16 r(n) does not
+    increase: r(m) <= n_ref^16 r(n_ref) / m^16 for every m > N >= n_ref.
 
     The sum stops at the first N >= n_ref with
     bound(N) <= tol |running(N) + T(N)|, running(N) being the one-plate term
     plus the pairs up to N added left to right, and returns the compensated
     sum of those terms and T(N), with tail_estimate = bound(N). The pair
-    terms are formed once, on 1..E for the first E >= n_ref that certifies
-    against the one-plate term alone, solved from the envelope's N^-7
-    decay: while the pairs sum to a nonnegative amount the stop lies at or
-    before E. The stop is then found by scalar checks of the running totals
-    in that block, from the same N^-7 prediction, and T and its bound are
-    formed once more at it. If no index up to E certifies, the sum carries
-    on from E + 1 against the running total.
+    terms 1..E, E = n_ref + n_ref // 4 + 2, are formed in one block, which
+    also gives r(n_ref); on the image_sums ranges the stop lies inside it.
+    The stop is found by scalar checks of the block's running totals, from
+    the envelope's N^-15 decay at the block's last total. If no index up to
+    E certifies, the sum carries on from E + 1 against the running total,
+    in blocks reaching the first index that certifies against it.
     """
-    import numpy as np
-
     v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
     tol, n_max = control.tol, control.n_max
     n_ref = max(_ZETA_X_MIN, math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a)))
@@ -349,37 +419,37 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
 
     if n_max < n_ref:
         raise refuse(math.inf)
-    c4, c6 = _tail_coefficients(seg, a)
-    pair = _image_pair_term(seg, a, n_ref)
-    remainder = pair - c4 / n_ref**4 - c6 / n_ref**6
-    envelope = n_ref**8 * (abs(remainder) + _PAIR_ROUNDING * pair)
+    import numpy as np
+
+    coefficients, series = _tail_series(seg, a)
 
     def tail_and_bound(n: int) -> tuple[float, float]:
         x = n + 1.0
-        tail = c4 * hurwitz_zeta(4, x) + c6 * hurwitz_zeta(6, x)
-        return tail, envelope * _zeta8_bound(x) + max(_TAIL_ROUNDING, n * _ULP) * tail
+        tail = _tail_sum(series, x)
+        return tail, envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, n * _ULP) * tail
 
     def certifies(n: int, total: float) -> bool:
         tail, bound = tail_and_bound(n)
         return bound <= tol * abs(total + tail)
 
     def predicted(total: float) -> float:
-        # envelope * zeta8(x) is about envelope / (7 (x - 1/2)^7), which meets
-        # tol |total| at x - 1/2 = x0: the first certified N = x - 1 is then
-        # the least integer above x0 - 1/2
+        # envelope * zeta16(x) is about envelope / (15 (x - 1/2)^15), which
+        # meets tol |total| at x - 1/2 = x0: the first certified N = x - 1 is
+        # then the least integer above x0 - 1/2
         if not total:
             return math.inf
-        return (envelope / (7.0 * tol)) ** (1.0 / 7.0) / abs(total) ** (1.0 / 7.0) + 0.5
+        return (envelope / (15.0 * tol * abs(total))) ** (1.0 / 15.0) + 0.5
 
     base = one_plate_integral(seg)
+    end = min(n_max, n_ref + n_ref // 4 + 2)
+    terms = image_pair_terms(seg, a, np.arange(1.0, end + 1.0))
+    pair = float(terms[n_ref - 1])
+    remainder = pair - _tail_expansion(coefficients, n_ref)
+    envelope = n_ref**_REMAINDER_ORDER * (abs(remainder) + _PAIR_ROUNDING * pair)
     parts, running, start = [base], base, 1
     while True:
-        lo = max(start, n_ref)
-        end = (n_max if n_max <= lo else
-               _first_certified(lambda n: certifies(n, running), lo, n_max, predicted(running)))
-        terms = image_pair_terms(seg, a, np.arange(start, end + 1, dtype=float))
         totals = np.add.accumulate(np.concatenate(([running], terms)))[1:].tolist()
-        n = _first_certified(lambda n: certifies(n, totals[n - start]), lo, end,
+        n = _first_certified(lambda n: certifies(n, totals[n - start]), max(start, n_ref), end,
                              predicted(totals[-1]))
         tail, bound = tail_and_bound(n)
         if bound <= tol * abs(totals[n - start] + tail):
@@ -389,6 +459,8 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
             raise refuse(bound)
         parts += terms.tolist()
         running, start = totals[-1], end + 1
+        end = _first_certified(lambda n: certifies(n, running), start, n_max, predicted(running))
+        terms = image_pair_terms(seg, a, np.arange(start, end + 1.0))
 
 
 def variance_two_plate_exact(
@@ -401,15 +473,17 @@ def variance_two_plate_exact(
 
     The n=0 one-plate term plus reflected and translated image integrals in
     symmetric pairs n, -n (_two_plate_sum). From a reference index n_ref
-    >= 16 on, the analytic tail C zeta(4, N+1) + D zeta(6, N+1) of the
-    dropped pairs is added and only its remainder is bounded; the sum stops
-    at the first pair N >= n_ref whose bound falls below control.tol of the
-    total, so terms_used >= 16. That stop is predicted from the bound's
-    decay, so the pair terms are evaluated in one block reaching little
-    past it. terms_used is the last pair summed and tail_estimate_eV2
-    bounds the truncation error of the returned variance. Raises
-    ConvergenceError when no pair up to control.n_max certifies, at once
-    when control.n_max < n_ref. The flight must stay between the plates:
+    >= 16 on, the analytic tail sum_j C_j zeta(4+2j, N+1), j = 0..5, of the
+    dropped pairs is added and only its remainder, of order N^-15, is
+    bounded; the sum stops at the first pair N >= n_ref whose bound falls
+    below control.tol of the total, so terms_used >= 16. That stop lies
+    close to n_ref, so the pair terms are evaluated in one block reaching a
+    quarter past n_ref. terms_used is the last pair summed and
+    tail_estimate_eV2 bounds the truncation error of the returned variance,
+    not the rounding of the pair terms (about 1e-15 of the value), which
+    at the default tol it often falls below. Raises ConvergenceError when
+    no pair up to control.n_max certifies, at once and without numpy when
+    control.n_max < n_ref. The flight must stay between the plates:
     0 < z0 and z0 + b < a.
     """
     check_separation(a)

@@ -25,11 +25,11 @@ from casvolt import (
 import casvolt.variance
 from casvolt.closed_forms import _KERNEL_BLOCK, _image_pair_term, image_pair_terms
 from casvolt.correlators import _dual_pair_term
-from casvolt.summation import hurwitz_zeta
 from casvolt.variance import _first_certified, _two_plate_sum
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
+from test_tail_coefficients import _exact_coefficients, _reference_index  # noqa: E402
 
 
 def _scalar_pair(seg, a, n):
@@ -101,30 +101,28 @@ def _two_plate_tail(seg, a):
     """variance_two_plate_exact's tail rule for one index N: (bound, T).
 
     From the first N >= 16 with U = v (2aN - 2(z0+b)) / b >= 2 on, the sum
-    adds T(N) = C zeta(4, N+1) + D zeta(6, N+1) and bounds the remainder by
-    n_ref^8 r(n_ref) zeta(8, N+1) plus rounding allowances, r being the pair
-    term minus C n^-4 and D n^-6, and the pair term's allowance 1e-12 of
-    itself. No index below n_ref certifies: there the rule gives an infinite
-    bound. Returns the rule and n_ref.
+    adds T(N) = sum_j C_j zeta(4+2j, N+1), j = 0..5, and bounds the
+    remainder by n_ref^16 r(n_ref) zeta(16, N+1) plus rounding allowances,
+    r being the pair term minus sum_j C_j n^-(4+2j), and the pair term's
+    allowance 1e-12 of itself. The C_j are the exact rationals of
+    _TAIL_ORDERS rounded once, and the pair term at n_ref is the block's. No
+    index below n_ref certifies: there the rule gives an infinite bound.
+    Returns the rule and n_ref.
     """
     mpmath = pytest.importorskip("mpmath")
-    z0, b, v = seg.z0, seg.b, seg.v
-    c4 = b * b / (4.0 * a**4 * v**4)
-    zc = z0 + b / 2.0
-    c6 = (20.0 * b * b * (4.0 * zc * zc + b * b / 6.0)
-          + (20.0 + 8.0 / v**2) * b**4 / 6.0) / (v**4 * (2.0 * a) ** 6)
-    n_ref = _reference_index(z0, b, a, v)
-    pair = _image_pair_term(seg, a, n_ref)
-    remainder = pair - c4 / n_ref**4 - c6 / n_ref**6
-    envelope = n_ref**8 * (abs(remainder) + 1e-12 * pair)
+    coefficients = [float(c) for c in _exact_coefficients(seg.z0, seg.b, seg.v, a)]
+    n_ref = _reference_index(seg.z0, seg.b, a, seg.v)
+    pair = float(image_pair_terms(seg, a, np.array([float(n_ref)]))[0])
+    remainder = pair - sum(c / n_ref ** (4 + 2 * j) for j, c in enumerate(coefficients))
+    envelope = n_ref**16 * (abs(remainder) + 1e-12 * pair)
 
     def rule(n):
         if n < n_ref:
             return math.inf, 0.0
         x = n + 1.0
-        tail = c4 * float(mpmath.zeta(4, x)) + c6 * float(mpmath.zeta(6, x))
-        zeta8 = (1.0 / 7.0 + (0.5 + 2.0 / (3.0 * x)) / x) / x**7
-        return envelope * zeta8 + max(1e-12, n * 2.0**-53) * tail, tail
+        tail = sum(c * float(mpmath.zeta(4 + 2 * j, x)) for j, c in enumerate(coefficients))
+        zeta16 = (1.0 / 15.0 + (0.5 + 4.0 / (3.0 * x)) / x) / x**15
+        return envelope * zeta16 + max(1e-12, n * 2.0**-53) * tail, tail
 
     return rule, n_ref
 
@@ -163,7 +161,7 @@ def _assert_matches_per_index_reference(z0, b, a, v, control, shift=0.0):
 @pytest.mark.parametrize("z0, b, a, v, tol", [
     _case(0.3, 0.1, 1.0, 0.1),
     _case(0.3, 0.1, 1.0, 0.02),
-    _case(0.3, 0.1, 1.0, 1e-3),  # reference index 101, stop at 388
+    _case(0.3, 0.1, 1.0, 1e-3),  # reference index 101, stop at 116
     _case(0.05, 0.4, 0.5, 0.05),
     _case(1.2, 0.3, 1.6, 0.01),
     _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # stops at n_ref = 16, the least index that can certify
@@ -176,21 +174,21 @@ def test_two_plate_exact_matches_per_index_reference(z0, b, a, v, tol):
         assert result.terms_used == n_ref == 16
 
 
-# (0.3, 0.1, 1.0, 1e-3) has n_ref = 101 and stops at 388: n_max 8 and 50 lie
-# below n_ref and refuse with an infinite bound, 200 ends under the envelope
+# (0.3, 0.1, 1.0, 5.5e-4) has n_ref = 183 and stops at 203: n_max 8 and 50
+# lie below n_ref and refuse with an infinite bound, 200 ends under the envelope
 @pytest.mark.parametrize("n_max", [8, 50, 200])
 def test_two_plate_exact_n_max_refusal_matches_per_index_reference(n_max):
-    result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 1e-3,
+    result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 5.5e-4,
                                                     SummationControl(n_max=n_max))
     assert result is None
 
 
 def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
     # pair terms are nonnegative on every geometry tried, so the continuation
-    # is forced: taking 0.9 of the whole sum off the first pair leaves a
-    # total about a fifth of the one-plate term, so the stop predicted from
-    # that term (33) falls short of the true one
-    seg = PathSegment(z0=0.3, b=0.1, v=0.02)
+    # is forced: n_ref = 183 and the sum stops at 203, inside the first block
+    # 1..E, E = 230; taking 0.9 of the whole sum off the first pair leaves a
+    # tenth of it, and the stop moves past E
+    seg = PathSegment(z0=0.3, b=0.1, v=5.5e-4)
     shift = 0.9 * _two_plate_sum(seg, 1.0, SummationControl()).value
     sizes = []
 
@@ -199,7 +197,7 @@ def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
         return image_pair_terms(seg, a, ns) - np.where(ns == 1.0, shift, 0.0)
 
     monkeypatch.setattr(casvolt.variance, "image_pair_terms", shifted)
-    result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 0.02, SummationControl(),
+    result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 5.5e-4, SummationControl(),
                                                     shift=shift)
     assert len(sizes) > 1
     assert sum(sizes) >= result.terms_used
@@ -265,25 +263,25 @@ def _image_sums_grid(seed):
 
 
 def test_two_plate_sum_adds_the_running_total_left_to_right(monkeypatch):
-    # with no subtracted tail and a constant zeta(8) factor, the bound is the
-    # envelope at every index from n_ref = 16 on. Each pair term is below
-    # half an ulp of the one-plate term, so a left-to-right running total
-    # stays exactly 1.0 and never meets the bound, while adding the terms up
-    # first would reach 1 + 2**-52 or more and stop
-    pair = 2.0**-34
-    envelope = 16**8 * (pair + 1e-12 * pair)
-    control = SummationControl(tol=envelope * (1.0 - 2.0**-53), n_max=40)
-    assert control.tol < envelope <= control.tol * (1.0 + 2.0**-52)
-    assert 1.0 + 16 * 6e-17 >= 1.0 + 2.0**-52
+    # with no subtracted tail and a constant zeta(16) factor of 2^-64, the
+    # bound is the envelope times 2^-64 = 16^-16, the pair term at n_ref = 16
+    # plus its allowance, at every index from n_ref on. Each pair term is
+    # below half an ulp of the one-plate term, so a left-to-right running
+    # total stays exactly 1.0 and never meets the bound, while adding the
+    # terms up first would reach 1 + 2**-52 or more and stop
+    pair = 6e-17
+    bound = 16**16 * (pair + 1e-12 * pair) * 2.0**-64
+    control = SummationControl(tol=bound * (1.0 - 2.0**-53), n_max=40)
+    assert control.tol < bound <= control.tol * (1.0 + 2.0**-52)
+    assert 1.0 + 16 * pair >= 1.0 + 2.0**-52
     monkeypatch.setattr(casvolt.variance, "one_plate_integral", lambda seg: 1.0)
     monkeypatch.setattr(casvolt.variance, "image_pair_terms",
-                        lambda seg, a, ns: np.full_like(ns, 6e-17))
-    monkeypatch.setattr(casvolt.variance, "_image_pair_term", lambda seg, a, n: pair)
-    monkeypatch.setattr(casvolt.variance, "_tail_coefficients", lambda seg, a: (0.0, 0.0))
-    monkeypatch.setattr(casvolt.variance, "_zeta8_bound", lambda x: 1.0)
-    expected = _reference_sum(lambda n: 6e-17, lambda n: (math.inf, 0.0) if n < 16 else
-                              (envelope, 0.0), control, 1.0)
-    assert "last tail bound 2.500e-01" in expected
+                        lambda seg, a, ns: np.full_like(ns, pair))
+    monkeypatch.setattr(casvolt.variance, "_tail_series", lambda seg, a: ([0.0] * 6, [0.0]))
+    monkeypatch.setattr(casvolt.variance, "_zeta16_bound", lambda x: 2.0**-64)
+    expected = _reference_sum(lambda n: pair, lambda n: (math.inf, 0.0) if n < 16 else
+                              (bound, 0.0), control, 1.0)
+    assert "last tail bound 6.000e-17" in expected
     with pytest.raises(ConvergenceError) as excinfo:
         variance_two_plate_exact(Particle.electron(speed=0.1), PathSegment(z0=0.3, b=0.1, v=0.1),
                                  1.0, control)
@@ -305,20 +303,12 @@ def test_n_max_below_reference_index_refuses_before_any_pair(z0, b, a, v, n_max,
 
     monkeypatch.setattr(casvolt.variance, "image_pair_terms",
                         counted("image_pair_terms", image_pair_terms))
-    monkeypatch.setattr(casvolt.variance, "_image_pair_term",
-                        counted("_image_pair_term", _image_pair_term))
+    monkeypatch.setattr(casvolt.variance, "one_plate_integral",
+                        counted("one_plate_integral", one_plate_integral))
     with pytest.raises(ConvergenceError, match=rf"within n_max={n_max} terms "
                                                r"\(last tail bound inf\)$"):
         _two_plate_sum(PathSegment(z0=z0, b=b, v=v), a, SummationControl(n_max=n_max))
     assert calls == []
-
-
-def _reference_index(z0, b, a, v):
-    """The first n >= 16 with U = v (2an - 2(z0+b)) / b >= 2."""
-    n = 16
-    while v * (2.0 * a * n - 2.0 * (z0 + b)) / b < 2.0:
-        n += 1
-    return n
 
 
 def _scanned_stop(seg, a, control, end):
@@ -327,15 +317,16 @@ def _scanned_stop(seg, a, control, end):
     the pairs 1..end: (N, bound at N), or None when none up to end certifies."""
     v = casvolt.variance
     n_ref = _reference_index(seg.z0, seg.b, a, seg.v)
-    c4, c6 = v._tail_coefficients(seg, a)
-    pair = _image_pair_term(seg, a, n_ref)
-    envelope = n_ref**8 * (abs(pair - c4 / n_ref**4 - c6 / n_ref**6) + v._PAIR_ROUNDING * pair)
+    coefficients, series = v._tail_series(seg, a)
     terms = image_pair_terms(seg, a, np.arange(1.0, end + 1.0))
+    pair = float(terms[n_ref - 1])
+    envelope = n_ref**16 * (abs(pair - v._tail_expansion(coefficients, n_ref))
+                            + v._PAIR_ROUNDING * pair)
     totals = np.add.accumulate(np.concatenate(([one_plate_integral(seg)], terms)))
     for n in range(n_ref, end + 1):
         x = n + 1.0
-        tail = c4 * hurwitz_zeta(4, x) + c6 * hurwitz_zeta(6, x)
-        bound = envelope * v._zeta8_bound(x) + max(v._TAIL_ROUNDING, n * v._ULP) * tail
+        tail = v._tail_sum(series, x)
+        bound = envelope * v._zeta16_bound(x) + max(v._TAIL_ROUNDING, n * v._ULP) * tail
         if bound <= control.tol * abs(float(totals[n]) + tail):
             return n, bound
     return None
@@ -392,10 +383,9 @@ def test_first_certified_finds_the_least_certified_index(stop, guess):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
-    # the stop is predicted against the one-plate term plus the subtracted
-    # tail, so the pair terms are evaluated once, on at most twice the
-    # indices the sum keeps (1.94x at worst over the whole ranges, for
-    # z0/a = 0.8 at v = 0.1)
+    # the pair terms 1..E, E = n_ref + n_ref // 4 + 2, are evaluated once,
+    # and the stop lies inside them; the sum keeps n_ref or more of them, so
+    # that block is at most twice what it keeps
     sizes = []
 
     def counted(seg, a, ns):

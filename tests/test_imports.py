@@ -71,6 +71,22 @@ def test_commands_without_the_oracle_run_without_numpy(argv):
     assert loaded == {"numpy": False, "casvolt.oracle": False}
 
 
+def test_two_plate_n_max_refusal_runs_without_numpy():
+    # an n_max below the reference index refuses before any pair term, so
+    # the refusal has no use for numpy
+    code, loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from casvolt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(['variance', '--plates', 'two', '--z0', '0.3', '--b', '0.1', "
+        "'--a', '1', '--speed', '0.01', '--natural-units', '--n-max', '5'])\n"
+        f"print(json.dumps([code, {LOADED}]))"
+    )
+    assert code == 3
+    assert loaded == {"numpy": False, "casvolt.oracle": False}
+
+
 def test_oracle_names_resolve_to_the_oracle_objects():
     same, star = _fresh(
         "import json\n"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from casvolt import DomainError, SummationControl
-from casvolt.summation import hurwitz_zeta
+from casvolt.summation import hurwitz_zeta, hurwitz_zeta_series
 
 
 def test_control_validation():
@@ -44,3 +44,19 @@ def test_hurwitz_zeta_matches_mpmath():
 def test_hurwitz_zeta_domain(s, x):
     with pytest.raises(DomainError):
         hurwitz_zeta(s, x)
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                                     (3.0, 0.25, 0.5, 1e-3, 7.0, 2e-6)])
+def test_hurwitz_zeta_series_sums_weighted_orders(weights):
+    # a weighted sum of hurwitz_zeta_series rows, as one polynomial in 1/x,
+    # is the same weighted sum of zeta(s + 2j, x): within a few ulps of it
+    # term by term, for the six orders from s = 4 the two-plate tail takes
+    rows = hurwitz_zeta_series(4, len(weights))
+    series = [sum(w * row[m] for w, row in zip(weights, rows)) for m in range(len(rows[0]))]
+    for x in (16.0, 17.0, 18.5, 100.0, 4113.0, 1e6):
+        total = 0.0
+        for p in reversed(series):
+            total = total / x + p
+        expected = math.fsum(w * hurwitz_zeta(4 + 2 * j, x) for j, w in enumerate(weights))
+        assert abs(x**-3 * total - expected) <= 8 * 2.0**-53 * expected

@@ -68,6 +68,23 @@ def test_speed_rejects_relativistic_and_bad_inputs():
         kinetic_from_speed(1.0, 510998.95)
 
 
+@pytest.mark.parametrize("kinetic, mass", [
+    (1.0, math.inf), (1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (math.inf, math.inf),
+    (math.nan, math.nan), (1.0, -math.inf),
+])
+def test_speed_from_kinetic_rejects_non_finite(kinetic, mass):
+    with pytest.raises(DomainError):
+        speed_from_kinetic(kinetic, mass)
+
+
+@pytest.mark.parametrize("speed, mass", [
+    (0.5, math.inf), (0.5, math.nan), (math.nan, 510998.95), (0.5, -math.inf),
+])
+def test_kinetic_from_speed_rejects_non_finite(speed, mass):
+    with pytest.raises(DomainError):
+        kinetic_from_speed(speed, mass)
+
+
 def test_elementary_charge_natural():
     # e = sqrt(4 pi alpha) in Heaviside-Lorentz natural units
     expected = math.sqrt(4.0 * math.pi / 137.035999)
