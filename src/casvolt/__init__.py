@@ -94,7 +94,6 @@ __all__ = [
     "PathSegment",
     "PoleInsideDomainError",
     "QuadratureResult",
-    "QuadratureSpec",
     "RegimeReport",
     "SingularityError",
     "SpacetimePair",
@@ -146,7 +145,6 @@ _ORACLE_NAMES = frozenset({
     "CscSeriesComparison",
     "DerivativeReport",
     "QuadratureResult",
-    "QuadratureSpec",
     "VerificationReport",
     "brute_dual_correlator",
     "csc_identity",

@@ -68,8 +68,13 @@ def _cell(value) -> str:
 
 
 def _json_value(value):
+    """value with every float in it, at any depth, rounded by _sig9."""
     if isinstance(value, float):
         return _sig9(value)
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_value(item) for item in value]
     return value
 
 
@@ -84,13 +89,7 @@ def _emit(rows: list[dict], args, command: str) -> None:
                 writer.writerow(_cell(value) for value in row.values())
         text = buffer.getvalue()
     else:
-        payload = {
-            "command": command,
-            "rows": [
-                {key: _json_value(value) for key, value in row.items()} for row in rows
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(_json_value({"command": command, "rows": rows}), indent=2) + "\n"
     _write(text, args)
 
 
@@ -390,7 +389,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         reflection_override=reflection_override,
     )
     if args.format == "json":
-        _write(json.dumps(report.to_dict(), indent=2) + "\n", args)
+        _write(json.dumps(_json_value(report.to_dict()), indent=2) + "\n", args)
     else:
         rows = [
             {

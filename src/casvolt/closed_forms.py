@@ -57,6 +57,9 @@ __all__ = [
 _V_MIN = 1e-6
 _V_MAX = 0.99
 
+# the small-v forms here and in variance warn at speeds above this one
+_SMALLV_WARN = 0.1
+
 # a corner sits "on the singular locus" when a log argument is smaller than
 # this fraction of its natural magnitude scale
 _POLE_TOUCH_EPS = 1e-10
@@ -234,7 +237,7 @@ def one_plate_integral_smallv(seg: PathSegment) -> float:
     v = 0.01 its relative error is 1.5% at twice the pole entry, 0.3% at
     three times, and 7.6 at b = v z0.
     """
-    if seg.v >= 0.1:
+    if seg.v > _SMALLV_WARN:
         warnings.warn(
             f"small-v expansion evaluated at v={seg.v}: accuracy degrades above v ~ 0.1",
             stacklevel=2,

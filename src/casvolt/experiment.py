@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, check_positive_finite
-from .units import CONSTANTS, Constants, length_to_natural, speed_from_kinetic
+from .units import CONSTANTS, length_to_natural, speed_from_kinetic
 
 __all__ = [
     "MaterialMirror",
@@ -56,9 +56,9 @@ class MaterialMirror:
         if self.distance_nm is not None:
             check_positive_finite("distance", self.distance_nm)
 
-    def skin_depth_nm(self, constants: Constants = CONSTANTS) -> float:
+    def skin_depth_nm(self) -> float:
         """Penetration depth 1/omega_p expressed in nm."""
-        return constants.hbar_c_eV_nm / self.plasma_frequency_eV
+        return CONSTANTS.hbar_c_eV_nm / self.plasma_frequency_eV
 
 
 @dataclass(frozen=True)
@@ -83,23 +83,19 @@ class ExperimentConfig:
         return self.applied_voltage_V
 
 
-def rms_estimate_eV(
-    kinetic_eV: float, z0_nm: float, constants: Constants = CONSTANTS
-) -> float:
+def rms_estimate_eV(kinetic_eV: float, z0_nm: float) -> float:
     """Boundary-induced rms energy spread for an electron near one mirror.
 
     Delta U_rms = e v / (2 pi z0) with v = sqrt(2 K / m), all in natural
     units, reported in eV. z0 is the distance from the mirror in nm.
     """
     check_positive_finite("kinetic energy", kinetic_eV)
-    v = speed_from_kinetic(kinetic_eV, constants.electron_mass_eV)
-    z0_nat = length_to_natural(z0_nm, constants)
-    return constants.elementary_charge_natural * v / (2.0 * math.pi * z0_nat)
+    v = speed_from_kinetic(kinetic_eV, CONSTANTS.electron_mass_eV)
+    z0_nat = length_to_natural(z0_nm)
+    return CONSTANTS.elementary_charge_natural * v / (2.0 * math.pi * z0_nat)
 
 
-def minkowski_rms(
-    kinetic_eV: float, a_nm: float, constants: Constants = CONSTANTS
-) -> float:
+def minkowski_rms(kinetic_eV: float, a_nm: float) -> float:
     """Boundary-free rms spread over a flight distance a: e^2 K / (m^2 a^2).
 
     The same worldline in empty space, with only the vacuum's own light-cone
@@ -107,9 +103,9 @@ def minkowski_rms(
     against.
     """
     check_positive_finite("kinetic energy", kinetic_eV)
-    a_nat = length_to_natural(a_nm, constants)
-    e = constants.elementary_charge_natural
-    m = constants.electron_mass_eV
+    a_nat = length_to_natural(a_nm)
+    e = CONSTANTS.elementary_charge_natural
+    m = CONSTANTS.electron_mass_eV
     return e * e * kinetic_eV / (m * m * a_nat * a_nat)
 
 
@@ -126,19 +122,15 @@ class EnhancementRatio:
     quotient_value: float
 
 
-def enhancement_ratio(
-    kinetic_eV: float, z0_nm: float, a_nm: float, constants: Constants = CONSTANTS
-) -> EnhancementRatio:
+def enhancement_ratio(kinetic_eV: float, z0_nm: float, a_nm: float) -> EnhancementRatio:
     """How much a mirror at distance z0 beats free flight over distance a."""
-    z0_nat = length_to_natural(z0_nm, constants)
-    a_nat = length_to_natural(a_nm, constants)
-    e = constants.elementary_charge_natural
-    m = constants.electron_mass_eV
+    z0_nat = length_to_natural(z0_nm)
+    a_nat = length_to_natural(a_nm)
+    e = CONSTANTS.elementary_charge_natural
+    m = CONSTANTS.electron_mass_eV
     check_positive_finite("kinetic energy", kinetic_eV)
     formula = a_nat * a_nat * m**1.5 / (math.pi * e * z0_nat * math.sqrt(kinetic_eV))
-    quotient = rms_estimate_eV(kinetic_eV, z0_nm, constants) / minkowski_rms(
-        kinetic_eV, a_nm, constants
-    )
+    quotient = rms_estimate_eV(kinetic_eV, z0_nm) / minkowski_rms(kinetic_eV, a_nm)
     return EnhancementRatio(formula_value=formula, quotient_value=quotient)
 
 
@@ -149,34 +141,23 @@ class RegimeReport:
     regime: str  # "perfect_mirror", "partial", or "transparent"
     omega_p_distance: float
     omega_p_thickness: float
-    transparent_threshold: float
-    perfect_threshold: float = _PERFECT_THRESHOLD
 
 
-def regime_classify(
-    mirror: MaterialMirror,
-    distance_nm: float,
-    transparent_threshold: float = _TRANSPARENT_THRESHOLD,
-    constants: Constants = CONSTANTS,
-) -> RegimeReport:
+def regime_classify(mirror: MaterialMirror, distance_nm: float) -> RegimeReport:
     """Classify a layer at a given separation from the fluctuation region.
 
     The fluctuations that matter have wavelengths of order the separation, so
     the layer reflects them like a perfect mirror when omega_p * distance >= 1
     (frequencies ~ 1/distance lie below the plasma frequency). Independently,
     a layer much thinner than its own penetration depth passes those modes:
-    omega_p * thickness <= transparent_threshold marks it transparent. In
-    between it reflects partially.
+    omega_p * thickness <= 1/3 marks it transparent. In between it reflects
+    partially.
     """
     check_positive_finite("distance", distance_nm)
-    if not 0.0 < transparent_threshold < _PERFECT_THRESHOLD:
-        raise DomainError(
-            f"transparent threshold must lie in (0, 1), got {transparent_threshold!r}"
-        )
-    hbar_c = constants.hbar_c_eV_nm
+    hbar_c = CONSTANTS.hbar_c_eV_nm
     product_distance = mirror.plasma_frequency_eV * distance_nm / hbar_c
     product_thickness = mirror.plasma_frequency_eV * mirror.thickness_nm / hbar_c
-    if product_thickness <= transparent_threshold:
+    if product_thickness <= _TRANSPARENT_THRESHOLD:
         regime = "transparent"
     elif product_distance >= _PERFECT_THRESHOLD:
         regime = "perfect_mirror"
@@ -186,7 +167,6 @@ def regime_classify(
         regime=regime,
         omega_p_distance=product_distance,
         omega_p_thickness=product_thickness,
-        transparent_threshold=transparent_threshold,
     )
 
 
@@ -298,8 +278,6 @@ class ModdelRow:
 
 def moddel_report(
     configs: tuple[ExperimentConfig, ...] | list[ExperimentConfig],
-    transparent_threshold: float = _TRANSPARENT_THRESHOLD,
-    constants: Constants = CONSTANTS,
 ) -> tuple[ModdelRow, ...]:
     """Fluctuation estimates and mirror regimes for each cavity size.
 
@@ -312,22 +290,18 @@ def moddel_report(
     rows = []
     for config in configs:
         kinetic = config.kinetic_energy_eV
-        rms = rms_estimate_eV(kinetic, config.cavity_nm, constants)
+        rms = rms_estimate_eV(kinetic, config.cavity_nm)
         regimes = tuple(
             (
                 mirror.name,
                 regime_classify(
                     mirror,
                     mirror.distance_nm if mirror.distance_nm is not None else config.cavity_nm,
-                    transparent_threshold,
-                    constants,
                 ).regime,
             )
             for mirror in config.mirrors
         )
-        depths = tuple(
-            (mirror.name, mirror.skin_depth_nm(constants)) for mirror in config.mirrors
-        )
+        depths = tuple((mirror.name, mirror.skin_depth_nm()) for mirror in config.mirrors)
         rows.append(
             ModdelRow(
                 cavity_nm=config.cavity_nm,

@@ -39,7 +39,6 @@ from .errors import (
 from .variance import FluctuationResult, Particle, _result
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureResult",
     "DerivativeReport",
     "CheckResult",
@@ -63,26 +62,14 @@ _HIGH_NODES, _HIGH_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # patch error estimates are floored at this multiple of the patch's absolute
 # integral so that accumulated rounding in the 256-node sums stays covered
 _NOISE_FLOOR = 300.0 * sys.float_info.epsilon
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the adaptive quadrature oracle."""
-
-    abs_tol: float = 0.0
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 10**6
-
-    def __post_init__(self) -> None:
-        if self.abs_tol < 0.0 or self.rel_tol <= 0.0:
-            raise DomainError(
-                f"tolerances must satisfy abs_tol >= 0 and rel_tol > 0, got "
-                f"abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}"
-            )
-        if self.max_subdivisions < 1:
-            raise DomainError(
-                f"max_subdivisions must be positive, got {self.max_subdivisions!r}"
-            )
+# the adaptive quadrature refines until its error estimate is within this
+# fraction of the value, and gives up after this many subdivisions
+_QUAD_REL_TOL = 1e-10
+_QUAD_MAX_SUBDIVISIONS = 10**6
+# Richardson levels of the derivative check, and its relative gate, which
+# run_verification's derivative checks apply
+_RICHARDSON_LEVELS = 7
+_DERIV_GATE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,7 +107,7 @@ def _patch(f, x0: float, x1: float, y0: float, y1: float) -> tuple[float, float]
     return float(high), float(error)
 
 
-def _adaptive_quad(f, x0: float, x1: float, y0: float, y1: float, spec: QuadratureSpec) -> QuadratureResult:
+def _adaptive_quad(f, x0: float, x1: float, y0: float, y1: float) -> QuadratureResult:
     """Globally adaptive 2-D quadrature: always split the worst patch in four.
 
     The final value is a compensated sum over the surviving patches in a
@@ -132,8 +119,8 @@ def _adaptive_quad(f, x0: float, x1: float, y0: float, y1: float, spec: Quadratu
     total = value
     total_error = error
     subdivisions = 0
-    while total_error > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if subdivisions >= spec.max_subdivisions:
+    while total_error > _QUAD_REL_TOL * abs(total):
+        if subdivisions >= _QUAD_MAX_SUBDIVISIONS:
             raise ConvergenceError(
                 f"quadrature did not reach tolerance after {subdivisions} "
                 f"subdivisions: value ~ {total:.6e}, error ~ {total_error:.3e}"
@@ -189,7 +176,7 @@ def pole_entry_translated(v: float, a: float, n: int) -> float:
     return 2.0 * a * abs(n) * v / (1.0 + v)
 
 
-def quad_one_plate(seg: PathSegment, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
+def quad_one_plate(seg: PathSegment) -> QuadratureResult:
     """The one-plate double integral, by adaptive quadrature.
 
     Integrates 1/[(z-z')^2 - v^2 (z+z')^2]^2 over [z0, z0+b]^2. Refuses
@@ -204,18 +191,10 @@ def quad_one_plate(seg: PathSegment, spec: QuadratureSpec = QuadratureSpec()) ->
             threshold=threshold,
         )
     lo, hi = seg.z0, seg.z0 + seg.b
-    return _adaptive_quad(
-        lambda z, zp: one_plate_kernel(z, zp, seg.v), lo, hi, lo, hi, spec
-    )
+    return _adaptive_quad(lambda z, zp: one_plate_kernel(z, zp, seg.v), lo, hi, lo, hi)
 
 
-def quad_image(
-    seg: PathSegment,
-    a: float,
-    n: int,
-    family: str,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> QuadratureResult:
+def quad_image(seg: PathSegment, a: float, n: int, family: str) -> QuadratureResult:
     """An image-term double integral, by adaptive quadrature.
 
     family "reflected" integrates 1/[(z-z')^2 - v^2 (z+z'-2an)^2]^2 and
@@ -243,7 +222,7 @@ def quad_image(
             threshold=threshold,
         )
     lo, hi = seg.z0, seg.z0 + seg.b
-    return _adaptive_quad(kernel, lo, hi, lo, hi, spec)
+    return _adaptive_quad(kernel, lo, hi, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -286,9 +265,6 @@ def deriv_check(
     v: float,
     a: float | None = None,
     n: int | None = None,
-    h0: float | None = None,
-    levels: int = 7,
-    tol: float = 1e-6,
     square=None,
 ) -> DerivativeReport:
     """Check d^2 F / dz0 dz1 of a production square against its kernel.
@@ -302,8 +278,9 @@ def deriv_check(
     taken as z0 < z1; both sides are symmetric under the swap. square
     replaces the production square, with its signature.
 
-    Central mixed differences at step sizes h0 / 2^k are Richardson
-    extrapolated and compared with the kernel sum. Evaluation failures (a
+    Central mixed differences at step sizes h0 / 2^k, h0 = 0.05 |z - z'|,
+    are Richardson extrapolated and compared with the kernel sum; the check
+    converges when they agree to 1e-6 relative. Evaluation failures (a
     stencil point touching a singular locus) are reported as a non-converged
     result rather than raised, so grid sweeps can continue past bad points.
     """
@@ -327,17 +304,16 @@ def deriv_check(
         raise DomainError(
             f"family must be 'reflection' or 'translation', got {family!r}"
         )
-    if h0 is None:
-        # large enough that rounding noise amplified by 1/(4 h^2) at the
-        # finest level stays far below the truncation the tableau removes
-        h0 = 0.05 * abs(z - z_prime)
+    # large enough that rounding noise amplified by 1/(4 h^2) at the finest
+    # level stays far below the truncation the tableau removes
+    h0 = 0.05 * abs(z - z_prime)
     if not h0 > 0.0:
-        raise DomainError(f"step size h0 must be positive, got {h0!r}")
-    if levels < 3:
-        raise DomainError(f"at least 3 Richardson levels are needed, got {levels!r}")
+        raise DomainError(
+            f"derivative checks need two distinct points, got z={z!r}, z'={z_prime!r}"
+        )
     try:
         reference = kernel()
-        raw = [_mixed_difference(g, z0, z1, h0 / 2.0**k) for k in range(levels)]
+        raw = [_mixed_difference(g, z0, z1, h0 / 2.0**k) for k in range(_RICHARDSON_LEVELS)]
     except (CasvoltError, ZeroDivisionError, OverflowError) as exc:
         return DerivativeReport(
             converged=False,
@@ -348,7 +324,7 @@ def deriv_check(
             message=f"evaluation failed at or around the point: {exc}",
         )
     column = raw
-    for j in range(1, levels):
+    for j in range(1, _RICHARDSON_LEVELS):
         fac = 4.0**j
         column = [
             (fac * column[k + 1] - column[k]) / (fac - 1.0)
@@ -358,7 +334,7 @@ def deriv_check(
     denom = abs(reference) if reference != 0.0 else 1.0
     rel = abs(extrapolated - reference) / denom
     return DerivativeReport(
-        converged=rel <= tol,
+        converged=rel <= _DERIV_GATE,
         relative_error=rel,
         observed_order=_observed_order(raw),
         extrapolated=extrapolated,
@@ -528,10 +504,9 @@ def _closed_reflection(seg: PathSegment, base: float, square=_reflection_square)
     return square(base, (seg.z0 + seg.b) - seg.z0, seg.v)
 
 
-def _closed_translated(seg: PathSegment, a: float, n: int,
-                       square=_translation_square) -> float:
+def _closed_translated(seg: PathSegment, a: float, n: int) -> float:
     """The translated square production evaluates, over the quadrature's side."""
-    return square((seg.z0 + seg.b) - seg.z0, seg.v, abs(n) * a * seg.v)
+    return _translation_square((seg.z0 + seg.b) - seg.z0, seg.v, abs(n) * a * seg.v)
 
 
 def _sample_one_plate(rng: random.Random) -> PathSegment:
@@ -597,9 +572,7 @@ def run_verification(
     seed: int = 12345,
     sets_per_family: int = 50,
     grid_points: int = 20,
-    spec: QuadratureSpec = QuadratureSpec(),
     reflection_override=None,
-    translation_override=None,
 ) -> VerificationReport:
     """Re-derive the closed forms from quadrature, derivatives, and series.
 
@@ -612,8 +585,8 @@ def run_verification(
     small-v closed form, gated by their analytic tail bounds. Raises
     DomainError when sets_per_family or grid_points is below 1.
 
-    The override hooks substitute a deliberately wrong square, with the
-    production square's signature, on both the quadrature and the
+    reflection_override substitutes a deliberately wrong reflection square,
+    with the production square's signature, on both the quadrature and the
     derivative side, for exercising the failure path end to end.
     """
     if sets_per_family < 1 or grid_points < 1:
@@ -622,7 +595,6 @@ def run_verification(
             f"sets_per_family={sets_per_family!r}, grid_points={grid_points!r}"
         )
     reflection = reflection_override or _reflection_square
-    translation = translation_override or _translation_square
     start = time.perf_counter()
     rng = random.Random(seed)
     checks: list[CheckResult] = []
@@ -666,7 +638,7 @@ def run_verification(
     for _ in range(sets_per_family):
         seg = _sample_one_plate(rng)
         one_plate_rows.append(
-            (_closed_reflection(seg, seg.z0, reflection), quad_one_plate(seg, spec))
+            (_closed_reflection(seg, seg.z0, reflection), quad_one_plate(seg))
         )
     record_quads("quad_one_plate_vs_closed", one_plate_rows)
 
@@ -675,7 +647,7 @@ def run_verification(
         seg, a, n = _sample_image(rng, "reflected")
         reflected_rows.append(
             (_closed_reflection(seg, seg.z0 - a * n, reflection),
-             quad_image(seg, a, n, "reflected", spec))
+             quad_image(seg, a, n, "reflected"))
         )
     record_quads("quad_reflected_vs_closed", reflected_rows)
 
@@ -683,10 +655,7 @@ def run_verification(
     for _ in range(sets_per_family):
         seg, a, n = _sample_image(rng, "translated")
         translated_rows.append(
-            (
-                _closed_translated(seg, a, n, translation),
-                quad_image(seg, a, n, "translated", spec),
-            )
+            (_closed_translated(seg, a, n), quad_image(seg, a, n, "translated"))
         )
     record_quads("quad_translated_vs_closed", translated_rows)
 
@@ -700,7 +669,6 @@ def run_verification(
         )
     )
 
-    deriv_gate = 1e-6
     worst_refl = 0.0
     refl_ok = True
     for _ in range(grid_points):
@@ -711,10 +679,10 @@ def run_verification(
     checks.append(
         CheckResult(
             name="deriv_reflection_identity",
-            passed=refl_ok and worst_refl <= deriv_gate,
+            passed=refl_ok,
             worst=worst_refl,
             detail=f"{grid_points} points, worst relative error {worst_refl:.3e} "
-            f"(gate {deriv_gate:.0e})",
+            f"(gate {_DERIV_GATE:.0e})",
         )
     )
 
@@ -722,24 +690,16 @@ def run_verification(
     trans_ok = True
     for _ in range(grid_points):
         z, zp, v, a, n = _sample_translation_point(rng)
-        report = deriv_check(
-            "translation",
-            z,
-            zp,
-            v,
-            a=a,
-            n=n,
-            square=translation,
-        )
+        report = deriv_check("translation", z, zp, v, a=a, n=n)
         worst_trans = max(worst_trans, report.relative_error)
         trans_ok = trans_ok and report.converged
     checks.append(
         CheckResult(
             name="deriv_translation_identity",
-            passed=trans_ok and worst_trans <= deriv_gate,
+            passed=trans_ok,
             worst=worst_trans,
             detail=f"{grid_points} points, worst relative error {worst_trans:.3e} "
-            f"(gate {deriv_gate:.0e})",
+            f"(gate {_DERIV_GATE:.0e})",
         )
     )
 

@@ -40,18 +40,18 @@ class Constants:
 CONSTANTS = Constants()
 
 
-def length_to_natural(length_nm: float, constants: Constants = CONSTANTS) -> float:
+def length_to_natural(length_nm: float) -> float:
     """Convert a laboratory length in nm to natural units (1/eV)."""
     if not 0.0 < length_nm < math.inf:
         raise DomainError(f"length must be positive and finite, got {length_nm!r} nm")
-    return length_nm / constants.hbar_c_eV_nm
+    return length_nm / CONSTANTS.hbar_c_eV_nm
 
 
-def natural_to_length(length_inv_eV: float, constants: Constants = CONSTANTS) -> float:
+def natural_to_length(length_inv_eV: float) -> float:
     """Convert a natural-unit length (1/eV) back to nm."""
     if not 0.0 < length_inv_eV < math.inf:
         raise DomainError(f"length must be positive and finite, got {length_inv_eV!r} /eV")
-    return length_inv_eV * constants.hbar_c_eV_nm
+    return length_inv_eV * CONSTANTS.hbar_c_eV_nm
 
 
 def speed_from_kinetic(kinetic_eV: float, mass_eV: float) -> float:
@@ -81,6 +81,6 @@ def kinetic_from_speed(speed: float, mass_eV: float) -> float:
     return 0.5 * mass_eV * speed * speed
 
 
-def charge_natural(charge_e: float, constants: Constants = CONSTANTS) -> float:
+def charge_natural(charge_e: float) -> float:
     """Charge in natural units for a charge given in elementary-charge units."""
-    return charge_e * constants.elementary_charge_natural
+    return charge_e * CONSTANTS.elementary_charge_natural

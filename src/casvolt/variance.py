@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .closed_forms import PathSegment, image_pair_terms, one_plate_integral
+from .closed_forms import _SMALLV_WARN, PathSegment, image_pair_terms, one_plate_integral
 from .errors import ConvergenceError, DomainError, check_positive_finite, check_separation
 from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta_series
-from .units import CONSTANTS, Constants, speed_from_kinetic
+from .units import CONSTANTS, speed_from_kinetic
 
 __all__ = [
     "Particle",
@@ -32,7 +32,6 @@ __all__ = [
     "variance_two_plate_smallv",
 ]
 
-_SMALLV_WARN = 0.1
 _SPEED_MATCH_RTOL = 1e-9
 # The two-plate sum subtracts its analytic tail from the first index n >= 16,
 # the least argument of hurwitz_zeta, at which U = v (2an - 2(z0+b)) / b
@@ -90,7 +89,6 @@ class Particle:
     mass_eV: float
     kinetic_energy_eV: float | None = None
     speed: float | None = None
-    constants: Constants = field(default=CONSTANTS, repr=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.charge_e):
@@ -104,10 +102,13 @@ class Particle:
             )
         if self.speed is not None and not 0.0 < self.speed < 1.0:
             raise DomainError(f"speed must lie in (0, 1), got {self.speed!r}")
-        if self.kinetic_energy_eV is not None and not self.kinetic_energy_eV > 0.0:
-            raise DomainError(
-                f"kinetic energy must be positive, got {self.kinetic_energy_eV!r}"
-            )
+        if self.kinetic_energy_eV is not None:
+            if not self.kinetic_energy_eV > 0.0:
+                raise DomainError(
+                    f"kinetic energy must be positive, got {self.kinetic_energy_eV!r}"
+                )
+            # refuses an infinite energy, or one that gives v >= 1
+            speed_from_kinetic(self.kinetic_energy_eV, self.mass_eV)
 
     @classmethod
     def electron(
@@ -139,7 +140,7 @@ class Particle:
 
     @property
     def charge_natural(self) -> float:
-        return self.charge_e * self.constants.elementary_charge_natural
+        return self.charge_e * CONSTANTS.elementary_charge_natural
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,20 @@ def test_non_finite_particle_exits_two(capsys, particle, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("variance", "--plates", "one", "--z0", "100", "--b", "10", "--kinetic-eV", "inf"),
+     "kinetic energy must be non-negative and finite"),
+    (("variance", "--plates", "one", "--z0", "100", "--b", "10", "--kinetic-eV", "1e7"),
+     "speed 6.25612 >= 1"),
+    (("sweep", "--over", "K", "--values", "1,1e7", "--plates", "one", "--z0", "100",
+      "--b", "10"), "sweep value K=10000000.0: speed 6.25612 >= 1"),
+], ids=["variance-inf", "variance-superluminal", "sweep-superluminal"])
+def test_unusable_kinetic_energy_exits_two(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_sweep_values_emitted_in_ascending_order(capsys):
     code, out, _ = _run(
         capsys,
@@ -358,6 +372,17 @@ def test_verify_refuses_empty_checks(capsys, counts):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _floats(item)
+
+
 def test_verify_json_payload(capsys):
     code, out, _ = _run(
         capsys, "verify", "--sets", "8", "--grid-points", "5", "--format", "json"
@@ -366,6 +391,10 @@ def test_verify_json_payload(capsys):
     payload = json.loads(out)
     assert payload["seed"] == 12345
     assert len(payload["checks"]) == 7
+    # like every other float the CLI prints, rounded to 9 significant digits
+    floats = list(_floats(payload))
+    assert len(floats) == 8
+    assert [x for x in floats if x != _sig9(x)] == []
 
 
 def test_moddel_default_table(capsys):

@@ -17,7 +17,6 @@ ORACLE_NAMES = [
     "CscSeriesComparison",
     "DerivativeReport",
     "QuadratureResult",
-    "QuadratureSpec",
     "VerificationReport",
     "brute_dual_correlator",
     "csc_identity",

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+import casvolt.oracle as oracle
 from casvolt import (
+    ConvergenceError,
     DomainError,
     PathSegment,
     PoleInsideDomainError,
-    QuadratureSpec,
     deriv_check,
     one_plate_integral,
     quad_image,
@@ -29,15 +30,6 @@ from casvolt.oracle import (
 )
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(DomainError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_subdivisions=0)
-
-
 def test_quad_one_plate_matches_closed_form():
     seg = PathSegment(1.0, 0.005, 0.01)
     result = quad_one_plate(seg)
@@ -45,6 +37,17 @@ def test_quad_one_plate_matches_closed_form():
     assert result.value == pytest.approx(closed, rel=1e-12, abs=0.0)
     assert abs(result.value - closed) <= result.error_estimate
     assert result.error_estimate <= 1e-9 * abs(closed)
+
+
+def test_quadrature_gives_up_at_the_subdivision_cap(monkeypatch):
+    # close to its pole entry 0.0202 this square takes 7 subdivisions to
+    # reach 1e-10, so a cap of one stops the refinement after the first
+    seg = PathSegment(1.0, 0.019, 0.01)
+    assert quad_one_plate(seg).subdivisions == 7
+    monkeypatch.setattr(oracle, "_QUAD_MAX_SUBDIVISIONS", 1)
+    with pytest.raises(ConvergenceError,
+                       match="quadrature did not reach tolerance after 1 subdivisions"):
+        quad_one_plate(seg)
 
 
 def test_quad_one_plate_refuses_pole_inside_domain():
@@ -160,8 +163,11 @@ def test_deriv_check_validation():
         deriv_check("translation", 1.0, 1.3, 0.1)  # missing a, n
     with pytest.raises(DomainError):
         deriv_check("translation", 1.0, 1.3, 0.1, a=1.0, n=0)
-    with pytest.raises(DomainError):
-        deriv_check("reflection", 1.0, 1.3, 0.1, levels=2)
+    # the step is derived from |z - z'|, which is zero on the diagonal
+    with pytest.raises(DomainError, match="two distinct points"):
+        deriv_check("reflection", 1.3, 1.3, 0.1)
+    with pytest.raises(DomainError, match="two distinct points"):
+        deriv_check("translation", 0.4, 0.4, 0.1, a=1.0, n=1)
 
 
 def test_run_verification_passes():

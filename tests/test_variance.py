@@ -1,6 +1,7 @@
 """Flight energy-fluctuation statistics."""
 import math
 import random
+import warnings
 
 import pytest
 
@@ -12,6 +13,7 @@ from casvolt import (
     PathSegment,
     SummationControl,
     csc_identity,
+    one_plate_integral_smallv,
     rms_one_plate_smallv,
     length_to_natural,
     validity_window,
@@ -34,6 +36,16 @@ def test_particle_requires_exactly_one_energy_input():
         Particle(charge_e=1.0, mass_eV=M_E, speed=1.0)
     with pytest.raises(DomainError):
         Particle(charge_e=1.0, mass_eV=0.0, speed=0.01)
+
+
+@pytest.mark.parametrize("kinetic, message", [
+    (math.inf, "kinetic energy must be non-negative and finite, got inf eV"),
+    (1e7, "speed 6.25612 >= 1"),
+], ids=["infinite", "superluminal"])
+def test_particle_refuses_an_unusable_kinetic_energy_at_construction(kinetic, message):
+    # both constructed, and failed only when speed_value was read
+    with pytest.raises(DomainError, match=message):
+        Particle.electron(kinetic_energy_eV=kinetic)
 
 
 def test_particle_electron_derives_speed():
@@ -109,6 +121,28 @@ def test_rms_one_plate_smallv_warns_at_large_speed():
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.2)
     with pytest.warns(UserWarning):
         rms_one_plate_smallv(p, 1.0)
+
+
+SMALL_SPEED_FORMS = {
+    "one_plate_integral_smallv": lambda v: one_plate_integral_smallv(PathSegment(1.0, 0.5, v)),
+    "rms_one_plate_smallv": lambda v: rms_one_plate_smallv(Particle.electron(speed=v), 1.0),
+    "variance_two_plate_smallv":
+        lambda v: variance_two_plate_smallv(Particle.electron(speed=v), 0.3, 1.0),
+}
+
+
+@pytest.mark.parametrize("form", sorted(SMALL_SPEED_FORMS))
+@pytest.mark.parametrize("speed, warns", [(0.1, False), (0.1000001, True)])
+def test_small_speed_forms_share_the_warning_edge(form, speed, warns):
+    # one_plate_integral_smallv warned at v = 0.1 and the other two did not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        SMALL_SPEED_FORMS[form](speed)
+    messages = [str(w.message) for w in caught]
+    if warns:
+        assert len(messages) == 1 and "accuracy degrades above v" in messages[0]
+    else:
+        assert messages == []
 
 
 def test_validity_window():
