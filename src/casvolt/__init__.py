@@ -36,7 +36,6 @@ from .errors import (
     DomainError,
     PoleInsideDomainError,
     SingularityError,
-    VerificationError,
 )
 from .experiment import (
     DEFAULT_SCENARIO,
@@ -99,7 +98,6 @@ __all__ = [
     "SpacetimePair",
     "SummationControl",
     "SummationResult",
-    "VerificationError",
     "VerificationReport",
     "WindowReport",
     "brute_dual_correlator",

@@ -26,13 +26,7 @@ import sys
 
 from .closed_forms import PathSegment, _reflection_square
 from .correlators import SpacetimePair, correlator_dual_plate, correlator_single_plate
-from .errors import (
-    CasvoltError,
-    ConvergenceError,
-    DomainError,
-    SingularityError,
-    VerificationError,
-)
+from .errors import CasvoltError, ConvergenceError, DomainError, SingularityError
 from .experiment import (
     DEFAULT_SCENARIO,
     load_scenario,
@@ -564,9 +558,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     return 0
 
 

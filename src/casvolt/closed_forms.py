@@ -60,6 +60,17 @@ _V_MAX = 0.99
 # the small-v forms here and in variance warn at speeds above this one
 _SMALLV_WARN = 0.1
 
+
+def _warn_small_speed(v: float) -> None:
+    """Warn, at the caller of the small-v form that calls this, when v is
+    above _SMALLV_WARN."""
+    if v > _SMALLV_WARN:
+        warnings.warn(
+            f"small-v formula evaluated at v={v}: accuracy degrades above v ~ {_SMALLV_WARN}",
+            stacklevel=3,
+        )
+
+
 # a corner sits "on the singular locus" when a log argument is smaller than
 # this fraction of its natural magnitude scale
 _POLE_TOUCH_EPS = 1e-10
@@ -237,11 +248,7 @@ def one_plate_integral_smallv(seg: PathSegment) -> float:
     v = 0.01 its relative error is 1.5% at twice the pole entry, 0.3% at
     three times, and 7.6 at b = v z0.
     """
-    if seg.v > _SMALLV_WARN:
-        warnings.warn(
-            f"small-v expansion evaluated at v={seg.v}: accuracy degrades above v ~ 0.1",
-            stacklevel=2,
-        )
+    _warn_small_speed(seg.v)
     z0, b = seg.z0, seg.b
     z1 = z0 + b
     lead = (z0 * z0 + z1 * z1) / (8.0 * z0 * z0 * z1 * z1 * seg.v * seg.v)

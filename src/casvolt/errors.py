@@ -2,8 +2,8 @@
 finite checks they share.
 
 The command line front end maps these onto its exit-code contract:
-validation and singularity problems exit 2, convergence failures exit 3,
-verification failures exit 4.
+validation and singularity problems exit 2, convergence failures exit 3.
+A failing `casvolt verify` exits 4 by its return value, not by an error.
 """
 from __future__ import annotations
 
@@ -45,10 +45,6 @@ class PoleInsideDomainError(DomainError):
 
 class ConvergenceError(CasvoltError):
     """A truncated sum or adaptive quadrature could not meet its tolerance."""
-
-
-class VerificationError(CasvoltError):
-    """The self-verification suite found at least one failing check."""
 
 
 def check_positive_finite(label: str, value: float) -> None:

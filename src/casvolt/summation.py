@@ -5,11 +5,12 @@ The two-plate quantities are sums over image index n = ..., -2, -1, 1, 2, ...
 its quantity and follows one pattern: a head of pairs summed term by term
 and, beyond it, a tail whose leading asymptotics are added in closed form
 through Hurwitz zeta values, with a rigorous bound on what is left.
-variance._two_plate_sum stops at the first pair whose bound falls below
-SummationControl.tol of the running total. It certifies only from its
-reference index n_ref >= 16 on, the least Hurwitz argument, so its
-terms_used is at least 16, and an n_max below n_ref refuses at once. It
-subtracts six orders, n^-4 to n^-14, through hurwitz_zeta_series.
+variance._two_plate_sum forms its pairs in blocks and returns at the end
+of the first block whose bound falls below SummationControl.tol of the
+value it returns: the first block reaches a quarter past its reference
+index n_ref >= 16, the least Hurwitz argument, so its terms_used is at
+least 16, and an n_max below n_ref refuses at once. It subtracts six
+orders, n^-4 to n^-14, through hurwitz_zeta_series.
 correlators.correlator_dual_plate picks its head length from the geometry
 and sums the tail to all orders. Both report a SummationResult.
 """

@@ -12,11 +12,10 @@ a charge given in units of e.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .closed_forms import _SMALLV_WARN, PathSegment, image_pair_terms, one_plate_integral
+from .closed_forms import PathSegment, _warn_small_speed, image_pair_terms, one_plate_integral
 from .errors import ConvergenceError, DomainError, check_positive_finite, check_separation
 from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta_series
 from .units import CONSTANTS, speed_from_kinetic
@@ -151,7 +150,9 @@ class FluctuationResult:
     voltage is the energy spread per unit charge. regime records which
     approximations produced the number, terms_used and tail_estimate_eV2 how
     an image sum was truncated (both zero for closed-form evaluations):
-    tail_estimate_eV2 bounds the truncation error of variance_eV2.
+    terms_used is the last pair summed term by term, the end of the pair
+    block at which the sum certified, and tail_estimate_eV2 bounds the
+    truncation error of variance_eV2.
     """
 
     variance_eV2: float
@@ -271,11 +272,7 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     if not 0.0 < z0 < math.inf:
         raise DomainError(f"starting distance z0 must be positive and finite, got {z0!r}")
     v = particle.speed_value
-    if v > _SMALLV_WARN:
-        warnings.warn(
-            f"small-v formula evaluated at v={v:.3g}; accuracy degrades above v~0.1",
-            stacklevel=2,
-        )
+    _warn_small_speed(v)
     flags = ("small_v", "one_plate")
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
@@ -348,33 +345,6 @@ def _tail_expansion(coefficients: list[float], n: int) -> float:
     return total * inv_sq * inv_sq
 
 
-def _first_certified(certifies, lo: int, hi: int, guess: float) -> int:
-    """The least n in [lo, hi] with certifies(n), or hi if there is none.
-
-    certifies is taken to turn true once and stay true. Steps of 1, 2, 4, ...
-    away from the guess bracket that n and bisection closes the bracket, so
-    a guess one index off costs two evaluations.
-    """
-    n = max(lo, math.floor(guess)) if guess < hi else hi
-    step = 1
-    if certifies(n):
-        hi = n
-        while hi - step >= lo and certifies(hi - step):
-            hi, step = hi - step, 2 * step
-        lo = max(lo, hi - step + 1)
-    else:
-        while n + step < hi and not certifies(n + step):
-            n, step = n + step, 2 * step
-        lo, hi = n + 1, min(hi, n + step)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if certifies(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
 def _zeta16_bound(x):
     """zeta(16, x) <= x^-15/15 + x^-16/2 + (4/3) x^-17: Euler-Maclaurin stopped
     after a positive term, which overestimates a completely monotone sum."""
@@ -395,16 +365,15 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     expansion in 1/n^2 is nonnegative, so r >= 0 and n^16 r(n) does not
     increase: r(m) <= n_ref^16 r(n_ref) / m^16 for every m > N >= n_ref.
 
-    The sum stops at the first N >= n_ref with
-    bound(N) <= tol |running(N) + T(N)|, running(N) being the one-plate term
-    plus the pairs up to N added left to right, and returns the compensated
-    sum of those terms and T(N), with tail_estimate = bound(N). The pair
-    terms 1..E, E = n_ref + n_ref // 4 + 2, are formed in one block, which
-    also gives r(n_ref); on the image_sums ranges the stop lies inside it.
-    The stop is found by scalar checks of the block's running totals, from
-    the envelope's N^-15 decay at the block's last total. If no index up to
-    E certifies, the sum carries on from E + 1 against the running total,
-    in blocks reaching the first index that certifies against it.
+    The pair terms 1..E, E = min(n_max, n_ref + n_ref // 4 + 2), are formed
+    in one block, which also gives r(n_ref). The sum certifies at the
+    block's end only: value(E) is the compensated sum of the one-plate
+    term, every pair of the block and T(E), and the sum returns it when
+    bound(E) <= tol |value(E)|, with terms_used = E and tail_estimate =
+    bound(E); on the image_sums ranges it does. Otherwise the next block
+    reaches min(n_max, 2E), then twice that, and so on. From n_ref on the
+    bound falls while value(N) rises by r(N+1) >= 0, so when n_max does not
+    certify no index up to n_max does, and the sum refuses.
     """
     v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
     tol, n_max = control.tol, control.n_max
@@ -423,45 +392,24 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     import numpy as np
 
     coefficients, series = _tail_series(seg, a)
-
-    def tail_and_bound(n: int) -> tuple[float, float]:
-        x = n + 1.0
-        tail = _tail_sum(series, x)
-        return tail, envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, n * _ULP) * tail
-
-    def certifies(n: int, total: float) -> bool:
-        tail, bound = tail_and_bound(n)
-        return bound <= tol * abs(total + tail)
-
-    def predicted(total: float) -> float:
-        # envelope * zeta16(x) is about envelope / (15 (x - 1/2)^15), which
-        # meets tol |total| at x - 1/2 = x0: the first certified N = x - 1 is
-        # then the least integer above x0 - 1/2
-        if not total:
-            return math.inf
-        return (envelope / (15.0 * tol * abs(total))) ** (1.0 / 15.0) + 0.5
-
     base = one_plate_integral(seg)
     end = min(n_max, n_ref + n_ref // 4 + 2)
     terms = image_pair_terms(seg, a, np.arange(1.0, end + 1.0))
     pair = float(terms[n_ref - 1])
     remainder = pair - _tail_expansion(coefficients, n_ref)
     envelope = n_ref**_REMAINDER_ORDER * (abs(remainder) + _PAIR_ROUNDING * pair)
-    parts, running, start = [base], base, 1
+    parts = [base, *terms.tolist()]
     while True:
-        totals = np.add.accumulate(np.concatenate(([running], terms)))[1:].tolist()
-        n = _first_certified(lambda n: certifies(n, totals[n - start]), max(start, n_ref), end,
-                             predicted(totals[-1]))
-        tail, bound = tail_and_bound(n)
-        if bound <= tol * abs(totals[n - start] + tail):
-            value = math.fsum([*parts, *terms[: n - start + 1].tolist(), tail])
-            return SummationResult(value=value, terms_used=n, tail_estimate=bound)
+        x = end + 1.0
+        tail = _tail_sum(series, x)
+        bound = envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, end * _ULP) * tail
+        value = math.fsum([*parts, tail])
+        if bound <= tol * abs(value):
+            return SummationResult(value=value, terms_used=end, tail_estimate=bound)
         if end == n_max:
             raise refuse(bound)
-        parts += terms.tolist()
-        running, start = totals[-1], end + 1
-        end = _first_certified(lambda n: certifies(n, running), start, n_max, predicted(running))
-        terms = image_pair_terms(seg, a, np.arange(start, end + 1.0))
+        start, end = end + 1, min(n_max, 2 * end)
+        parts += image_pair_terms(seg, a, np.arange(start, end + 1.0)).tolist()
 
 
 def variance_two_plate_exact(
@@ -476,10 +424,10 @@ def variance_two_plate_exact(
     symmetric pairs n, -n (_two_plate_sum). From a reference index n_ref
     >= 16 on, the analytic tail sum_j C_j zeta(4+2j, N+1), j = 0..5, of the
     dropped pairs is added and only its remainder, of order N^-15, is
-    bounded; the sum stops at the first pair N >= n_ref whose bound falls
-    below control.tol of the total, so terms_used >= 16. That stop lies
-    close to n_ref, so the pair terms are evaluated in one block reaching a
-    quarter past n_ref. terms_used is the last pair summed and
+    bounded. The pair terms are evaluated in one block reaching a quarter
+    past n_ref, and the sum certifies at its end N when the bound there
+    falls below control.tol of the returned value; if not, a block doubling
+    N follows. terms_used is that N, the last pair summed, and
     tail_estimate_eV2 bounds the truncation error of the returned variance,
     not the rounding of the pair terms (about 1e-15 of the value), which
     at the default tol it often falls below. Raises ConvergenceError when
@@ -526,11 +474,7 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
             f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"
         )
     v = particle.speed_value
-    if v > _SMALLV_WARN:
-        warnings.warn(
-            f"small-v formula evaluated at v={v:.3g}; accuracy degrades above v~0.1",
-            stacklevel=2,
-        )
+    _warn_small_speed(v)
     flags = ("small_v", "two_plate")
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))

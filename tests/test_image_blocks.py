@@ -25,7 +25,7 @@ from casvolt import (
 import casvolt.variance
 from casvolt.closed_forms import _KERNEL_BLOCK, _image_pair_term, image_pair_terms
 from casvolt.correlators import _dual_pair_term
-from casvolt.variance import _first_certified, _two_plate_sum
+from casvolt.variance import _two_plate_sum
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
@@ -80,19 +80,37 @@ def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns):
         assert abs(scalar_value - reference) <= bound
 
 
-def _reference_sum(pair_term, tail_bound, control, base):
-    """The per-index stop rule: (compensated value, terms used), or the
-    ConvergenceError message when no index up to control.n_max certifies.
-    tail_bound gives (bound, subtracted tail) for each index."""
+def _block_ends(n_ref, n_max):
+    """Where variance_two_plate_exact tries to certify: E = min(n_max,
+    n_ref + n_ref // 4 + 2), then min(n_max, 2E), and so on up to n_max."""
+    ends = [min(n_max, n_ref + n_ref // 4 + 2)]
+    while ends[-1] < n_max:
+        ends.append(min(n_max, 2 * ends[-1]))
+    return ends
+
+
+def _reference_sum(pair_term, tail_bound, control, base, ends):
+    """The block-end stop rule, index by index: (compensated value, end,
+    bound at end, first) at the first of ends where the bound is within
+    control.tol of the compensated sum of base, the pairs up to that end and
+    the subtracted tail, or the ConvergenceError message when none is. first
+    is the least index at which the left-to-right running total plus its
+    subtracted tail certifies (the former stop rule), or None. tail_bound
+    gives (bound, subtracted tail) for each index."""
     parts = [base]
     running = base
-    for n in range(1, control.n_max + 1):
+    first = None
+    for n in range(1, ends[-1] + 1):
         term = pair_term(n)
         parts.append(term)
         running += term
         bound, subtracted = tail_bound(n)
-        if bound <= control.tol * abs(running + subtracted):
-            return math.fsum([*parts, subtracted]), n
+        if first is None and bound <= control.tol * abs(running + subtracted):
+            first = n
+        if n in ends:
+            value = math.fsum([*parts, subtracted])
+            if bound <= control.tol * abs(value):
+                return value, n, bound, first
     return (f"two-plate variance: image sum not certified below relative tolerance "
             f"{control.tol:g} within n_max={control.n_max} terms (last tail bound {bound:.3e})")
 
@@ -107,7 +125,9 @@ def _two_plate_tail(seg, a):
     allowance 1e-12 of itself. The C_j are the exact rationals of
     _TAIL_ORDERS rounded once, and the pair term at n_ref is the block's. No
     index below n_ref certifies: there the rule gives an infinite bound.
-    Returns the rule and n_ref.
+    Returns the rule, n_ref and rounding(n): the bound at n moves by that
+    when r(n_ref) moves by 8 ulps of the pair term, as it does when the C_j
+    are rounded differently (by up to 3.6 ulps at the geometries tried).
     """
     mpmath = pytest.importorskip("mpmath")
     coefficients = [float(c) for c in _exact_coefficients(seg.z0, seg.b, seg.v, a)]
@@ -121,10 +141,16 @@ def _two_plate_tail(seg, a):
             return math.inf, 0.0
         x = n + 1.0
         tail = sum(c * float(mpmath.zeta(4 + 2 * j, x)) for j, c in enumerate(coefficients))
-        zeta16 = (1.0 / 15.0 + (0.5 + 4.0 / (3.0 * x)) / x) / x**15
-        return envelope * zeta16 + max(1e-12, n * 2.0**-53) * tail, tail
+        return envelope * _zeta16(x) + max(1e-12, n * 2.0**-53) * tail, tail
 
-    return rule, n_ref
+    def rounding(n):
+        return n_ref**16 * 8.0 * 2.0**-53 * pair * _zeta16(n + 1.0)
+
+    return rule, n_ref, rounding
+
+
+def _zeta16(x):
+    return (1.0 / 15.0 + (0.5 + 4.0 / (3.0 * x)) / x) / x**15
 
 
 def _case(z0, b, a, v, tol=1e-10):
@@ -134,73 +160,88 @@ def _case(z0, b, a, v, tol=1e-10):
 
 def _assert_matches_per_index_reference(z0, b, a, v, control, shift=0.0):
     """variance_two_plate_exact against the per-index loop, with shift
-    subtracted from the first pair term on both sides."""
+    subtracted from the first pair term on both sides. Returns the result
+    (None for a refusal), n_ref and the reference's (value, end, bound,
+    first), or its refusal message."""
     particle = Particle.electron(speed=v)
     seg = PathSegment(z0=z0, b=b, v=v)
-    rule, n_ref = _two_plate_tail(seg, a)
+    rule, n_ref, rounding = _two_plate_tail(seg, a)
     expected = _reference_sum(
         lambda n: _scalar_pair(seg, a, n) - (shift if n == 1 else 0.0),
         rule,
         control,
         one_plate_integral(seg),
+        _block_ends(n_ref, control.n_max),
     )
     if isinstance(expected, str):
         with pytest.raises(ConvergenceError) as excinfo:
             variance_two_plate_exact(particle, seg, a, control)
         assert str(excinfo.value) == expected
-        return None, n_ref
+        return None, n_ref, expected
     result = variance_two_plate_exact(particle, seg, a, control)
-    value, terms = expected
+    value, end, bound, _ = expected
     q = particle.charge_natural
-    assert result.terms_used == terms
-    expected = q * q * v**4 / math.pi**2 * value
-    assert result.variance_eV2 == pytest.approx(expected, rel=1e-14, abs=0.0)
-    return result, n_ref
+    prefactor = q * q * v**4 / math.pi**2
+    assert result.terms_used == end
+    assert result.variance_eV2 == pytest.approx(prefactor * value, rel=1e-14, abs=0.0)
+    assert result.tail_estimate_eV2 == pytest.approx(prefactor * bound, rel=1e-14,
+                                                     abs=prefactor * rounding(end))
+    return result, n_ref, expected
 
 
 @pytest.mark.parametrize("z0, b, a, v, tol", [
     _case(0.3, 0.1, 1.0, 0.1),
     _case(0.3, 0.1, 1.0, 0.02),
-    _case(0.3, 0.1, 1.0, 1e-3),  # reference index 101, stop at 116
+    _case(0.3, 0.1, 1.0, 1e-3),  # reference index 101, block end 128
     _case(0.05, 0.4, 0.5, 0.05),
     _case(1.2, 0.3, 1.6, 0.01),
-    _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # stops at n_ref = 16, the least index that can certify
+    _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # n_ref = 16 certifies already
     _case(0.3, 0.1, 1.0, 1e-3, tol=1e-13),
 ])
 def test_two_plate_exact_matches_per_index_reference(z0, b, a, v, tol):
-    result, n_ref = _assert_matches_per_index_reference(z0, b, a, v, SummationControl(tol=tol))
+    # the sum certifies at the first block end at or past the least index
+    # the running total would certify at: the end E of its one pair block,
+    # or at tol = 1e-13 the doubled end 2E = 256 (former stop 185)
+    control = SummationControl(tol=tol)
+    result, n_ref, (_, end, _, first) = _assert_matches_per_index_reference(z0, b, a, v, control)
+    ends = _block_ends(n_ref, control.n_max)
+    assert result.terms_used == end == ends[0 if tol > 1e-13 else 1]
+    assert n_ref <= first <= end
+    assert end == min(e for e in ends if e >= first)
     if tol == 1e-4:
         # no index below n_ref certifies
-        assert result.terms_used == n_ref == 16
+        assert first == n_ref == 16 and end == 22
 
 
-# (0.3, 0.1, 1.0, 5.5e-4) has n_ref = 183 and stops at 203: n_max 8 and 50
-# lie below n_ref and refuse with an infinite bound, 200 ends under the envelope
+# (0.3, 0.1, 1.0, 5.5e-4) has n_ref = 183 and certifies at E = 230: n_max 8
+# and 50 lie below n_ref and refuse with an infinite bound, 200 ends under
+# the envelope
 @pytest.mark.parametrize("n_max", [8, 50, 200])
 def test_two_plate_exact_n_max_refusal_matches_per_index_reference(n_max):
-    result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 5.5e-4,
-                                                    SummationControl(n_max=n_max))
+    result, _, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 5.5e-4,
+                                                       SummationControl(n_max=n_max))
     assert result is None
 
 
 def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
     # pair terms are nonnegative on every geometry tried, so the continuation
-    # is forced: n_ref = 183 and the sum stops at 203, inside the first block
-    # 1..E, E = 230; taking 0.9 of the whole sum off the first pair leaves a
-    # tenth of it, and the stop moves past E
+    # is forced: n_ref = 183 and the sum certifies at the end E = 230 of its
+    # first block; taking 0.99 of the whole sum off the first pair leaves a
+    # hundredth of it, E no longer certifies, and the next block 231..460
+    # ends at 2E, which does
     seg = PathSegment(z0=0.3, b=0.1, v=5.5e-4)
-    shift = 0.9 * _two_plate_sum(seg, 1.0, SummationControl()).value
-    sizes = []
+    shift = 0.99 * _two_plate_sum(seg, 1.0, SummationControl()).value
+    blocks = []
 
     def shifted(seg, a, ns):
-        sizes.append(ns.size)
+        blocks.append((ns[0], ns[-1]))
         return image_pair_terms(seg, a, ns) - np.where(ns == 1.0, shift, 0.0)
 
     monkeypatch.setattr(casvolt.variance, "image_pair_terms", shifted)
-    result, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 5.5e-4, SummationControl(),
-                                                    shift=shift)
-    assert len(sizes) > 1
-    assert sum(sizes) >= result.terms_used
+    result, _, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 5.5e-4, SummationControl(),
+                                                       shift=shift)
+    assert blocks == [(1.0, 230.0), (231.0, 460.0)]
+    assert result.terms_used == 460
 
 
 def test_long_block_is_taken_in_pieces_with_the_same_terms():
@@ -262,32 +303,6 @@ def _image_sums_grid(seed):
         yield a, z0, (0.02 + 0.48 * ub) * (a - z0), 10.0 ** (-3.0 + 2.0 * uv)
 
 
-def test_two_plate_sum_adds_the_running_total_left_to_right(monkeypatch):
-    # with no subtracted tail and a constant zeta(16) factor of 2^-64, the
-    # bound is the envelope times 2^-64 = 16^-16, the pair term at n_ref = 16
-    # plus its allowance, at every index from n_ref on. Each pair term is
-    # below half an ulp of the one-plate term, so a left-to-right running
-    # total stays exactly 1.0 and never meets the bound, while adding the
-    # terms up first would reach 1 + 2**-52 or more and stop
-    pair = 6e-17
-    bound = 16**16 * (pair + 1e-12 * pair) * 2.0**-64
-    control = SummationControl(tol=bound * (1.0 - 2.0**-53), n_max=40)
-    assert control.tol < bound <= control.tol * (1.0 + 2.0**-52)
-    assert 1.0 + 16 * pair >= 1.0 + 2.0**-52
-    monkeypatch.setattr(casvolt.variance, "one_plate_integral", lambda seg: 1.0)
-    monkeypatch.setattr(casvolt.variance, "image_pair_terms",
-                        lambda seg, a, ns: np.full_like(ns, pair))
-    monkeypatch.setattr(casvolt.variance, "_tail_series", lambda seg, a: ([0.0] * 6, [0.0]))
-    monkeypatch.setattr(casvolt.variance, "_zeta16_bound", lambda x: 2.0**-64)
-    expected = _reference_sum(lambda n: pair, lambda n: (math.inf, 0.0) if n < 16 else
-                              (bound, 0.0), control, 1.0)
-    assert "last tail bound 6.000e-17" in expected
-    with pytest.raises(ConvergenceError) as excinfo:
-        variance_two_plate_exact(Particle.electron(speed=0.1), PathSegment(z0=0.3, b=0.1, v=0.1),
-                                 1.0, control)
-    assert str(excinfo.value) == expected
-
-
 @pytest.mark.parametrize("z0, b, a, v, n_max", [
     (0.3, 0.1, 1.0, 1e-3, 100),  # n_ref = 101
     (0.3, 0.1, 1.0, 0.1, 15),  # n_ref = 16
@@ -311,45 +326,6 @@ def test_n_max_below_reference_index_refuses_before_any_pair(z0, b, a, v, n_max,
     assert calls == []
 
 
-def _scanned_stop(seg, a, control, end):
-    """The stop of variance._two_plate_sum's scalar rule, found by trying
-    every index from n_ref on against the left-to-right running totals of
-    the pairs 1..end: (N, bound at N), or None when none up to end certifies."""
-    v = casvolt.variance
-    n_ref = _reference_index(seg.z0, seg.b, a, seg.v)
-    coefficients, series = v._tail_series(seg, a)
-    terms = image_pair_terms(seg, a, np.arange(1.0, end + 1.0))
-    pair = float(terms[n_ref - 1])
-    envelope = n_ref**16 * (abs(pair - v._tail_expansion(coefficients, n_ref))
-                            + v._PAIR_ROUNDING * pair)
-    totals = np.add.accumulate(np.concatenate(([one_plate_integral(seg)], terms)))
-    for n in range(n_ref, end + 1):
-        x = n + 1.0
-        tail = v._tail_sum(series, x)
-        bound = envelope * v._zeta16_bound(x) + max(v._TAIL_ROUNDING, n * v._ULP) * tail
-        if bound <= control.tol * abs(float(totals[n]) + tail):
-            return n, bound
-    return None
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_scalar_stop_search_matches_a_linear_scan(seed):
-    # _first_certified takes the rule to turn true once and stay true past
-    # n_ref; a scan of every index finds the same stop and bound on the grid
-    control = SummationControl()
-    checked = 0
-    for a, z0, b, v in _image_sums_grid(seed):
-        seg = PathSegment(z0=z0, b=b, v=v)
-        try:
-            result = _two_plate_sum(seg, a, control)
-        except SingularityError:
-            continue
-        assert _scanned_stop(seg, a, control, result.terms_used) == (result.terms_used,
-                                                                    result.tail_estimate)
-        checked += 1
-    assert checked >= 55
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(a=st.floats(0.5, 2.0), uz=st.floats(0.05, 0.8), ub=st.floats(0.02, 0.5),
        log_v=st.floats(-3.0, -1.0), tol=st.floats(1e-12, 0.5))
@@ -363,29 +339,24 @@ def test_two_plate_sum_never_stops_before_the_reference_index(a, uz, ub, log_v, 
     assert result.terms_used >= _reference_index(z0, b, a, v) >= 16
 
 
-# stop 1001 lies past hi = 1000: nothing certifies and hi comes back
-@pytest.mark.parametrize("stop", [16, 40, 1000, 1001])
-@pytest.mark.parametrize("guess", [3.0, 39.0, 40.0, 41.7, 5000.0, math.nan])
-def test_first_certified_finds_the_least_certified_index(stop, guess):
-    seen = []
-
-    def certifies(n):
-        assert 16 <= n <= 1000
-        seen.append(n)
-        return n >= stop
-
-    assert _first_certified(certifies, 16, 1000, guess) == min(stop, 1000)
-    # steps from the guess and bisection: logarithmic in the distance; a nan
-    # guess starts at hi
-    start = max(16, math.floor(guess)) if guess < 1000 else 1000
-    assert len(seen) <= 2 * math.log2(abs(stop - start) + 2) + 2
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.floats(0.5, 2.0), uz=st.floats(0.05, 0.8), ub=st.floats(0.02, 0.5),
+       log_v=st.floats(-3.0, -1.0), log_tol=st.floats(-15.0, math.log10(0.5)))
+def test_two_plate_sum_certifies_at_a_block_end(a, uz, ub, log_v, log_tol):
+    z0 = a * uz
+    b, v, control = ub * (a - z0), 10.0**log_v, SummationControl(tol=10.0**log_tol)
+    try:
+        result = _two_plate_sum(PathSegment(z0=z0, b=b, v=v), a, control)
+    except SingularityError:
+        return
+    assert result.tail_estimate <= control.tol * abs(result.value)
+    assert result.terms_used in _block_ends(_reference_index(z0, b, a, v), control.n_max)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
     # the pair terms 1..E, E = n_ref + n_ref // 4 + 2, are evaluated once,
-    # and the stop lies inside them; the sum keeps n_ref or more of them, so
-    # that block is at most twice what it keeps
+    # and the sum certifies at E, keeping every one of them
     sizes = []
 
     def counted(seg, a, ns):
@@ -400,8 +371,7 @@ def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
                                               PathSegment(z0=z0, b=b, v=v), a)
         except SingularityError:
             continue
-        assert len(sizes) == 1
-        assert sizes[0] <= 2 * result.terms_used
+        assert sizes == [result.terms_used]
 
 
 def _assert_block_matches_scalar(seg, a, ns):

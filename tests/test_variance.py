@@ -134,15 +134,18 @@ SMALL_SPEED_FORMS = {
 @pytest.mark.parametrize("form", sorted(SMALL_SPEED_FORMS))
 @pytest.mark.parametrize("speed, warns", [(0.1, False), (0.1000001, True)])
 def test_small_speed_forms_share_the_warning_edge(form, speed, warns):
-    # one_plate_integral_smallv warned at v = 0.1 and the other two did not
+    # one_plate_integral_smallv warned at v = 0.1 and the other two did not;
+    # all three give one text, attributed to the line that called the form
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         SMALL_SPEED_FORMS[form](speed)
-    messages = [str(w.message) for w in caught]
     if warns:
-        assert len(messages) == 1 and "accuracy degrades above v" in messages[0]
+        assert [str(w.message) for w in caught] == [
+            f"small-v formula evaluated at v={speed}: accuracy degrades above v ~ 0.1"]
+        assert caught[0].category is UserWarning
+        assert caught[0].filename == __file__
     else:
-        assert messages == []
+        assert caught == []
 
 
 def test_validity_window():
