@@ -141,8 +141,7 @@ def _add_control_flags(parser: argparse.ArgumentParser) -> None:
         "--n-max",
         type=int,
         default=10**6,
-        help="image-pair budget for sums; for dual-plate correlators, the most "
-        "image pairs summed term by term before the analytic tail",
+        help="image-pair budget for sums",
     )
 
 
@@ -197,8 +196,7 @@ def _cmd_correlator(args) -> int:
     else:
         if args.a is None:
             raise DomainError("dual-plate correlators need the separation --a")
-        control = SummationControl(tol=args.tol, n_max=args.n_max)
-        result = correlator_dual_plate(pair, _to_natural(args.a, args), control)
+        result = correlator_dual_plate(pair, _to_natural(args.a, args))
         row[f"a_{suffix}"] = args.a
         row["correlator_eV4"] = result.value
         row["terms_used"] = result.terms_used
@@ -456,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--t-prime", type=float, default=0.0, help="second time as c*t'"
     )
     correlator.add_argument("--a", type=float, help="plate separation (dual only)")
-    _add_control_flags(correlator)
     _add_units_flag(correlator)
     _add_output_flags(correlator)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, SingularityError, check_separation
-from .summation import SummationControl, SummationResult, hurwitz_zeta
+from .errors import DomainError, SingularityError, check_separation
+from .summation import SummationResult
 
 __all__ = [
     "SpacetimePair",
@@ -26,12 +26,20 @@ __all__ = [
 # a denominator (difference of squares, then squared) counts as singular when
 # it falls below this relative fraction of its scale to the fourth power
 _SINGULAR_EPS = 1e-12
-# The dual-plate correlator sums at least this many image pairs term by term;
-# its analytic tail then starts every Hurwitz zeta argument at 16 or more.
-_DUAL_HEAD = 16
-# Most orders of the dual-plate tail's expansion in (t-t')^2/s^2, so that
-# hurwitz_zeta is asked for orders s <= 2 * _TAIL_ORDERS + 2 = 16 only.
-_TAIL_ORDERS = 7
+# sum over n != 0 of 1/(d^2 - (c - 2an)^2)^2 where |c| + |d| < 2a, as
+# (node, weight): weight times the terms at n = +-node. |n| = 1, 2 are the
+# images; the rest are the 4-point Gauss rule, in t = 1/n^2, of the measure
+# sum_{n >= 3} 2 n^-4 delta(t - 1/n^2) (node t^-1/2, weight w t^-2 / 2). The
+# rule's sum is within 6.2e-17 relative of the exact one as |c| + |d| -> 2a
+# (tests/test_dual_plate_accuracy.py rebuilds it).
+_IMAGE_RULE = (
+    (1.0, 1.0),
+    (2.0, 1.0),
+    (3.00005240871634, 1.0004492031052405),
+    (4.025038697955041, 1.1064317587406516),
+    (5.573545283088666, 2.3409784194468224),
+    (10.489686822713129, 10.067607876724928),
+)
 
 
 @dataclass(frozen=True)
@@ -79,74 +87,79 @@ def correlator_single_plate(pair: SpacetimePair) -> float:
     return _inverse_square_factor(dt, pair.z + pair.z_prime, "(z+z')") / math.pi**2
 
 
-def _dual_pair_term(n: int, a: float, dt: float, dz: float, sz: float) -> float:
-    total = 0.0
-    for s in (n, -n):
-        total += _inverse_square_factor(dt, dz - 2.0 * a * s, f"(z-z'-2an), n={s}")
-        total += _inverse_square_factor(dt, sz - 2.0 * a * s, f"(z+z'-2an), n={s}")
-    return total / math.pi**2
+def _raise_at_light_like_image(dt: float, dz: float, sz: float, a: float) -> None:
+    """Raise SingularityError if an image c - 2an, c = z -+ z', is light-like.
 
-
-def _dual_head(n_head: int, a: float, dt: float, dz: float, sz: float) -> list[float]:
-    """1/(dt^2 - s^2)^2 for the four images of each index 1 <= n <= n_head.
-
-    The same float operations as _dual_pair_term, inlined so that no message
-    is formatted; an index holding a singular image is re-evaluated through
-    _dual_pair_term, which raises.
+    Only the n nearest (c -+ |dt|)/2a can be, and only within 2e-6
+    (|c| + |dt|)/2a of it, a window wider than _inverse_square_factor's test
+    with rounding. Each such image goes through that test in the order of
+    the sum over images: z + z' first, then by |n|, +n before -n, z - z'
+    before z + z'.
     """
-    reach = abs(dt)
-    terms = []
-    for n in range(1, n_head + 1):
-        shift = 2.0 * a * n
-        for separation in (dz - shift, sz - shift, dz + shift, sz + shift):
-            factor = (dt - separation) * (dt + separation)
-            denom = factor * factor
-            if denom < _SINGULAR_EPS * max(reach, abs(separation)) ** 4:
-                _dual_pair_term(n, a, dt, dz, sz)
-            terms.append(1.0 / denom)
-    return terms
+    d = abs(dt)
+    two_a = 2.0 * a
+    hits = set()
+    for family, c in enumerate((dz, sz)):
+        window = 2e-6 * (d + abs(c)) / two_a
+        for ratio in ((c - d) / two_a, (c + d) / two_a):
+            n = round(ratio)
+            if abs(ratio - n) < window and (n or family):
+                hits.add((abs(n), n < 0, family, n))
+    for _, _, family, n in sorted(hits):
+        label = f"(z{'+' if family else '-'}z'-2an), n={n}" if n else "(z+z')"
+        _inverse_square_factor(dt, (sz if family else dz) - 2.0 * a * n, label)
 
 
-def _dual_head_length(a: float, dt: float, dz: float, sz: float, tol: float) -> float:
-    """The least N >= _DUAL_HEAD whose dropped images all lie at distance
-    s >= |dt| / sqrt(x_max) or more, x_max = min(1/4, (tol/16)^(1/_TAIL_ORDERS));
-    inf or nan where no such integer exists.
+def _images_off_zero(d: float, c: float, a: float) -> float:
+    """sum over n != 0 of 1/(d^2 - (c - 2an)^2)^2, for |c| <= a and d >= 0.
 
-    With x = (dt/s)^2 <= x_max the remainder after _TAIL_ORDERS orders is
-    at most lead * 16 x^_TAIL_ORDERS <= tol * lead, and the lead order is
-    part of the value, so the tail always certifies within _TAIL_ORDERS.
+    Where |c| + d < 2a, _IMAGE_RULE: every term positive. Elsewhere the
+    whole lattice sum less its n = 0 term, which there is at most 0.98 of
+    the result, so little cancels. With
+    k = pi/2a, A, B = k(c -+ d) and x = kd >= pi/2, the csc^2 and cot
+    partial fractions combine through cot A - cot B = sin 2x / (sin A sin B):
+        k^4 [cos^2(kc) sinc^2(x) / (sin A sin B)^2 + h(x) / (sin A sin B)],
+    h(x) = (1 - sin 2x / 2x) / 2x^2, where 1 - sin 2x / 2x >= 1 - 1/pi does
+    not cancel. d enters through d/2a reduced to [-1/2, 1/2] only, shared by
+    A, B and x, so the two families stay consistent far from the plates.
     """
-    x_max = min(0.25, (tol / 16.0) ** (1.0 / _TAIL_ORDERS))
-    needed = (abs(dt) / math.sqrt(x_max) + max(sz, abs(dz))) / (2.0 * a)
-    if not needed < math.inf:
-        return needed
-    return max(_DUAL_HEAD, math.ceil(needed) - 1)
+    two_a = 2.0 * a
+    if abs(c) + d < two_a:
+        total = 0.0
+        for node, weight in _IMAGE_RULE:
+            below = c - two_a * node
+            above = c + two_a * node
+            lower = (d - below) * (d + below)
+            upper = (d - above) * (d + above)
+            total += weight * (1.0 / (lower * lower) + 1.0 / (upper * upper))
+        return total
+    half_periods = d / two_a
+    reduced = half_periods - round(half_periods)
+    m = c / two_a
+    x = math.pi * half_periods
+    sines = math.sin(math.pi * (m - reduced)) * math.sin(math.pi * (m + reduced))
+    sinc = math.sin(math.pi * reduced) / x
+    h = (1.0 - math.sin(2.0 * math.pi * reduced) / (2.0 * x)) / (2.0 * x * x)
+    lattice = (math.pi / two_a) ** 4 * ((math.cos(math.pi * m) * sinc / sines) ** 2 + h / sines)
+    direct = (d - c) * (d + c)
+    return lattice - 1.0 / (direct * direct)
 
 
-def correlator_dual_plate(
-    pair: SpacetimePair, a: float, control: SummationControl = SummationControl()
-) -> SummationResult:
+def correlator_dual_plate(pair: SpacetimePair, a: float) -> SummationResult:
     """Renormalized <E_z E_z> between plates at z=0 and z=a.
 
-    The n=0 single-plate term plus both image families z -+ z' - 2an, with
-    d = t - t'. Every image with |n| <= N is summed term by term, N being at
-    least 16 and large enough that each dropped image lies at a distance
-    s >= 2|d|, outside its light cone. There
-        1/(s^2 - d^2)^2 = sum_k (k+1) d^2k s^-(2k+4),
-    so the images beyond N add up, order by order, to
-        sum_k (k+1) d^2k (2a)^-(2k+4) sum_c [zeta(2k+4, N+1 - c/2a)
-                                             + zeta(2k+4, N+1 + c/2a)]
-    over c = z - z' and z + z', with the Hurwitz zeta function. The orders
-    stop at the first K whose geometric remainder bound lead x^K (K+1 - Kx)
-    / (1-x)^2 is within control.tol of the value, lead being the k = 0 order
-    and x = (d/s_min)^2 for the nearest dropped image s_min. N also keeps
-    x small enough that K never exceeds 7, so the zeta orders stay at 16 or
-    below (see _dual_head_length); at d = 0 the tail is exact after k = 0.
+    Both image families z -+ z' - 2an summed over every n, each image
+    contributing f(s) = 1/(d^2 - s^2)^2 with d = t - t', less the direct
+    n = 0 term of z - z', over pi^2. In O(1) for any d, as
+    [f(c0) + F(c0) + F(z - z')] / pi^2 with F = _images_off_zero and c0 the
+    z + z' image of least separation (z + z', or z + z' - 2a past a).
 
-    Returns the SummationResult: the value, terms_used = N, the largest |n|
-    summed term by term, and tail_estimate, the remainder bound. Raises
-    ConvergenceError when N exceeds control.n_max, and SingularityError when
-    a summed image lies on the light cone.
+    Returns the SummationResult: the value, terms_used = 1 (the image c0,
+    summed apart through _inverse_square_factor) and tail_estimate = 0.0,
+    since no image is dropped. Rounding is not in tail_estimate; the value
+    is within 2 u kappa of mpmath, kappa its condition number in d, z -+ z'
+    and a (tests/test_dual_plate_accuracy.py). Raises SingularityError at a
+    light-like image, with the image sum's message and factor.
     """
     check_separation(a)
     if not (pair.z < a and pair.z_prime < a):
@@ -157,32 +170,19 @@ def correlator_dual_plate(
     dt = pair.t - pair.t_prime
     dz = pair.z - pair.z_prime
     sz = pair.z + pair.z_prime
-    n_head = _dual_head_length(a, dt, dz, sz, control.tol)
-    if not n_head <= control.n_max:
-        raise ConvergenceError(
-            f"dual-plate correlator: {n_head} image pairs must be summed term by term "
-            f"before the analytic tail applies, beyond n_max={control.n_max}"
-        )
-    base = _inverse_square_factor(dt, sz, "(z+z')")
-    head = math.fsum([base, *_dual_head(n_head, a, dt, dz, sz)])
-
-    s_min = 2.0 * a * (n_head + 1) - max(sz, abs(dz))
-    x = (dt / s_min) ** 2
-    inv_2a = 0.5 / a
-    q = (dt * inv_2a) ** 2
-    starts = [n_head + 1.0 + sign * c * inv_2a for c in (dz, sz) for sign in (-1.0, 1.0)]
-    orders = []
-    for k in range(_TAIL_ORDERS):
-        s = 2 * k + 4
-        zetas = sum(hurwitz_zeta(s, start) for start in starts)
-        orders.append((k + 1) * q**k * inv_2a**4 * zetas)
-        bound = orders[0] * x ** (k + 1) * (k + 2 - (k + 1) * x) / (1.0 - x) ** 2
-        if bound <= control.tol * (head + sum(orders)):
-            break
+    d = abs(dt)
+    if not d / a < math.inf:
+        raise DomainError(f"|t-t'|/a overflows: t-t'={dt!r}, a={a!r}")
+    c0, label = (sz, "(z+z')") if sz <= a else (sz - 2.0 * a, "(z+z'-2an), n=1")
+    # Below this reach only the image c0 can be light-like, and its term
+    # raises; the margin lies far outside _SINGULAR_EPS's window.
+    if max(abs(dz), abs(c0)) + d >= (1.0 - 1e-5) * 2.0 * a:
+        _raise_at_light_like_image(dt, dz, sz, a)
+    nearest = _inverse_square_factor(dt, c0, label)
     return SummationResult(
-        value=math.fsum([head, *orders]) / math.pi**2,
-        terms_used=n_head,
-        tail_estimate=bound / math.pi**2,
+        value=(nearest + _images_off_zero(d, c0, a) + _images_off_zero(d, dz, a)) / math.pi**2,
+        terms_used=1,
+        tail_estimate=0.0,
     )
 
 

@@ -1,18 +1,17 @@
-"""Truncation control, truncated-sum results and the Hurwitz zeta function.
+"""Truncation control, truncated-sum results and Hurwitz zeta series.
 
-The two-plate quantities are sums over image index n = ..., -2, -1, 1, 2, ...
-(n = 0 excluded), taken in symmetric +n/-n pairs. Each sum lives next to
-its quantity and follows one pattern: a head of pairs summed term by term
-and, beyond it, a tail whose leading asymptotics are added in closed form
-through Hurwitz zeta values, with a rigorous bound on what is left.
-variance._two_plate_sum forms its pairs in blocks and returns at the end
+The two-plate variance is a sum over image index n = ..., -2, -1, 1, 2, ...
+(n = 0 excluded), taken in symmetric +n/-n pairs. variance._two_plate_sum
+sums a head of pairs term by term and, beyond it, adds the tail's leading
+asymptotics in closed form through Hurwitz zeta values, with a rigorous
+bound on what is left. It forms its pairs in blocks and returns at the end
 of the first block whose bound falls below SummationControl.tol of the
 value it returns: the first block reaches a quarter past its reference
-index n_ref >= 16, the least Hurwitz argument, so its terms_used is at
-least 16, and an n_max below n_ref refuses at once. It subtracts six
-orders, n^-4 to n^-14, through hurwitz_zeta_series.
-correlators.correlator_dual_plate picks its head length from the geometry
-and sums the tail to all orders. Both report a SummationResult.
+index n_ref >= 16, so its terms_used is at least 16, and an n_max below
+n_ref refuses at once. It subtracts six orders, n^-4 to n^-14, through
+hurwitz_zeta_series. correlators.correlator_dual_plate truncates nothing:
+it sums every image in O(1) and reports terms_used = 1 and
+tail_estimate = 0.0. Both report a SummationResult.
 """
 from __future__ import annotations
 
@@ -23,10 +22,10 @@ from numbers import Integral
 
 from .errors import DomainError
 
-__all__ = ["SummationControl", "SummationResult", "hurwitz_zeta", "hurwitz_zeta_series"]
+__all__ = ["SummationControl", "SummationResult", "hurwitz_zeta_series"]
 
-# Least argument x that hurwitz_zeta accepts; a subtracted tail built from
-# zeta(s, N + 1) needs N + 1 >= this.
+# Least argument x at which hurwitz_zeta_series's rows reach double
+# precision; a subtracted tail built from zeta(s, N + 1) needs N + 1 >= this.
 _ZETA_X_MIN = 16
 
 
@@ -50,16 +49,20 @@ class SummationControl:
 
 @dataclass(frozen=True)
 class SummationResult:
-    """A truncated image sum.
+    """An image sum, truncated or whole.
 
     tail_estimate bounds the truncation error of value: the dropped pair
-    terms minus the tail added in closed form.
+    terms minus the tail added in closed form, or 0.0 where no image is
+    dropped.
     """
 
     value: float
-    terms_used: int       # largest |n| summed term by term (both sums add
-                          # every |n| beyond it analytically)
+    terms_used: int       # the two-plate variance: the largest |n| summed
+                          # term by term, every |n| beyond it added
+                          # analytically; the dual-plate correlator: 1, the
+                          # one image summed apart, the rest in closed form
     tail_estimate: float  # certified bound on the truncation error of value
+                          # (0.0 where nothing is truncated)
 
 
 # B_2, B_4, ..., B_20 as (numerator, denominator): enough Euler-Maclaurin
@@ -80,36 +83,17 @@ def _euler_maclaurin_coefficients(s: int) -> tuple[float, ...]:
     )
 
 
-def hurwitz_zeta(s: int, x: float) -> float:
-    """Hurwitz zeta(s, x) = sum_{k>=0} (x + k)^-s for an integer s >= 2 and x >= 16.
-
-    Euler-Maclaurin summation from k = 0 (DLMF 25.11.5 with N = 0, 2.10.1):
-    x^(1-s)/(s-1) + x^-s/2 + sum_k B_2k/(2k)! (s)_(2k-1) x^(1-s-2k), with
-    ten Bernoulli terms. For real x the remainder is smaller than the first
-    omitted term: below 1e-17 relative for s <= 8 and below 8e-14 for
-    s <= 16 at x >= 16. Against 100-digit mpmath, over x from 16 to 1e6,
-    the result is within 3.3e-16 relative for s <= 10; at s = 12 within
-    8.9e-16 (3.1e-16 from x = 17 on), at s = 14 within 6.7e-15 (1.9e-15
-    from x = 17 on), and at s = 16, the highest order the dual-plate
-    correlator requests, within 4.3e-14. mpmath's own zeta(s, x) at 50
-    digits is off by up to 1e-11 at s >= 14 and x in the thousands; at 80
-    it agrees.
-    """
-    if s < 2 or not x >= _ZETA_X_MIN:
-        raise DomainError(f"hurwitz_zeta needs s >= 2 and x >= 16, got s={s!r}, x={x!r}")
-    inv_sq = 1.0 / (x * x)
-    series = 0.0
-    for coefficient in reversed(_euler_maclaurin_coefficients(s)):
-        series = series * inv_sq + coefficient
-    return x**-s * (x / (s - 1) + 0.5 + series / x)
-
-
 @lru_cache(maxsize=None)
 def hurwitz_zeta_series(s: int, count: int) -> tuple[tuple[float, ...], ...]:
     """Row j < count: the coefficients p_jm, m = 0, 1, ..., of
-    zeta(s + 2j, x) = x^(1-s) sum_m p_jm x^-m for x >= 16, as hurwitz_zeta
-    takes it: 1/(s + 2j - 1) at m = 2j, 1/2 at m = 2j + 1 and its ten
-    Bernoulli terms at m = 2j + 2k.
+    zeta(s + 2j, x) = x^(1-s) sum_m p_jm x^-m for x >= 16: 1/(s + 2j - 1)
+    at m = 2j, 1/2 at m = 2j + 1 and ten Bernoulli terms at m = 2j + 2k.
+
+    That is Euler-Maclaurin summation from k = 0 (DLMF 25.11.5 with N = 0,
+    2.10.1): zeta(s, x) = x^(1-s)/(s-1) + x^-s/2 + sum_k B_2k/(2k)!
+    (s)_(2k-1) x^(1-s-2k). For real x the remainder is smaller than the
+    first omitted term: below 1e-17 relative for s <= 8 and below 8e-14 for
+    s <= 16 at x >= 16.
 
     A weighted sum of rows, taken as one polynomial in 1/x, is the weighted
     sum of those zeta values at the cost of one polynomial whatever the

@@ -33,8 +33,8 @@ __all__ = [
 
 _SPEED_MATCH_RTOL = 1e-9
 # The two-plate sum subtracts its analytic tail from the first index n >= 16,
-# the least argument of hurwitz_zeta, at which U = v (2an - 2(z0+b)) / b
-# reaches this value: there the pair terms' expansion in 1/n gains a factor
+# where hurwitz_zeta_series reaches double precision, at which
+# U = v (2an - 2(z0+b)) / b reaches this value: there the pair terms' expansion in 1/n gains a factor
 # (1/U)^2 <= 1/4 per order, so the envelope coefficient taken at that index
 # is close to its limit.
 _TAIL_REFERENCE_U = 2.0

@@ -111,6 +111,29 @@ def test_correlator_dual_matches_api(capsys):
     assert int(row["terms_used"]) == expected.terms_used
 
 
+@pytest.mark.parametrize("flag", [("--n-max", "5"), ("--tol", "1e-6")])
+def test_correlator_takes_no_summation_flags(capsys, flag):
+    # the dual correlator truncates nothing, so argparse refuses these
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "correlator", "--plates", "dual", "--z", "0.3", "--z-prime", "0.4",
+            "--a", "1", "--natural-units", *flag,
+        ])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_correlator_light_like_image_exits_two(capsys):
+    # t = 3.3 puts the n = 2 image of z + z' = 0.7 on the light cone
+    code, out, err = _run(
+        capsys,
+        "correlator", "--plates", "dual", "--z", "0.3", "--z-prime", "0.4",
+        "--t", "3.3", "--a", "1", "--natural-units",
+    )
+    assert code == 2 and out == ""
+    assert "(t-t')^2 ~ (z+z'-2an), n=2^2" in err
+
+
 def test_correlator_dual_without_separation_fails(capsys):
     code, _, err = _run(
         capsys,

@@ -5,11 +5,9 @@ import random
 import pytest
 
 from casvolt import (
-    ConvergenceError,
     DomainError,
     SingularityError,
     SpacetimePair,
-    SummationControl,
     brute_dual_correlator,
     correlator_dual_plate,
     correlator_single_plate,
@@ -119,10 +117,40 @@ def test_dual_plate_requires_points_between_plates():
         correlator_dual_plate(pair, 1.0)
 
 
-def test_dual_plate_budget_exhaustion():
-    pair = SpacetimePair(t=0.0, z=0.5, t_prime=0.0, z_prime=0.5)
-    with pytest.raises(ConvergenceError):
-        correlator_dual_plate(pair, 1.0, SummationControl(tol=1e-10, n_max=3))
+_SINGULAR = "singular correlator configuration: (t-t')^2 ~ "
+
+
+# a refusal's message and factor are part of the contract: pinned at
+# light-like images and within the singular test next to them, as the
+# image-by-image sum gave them
+@pytest.mark.parametrize("t, z, z_prime, a, message, factor", [
+    (0.7, 0.3, 0.4, 1.0, "(z+z')^2 (factor 0.000e+00 with scale 7.000e-01)", 0.0),
+    (0.7000000001, 0.3, 0.4, 1.0, "(z+z')^2 (factor 1.400e-10 with scale 7.000e-01)",
+     1.4000001159365193e-10),
+    (2.1, 0.3, 0.4, 1.0, "(z-z'-2an), n=1^2 (factor 0.000e+00 with scale 2.100e+00)", 0.0),
+    (2.0999999970000003, 0.3, 0.4, 1.0,
+     "(z-z'-2an), n=1^2 (factor -1.260e-08 with scale 2.100e+00)", -1.2599999168353996e-08),
+    (1.9, 0.3, 0.4, 1.0, "(z-z'-2an), n=-1^2 (factor 0.000e+00 with scale 1.900e+00)", 0.0),
+    (1.9000000019999999, 0.3, 0.4, 1.0,
+     "(z-z'-2an), n=-1^2 (factor 7.600e-09 with scale 1.900e+00)", 7.59999978905732e-09),
+    # reach |z + z'| + |t| just below 2a: only the margin sends it to the search
+    (1.299999998, 0.3, 0.4, 1.0,
+     "(z+z'-2an), n=1^2 (factor -5.200e-09 with scale 1.300e+00)", -5.199999848933957e-09),
+    (-2.7, 0.3, 0.4, 1.0, "(z+z'-2an), n=-1^2 (factor -0.000e+00 with scale 2.700e+00)", -0.0),
+    (3.3, 0.3, 0.4, 1.0, "(z+z'-2an), n=2^2 (factor 0.000e+00 with scale 3.300e+00)", 0.0),
+    (99.3, 0.3, 0.4, 1.0, "(z+z'-2an), n=50^2 (factor 0.000e+00 with scale 9.930e+01)", 0.0),
+    (99.30000009999999, 0.3, 0.4, 1.0,
+     "(z+z'-2an), n=50^2 (factor 1.986e-05 with scale 9.930e+01)", 1.985999883094802e-05),
+    # two light-like images: +n before -n, and the single-plate term first
+    (2.0, 0.3, 0.3, 1.0, "(z-z'-2an), n=1^2 (factor 0.000e+00 with scale 2.000e+00)", 0.0),
+    (0.5, 0.25, 0.25, 0.5, "(z+z')^2 (factor 0.000e+00 with scale 5.000e-01)", 0.0),
+])
+def test_dual_plate_light_like_image_message_and_factor(t, z, z_prime, a, message, factor):
+    pair = SpacetimePair(t=t, z=z, t_prime=0.0, z_prime=z_prime)
+    with pytest.raises(SingularityError) as raised:
+        correlator_dual_plate(pair, a)
+    assert str(raised.value) == _SINGULAR + message
+    assert repr(raised.value.factor) == repr(factor)
 
 
 def test_correlators_positive_at_random_points():

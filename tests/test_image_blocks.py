@@ -24,7 +24,7 @@ from casvolt import (
 )
 import casvolt.variance
 from casvolt.closed_forms import _KERNEL_BLOCK, _image_pair_term, image_pair_terms
-from casvolt.correlators import _dual_pair_term
+from casvolt.correlators import _inverse_square_factor
 from casvolt.variance import _two_plate_sum
 
 pytest.importorskip("mpmath")
@@ -282,7 +282,7 @@ def test_light_like_dual_image_raises_as_scalar_path():
     a, z, z_prime = 1.0, 0.3, 0.4
     dt = 2.0 * a - (z - z_prime)  # the n = 1 image of z - z' sits on the light cone
     with pytest.raises(SingularityError) as scalar:
-        _dual_pair_term(1, a, dt, z - z_prime, z + z_prime)
+        _inverse_square_factor(dt, (z - z_prime) - 2.0 * a * 1, "(z-z'-2an), n=1")
     with pytest.raises(SingularityError) as block:
         correlator_dual_plate(SpacetimePair(t=dt, z=z, t_prime=0.0, z_prime=z_prime), a)
     assert type(block.value) is type(scalar.value)
