@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casvolt import SpacetimePair, correlator_dual_plate
+from casvolt.summation import hurwitz_zeta_series
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -111,3 +112,63 @@ def test_dual_plate_matches_closed_form_at_fixed_points(t, z, z_prime, a):
 def test_dual_plate_far_timelike_points_match_closed_form(t, z, z_prime, a):
     result = _assert_matches_reference(t, z, z_prime, a)
     assert result.terms_used == 1
+
+
+def _zeta_upper_bound(s, x):
+    """zeta(s, x) = sum_k (x + k)^-s <= x^-s + x^(1-s)/(s-1), by the integral test."""
+    return x**-s + x ** (1 - s) / (s - 1)
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-10, 1e-3])
+@pytest.mark.parametrize("t", [0.0, 0.5, 5.5, 62.05])
+def test_tail_requests_zeta_orders_up_to_sixteen(tol, t):
+    # The image sum the closed form replaced, rebuilt here: every image with
+    # |n| < N term by term and, past them, 1/(s^2 - d^2)^2
+    # = sum_j (j + 1) d^2j / s^(2j+4) summed over n as Hurwitz zeta orders
+    # 4, 6, ..., 16 from hurwitz_zeta_series. N is the least head, from 17
+    # on, at which orders 18 and up are bounded by tol/2 of the value; the
+    # closed form must then agree with the sum to within tol.
+    z, z_prime, a = 0.3, 0.4, 1.0
+    value = _reference(t, z, z_prime, a)
+    d, width = abs(t), 2.0 * a
+    rows = hurwitz_zeta_series(4, 7)
+    orders = [4 + 2 * j for j in range(len(rows))]
+    assert orders[0] == 4 and orders[-1] == 16
+    weights = [(j + 1) * d ** (2 * j) / width ** (4 + 2 * j) for j in range(len(rows))]
+    series = [math.fsum(w * row[m] for w, row in zip(weights, rows)) for m in range(len(rows[0]))]
+    # each family's separation c; the z - z' family has no n = 0 term
+    families = ((z + z_prime, True), (z - z_prime, False))
+
+    def tail_starts(head):
+        # n >= head: |s| = 2a (n - c/2a); n <= -head: |s| = 2a (|n| + c/2a)
+        return [x for c, _ in families for x in (head - c / width, head + c / width)]
+
+    def omitted(head):
+        # sum_{j>=7} (j+1) d^2j zeta(2j+4, x) / (2a)^(2j+4) with
+        # zeta(2j+4, x) <= zeta(18, x) x^(-2(j-7)): a series in r = (d / 2ax)^2
+        bound = 0.0
+        for x in tail_starts(head):
+            r = (d / (width * x)) ** 2
+            if r >= 1.0:  # images inside the light cone: the series diverges
+                return math.inf
+            first = len(rows) + 1
+            bound += (d ** (2 * len(rows)) / width ** (4 + 2 * len(rows))
+                      * _zeta_upper_bound(4 + 2 * len(rows), x)
+                      * (first / (1.0 - r) + r / (1.0 - r) ** 2))
+        return bound
+
+    head = 17
+    while omitted(head) > 0.5 * tol * value:
+        head += 1
+    terms = [1.0 / (d * d - (c - width * n) ** 2) ** 2
+             for c, with_zero in families for n in range(1 - head, head) if n or with_zero]
+    for x in tail_starts(head):
+        total = 0.0
+        for p in reversed(series):
+            total = total / x + p
+        terms.append(x**-3 * total)
+    image_sum = math.fsum(terms) / math.pi**2
+
+    result = correlator_dual_plate(SpacetimePair(t=t, z=z, t_prime=0.0, z_prime=z_prime), a)
+    assert abs(result.value - image_sum) <= tol * value + ROUNDING_C * UNIT_ROUNDOFF * value
+    assert result.tail_estimate <= tol * result.value
