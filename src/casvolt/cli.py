@@ -159,23 +159,6 @@ def _add_particle_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--speed", type=float, help="speed in units of c")
 
 
-def _build_particle(args, speed_override: float | None = None) -> Particle:
-    if speed_override is not None:
-        if args.kinetic_eV is not None or args.speed is not None:
-            raise DomainError(
-                "a speed or kinetic-energy sweep conflicts with --kinetic-eV/--speed"
-            )
-        return Particle(
-            charge_e=args.charge_e, mass_eV=args.mass_eV, speed=speed_override
-        )
-    return Particle(
-        charge_e=args.charge_e,
-        mass_eV=args.mass_eV,
-        kinetic_energy_eV=args.kinetic_eV,
-        speed=args.speed,
-    )
-
-
 def _cmd_correlator(args) -> int:
     suffix = _length_suffix(args)
     pair = SpacetimePair(
@@ -205,9 +188,13 @@ def _cmd_correlator(args) -> int:
     return 0
 
 
-def _variance_row(args, particle: Particle, z0: float, b: float | None, a: float | None) -> dict:
-    """One variance/estimate row in natural units, with display values taken
-    from the original inputs."""
+def _variance_row(args) -> dict:
+    """One variance/estimate row: lengths as given, computed in natural units."""
+    particle = Particle(charge_e=args.charge_e, mass_eV=args.mass_eV,
+                        kinetic_energy_eV=args.kinetic_eV, speed=args.speed)
+    if args.z0 is None:
+        raise DomainError("variance sweeps need --z0")
+    z0, b, a = (_to_natural(length, args) for length in (args.z0, args.b, args.a))
     if args.mode == "exact":
         if b is None:
             raise DomainError("exact mode needs the flight distance --b")
@@ -226,7 +213,11 @@ def _variance_row(args, particle: Particle, z0: float, b: float | None, a: float
             if a is None:
                 raise DomainError("two-plate variance needs the separation --a")
             result = variance_two_plate_smallv(particle, z0, a)
+    suffix = _length_suffix(args)
     return {
+        f"z0_{suffix}": args.z0,
+        f"b_{suffix}": args.b,
+        f"a_{suffix}": args.a,
         "plates": args.plates,
         "mode": args.mode,
         "charge_e": particle.charge_e,
@@ -243,18 +234,7 @@ def _variance_row(args, particle: Particle, z0: float, b: float | None, a: float
 
 
 def _cmd_variance(args) -> int:
-    suffix = _length_suffix(args)
-    particle = _build_particle(args)
-    z0 = _to_natural(args.z0, args)
-    b = _to_natural(args.b, args)
-    a = _to_natural(args.a, args)
-    row = {
-        f"z0_{suffix}": args.z0,
-        f"b_{suffix}": args.b,
-        f"a_{suffix}": args.a,
-    }
-    row.update(_variance_row(args, particle, z0, b, a))
-    _emit([row], args, "variance")
+    _emit([_variance_row(args)], args, "variance")
     return 0
 
 
@@ -290,7 +270,6 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
     values = _sweep_values(args, parser)
-    suffix = _length_suffix(args)
 
     if args.over == "d_C":
         def build(value: float) -> dict:
@@ -303,64 +282,26 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
                 "rms_over_kinetic": rms / kinetic,
             }
     else:
+        field = {"z0": "z0", "b": "b", "a": "a", "v": "speed", "K": "kinetic_eV"}[args.over]
+
         def build(value: float) -> dict:
-            z0, b, a = args.z0, args.b, args.a
-            if args.over == "z0":
-                z0 = value
-            elif args.over == "b":
-                b = value
-            elif args.over == "a":
-                a = value
-            if args.over == "v":
-                particle = _build_particle(args, speed_override=value)
-            elif args.over == "K":
-                if args.kinetic_eV is not None or args.speed is not None:
-                    raise DomainError(
-                        "a kinetic-energy sweep conflicts with --kinetic-eV/--speed"
-                    )
-                particle = Particle(
-                    charge_e=args.charge_e, mass_eV=args.mass_eV, kinetic_energy_eV=value
+            if field in ("speed", "kinetic_eV") and (args.speed, args.kinetic_eV) != (None, None):
+                raise DomainError(
+                    "a speed or kinetic-energy sweep conflicts with --kinetic-eV/--speed"
                 )
-            else:
-                particle = _build_particle(args)
-            if z0 is None:
-                raise DomainError("variance sweeps need --z0")
-            row = {
-                f"z0_{suffix}": z0,
-                f"b_{suffix}": b,
-                f"a_{suffix}": a,
-            }
-            row.update(
-                _variance_row(
-                    args,
-                    particle,
-                    _to_natural(z0, args),
-                    _to_natural(b, args),
-                    _to_natural(a, args),
-                )
-            )
-            return row
+            return _variance_row(argparse.Namespace(**{**vars(args), field: value}))
 
-    rows = _collect_sweep_rows(args.over, values, map(build, values))
-    _emit(rows, args, "sweep")
-    return 0
-
-
-def _collect_sweep_rows(param: str, values: list[float], results) -> list[dict]:
-    """The rows of `results`, built in order for `values`.
-
-    An error building a row is re-raised as itself, class and attributes
-    intact, with the sweep value it failed at prefixed to its message.
-    """
     rows = []
-    results = iter(results)
     for value in values:
         try:
-            rows.append(next(results))
+            rows.append(build(value))
         except CasvoltError as exc:
-            exc.args = (f"sweep value {param}={value!r}: {exc}", *exc.args[1:])
+            # re-raised as itself, class and attributes intact, with the
+            # sweep value it failed at prefixed to its message
+            exc.args = (f"sweep value {args.over}={value!r}: {exc}", *exc.args[1:])
             raise
-    return rows
+    _emit(rows, args, "sweep")
+    return 0
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:

@@ -62,6 +62,17 @@ class SpacetimePair:
             )
 
 
+def _singular(dt: float, separation: float, description: str) -> SingularityError:
+    """The refusal of a light-like term, naming it and its factor."""
+    factor = (dt - separation) * (dt + separation)
+    scale = max(abs(dt), abs(separation))
+    return SingularityError(
+        f"singular correlator configuration: (t-t')^2 ~ {description}^2 "
+        f"(factor {factor:.3e} with scale {scale:.3e})",
+        factor=factor,
+    )
+
+
 def _inverse_square_factor(dt: float, separation: float, description: str) -> float:
     """1/(dt^2 - separation^2)^2 with relative singularity detection.
 
@@ -73,11 +84,7 @@ def _inverse_square_factor(dt: float, separation: float, description: str) -> fl
     scale = max(abs(dt), abs(separation))
     denom = factor * factor
     if denom < _SINGULAR_EPS * scale**4:
-        raise SingularityError(
-            f"singular correlator configuration: (t-t')^2 ~ {description}^2 "
-            f"(factor {factor:.3e} with scale {scale:.3e})",
-            factor=factor,
-        )
+        raise _singular(dt, separation, description)
     return 1.0 / denom
 
 
@@ -90,24 +97,29 @@ def correlator_single_plate(pair: SpacetimePair) -> float:
 def _raise_at_light_like_image(dt: float, dz: float, sz: float, a: float) -> None:
     """Raise SingularityError if an image c - 2an, c = z -+ z', is light-like.
 
-    Only the n nearest (c -+ |dt|)/2a can be, and only within 2e-6
-    (|c| + |dt|)/2a of it, a window wider than _inverse_square_factor's test
-    with rounding. Each such image goes through that test in the order of
-    the sum over images: z + z' first, then by |n|, +n before -n, z - z'
-    before z + z'.
+    Only the n nearest (c -+ |dt|)/2a can be. The z + z' term (n = 0) takes
+    _inverse_square_factor's relative test. An image n != 0 is light-like
+    within 5e-7 min(|dt|, 2a) of its cone, or 4 ulps of |dt|, a window that
+    stays below the gap between cones however large |dt| grows, and raises
+    with _inverse_square_factor's message and factor. Images are tested in
+    the order of the sum over images: z + z' first, then by |n|, +n before
+    -n, z - z' before z + z'.
     """
     d = abs(dt)
     two_a = 2.0 * a
+    window = max(5e-7 * min(d, two_a), 4.0 * math.ulp(d))
     hits = set()
     for family, c in enumerate((dz, sz)):
-        window = 2e-6 * (d + abs(c)) / two_a
         for ratio in ((c - d) / two_a, (c + d) / two_a):
             n = round(ratio)
-            if abs(ratio - n) < window and (n or family):
+            if n or family:
                 hits.add((abs(n), n < 0, family, n))
     for _, _, family, n in sorted(hits):
-        label = f"(z{'+' if family else '-'}z'-2an), n={n}" if n else "(z+z')"
-        _inverse_square_factor(dt, (sz if family else dz) - 2.0 * a * n, label)
+        separation = (sz if family else dz) - two_a * n
+        if not n:
+            _inverse_square_factor(dt, separation, "(z+z')")
+        elif abs(d - abs(separation)) < window:
+            raise _singular(dt, separation, f"(z{'+' if family else '-'}z'-2an), n={n}")
 
 
 def _images_off_zero(d: float, c: float, a: float) -> float:

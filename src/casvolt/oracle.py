@@ -3,12 +3,14 @@
 Everything in this module recomputes quantities from their defining double
 integrals, derivative identities or image series, sharing no algebra with
 closed_forms beyond the integrand kernels themselves; the truncated series
-are plain sums, not the production summation engine. The adaptive
-quadrature refuses domains that contain the light-cone pole (it cannot take
-principal values), reporting the threshold flight distance at which the
-pole enters; the Richardson derivative check differentiates the squares
-production evaluates, F(z0, z1) = the kernel integrated over [z0, z1]^2,
-numerically and compares d^2 F / dz0 dz1 with -[K(z0, z1) + K(z1, z0)].
+are plain sums with integral-test tail bounds, and brute_dual_correlator
+adds the dual-plate images one by one where production has a closed form.
+The adaptive quadrature refuses domains that contain the light-cone pole
+(it cannot take principal values), reporting the threshold flight distance
+at which the pole enters; the Richardson derivative check differentiates
+the squares production evaluates, F(z0, z1) = the kernel integrated over
+[z0, z1]^2, numerically and compares d^2 F / dz0 dz1 with
+-[K(z0, z1) + K(z1, z0)].
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,9 +68,10 @@ _NOISE_FLOOR = 300.0 * sys.float_info.epsilon
 # fraction of the value, and gives up after this many subdivisions
 _QUAD_REL_TOL = 1e-10
 _QUAD_MAX_SUBDIVISIONS = 10**6
-# Richardson levels of the derivative check, and its relative gate, which
-# run_verification's derivative checks apply
+# Richardson levels of the derivative check; the relative gates that
+# run_verification applies to its quadrature and derivative checks
 _RICHARDSON_LEVELS = 7
+_QUAD_GATE = 1e-7
 _DERIV_GATE = 1e-6
 
 
@@ -176,6 +179,18 @@ def pole_entry_translated(v: float, a: float, n: int) -> float:
     return 2.0 * a * abs(n) * v / (1.0 + v)
 
 
+def _quad_square(seg: PathSegment, threshold: float, pole: str, kernel) -> QuadratureResult:
+    """kernel integrated over [z0, z0+b]^2, or PoleInsideDomainError, its
+    message led by pole, once b reaches the pole's entry threshold."""
+    if seg.b >= threshold:
+        raise PoleInsideDomainError(
+            f"{pole}: b = {seg.b!r} reaches the entry threshold {threshold!r}",
+            threshold=threshold,
+        )
+    lo, hi = seg.z0, seg.z0 + seg.b
+    return _adaptive_quad(kernel, lo, hi, lo, hi)
+
+
 def quad_one_plate(seg: PathSegment) -> QuadratureResult:
     """The one-plate double integral, by adaptive quadrature.
 
@@ -183,15 +198,9 @@ def quad_one_plate(seg: PathSegment) -> QuadratureResult:
     domains containing the light-cone pole, since the plain integral
     diverges there while the closed form continues through it.
     """
-    threshold = pole_entry_one_plate(seg.z0, seg.v)
-    if seg.b >= threshold:
-        raise PoleInsideDomainError(
-            f"light-cone pole inside the integration square: b = {seg.b!r} "
-            f"reaches the entry threshold {threshold!r}",
-            threshold=threshold,
-        )
-    lo, hi = seg.z0, seg.z0 + seg.b
-    return _adaptive_quad(lambda z, zp: one_plate_kernel(z, zp, seg.v), lo, hi, lo, hi)
+    return _quad_square(seg, pole_entry_one_plate(seg.z0, seg.v),
+                        "light-cone pole inside the integration square",
+                        lambda z, zp: one_plate_kernel(z, zp, seg.v))
 
 
 def quad_image(seg: PathSegment, a: float, n: int, family: str) -> QuadratureResult:
@@ -214,15 +223,8 @@ def quad_image(seg: PathSegment, a: float, n: int, family: str) -> QuadratureRes
         raise DomainError(
             f"family must be 'reflected' or 'translated', got {family!r}"
         )
-    if seg.b >= threshold:
-        raise PoleInsideDomainError(
-            f"image light-cone pole inside the integration square for "
-            f"family {family!r}, n={n}: b = {seg.b!r} reaches the entry "
-            f"threshold {threshold!r}",
-            threshold=threshold,
-        )
-    lo, hi = seg.z0, seg.z0 + seg.b
-    return _adaptive_quad(kernel, lo, hi, lo, hi)
+    pole = f"image light-cone pole inside the integration square for family {family!r}, n={n}"
+    return _quad_square(seg, threshold, pole, kernel)
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,7 @@ def brute_dual_correlator(
     """Dual-plate correlator by direct summation of n_terms image pairs.
 
     No tail logic, no convergence gating; used to cross-check the production
-    summation's truncation control on benign points.
+    closed form, correlator_dual_plate, on benign points.
     """
     check_separation(a)
     dt = t - t_prime
@@ -479,15 +481,7 @@ class VerificationReport:
             "seed": self.seed,
             "passed": self.passed,
             "elapsed_s": self.elapsed_s,
-            "checks": [
-                {
-                    "name": check.name,
-                    "passed": check.passed,
-                    "worst": check.worst,
-                    "detail": check.detail,
-                }
-                for check in self.checks
-            ],
+            "checks": [asdict(check) for check in self.checks],
         }
 
 
@@ -526,26 +520,25 @@ def _clear_of_locus(delta_sq: float, image_sq: float) -> bool:
     return abs(delta_sq - image_sq) >= _DERIV_MARGIN * max(delta_sq, image_sq)
 
 
-def _sample_reflection_point(rng: random.Random) -> tuple[float, float, float]:
+def _sample_points(rng: random.Random) -> tuple[float, float, float]:
+    """z in [0.5, 2], z' 0.2 to 0.8 from it and above 0.1, and a speed v."""
     while True:
         z = rng.uniform(0.5, 2.0)
         zp = z + rng.choice((1.0, -1.0)) * rng.uniform(0.2, 0.8)
-        if zp <= 0.1:
-            continue
-        v = rng.uniform(0.05, 0.3)
+        if zp > 0.1:
+            return z, zp, rng.uniform(0.05, 0.3)
+
+
+def _sample_reflection_point(rng: random.Random) -> tuple[float, float, float]:
+    while True:
+        z, zp, v = _sample_points(rng)
         if _clear_of_locus((z - zp) ** 2, (v * (z + zp)) ** 2):
             return z, zp, v
 
 
-def _sample_translation_point(
-    rng: random.Random,
-) -> tuple[float, float, float, float, int]:
+def _sample_translation_point(rng: random.Random) -> tuple[float, float, float, float, int]:
     while True:
-        z = rng.uniform(0.5, 2.0)
-        zp = z + rng.choice((1.0, -1.0)) * rng.uniform(0.2, 0.8)
-        if zp <= 0.1:
-            continue
-        v = rng.uniform(0.05, 0.3)
+        z, zp, v = _sample_points(rng)
         a = rng.uniform(0.8, 1.5)
         n = rng.choice((1, 2, -1, -2))
         # the square's mixed derivative takes the kernel at (z, z') and at
@@ -599,132 +592,78 @@ def run_verification(
     rng = random.Random(seed)
     checks: list[CheckResult] = []
 
-    quad_rel_gate = 1e-7
-    conservative = True
-    conservative_worst = 0.0
-    conservative_detail = ""
-
-    def record_quads(name: str, rows: list[tuple[float, QuadratureResult]]) -> None:
-        nonlocal conservative, conservative_worst, conservative_detail
-        worst = 0.0
-        for closed, quad in rows:
-            rel = abs(quad.value - closed) / abs(closed)
-            worst = max(worst, rel)
-            true_err = abs(quad.value - closed)
-            # the closed form itself carries rounding (a few ulps for the
-            # production squares), so the estimate only has to cover the
-            # deviation beyond that reference allowance
-            allowed = quad.error_estimate + _NOISE_FLOOR * abs(closed)
-            if true_err > allowed:
-                conservative = False
-                ratio = true_err / allowed
-                if ratio > conservative_worst:
-                    conservative_worst = ratio
-                    conservative_detail = (
-                        f"{name}: deviation {true_err:.3e} exceeds estimate "
-                        f"{quad.error_estimate:.3e} plus reference allowance"
-                    )
-        checks.append(
-            CheckResult(
-                name=name,
-                passed=worst <= quad_rel_gate,
-                worst=worst,
-                detail=f"{len(rows)} cases, worst relative deviation {worst:.3e} "
-                f"(gate {quad_rel_gate:.0e})",
-            )
-        )
-
-    one_plate_rows = []
-    for _ in range(sets_per_family):
+    def one_plate() -> tuple[float, QuadratureResult]:
         seg = _sample_one_plate(rng)
-        one_plate_rows.append(
-            (_closed_reflection(seg, seg.z0, reflection), quad_one_plate(seg))
-        )
-    record_quads("quad_one_plate_vs_closed", one_plate_rows)
+        return _closed_reflection(seg, seg.z0, reflection), quad_one_plate(seg)
 
-    reflected_rows = []
-    for _ in range(sets_per_family):
+    def reflected() -> tuple[float, QuadratureResult]:
         seg, a, n = _sample_image(rng, "reflected")
-        reflected_rows.append(
-            (_closed_reflection(seg, seg.z0 - a * n, reflection),
-             quad_image(seg, a, n, "reflected"))
-        )
-    record_quads("quad_reflected_vs_closed", reflected_rows)
+        return (_closed_reflection(seg, seg.z0 - a * n, reflection),
+                quad_image(seg, a, n, "reflected"))
 
-    translated_rows = []
-    for _ in range(sets_per_family):
+    def translated() -> tuple[float, QuadratureResult]:
         seg, a, n = _sample_image(rng, "translated")
-        translated_rows.append(
-            (_closed_translated(seg, a, n), quad_image(seg, a, n, "translated"))
-        )
-    record_quads("quad_translated_vs_closed", translated_rows)
+        return _closed_translated(seg, a, n), quad_image(seg, a, n, "translated")
 
+    rows: list[tuple[str, float, QuadratureResult]] = []
+    for name, case in (
+        ("quad_one_plate_vs_closed", one_plate),
+        ("quad_reflected_vs_closed", reflected),
+        ("quad_translated_vs_closed", translated),
+    ):
+        cases = [case() for _ in range(sets_per_family)]
+        worst = max(0.0, *(abs(quad.value - closed) / abs(closed) for closed, quad in cases))
+        checks.append(CheckResult(
+            name=name,
+            passed=worst <= _QUAD_GATE,
+            worst=worst,
+            detail=f"{len(cases)} cases, worst relative deviation {worst:.3e} "
+            f"(gate {_QUAD_GATE:.0e})",
+        ))
+        rows += [(name, closed, quad) for closed, quad in cases]
+
+    # a failing row's ratio exceeds 1, so the check passes while it is 0
+    worst_ratio = 0.0
+    detail = "true error never exceeded the reported estimate"
+    for name, closed, quad in rows:
+        deviation = abs(quad.value - closed)
+        # the closed form itself carries rounding (a few ulps for the
+        # production squares), so the estimate only has to cover the
+        # deviation beyond that reference allowance
+        allowed = quad.error_estimate + _NOISE_FLOOR * abs(closed)
+        if deviation > allowed and deviation / allowed > worst_ratio:
+            worst_ratio = deviation / allowed
+            detail = (f"{name}: deviation {deviation:.3e} exceeds estimate "
+                      f"{quad.error_estimate:.3e} plus reference allowance")
     checks.append(
-        CheckResult(
-            name="quad_error_estimates_conservative",
-            passed=conservative,
-            worst=conservative_worst,
-            detail=conservative_detail
-            or "true error never exceeded the reported estimate",
-        )
+        CheckResult("quad_error_estimates_conservative", worst_ratio == 0.0, worst_ratio, detail)
     )
 
-    worst_refl = 0.0
-    refl_ok = True
-    for _ in range(grid_points):
-        z, zp, v = _sample_reflection_point(rng)
-        report = deriv_check("reflection", z, zp, v, square=reflection)
-        worst_refl = max(worst_refl, report.relative_error)
-        refl_ok = refl_ok and report.converged
-    checks.append(
-        CheckResult(
-            name="deriv_reflection_identity",
-            passed=refl_ok,
-            worst=worst_refl,
-            detail=f"{grid_points} points, worst relative error {worst_refl:.3e} "
+    for name, family, sample, square in (
+        ("deriv_reflection_identity", "reflection", _sample_reflection_point, reflection),
+        ("deriv_translation_identity", "translation", _sample_translation_point, None),
+    ):
+        reports = [deriv_check(family, *sample(rng), square=square) for _ in range(grid_points)]
+        worst = max(0.0, *(report.relative_error for report in reports))
+        checks.append(CheckResult(
+            name=name,
+            passed=all(report.converged for report in reports),
+            worst=worst,
+            detail=f"{grid_points} points, worst relative error {worst:.3e} "
             f"(gate {_DERIV_GATE:.0e})",
-        )
-    )
+        ))
 
-    worst_trans = 0.0
-    trans_ok = True
-    for _ in range(grid_points):
-        z, zp, v, a, n = _sample_translation_point(rng)
-        report = deriv_check("translation", z, zp, v, a=a, n=n)
-        worst_trans = max(worst_trans, report.relative_error)
-        trans_ok = trans_ok and report.converged
-    checks.append(
-        CheckResult(
-            name="deriv_translation_identity",
-            passed=trans_ok,
-            worst=worst_trans,
-            detail=f"{grid_points} points, worst relative error {worst_trans:.3e} "
-            f"(gate {_DERIV_GATE:.0e})",
-        )
-    )
+    series = [(f"x={x:.4g}", csc_identity(x, terms=10000)) for x in (0.25, 1.0 / 3.0, 0.5, 0.9)]
+    series.append(("zeta2", zeta_two_series(terms=10000)))
+    gaps = [(label, abs(c.closed_form - c.series_value), c.tail_bound) for label, c in series]
+    checks.append(CheckResult(
+        name="series_identities_within_tail_bounds",
+        passed=all(gap <= bound for _, gap, bound in gaps),
+        worst=max(0.0, *(gap / bound for _, gap, bound in gaps)),
+        detail="; ".join(f"{label}: gap {gap:.3e} <= bound {bound:.3e}"
+                         for label, gap, bound in gaps),
+    ))
 
-    worst_series = 0.0
-    series_ok = True
-    series_notes = []
-    for x in (0.25, 1.0 / 3.0, 0.5, 0.9):
-        comparison = csc_identity(x, terms=10000)
-        gap = abs(comparison.closed_form - comparison.series_value)
-        series_ok = series_ok and gap <= comparison.tail_bound
-        worst_series = max(worst_series, gap / comparison.tail_bound)
-        series_notes.append(f"x={x:.4g}: gap {gap:.3e} <= bound {comparison.tail_bound:.3e}")
-    zeta = zeta_two_series(terms=10000)
-    gap = abs(zeta.closed_form - zeta.series_value)
-    series_ok = series_ok and gap <= zeta.tail_bound
-    worst_series = max(worst_series, gap / zeta.tail_bound)
-    series_notes.append(f"zeta2: gap {gap:.3e} <= bound {zeta.tail_bound:.3e}")
-    checks.append(
-        CheckResult(
-            name="series_identities_within_tail_bounds",
-            passed=series_ok,
-            worst=worst_series,
-            detail="; ".join(series_notes),
-        )
+    return VerificationReport(
+        seed=seed, elapsed_s=time.perf_counter() - start, checks=tuple(checks)
     )
-
-    elapsed = time.perf_counter() - start
-    return VerificationReport(seed=seed, elapsed_s=elapsed, checks=tuple(checks))

@@ -20,7 +20,8 @@ from casvolt import (
     length_to_natural,
     variance_one_plate,
 )
-from casvolt.cli import _collect_sweep_rows, main
+import casvolt.cli as cli
+from casvolt.cli import main
 
 
 def _run(capsys, *argv):
@@ -269,16 +270,28 @@ def test_sweep_speed_conflict_fails(capsys):
     PoleInsideDomainError("pole inside the square", threshold=0.25),
     ConvergenceError("not certified"),
 ])
-def test_sweep_error_keeps_class_and_attributes(error):
-    def results():
-        yield {"row": 1}
-        raise error
+def test_sweep_error_keeps_class_and_attributes(monkeypatch, error):
+    # the second point's row raises: the sweep re-raises that very error,
+    # its attributes untouched, with the failing value before its message
+    attributes = dict(vars(error))
+    swept = []
 
+    def row(args):
+        swept.append(args.b)
+        if len(swept) == 2:
+            raise error
+        return {"row": 1}
+
+    monkeypatch.setattr(cli, "_variance_row", row)
+    parser = cli._build_parser()
+    args = parser.parse_args(["sweep", "--over", "b", "--values", "1,2,3", "--z0", "1",
+                              "--speed", "0.01", "--natural-units"])
     with pytest.raises(type(error)) as excinfo:
-        _collect_sweep_rows("b", [1.0, 2.0, 3.0], results())
+        cli._cmd_sweep(args, parser)
     assert type(excinfo.value) is type(error)
+    assert excinfo.value is error and swept == [1.0, 2.0]
     assert str(excinfo.value).startswith("sweep value b=2.0: ")
-    assert vars(excinfo.value) == vars(error)
+    assert vars(excinfo.value) == attributes
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -144,6 +144,9 @@ _SINGULAR = "singular correlator configuration: (t-t')^2 ~ "
     # two light-like images: +n before -n, and the single-plate term first
     (2.0, 0.3, 0.3, 1.0, "(z-z'-2an), n=1^2 (factor 0.000e+00 with scale 2.000e+00)", 0.0),
     (0.5, 0.25, 0.25, 0.5, "(z+z')^2 (factor 0.000e+00 with scale 5.000e-01)", 0.0),
+    # far out the window stays 1e-6a wide, so it names the light-like image
+    (1000000.1, 0.3, 0.4, 1.0,
+     "(z-z'-2an), n=500000^2 (factor 0.000e+00 with scale 1.000e+06)", 0.0),
 ])
 def test_dual_plate_light_like_image_message_and_factor(t, z, z_prime, a, message, factor):
     pair = SpacetimePair(t=t, z=z, t_prime=0.0, z_prime=z_prime)

@@ -9,6 +9,7 @@ was 0.95, and 1.53 over 1,600 further random draws of the same kinds; C = 2
 is stated here and is not to be widened.
 """
 import math
+import random
 import sys
 
 import pytest
@@ -79,15 +80,19 @@ def _nearest_cone_gap(z, z_prime, a):
     return min(z + z_prime, 2.0 * a - (z + z_prime), 2.0 * a - abs(z - z_prime))
 
 
+def _light_cone_gap(d, z, z_prime, a):
+    """Distance in |d| to the nearest light cone of an image z -+ z' - 2an,
+    the direct term n = 0 of z - z' aside."""
+    return min(abs(ratio - round(ratio)) * 2.0 * a
+               for family, c in enumerate((z - z_prime, z + z_prime))
+               for ratio in ((c - d) / (2.0 * a), (c + d) / (2.0 * a))
+               if family or round(ratio))
+
+
 def _off_every_light_cone(d, z, z_prime, a):
-    """Whether no image z -+ z' - 2an lies within 1e-5 max(d, a) of |d|;
-    production refuses points within about 5e-7 d of one."""
-    for family, c in enumerate((z - z_prime, z + z_prime)):
-        for ratio in ((c - d) / (2.0 * a), (c + d) / (2.0 * a)):
-            near = abs(ratio - round(ratio)) * 2.0 * a < 1e-5 * max(d, a)
-            if near and (family or round(ratio)):  # not the direct term
-                return False
-    return True
+    """Whether no image lies within 1e-5 max(d, a) of |d|; production
+    refuses points within about 5e-7 min(d, 2a) of one."""
+    return _light_cone_gap(d, z, z_prime, a) >= 1e-5 * max(d, a)
 
 
 _position = st.one_of(st.floats(1e-3, 0.999),
@@ -132,10 +137,24 @@ def test_dual_plate_error_within_conditioning_bound(a, uz, uzp, kind, u, reach, 
 
 @pytest.mark.parametrize("t", [3000.0, -3000.0, 250000.4])
 def test_far_points_return(t):
-    # t - t' = 3000a took 9,472 image pairs summed one at a time; at 2.5e5a
-    # any t within about 0.12a of an image light cone counts as singular
+    # t - t' = 3000a took 9,472 image pairs summed one at a time; at any
+    # t - t' past 2a, only a t within 1e-6a of an image light cone counts
+    # as singular
     result = _assert_within_bound(t, 0.3, 0.4, 1.0)
     assert result.value > 0.0
+
+
+def test_far_times_off_the_light_cones_return():
+    # near t - t' = 1e6a a window relative to t would span the 0.6a between
+    # the light cones at 1e6a + 0.1a, 0.7a, 1.3a and 1.9a; half the times are
+    # uniform, half within 3e-6a to 1e-2a of a cone
+    rng = random.Random(1)
+    times = [1e6 + rng.uniform(0.0, 2.0) for _ in range(100)]
+    times += [1e6 + rng.choice((0.1, 0.7, 1.3, 1.9)) + rng.choice((1.0, -1.0))
+              * 10.0 ** rng.uniform(-5.5, -2.0) for _ in range(100)]
+    for t in times:
+        assert _light_cone_gap(t, 0.3, 0.4, 1.0) >= 1e-6
+        _assert_within_bound(t, 0.3, 0.4, 1.0)
 
 
 def _work(pair, a):
@@ -157,8 +176,7 @@ def _work(pair, a):
 def test_work_does_not_grow_with_time_separation():
     # the image head made 260 calls on the diagonal, 1,320 at t - t' = 30.4a
     # and 113,724 at 3000.4a; the closed form makes a fixed number past 2a,
-    # plus a few light-cone checks where |t - t'| is large enough that the
-    # singular test's relative window spans a fraction of a
+    # its light-cone search included
     diagonal = _work(SpacetimePair(t=0.0, z=0.5, t_prime=0.0, z_prime=0.5), 1.0)
     far = [_work(SpacetimePair(t=t, z=0.3, t_prime=0.0, z_prime=0.4), 1.0)
            for t in (30.4, 3000.4, 300000.4)]

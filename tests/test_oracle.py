@@ -203,9 +203,36 @@ def test_run_verification_detects_wrong_sign():
         seed=12345, sets_per_family=5, grid_points=3, reflection_override=wrong
     )
     assert not report.passed
+    # the wrong square enters the one-plate and reflected quadrature checks,
+    # the estimates check built on their rows, and the reflection identity
     failed = {check.name for check in report.checks if not check.passed}
-    assert "quad_one_plate_vs_closed" in failed
-    assert "deriv_reflection_identity" in failed
+    assert failed == {
+        "quad_one_plate_vs_closed",
+        "quad_reflected_vs_closed",
+        "quad_error_estimates_conservative",
+        "deriv_reflection_identity",
+    }
+
+
+def test_run_verification_shape():
+    # seven checks in a fixed order, each quadrature check over
+    # sets_per_family cases and each derivative check over grid_points
+    report = run_verification(seed=7, sets_per_family=4, grid_points=3)
+    assert [check.name for check in report.checks] == [
+        "quad_one_plate_vs_closed",
+        "quad_reflected_vs_closed",
+        "quad_translated_vs_closed",
+        "quad_error_estimates_conservative",
+        "deriv_reflection_identity",
+        "deriv_translation_identity",
+        "series_identities_within_tail_bounds",
+    ]
+    details = [check.detail for check in report.checks]
+    assert all(detail.startswith("4 cases, ") for detail in details[:3])
+    assert all(detail.startswith("3 points, ") for detail in details[4:6])
+    assert [check["name"] for check in report.to_dict()["checks"]] == [
+        check.name for check in report.checks
+    ]
 
 
 # At these seeds the reflected closed form used to shift both corners by -a n
