@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from .errors import DomainError, SingularityError, check_separation
 
@@ -76,8 +75,9 @@ def _warn_small_speed(v: float) -> None:
 _POLE_TOUCH_EPS = 1e-10
 
 # Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
-# at about 160 bytes per index, so the n_max = 10^6 pairs a sum may take
-# would need about 160 MB in one pass; pieces of this length need 160 kB.
+# at about 570 bytes per index (tracemalloc, 1024 indices), so the n_max =
+# 10^6 pairs a sum may take would need about 570 MB in one pass; pieces of
+# this length need 0.6 MB.
 _KERNEL_BLOCK = 1024
 
 
@@ -119,11 +119,7 @@ def _on_locus(first: float, second: float, touch_scale: float) -> None:
         )
 
 
-# The float operations _log_ratio needs; numpy supplies the same for arrays.
-_FLOAT_OPS = SimpleNamespace(log1p=math.log1p, copysign=math.copysign, minimum=min)
-
-
-def _log_ratio(p, q, ds, xp=_FLOAT_OPS):
+def _log_ratio(p: float, q: float, ds: float) -> float:
     """log p^2 - log q^2, given ds = d s with d = p - q and s = p + q each
     formed without cancellation.
 
@@ -133,27 +129,7 @@ def _log_ratio(p, q, ds, xp=_FLOAT_OPS):
     sign or not and however far apart their magnitudes lie.
     """
     abs_p, abs_q = abs(p), abs(q)
-    return 2.0 * xp.copysign(xp.log1p(abs(ds) / ((abs_p + abs_q) * xp.minimum(abs_p, abs_q))), ds)
-
-
-def _reflection_arguments(base, b: float, v: float):
-    """The log arguments of the one-plate square over [base, base + b]^2:
-    (top, X, Y, (X - Y)(X + Y), touch scale), top = base + b.
-
-    X = 2 v base - (1-v) b and Y = X + 2 b are formed as the corner
-    (top, base) formed them, 2 v top - (1+v) b and 2 v top + (1-v) b, so
-    that a refusal reports the same log argument; X - Y = -2 b and
-    X + Y = 2 v (base + top) are exact. Takes a float or an array of bases.
-    """
-    top = base + b
-    x = 2.0 * v * top - (1.0 + v) * b
-    y = 2.0 * v * top + (1.0 - v) * b
-    return top, x, y, -2.0 * b * (2.0 * v * (base + top)), v * (abs(top) + abs(base)) + b
-
-
-def _reflection_value(base, top, b: float, v: float, ell):
-    """The one-plate square over [base, top]^2, given ell = l(X, Y)."""
-    return b * (4.0 * v * b - (1.0 - v * v) * (base + top) * ell) / (64.0 * v**3 * (base * top) ** 2)
+    return 2.0 * math.copysign(math.log1p(abs(ds) / ((abs_p + abs_q) * min(abs_p, abs_q))), ds)
 
 
 def _reflection_square(base: float, b: float, v: float) -> float:
@@ -165,36 +141,16 @@ def _reflection_square(base: float, b: float, v: float) -> float:
     parts sum exactly to b^2 / (16 v^2 (base top)^2), top = base + b:
         b [4 v b - (1-v^2)(base + top) l(X, Y)] / (64 v^3 (base top)^2).
     Both parts are nonnegative when base and top share a sign, so nothing
-    cancels. Raises SingularityError when X or Y lies on the singular
-    locus (_reflection_arguments).
+    cancels. X and Y are formed as the corner (top, base) forms them, so a
+    refusal reports that log argument; X - Y and X + Y are exact. Raises
+    SingularityError when X or Y lies on the singular locus.
     """
-    top, x, y, ds, touch_scale = _reflection_arguments(base, b, v)
-    _on_locus(x, y, touch_scale)
-    return _reflection_value(base, top, b, v, _log_ratio(x, y, ds))
-
-
-def _translation_arguments(b: float, v: float, nav):
-    """The log arguments of the translated square of side b, given
-    nav = |n| a v: (c, (p1, q1, p2, q2), sum, diff), c = 2 nav.
-
-    p1, q1 = c - (1+v) b, c + (1-v) b and p2, q2 = c + (1+v) b,
-    c - (1-v) b are the corners' log arguments; sum and diff are the
-    (p, q, (p - q)(p + q)) of the products whose log ratios are l1 + l2 and
-    l1 - l2, with the exact differences -4 v b^2 and -4 c b. Takes a float
-    or an array of nav.
-    """
-    c = 2.0 * nav
-    p1, q1 = c - (1.0 + v) * b, c + (1.0 - v) * b
-    p2, q2 = c + (1.0 + v) * b, c - (1.0 - v) * b
-    outer_p, outer_q = p1 * p2, q1 * q2
-    cross_p, cross_q = p1 * q2, q1 * p2
-    return (c, (p1, q1, p2, q2), (outer_p, outer_q, -4.0 * v * b * b * (outer_p + outer_q)),
-            (cross_p, cross_q, -4.0 * c * b * (cross_p + cross_q)))
-
-
-def _translation_value(b: float, v: float, nav, c, l_sum, l_diff):
-    """The translated square, given l_sum = l1 + l2 and l_diff = l1 - l2."""
-    return -(c * v * l_sum + (1.0 - v * v) * b * l_diff) / (64.0 * nav**3)
+    top = base + b
+    x = 2.0 * v * top - (1.0 + v) * b
+    y = 2.0 * v * top + (1.0 - v) * b
+    _on_locus(x, y, v * (abs(top) + abs(base)) + b)
+    ell = _log_ratio(x, y, -2.0 * b * (2.0 * v * (base + top)))
+    return b * (4.0 * v * b - (1.0 - v * v) * (base + top) * ell) / (64.0 * v**3 * (base * top) ** 2)
 
 
 def _translation_square(b: float, v: float, nav: float) -> float:
@@ -204,16 +160,23 @@ def _translation_square(b: float, v: float, nav: float) -> float:
     The corner difference of the translated antiderivative, collapsed: its
     8 n a v parts cancel exactly, leaving with c = 2 nav
         -[c v (l1 + l2) + (1-v^2) b (l1 - l2)] / (64 nav^3),
-    l1 = l(c - (1+v) b, c + (1-v) b), l2 = l(c + (1+v) b, c - (1-v) b).
-    l1 + l2 and l1 - l2 are taken as single log ratios of products, whose
-    differences -4 v b^2 and -4 c b are exact, so that at large n neither
-    is formed from two nearly opposite logs. Raises SingularityError when
-    a corner's log argument lies on the singular locus.
+    l1 = l(p1, q1) = l(c - (1+v) b, c + (1-v) b), l2 = l(p2, q2) =
+    l(c + (1+v) b, c - (1-v) b). l1 + l2 and l1 - l2 are taken as single
+    log ratios of products, whose differences -4 v b^2 and -4 c b are exact,
+    so that at large n neither is formed from two nearly opposite logs.
+    Raises SingularityError when a corner's log argument lies on the
+    singular locus.
     """
-    c, (p1, q1, p2, q2), outer, cross = _translation_arguments(b, v, nav)
+    c = 2.0 * nav
+    p1, q1 = c - (1.0 + v) * b, c + (1.0 - v) * b
+    p2, q2 = c + (1.0 + v) * b, c - (1.0 - v) * b
     _on_locus(p1, q1, c + b)
     _on_locus(p2, q2, c + b)
-    return _translation_value(b, v, nav, c, _log_ratio(*outer), _log_ratio(*cross))
+    outer_p, outer_q = p1 * p2, q1 * q2
+    cross_p, cross_q = p1 * q2, q1 * p2
+    l_sum = _log_ratio(outer_p, outer_q, -4.0 * v * b * b * (outer_p + outer_q))
+    l_diff = _log_ratio(cross_p, cross_q, -4.0 * c * b * (cross_p + cross_q))
+    return -(c * v * l_sum + (1.0 - v * v) * b * l_diff) / (64.0 * nav**3)
 
 
 def one_plate_integral(seg: PathSegment) -> float:
@@ -340,16 +303,16 @@ def _image_pair_term(seg: PathSegment, a: float, n: int) -> float:
 def image_pair_terms(seg: PathSegment, a: float, ns):
     """Four-image contribution of +n and -n for each index in the array ns.
 
-    For each n, R(z0 - an) + R(z0 + an) + 2 T(n), with the float operations
-    of the scalar image integrals: the arguments and values of
-    _reflection_square and _translation_square on arrays, and their four log
-    ratios per index (reflected +n and -n, l1 + l2, l1 - l2) in one
-    _log_ratio pass over (4, len(ns)) rows, with one locus test over every
-    log argument. A block holding any index those integrals would refuse (a
-    log argument on the singular locus, an image plane through a corner,
-    n = 0) is re-evaluated through them one index at a time, so it raises
-    the same error at the same index. An ns longer than _KERNEL_BLOCK is
-    taken in pieces of that length, in order.
+    For each n, R(z0 - an) + R(z0 + an) + 2 T(n), R and T the squares of
+    _reflection_square and _translation_square, with their log arguments,
+    exact differences and log ratios formed as those squares form them and
+    the rest fused: one p/q buffer, one |p|, |q| array for both the locus
+    test and the log ratios, and folded constants, so a term can differ from
+    the scalar pair term in its last bits. A block holding any index those
+    integrals would refuse (a log argument on the singular locus, an image
+    plane through a corner, n = 0) is re-evaluated through them one index
+    at a time, so it raises the same error at the same index. An ns longer
+    than _KERNEL_BLOCK is taken in pieces of that length, in order.
     """
     import numpy as np
 
@@ -358,27 +321,69 @@ def image_pair_terms(seg: PathSegment, a: float, ns):
                                for i in range(0, len(ns), _KERNEL_BLOCK)])
     _check_v(seg.v)
     check_separation(a)
-    b, v = seg.b, seg.v
+    z0, b, v, size = seg.z0, seg.b, seg.v, len(ns)
+    lo, hi, k = (1.0 - v) * b, (1.0 + v) * b, 1.0 - v * v
+    reflection_scale = b / (64.0 * v**3)
     with np.errstate(all="ignore"):
-        base = seg.z0 - np.multiply.outer((a, -a), ns)
-        top, x, y, ds, touch_scale = _reflection_arguments(base, b, v)
-        nav = ns * a * v
-        c, corners, outer, cross = _translation_arguments(b, v, nav)
-        # p, q and ds of the log ratios of reflected +n, reflected -n,
-        # l1 + l2 and l1 - l2
-        rows = np.empty((3, 4, len(ns)))
-        p, q, pq_ds = rows[0], rows[1], rows[2]
-        p[:2], q[:2], pq_ds[:2] = x, y, ds
-        p[2], q[2], pq_ds[2] = outer
-        p[3], q[3], pq_ds[3] = cross
-        # X and Y of both reflected images, rows[:2, :2], and the four
-        # translated corners, each against its touch scale as _on_locus takes it
-        on_locus = ((abs(rows[:2, :2]) < _POLE_TOUCH_EPS * touch_scale).any()
-                    or (abs(np.array(corners)) < _POLE_TOUCH_EPS * (c + b)).any())
-        ell = _log_ratio(p, q, pq_ds, np)
-        reflected = _reflection_value(base, top, b, v, ell[:2])
-        terms = reflected[0] + reflected[1] + 2.0 * _translation_value(b, v, nav, c, ell[2], ell[3])
-    if np.isfinite(terms).all() and not on_locus:
+        an = ns * a
+        nav = abs(an) * v  # |n| a v, as translated_image_integral forms it
+        # base and top of the reflected squares of +n (row 0) and -n (row 1)
+        base = np.empty((2, size))
+        np.subtract(z0, an, out=base[0])
+        np.add(z0, an, out=base[1])
+        top = base + b
+        s = base + top
+        # rows c = 2 nav, c, 2 v top of +n and of -n: rows 1-3 anchor the log
+        # arguments below, and at the end every row becomes a touch scale
+        scales = np.empty((4, size))
+        c = np.multiply(nav, 2.0, out=scales[:2])[0]
+        np.multiply(2.0 * v, top, out=scales[2:])
+        # p (pq[0]) and q (pq[1]) of the rows (q2, p2), (p2, q2), (p1, q1),
+        # (X, Y) of +n and of -n, (p1 q2, q1 p2) and (p1 p2, q1 q2)
+        pq = np.empty((2, 7, size))
+        np.subtract(scales[1:], hi, out=pq[0, 2:5])
+        np.add(scales[1:], lo, out=pq[1, 2:5])
+        np.add(c, hi, out=pq[0, 1])
+        np.subtract(c, lo, out=pq[1, 1])
+        pq[:, 0] = pq[::-1, 1]
+        np.multiply(pq[0, 2], pq[0, :2], out=pq[0, 5:])
+        np.multiply(pq[1, 2], pq[1, :2], out=pq[1, 5:])
+        magnitude = np.abs(pq)
+        least = np.minimum(magnitude[0], magnitude[1])
+        # d s of rows 3-6: the sums times the differences -2 b, -4 c b, -4 v b^2
+        ds = np.empty((4, size))
+        np.multiply(2.0 * v, s, out=ds[:2])
+        np.add(pq[0, 5:], pq[1, 5:], out=ds[2:])
+        ds[:2] *= -2.0 * b
+        ds[2] *= c * (-4.0 * b)
+        ds[3] *= -4.0 * v * b * b
+        # half the log ratios of rows 3-6, as _log_ratio forms them
+        half = np.add(magnitude[0, 3:], magnitude[1, 3:])
+        half *= least[3:]
+        np.divide(np.abs(ds), half, out=half)
+        np.log1p(half, out=half)
+        np.copysign(half, ds, out=half)
+        # R(z0 - an), R(z0 + an) and 2 T(n) as numerators over (base top)^2 and nav^3
+        values = np.empty((7, size))
+        np.multiply(s, -2.0 * k * reflection_scale, out=values[:2])
+        values[2] = k * b / -16.0
+        np.multiply(c, v / -16.0, out=values[3])
+        values[:4] *= half
+        values[:2] += 4.0 * v * b * reflection_scale
+        values[2] += values[3]
+        np.multiply(base, top, out=values[4:6])
+        np.square(values[4:6], out=values[4:6])
+        np.power(nav, 3, out=values[6])
+        terms = np.add.reduce(np.divide(values[:3], values[4:], out=values[:3]))
+        # tolerances of least[1:5] from c + b and from v |base + top| + b, which is
+        # _on_locus's v (|top| + |base|) + b unless a square straddles z = 0, where
+        # |X| and |Y| exceed (1 - v) b. A non-finite term makes their sum non-finite.
+        np.abs(s, out=scales[2:])
+        scales[2:] *= v
+        scales += b
+        scales *= _POLE_TOUCH_EPS
+        refusable = (least[1:5] < scales).any() or not math.isfinite(np.add.reduce(terms))
+    if not refusable:
         return terms
     return np.array([_image_pair_term(seg, a, int(n)) for n in ns])
 

@@ -561,6 +561,14 @@ def _sample_image(rng: random.Random, family: str) -> tuple[PathSegment, float, 
     return PathSegment(z0=z0, b=b, v=v), a, n
 
 
+def _worst(values) -> float:
+    """The largest of values and 0.0, or nan when any value is nan. max()
+    drops a nan that comes after another value, and `nan > gate` is false,
+    so without this a nan deviation would pass its gate."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max([0.0, *values])
+
+
 def run_verification(
     seed: int = 12345,
     sets_per_family: int = 50,
@@ -612,7 +620,7 @@ def run_verification(
         ("quad_translated_vs_closed", translated),
     ):
         cases = [case() for _ in range(sets_per_family)]
-        worst = max(0.0, *(abs(quad.value - closed) / abs(closed) for closed, quad in cases))
+        worst = _worst(abs(quad.value - closed) / abs(closed) for closed, quad in cases)
         checks.append(CheckResult(
             name=name,
             passed=worst <= _QUAD_GATE,
@@ -622,19 +630,23 @@ def run_verification(
         ))
         rows += [(name, closed, quad) for closed, quad in cases]
 
-    # a failing row's ratio exceeds 1, so the check passes while it is 0
-    worst_ratio = 0.0
-    detail = "true error never exceeded the reported estimate"
+    # a row fails unless its deviation lies within the allowance, a nan
+    # deviation too; a failing row's ratio exceeds 1 or is nan, so the check
+    # passes while the worst is 0, and names the first row at the worst
+    failing = []
     for name, closed, quad in rows:
         deviation = abs(quad.value - closed)
         # the closed form itself carries rounding (a few ulps for the
         # production squares), so the estimate only has to cover the
         # deviation beyond that reference allowance
         allowed = quad.error_estimate + _NOISE_FLOOR * abs(closed)
-        if deviation > allowed and deviation / allowed > worst_ratio:
-            worst_ratio = deviation / allowed
-            detail = (f"{name}: deviation {deviation:.3e} exceeds estimate "
-                      f"{quad.error_estimate:.3e} plus reference allowance")
+        if not deviation <= allowed:
+            failing.append((deviation / allowed, f"{name}: deviation {deviation:.3e} exceeds "
+                            f"estimate {quad.error_estimate:.3e} plus reference allowance"))
+    worst_ratio = _worst(ratio for ratio, _ in failing)
+    detail = next((text for ratio, text in failing
+                   if ratio == worst_ratio or math.isnan(ratio)),
+                  "true error never exceeded the reported estimate")
     checks.append(
         CheckResult("quad_error_estimates_conservative", worst_ratio == 0.0, worst_ratio, detail)
     )
@@ -644,7 +656,7 @@ def run_verification(
         ("deriv_translation_identity", "translation", _sample_translation_point, None),
     ):
         reports = [deriv_check(family, *sample(rng), square=square) for _ in range(grid_points)]
-        worst = max(0.0, *(report.relative_error for report in reports))
+        worst = _worst(report.relative_error for report in reports)
         checks.append(CheckResult(
             name=name,
             passed=all(report.converged for report in reports),
@@ -659,7 +671,7 @@ def run_verification(
     checks.append(CheckResult(
         name="series_identities_within_tail_bounds",
         passed=all(gap <= bound for _, gap, bound in gaps),
-        worst=max(0.0, *(gap / bound for _, gap, bound in gaps)),
+        worst=_worst(gap / bound for _, gap, bound in gaps),
         detail="; ".join(f"{label}: gap {gap:.3e} <= bound {bound:.3e}"
                          for label, gap, bound in gaps),
     ))

@@ -231,9 +231,9 @@ def validity_window(seg: PathSegment) -> WindowReport:
 
 
 def _window_flags(seg: PathSegment) -> tuple[str, ...]:
-    report = validity_window(seg)
+    """The regime flags of validity_window's edges, without building its report."""
     flags: tuple[str, ...] = ()
-    if report.below_window:
+    if seg.b < 2.0 * seg.v * seg.z0 / math.sqrt(3.0):
         flags += ("below_window",)
     if seg.b > seg.z0:
         flags += ("beyond_window",)

@@ -23,12 +23,13 @@ from casvolt import (
     variance_two_plate_exact,
 )
 import casvolt.variance
-from casvolt.closed_forms import _KERNEL_BLOCK, _image_pair_term, image_pair_terms
+from casvolt.closed_forms import _KERNEL_BLOCK, _POLE_TOUCH_EPS, _image_pair_term, image_pair_terms
 from casvolt.correlators import _inverse_square_factor
 from casvolt.variance import _two_plate_sum
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
+from test_square_accuracy import _assert_close, _pair_kappa  # noqa: E402
 from test_tail_coefficients import _exact_coefficients, _reference_index  # noqa: E402
 
 
@@ -478,3 +479,86 @@ def test_singular_corner_inside_block_raises_as_scalar_path(family, a):
     assert str(block.value) == str(scalar.value)
     assert (block.value.factor, block.value.threshold) == (scalar.value.factor,
                                                            scalar.value.threshold)
+
+
+def _locus_ratio(row, z0, b, v, n, a):
+    """|argument| / tolerance of one log argument of the pair term of n, as
+    _reflection_square and _translation_square form them: X or Y of the
+    reflected square of +n ("X+", "Y+") or of -n ("X-", "Y-"), or the
+    translated corner p1 = c - (1+v) b or q2 = c - (1-v) b."""
+    if row[0] in "XY":
+        base = z0 - a * (n if row[1] == "+" else -n)
+        top = base + b
+        if row[0] == "X":
+            argument = 2.0 * v * top - (1.0 + v) * b
+        else:
+            argument = 2.0 * v * top + (1.0 - v) * b
+        touch = v * (abs(top) + abs(base)) + b
+    else:
+        c = 2.0 * (abs(n) * a * v)
+        argument = c - (1.0 + v) * b if row == "p1" else c - (1.0 - v) * b
+        touch = c + b
+    return abs(argument) / (_POLE_TOUCH_EPS * touch)
+
+
+def _place_on_edge(row, z0, b, v, n, a_zero, inside):
+    """(b, a) within 16 ulps of b and of the linear estimate of the a at
+    which _locus_ratio is 1 -+ 1e-6: the pair closest to that target on the
+    side asked for. A ratio moves by about 1e-6 per ulp of its argument."""
+    target = 1.0 - 1e-6 if inside else 1.0 + 1e-6
+    slope = _locus_ratio(row, z0, b, v, n, a_zero * (1.0 + 1e-9)) / (a_zero * 1e-9)
+    a = a_zero + target / slope
+    ratios = {(b_j, a_i): _locus_ratio(row, z0, b_j, v, n, a_i)
+              for b_j in (b + j * math.ulp(b) for j in range(-16, 17))
+              for a_i in (a + i * math.ulp(a) for i in range(-16, 17))}
+    return min((pair for pair, ratio in ratios.items() if (ratio < 1.0) == inside),
+               key=lambda pair: abs(ratios[pair] - target))
+
+
+# (row, z0, b, v, n, a at which the argument vanishes) for each log argument
+# that can reach the singular locus. Y of -n needs n < 0: for n >= 1 the -n
+# square lies above z = 0, where Y > 0; and the corners q1 = c + (1-v) b and
+# p2 = c + (1+v) b stay above (1-v) b. The last two cases put p1 on the
+# locus while the square of image +1 straddles z = 0 (z0 < a < z0 + b),
+# taken once as n = 1 and once as n = -1.
+_LOCUS_EDGES = [
+    ("X+", 0.3, 0.01, 0.1, 2, (0.31 - 1.1 * 0.01 / 0.2) / 2.0),
+    ("Y+", 0.3, 0.01, 0.1, 2, (0.31 + 0.9 * 0.01 / 0.2) / 2.0),
+    ("X-", 0.3, 0.1, 0.1, 2, (1.1 * 0.1 / 0.2 - 0.4) / 2.0),
+    ("Y-", 0.3, 0.01, 0.1, -2, (0.31 + 0.9 * 0.01 / 0.2) / 2.0),
+    ("p1", 0.3, 0.1, 0.1, 2, 1.1 * 0.1 / 0.4),
+    ("q2", 0.3, 0.1, 0.1, 2, 0.9 * 0.1 / 0.4),
+    ("p1", 0.12, 0.1, 0.5, 1, 1.5 * 0.1 / 1.0),
+    ("p1", 0.12, 0.1, 0.5, -1, 1.5 * 0.1 / 1.0),
+]
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+@pytest.mark.parametrize("row, z0, b, v, n, a_zero", _LOCUS_EDGES,
+                         ids=["X+", "Y+", "X-", "Y-", "p1", "q2", "p1-straddle",
+                              "p1-straddle-negative-n"])
+def test_locus_edge_matches_scalar(row, z0, b, v, n, a_zero, inside):
+    # a log argument at (1 -+ 1e-6) of its tolerance, to the resolution of
+    # the floats: the block refuses exactly when the scalar path does, with
+    # its message, and otherwise both stay within the 60-digit error map's
+    # 64 u kappa bound, kappa about 1e10 here (tests/test_square_accuracy.py)
+    b, a = _place_on_edge(row, z0, b, v, n, a_zero, inside)
+    assert abs(_locus_ratio(row, z0, b, v, n, a) - 1.0) < 1.5e-6
+    seg = PathSegment(z0=z0, b=b, v=v)
+    # with no other index of the same |n|, whose squares are the same
+    ns = sorted({n, 1, 2, 3} - {-n})
+    try:
+        for index in ns:
+            _image_pair_term(seg, a, index)
+    except SingularityError as exc:
+        assert inside
+        with pytest.raises(SingularityError) as block:
+            image_pair_terms(seg, a, np.array(ns, dtype=float))
+        assert str(block.value) == str(exc)
+        assert (block.value.factor, block.value.threshold) == (exc.factor, exc.threshold)
+        return
+    assert not inside
+    for index, value in zip(ns, image_pair_terms(seg, a, np.array(ns, dtype=float))):
+        reference, kappa = mp.pair(z0, b, v, a, index), _pair_kappa(seg, a, index)
+        _assert_close(value, reference, kappa)
+        _assert_close(_image_pair_term(seg, a, index), reference, kappa)

@@ -214,6 +214,26 @@ def test_run_verification_detects_wrong_sign():
     }
 
 
+def test_run_verification_fails_every_gate_a_nan_reaches():
+    # max(0.0, nan) is 0.0 and nan > allowed is false, so a closed form
+    # returning nan used to pass both quadrature checks and the estimates
+    # check with worst 0.0, and fail the reflection identity with worst 0.0
+    report = run_verification(seed=12345, sets_per_family=5, grid_points=3,
+                              reflection_override=lambda base, b, v: float("nan"))
+    failed = {check.name: check for check in report.checks if not check.passed}
+    assert set(failed) == {
+        "quad_one_plate_vs_closed",
+        "quad_reflected_vs_closed",
+        "quad_error_estimates_conservative",
+        "deriv_reflection_identity",
+    }
+    assert all(math.isnan(check.worst) for check in failed.values())
+    assert all(not math.isnan(check.worst) for check in report.checks if check.passed)
+    assert "deviation nan (gate" in failed["quad_one_plate_vs_closed"].detail
+    assert failed["quad_error_estimates_conservative"].detail.startswith(
+        "quad_one_plate_vs_closed: deviation nan exceeds estimate")
+
+
 def test_run_verification_shape():
     # seven checks in a fixed order, each quadrature check over
     # sets_per_family cases and each derivative check over grid_points
