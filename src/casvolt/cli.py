@@ -135,13 +135,11 @@ def _add_units_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_control_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--tol", type=float, default=1e-10, help="relative tail tolerance for image sums"
+        "--tol", type=float, default=SummationControl.tol,
+        help="relative tail tolerance for image sums",
     )
     parser.add_argument(
-        "--n-max",
-        type=int,
-        default=10**6,
-        help="image-pair budget for sums",
+        "--n-max", type=int, default=SummationControl.n_max, help="image-pair budget for sums"
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularityError, check_separation
+from .errors import _LENGTH_MAX, DomainError, SingularityError, check_length, check_separation
 from .summation import SummationResult
 
 __all__ = [
@@ -44,8 +44,9 @@ _IMAGE_RULE = (
 
 @dataclass(frozen=True)
 class SpacetimePair:
-    """Two evaluation events (t, z) and (t', z') at equal transverse position;
-    every coordinate finite, z and z' above the plate at z = 0."""
+    """Two evaluation events (t, z) and (t', z') at equal transverse position:
+    z and z' above the plate at z = 0, each a length in errors' window, and
+    t and t' within the window's upper edge of zero."""
 
     t: float
     z: float
@@ -53,13 +54,13 @@ class SpacetimePair:
     z_prime: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.t_prime)):
-            raise DomainError(f"event times must be finite, got t={self.t!r}, t'={self.t_prime!r}")
-        if not (0.0 < self.z < math.inf and 0.0 < self.z_prime < math.inf):
+        if not (abs(self.t) <= _LENGTH_MAX and abs(self.t_prime) <= _LENGTH_MAX):
             raise DomainError(
-                f"evaluation points must lie a finite distance above the plate at z=0, "
-                f"got z={self.z!r}, z'={self.z_prime!r}"
+                f"event times must be finite, within {_LENGTH_MAX:g} 1/eV of zero, "
+                f"got t={self.t!r}, t'={self.t_prime!r}"
             )
+        check_length("evaluation point z", self.z)
+        check_length("evaluation point z'", self.z_prime)
 
 
 def _singular(dt: float, separation: float, description: str) -> SingularityError:
@@ -183,8 +184,6 @@ def correlator_dual_plate(pair: SpacetimePair, a: float) -> SummationResult:
     dz = pair.z - pair.z_prime
     sz = pair.z + pair.z_prime
     d = abs(dt)
-    if not d / a < math.inf:
-        raise DomainError(f"|t-t'|/a overflows: t-t'={dt!r}, a={a!r}")
     c0, label = (sz, "(z+z')") if sz <= a else (sz - 2.0 * a, "(z+z'-2an), n=1")
     # Below this reach only the image c0 can be light-like, and its term
     # raises; the margin lies far outside _SINGULAR_EPS's window.
@@ -216,8 +215,7 @@ def mean_squared_field(z: float, omega_p: float) -> MeanSquaredField:
     the value may jump at the boundary while the regime flag flips exactly
     there.
     """
-    if not 0.0 < z < math.inf:
-        raise DomainError(f"distance z must be positive and finite, got {z!r}")
+    check_length("distance z", z)
     if not omega_p > 0.0:
         raise DomainError(f"plasma frequency must be positive, got {omega_p!r}")
     product = omega_p * z

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _ORACLE_NAMES
 from .closed_forms import (
     PathSegment,
     _reflection_square,
@@ -40,24 +41,7 @@ from .errors import (
 )
 from .variance import FluctuationResult, Particle, _result
 
-__all__ = [
-    "QuadratureResult",
-    "DerivativeReport",
-    "CheckResult",
-    "CscSeriesComparison",
-    "VerificationReport",
-    "quad_one_plate",
-    "quad_image",
-    "deriv_check",
-    "brute_dual_correlator",
-    "csc_identity",
-    "zeta_two_series",
-    "variance_two_plate_series_smallv",
-    "pole_entry_one_plate",
-    "pole_entry_reflected",
-    "pole_entry_translated",
-    "run_verification",
-]
+__all__ = list(_ORACLE_NAMES)
 
 _LOW_NODES, _LOW_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _HIGH_NODES, _HIGH_WEIGHTS = np.polynomial.legendre.leggauss(16)

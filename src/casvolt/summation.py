@@ -1,17 +1,13 @@
-"""Truncation control, truncated-sum results and Hurwitz zeta series.
+"""Image-sum control and results, and the Hurwitz zeta series the
+two-plate sum's analytic tail is built from.
 
-The two-plate variance is a sum over image index n = ..., -2, -1, 1, 2, ...
-(n = 0 excluded), taken in symmetric +n/-n pairs. variance._two_plate_sum
-sums a head of pairs term by term and, beyond it, adds the tail's leading
-asymptotics in closed form through Hurwitz zeta values, with a rigorous
-bound on what is left. It forms its pairs in blocks and returns at the end
-of the first block whose bound falls below SummationControl.tol of the
-value it returns: the first block reaches a quarter past its reference
-index n_ref >= 16, so its terms_used is at least 16, and an n_max below
-n_ref refuses at once. It subtracts six orders, n^-4 to n^-14, through
-hurwitz_zeta_series. correlators.correlator_dual_plate truncates nothing:
-it sums every image in O(1) and reports terms_used = 1 and
-tail_estimate = 0.0. Both report a SummationResult.
+SummationControl sets an image sum's relative tolerance and its budget of
+image pairs; a sum that cannot certify within them raises ConvergenceError.
+SummationResult reports a sum: its value, the image index it summed to term
+by term and a certified bound on what truncation left out. The two-plate
+variance's image sum (variance._two_plate_sum) takes the one and returns
+the other; the dual-plate correlator returns one too, dropping no image:
+terms_used = 1 and tail_estimate = 0.0.
 """
 from __future__ import annotations
 
@@ -22,7 +18,7 @@ from numbers import Integral
 
 from .errors import DomainError
 
-__all__ = ["SummationControl", "SummationResult", "hurwitz_zeta_series"]
+__all__ = ["SummationControl", "SummationResult"]
 
 # Least argument x at which hurwitz_zeta_series's rows reach double
 # precision; a subtracted tail built from zeta(s, N + 1) needs N + 1 >= this.

@@ -4,10 +4,11 @@ A particle of charge q crossing the vacuum region perpendicular to the
 plates, on the worldline t = z/v from z0 to z0 + b, picks up a fluctuating
 momentum from the boundary-modified field. The variance of the energy shift
 is q^2 v^4 / pi^2 times a double line integral of the correlator along the
-path, which closed_forms evaluates in antiderivative form. Everything here
-works in natural units internally and reports energies in eV (the natural
-unit of this package), so variances are eV^2 and rms voltages are volts for
-a charge given in units of e.
+path, which closed_forms evaluates in closed form over the segment square,
+and over its images for two plates. Everything here works in natural units
+internally and reports energies in eV (the natural unit of this package),
+so variances are eV^2 and rms voltages are volts for a charge given in
+units of e.
 """
 from __future__ import annotations
 
@@ -16,7 +17,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .closed_forms import PathSegment, _warn_small_speed, image_pair_terms, one_plate_integral
-from .errors import ConvergenceError, DomainError, check_positive_finite, check_separation
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    check_length,
+    check_positive_finite,
+    check_separation,
+)
 from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta_series
 from .units import CONSTANTS, speed_from_kinetic
 
@@ -269,8 +276,7 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     b = z0 it is 0.625 times the plateau. Warns when the particle speed is
     large enough (v > 0.1) that the dropped O(v^0) terms matter.
     """
-    if not 0.0 < z0 < math.inf:
-        raise DomainError(f"starting distance z0 must be positive and finite, got {z0!r}")
+    check_length("starting distance z0", z0)
     v = particle.speed_value
     _warn_small_speed(v)
     flags = ("small_v", "one_plate")
@@ -469,7 +475,8 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
     to the last bit.
     """
     check_separation(a)
-    if not 0.0 < z0 < a:
+    check_length("starting point z0", z0)
+    if not z0 < a:
         raise DomainError(
             f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"
         )

@@ -117,3 +117,55 @@ def test_series_cross_checks_live_outside_production():
     # the oracle shares no summation engine with production
     assert [name for name, value in vars(oracle).items()
             if getattr(value, "__module__", None) == "casvolt.summation"] == []
+
+
+EAGER_MODULES = ["closed_forms", "correlators", "errors", "experiment", "summation", "units",
+                 "variance"]
+# casvolt.__all__, sorted; a name joins or leaves the package surface here
+# and in its module's __all__ together
+PUBLIC = [
+    "CONSTANTS", "CasvoltError", "Constants", "ConvergenceError", "CscSeriesComparison",
+    "DEFAULT_SCENARIO", "DerivativeReport", "DomainError", "EnhancementRatio",
+    "ExperimentConfig", "FluctuationResult", "MaterialMirror", "MeanSquaredField", "ModdelRow",
+    "Particle", "PathSegment", "PoleInsideDomainError", "QuadratureResult", "RegimeReport",
+    "SingularityError", "SpacetimePair", "SummationControl", "SummationResult",
+    "VerificationReport", "WindowReport", "__version__", "brute_dual_correlator",
+    "charge_natural", "correlator_dual_plate", "correlator_single_plate", "csc_identity",
+    "deriv_check", "enhancement_ratio", "kinetic_from_speed", "length_to_natural",
+    "load_scenario", "mean_squared_field", "minkowski_rms", "moddel_report",
+    "natural_to_length", "one_plate_integral", "one_plate_integral_smallv",
+    "one_plate_kernel", "quad_image", "quad_one_plate", "reflected_image_integral",
+    "reflected_image_integral_smallv", "reflected_image_kernel", "regime_classify",
+    "rms_estimate_eV", "rms_one_plate_smallv", "run_verification", "speed_from_kinetic",
+    "translated_image_integral", "translated_image_integral_smallv",
+    "translated_image_kernel", "validity_window", "variance_one_plate",
+    "variance_two_plate_exact", "variance_two_plate_series_smallv",
+    "variance_two_plate_smallv", "zeta_two_series",
+]
+
+
+def _modules():
+    from importlib import import_module
+
+    return {name: import_module(f"casvolt.{name}") for name in EAGER_MODULES}
+
+
+def test_package_exports_the_modules_lists():
+    declared = [name for module in _modules().values() for name in module.__all__]
+    assert len(declared) == len(set(declared))
+    assert casvolt.__all__ == sorted({*declared, *ORACLE_NAMES, "__version__"})
+    assert casvolt.__all__ == PUBLIC
+
+
+def test_lazy_names_are_the_oracle_list():
+    import casvolt.oracle as oracle
+
+    assert sorted(casvolt._ORACLE_NAMES) == sorted(oracle.__all__) == ORACLE_NAMES
+    declared = {name for module in _modules().values() for name in module.__all__}
+    assert declared.isdisjoint(casvolt._ORACLE_NAMES)
+
+
+def test_every_export_is_its_modules_object():
+    for name, module in _modules().items():
+        for attr in module.__all__:
+            assert getattr(casvolt, attr) is getattr(module, attr), (name, attr)
