@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
-from .errors import DomainError, SingularityError, check_length, check_separation
+from .errors import DomainError, SingularityError, check_length, check_separation, record
 
 __all__ = [
     "PathSegment",
@@ -57,6 +56,22 @@ _V_MAX = 0.99
 
 # the small-v forms here and in variance warn at speeds above this one
 _SMALLV_WARN = 0.1
+# and refuse speeds below this one. They form v^2 times fourth powers of
+# lengths, 8 v^2 (z0 (z0 + b))^2 and 8 v^2 (d0 d1)^2 in the segment forms and
+# 4 (a v n)^2 in the translated one, and the variances square q v / z0 and
+# q v / a. With every length at errors' lower edge 1e-60 the segment forms
+# leave the normal doubles below v ~ 5e-35; the others hold to v ~ 1e-93.
+# The floor keeps 12 decades above 5e-35, as the length window does from
+# its edges; an electron at this speed has K = 2.6e-39 eV.
+_SMALLV_MIN = 1e-22
+
+
+def _check_small_speed(v: float) -> None:
+    """Raise DomainError when v lies below the small-v forms' floor."""
+    if not v >= _SMALLV_MIN:
+        raise DomainError(
+            f"speed v={v!r} below {_SMALLV_MIN:g}, the least the small-v forms evaluate"
+        )
 
 
 def _warn_small_speed(v: float) -> None:
@@ -80,7 +95,7 @@ _POLE_TOUCH_EPS = 1e-10
 _KERNEL_BLOCK = 1024
 
 
-@dataclass(frozen=True)
+@record
 class PathSegment:
     """Straight worldline segment: start z0 and length b, each a length in
     errors' window (positive and finite), and speed v in (0, 1)."""
@@ -209,6 +224,7 @@ def one_plate_integral_smallv(seg: PathSegment) -> float:
     v = 0.01 its relative error is 1.5% at twice the pole entry, 0.3% at
     three times, and 7.6 at b = v z0.
     """
+    _check_small_speed(seg.v)
     _warn_small_speed(seg.v)
     z0, b = seg.z0, seg.b
     z1 = z0 + b
@@ -252,6 +268,7 @@ def reflected_image_integral_smallv(seg: PathSegment, a: float, n: int) -> float
     if n == 0:
         raise DomainError("image index n must be a nonzero integer")
     check_separation(a)
+    _check_small_speed(seg.v)
     d0 = a * n - seg.z0
     d1 = a * n - seg.z0 - seg.b
     if d0 == 0.0 or d1 == 0.0:
@@ -285,6 +302,7 @@ def translated_image_integral_smallv(seg: PathSegment, a: float, n: int) -> floa
     if n == 0:
         raise DomainError("image index n must be a nonzero integer")
     check_separation(a)
+    _check_small_speed(seg.v)
     return 1.0 / (4.0 * a * a * seg.v * seg.v * n * n)
 
 

@@ -10,9 +10,15 @@ reflecting boundaries enhance the longitudinal field fluctuations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import _LENGTH_MAX, DomainError, SingularityError, check_length, check_separation
+from .errors import (
+    _LENGTH_MAX,
+    DomainError,
+    SingularityError,
+    check_length,
+    check_separation,
+    record,
+)
 from .summation import SummationResult
 
 __all__ = [
@@ -42,7 +48,7 @@ _IMAGE_RULE = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class SpacetimePair:
     """Two evaluation events (t, z) and (t', z') at equal transverse position:
     z and z' above the plate at z = 0, each a length in errors' window, and
@@ -197,7 +203,7 @@ def correlator_dual_plate(pair: SpacetimePair, a: float) -> SummationResult:
     )
 
 
-@dataclass(frozen=True)
+@record
 class MeanSquaredField:
     """<E^2(z)> near a mirror of finite plasma frequency, with its regime."""
 

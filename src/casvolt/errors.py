@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all casvolt modules, and the input checks
-they share: positive and finite quantities, and lengths inside the window
-the closed forms can evaluate.
+"""Exception hierarchy shared by all casvolt modules, the input checks they
+share (positive and finite quantities, and lengths inside the window the
+closed forms can evaluate), and the record decorator every casvolt record
+class is built with.
 
 The command line front end maps these onto its exit-code contract:
 validation and singularity problems exit 2, convergence failures exit 3.
@@ -92,3 +93,64 @@ def check_length(label: str, value: float) -> None:
 def check_separation(a: float) -> None:
     """Raise DomainError unless the plate separation a is a length in the window."""
     check_length("plate separation a", a)
+
+
+def record(cls):
+    """Make cls a frozen record of the fields its class body annotates, in
+    order; a field assigned a value in the class body takes it as its default.
+
+    cls gets, built once here:
+      - an __init__ taking the fields positionally or by keyword, which stores
+        each in the instance dict and then calls cls.__post_init__, if cls
+        defines one;
+      - a __repr__ of the form Name(field=value, ...);
+      - __eq__ and __hash__ over the tuple of field values, equal only to a
+        record of the same class;
+      - __setattr__ and __delattr__ that raise dataclasses.FrozenInstanceError,
+        imported only then, so that no record user loads dataclasses;
+      - _fields, the tuple of field names.
+    Pickling and copy.copy restore the instance dict as it was stored, without
+    running __init__ again.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)
+    if any(name not in cls.__dict__ for name in fields[len(fields) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    body = "".join(f"\n    store[{name!r}] = {name}" for name in fields)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(fields)}):\n    store = self.__dict__{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = defaults or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, fields))
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values(self)))
+        return f"{self.__class__.__qualname__}({items})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__init__, cls.__repr__, cls.__eq__, cls.__hash__ = init, __repr__, __eq__, __hash__
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    cls._fields = fields
+    return cls

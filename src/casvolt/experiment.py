@@ -11,9 +11,8 @@ as a mirror at the frequencies that dominate the fluctuations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, check_positive_finite
+from .errors import DomainError, check_positive_finite, record
 from .units import CONSTANTS, length_to_natural, speed_from_kinetic
 
 __all__ = [
@@ -37,7 +36,7 @@ _TRANSPARENT_THRESHOLD = 1.0 / 3.0
 _PERFECT_THRESHOLD = 1.0
 
 
-@dataclass(frozen=True)
+@record
 class MaterialMirror:
     """A metal layer characterized by its plasma frequency and thickness.
 
@@ -61,7 +60,7 @@ class MaterialMirror:
         return CONSTANTS.hbar_c_eV_nm / self.plasma_frequency_eV
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """One cavity geometry of the layered experiment."""
 
@@ -109,7 +108,7 @@ def minkowski_rms(kinetic_eV: float, a_nm: float) -> float:
     return e * e * kinetic_eV / (m * m * a_nat * a_nat)
 
 
-@dataclass(frozen=True)
+@record
 class EnhancementRatio:
     """Mirror-to-free-space enhancement, twice over.
 
@@ -134,7 +133,7 @@ def enhancement_ratio(kinetic_eV: float, z0_nm: float, a_nm: float) -> Enhanceme
     return EnhancementRatio(formula_value=formula, quotient_value=quotient)
 
 
-@dataclass(frozen=True)
+@record
 class RegimeReport:
     """How a metal layer behaves as a mirror for the dominant fluctuations."""
 
@@ -264,7 +263,7 @@ def load_scenario(data: dict) -> tuple[ExperimentConfig, ...]:
     return tuple(configs)
 
 
-@dataclass(frozen=True)
+@record
 class ModdelRow:
     """One cavity size of the layered-capacitor fluctuation table."""
 

@@ -19,7 +19,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .errors import (
     DomainError,
     PoleInsideDomainError,
     check_separation,
+    record,
 )
 from .variance import FluctuationResult, Particle, _result
 
@@ -59,7 +59,7 @@ _QUAD_GATE = 1e-7
 _DERIV_GATE = 1e-6
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureResult:
     """Integral value with a conservative error estimate."""
 
@@ -211,7 +211,7 @@ def quad_image(seg: PathSegment, a: float, n: int, family: str) -> QuadratureRes
     return _quad_square(seg, threshold, pole, kernel)
 
 
-@dataclass(frozen=True)
+@record
 class DerivativeReport:
     """Outcome of one Richardson mixed-derivative identity check."""
 
@@ -352,7 +352,7 @@ def brute_dual_correlator(
     return (base + total) / math.pi**2
 
 
-@dataclass(frozen=True)
+@record
 class CscSeriesComparison:
     """A truncated image series next to its closed form, with a tail bound."""
 
@@ -438,7 +438,7 @@ def variance_two_plate_series_smallv(
     )
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     """One named verification check with its worst observed deviation."""
 
@@ -448,7 +448,7 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     """Aggregated self-verification outcome."""
 
@@ -465,7 +465,8 @@ class VerificationReport:
             "seed": self.seed,
             "passed": self.passed,
             "elapsed_s": self.elapsed_s,
-            "checks": [asdict(check) for check in self.checks],
+            "checks": [{name: getattr(check, name) for name in check._fields}
+                       for check in self.checks],
         }
 
 

@@ -12,11 +12,10 @@ terms_used = 1 and tail_estimate = 0.0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
 
-from .errors import DomainError
+from .errors import DomainError, record
 
 __all__ = ["SummationControl", "SummationResult"]
 
@@ -25,7 +24,7 @@ __all__ = ["SummationControl", "SummationResult"]
 _ZETA_X_MIN = 16
 
 
-@dataclass(frozen=True)
+@record
 class SummationControl:
     """Relative truncation tolerance and the hard cap on the image index.
 
@@ -43,7 +42,7 @@ class SummationControl:
             raise DomainError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
 
-@dataclass(frozen=True)
+@record
 class SummationResult:
     """An image sum, truncated or whole.
 

@@ -8,9 +8,8 @@ appear only at the I/O boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, check_positive_finite
+from .errors import _LENGTH_MAX, _LENGTH_MIN, DomainError, check_positive_finite, record
 
 __all__ = [
     "Constants",
@@ -23,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Constants:
     """Fixed CODATA-2018 values; frozen so golden tests are bit-stable."""
 
@@ -41,10 +40,15 @@ CONSTANTS = Constants()
 
 
 def length_to_natural(length_nm: float) -> float:
-    """Convert a laboratory length in nm to natural units (1/eV)."""
-    if not 0.0 < length_nm < math.inf:
-        raise DomainError(f"length must be positive and finite, got {length_nm!r} nm")
-    return length_nm / CONSTANTS.hbar_c_eV_nm
+    """Convert a laboratory length in nm to natural units (1/eV), refusing
+    one whose natural value leaves errors' length window."""
+    natural = length_nm / CONSTANTS.hbar_c_eV_nm
+    if not _LENGTH_MIN <= natural <= _LENGTH_MAX:
+        raise DomainError(
+            f"length must be positive and finite, in [{_LENGTH_MIN * CONSTANTS.hbar_c_eV_nm:g}, "
+            f"{_LENGTH_MAX * CONSTANTS.hbar_c_eV_nm:g}] nm, got {length_nm!r} nm"
+        )
+    return natural
 
 
 def natural_to_length(length_inv_eV: float) -> float:

@@ -13,16 +13,22 @@ units of e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .closed_forms import PathSegment, _warn_small_speed, image_pair_terms, one_plate_integral
+from .closed_forms import (
+    PathSegment,
+    _check_small_speed,
+    _warn_small_speed,
+    image_pair_terms,
+    one_plate_integral,
+)
 from .errors import (
     ConvergenceError,
     DomainError,
     check_length,
     check_positive_finite,
     check_separation,
+    record,
 )
 from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta_series
 from .units import CONSTANTS, speed_from_kinetic
@@ -82,7 +88,7 @@ _TAIL_ROUNDING = 1e-12
 _ULP = 2.0**-53
 
 
-@dataclass(frozen=True)
+@record
 class Particle:
     """A charged particle, with exactly one of kinetic energy or speed given.
 
@@ -149,7 +155,7 @@ class Particle:
         return self.charge_e * CONSTANTS.elementary_charge_natural
 
 
-@dataclass(frozen=True)
+@record
 class FluctuationResult:
     """Energy-fluctuation statistics for one traversal.
 
@@ -198,7 +204,7 @@ def _check_speed_match(particle: Particle, seg: PathSegment) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class WindowReport:
     """Where the exact one-plate result is trustworthy in flight distance b.
 
@@ -278,6 +284,7 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     """
     check_length("starting distance z0", z0)
     v = particle.speed_value
+    _check_small_speed(v)
     _warn_small_speed(v)
     flags = ("small_v", "one_plate")
     if particle.charge_e == 0.0:
@@ -481,6 +488,7 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
             f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"
         )
     v = particle.speed_value
+    _check_small_speed(v)
     _warn_small_speed(v)
     flags = ("small_v", "two_plate")
     if particle.charge_e == 0.0:

@@ -86,6 +86,30 @@ def test_two_plate_n_max_refusal_runs_without_numpy():
     assert loaded == {"numpy": False, "casvolt.oracle": False}
 
 
+# the record classes are built without dataclasses, which imports inspect;
+# both cost several ms of every cold start
+HEAVY = ("dataclasses", "inspect")
+VARIANCE_ONE = ["variance", "--plates", "one", "--z0", "100", "--b", "10", "--kinetic-eV", "1"]
+
+
+@pytest.mark.parametrize("run", [
+    "import casvolt",
+    "import contextlib, io, runpy\n"
+    f"sys.argv = ['casvolt', *{VARIANCE_ONE!r}]\n"
+    "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+    "    runpy.run_module('casvolt', run_name='__main__', alter_sys=True)",
+], ids=["import casvolt", "python -m casvolt variance"])
+def test_records_load_neither_dataclasses_nor_inspect(run):
+    added = _fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{run}\n"
+        f"print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert "casvolt" in added
+    assert [name for name in HEAVY if name in added] == []
+
+
 def test_oracle_names_resolve_to_the_oracle_objects():
     same, star = _fresh(
         "import json\n"

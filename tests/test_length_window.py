@@ -19,8 +19,12 @@ from casvolt import (
     SpacetimePair,
     correlator_dual_plate,
     correlator_single_plate,
+    enhancement_ratio,
+    length_to_natural,
     mean_squared_field,
+    minkowski_rms,
     one_plate_integral_smallv,
+    rms_estimate_eV,
     rms_one_plate_smallv,
     variance_one_plate,
     variance_two_plate_exact,
@@ -28,6 +32,7 @@ from casvolt import (
 )
 from casvolt.cli import main
 from casvolt.errors import _LENGTH_MAX, _LENGTH_MIN
+from casvolt.units import CONSTANTS
 
 ELECTRON = Particle.electron(speed=0.01)
 # the unscaled lengths below lie in [0.002, 6]; 2^k with |k| <= 190 keeps
@@ -183,3 +188,42 @@ def test_cli_refuses_lengths_outside_the_window(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "in [1e-60, 1e+60] 1/eV" in captured.err
+
+
+# lengths in nm reach the window through units.length_to_natural: the first
+# and last raised ZeroDivisionError, the second returned inf and the third
+# two inf ratios
+NM_FAILURES = {
+    "minkowski_rms at 1e-200 nm": lambda: minkowski_rms(1.0, 1e-200),
+    "rms_estimate_eV at 1e-320 nm": lambda: rms_estimate_eV(1.0, 1e-320),
+    "enhancement_ratio, z0 = 1e-320 nm": lambda: enhancement_ratio(1.0, 1e-320, 10.0),
+    "enhancement_ratio, a = 1e200 nm": lambda: enhancement_ratio(1.0, 10.0, 1e200),
+}
+NM_WINDOW = "length must be positive and finite, in \\[1.97327e-58, 1.97327e\\+62\\] nm"
+
+
+@pytest.mark.parametrize("call", NM_FAILURES.values(), ids=NM_FAILURES)
+def test_nm_lengths_past_the_window_raise(call):
+    with pytest.raises(DomainError, match=NM_WINDOW):
+        call()
+
+
+def test_nm_window_is_the_natural_window():
+    hbar_c = CONSTANTS.hbar_c_eV_nm
+    for edge, outward in ((_LENGTH_MIN, -1.0), (_LENGTH_MAX, 1.0)):
+        inside, outside = (edge * (1.0 + sign * 1e-12) * hbar_c for sign in (-outward, outward))
+        assert length_to_natural(inside) == inside / hbar_c
+        with pytest.raises(DomainError, match=NM_WINDOW):
+            length_to_natural(outside)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--over", "d_C", "--values", "1e-300"],
+    ["variance", "--plates", "one", "--z0", "1e-300", "--b", "10", "--kinetic-eV", "1"],
+], ids=["sweep-d_C", "variance-z0"])
+def test_cli_refuses_nm_lengths_outside_the_window(capsys, argv):
+    # the cavity sweep printed an rms spread of 1.9e296 eV and exited 0
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "in [1.97327e-58, 1.97327e+62] nm" in captured.err

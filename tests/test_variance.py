@@ -1,6 +1,7 @@
 """Flight energy-fluctuation statistics."""
 import math
 import random
+import sys
 import warnings
 
 import pytest
@@ -14,8 +15,10 @@ from casvolt import (
     SummationControl,
     csc_identity,
     one_plate_integral_smallv,
+    reflected_image_integral_smallv,
     rms_one_plate_smallv,
     length_to_natural,
+    translated_image_integral_smallv,
     validity_window,
     variance_one_plate,
     variance_two_plate_exact,
@@ -23,6 +26,7 @@ from casvolt import (
     variance_two_plate_smallv,
     zeta_two_series,
 )
+from casvolt.closed_forms import _SMALLV_MIN
 
 M_E = CONSTANTS.electron_mass_eV
 
@@ -146,6 +150,39 @@ def test_small_speed_forms_share_the_warning_edge(form, speed, warns):
         assert caught[0].filename == __file__
     else:
         assert caught == []
+
+
+# every small-v form at speed v, its lengths a multiple of the scale L
+FLOOR_FORMS = {
+    "one_plate_integral_smallv": lambda v, L: one_plate_integral_smallv(PathSegment(L, L, v)),
+    "reflected_image_integral_smallv":
+        lambda v, L: reflected_image_integral_smallv(PathSegment(L, L, v), 3.0 * L, 1),
+    "translated_image_integral_smallv":
+        lambda v, L: translated_image_integral_smallv(PathSegment(L, L, v), 3.0 * L, 1),
+    "rms_one_plate_smallv":
+        lambda v, L: rms_one_plate_smallv(Particle.electron(speed=v), 3.0 * L).variance_eV2,
+    "variance_two_plate_smallv":
+        lambda v, L: variance_two_plate_smallv(Particle.electron(speed=v), L, 3.0 * L).variance_eV2,
+}
+
+
+@pytest.mark.parametrize("speed", [1e-200, math.nextafter(_SMALLV_MIN, 0.0)],
+                         ids=["1e-200", "below"])
+@pytest.mark.parametrize("form", FLOOR_FORMS.values(), ids=FLOOR_FORMS)
+def test_small_speed_forms_refuse_below_the_floor(form, speed):
+    # at 1e-200 the three segment forms raised ZeroDivisionError and the two
+    # variances returned 0.0 for a charged electron
+    with pytest.raises(DomainError, match="below 1e-22, the least the small-v forms evaluate"):
+        form(speed, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-60, 1.0, 3e59])
+@pytest.mark.parametrize("form", FLOOR_FORMS.values(), ids=FLOOR_FORMS)
+def test_small_speed_forms_stay_normal_just_above_the_floor(form, scale):
+    # lengths at either edge of the window, where the forms' products of v^2
+    # and lengths lie nearest the ends of the doubles
+    for speed in (_SMALLV_MIN, math.nextafter(_SMALLV_MIN, 1.0)):
+        assert sys.float_info.min <= form(speed, scale) < math.inf
 
 
 def test_validity_window():
