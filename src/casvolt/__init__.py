@@ -10,8 +10,8 @@ what makes it an independent check where both are defined.
 Each module's __all__ declares what it makes public, and the package
 re-exports those names. The oracle (and with it numpy) loads on first use:
 the names in _ORACLE_NAMES resolve through the module __getattr__, so
-`import casvolt` and the CLI commands that never reach the oracle or the
-block image sums start without numpy.
+`import casvolt` and the CLI commands that never reach the oracle or a
+pair block longer than closed_forms._SCALAR_BLOCK start without numpy.
 """
 from . import closed_forms, correlators, errors, experiment, summation, units, variance
 from .closed_forms import *

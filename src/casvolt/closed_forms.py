@@ -88,6 +88,13 @@ def _warn_small_speed(v: float) -> None:
 # this fraction of its natural magnitude scale
 _POLE_TOUCH_EPS = 1e-10
 
+# Longest block image_pair_terms forms one index at a time, without numpy:
+# a fused pure-Python pass costs about 1.9 us per index, the numpy kernel
+# about 50 us whatever the length up to a few hundred, and they cross at 27
+# indices (docs/decisions.md, "Short pair blocks without numpy"). The least
+# block a two-plate sum forms has 22 indices.
+_SCALAR_BLOCK = 26
+
 # Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
 # at 511 bytes per index (tracemalloc, 1024 indices), so the n_max = 10^6
 # pairs a sum may take would need about 510 MB in one pass; pieces of this
@@ -315,32 +322,131 @@ def _image_pair_term(seg: PathSegment, a: float, n: int) -> float:
     return reflected + reflected_image_integral(seg, a, -n) + 2.0 * translated
 
 
-def image_pair_terms(seg: PathSegment, a: float, ns):
-    """Four-image contribution of +n and -n for each index in the array ns.
+def _integer_indices(ns) -> list[int]:
+    """The indices of ns as ints; DomainError names the first that is not
+    an integer."""
+    indices = []
+    for n in ns:
+        if not float(n).is_integer():
+            raise DomainError(f"image index n must be an integer, got {float(n)!r}")
+        indices.append(int(n))
+    return indices
+
+
+def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
+    """The pair terms of the integer indices ns, one fused pass per index.
+
+    Every log argument, exact difference and touch scale is formed as
+    _reflection_square and _translation_square form it, and every half log
+    ratio as _log_ratio does, so an index refuses exactly when the scalar
+    squares refuse it; such an index (a log argument on the singular locus,
+    a zero denominator: an image plane through a corner or n = 0), and one
+    whose term is not finite, is evaluated through _image_pair_term, which
+    raises its error. The constants are folded as the numpy kernel of
+    image_pair_terms folds them.
+    """
+    z0, b, v = seg.z0, seg.b, seg.v
+    lo, hi, two_v = (1.0 - v) * b, (1.0 + v) * b, 2.0 * v
+    reflection_scale = b / (64.0 * v**3)
+    reflection_log = -2.0 * (1.0 - v * v) * reflection_scale
+    reflection_rest = 4.0 * v * b * reflection_scale
+    diff_factor, sum_factor = (1.0 - v * v) * b / -16.0, v / -16.0
+    ds_reflection, ds_diff, ds_sum = -2.0 * b, -4.0 * b, -4.0 * v * b * b
+    log1p, copysign, isfinite = math.log1p, math.copysign, math.isfinite
+    terms = []
+    for n in ns:
+        an = n * a
+        nav = abs(an) * v
+        c = 2.0 * nav
+        # the reflected squares of +n and -n: base, top, X and Y
+        base = z0 - an
+        top = base + b
+        anchor = two_v * top
+        x, y = anchor - hi, anchor + lo
+        base_m = z0 + an
+        top_m = base_m + b
+        anchor = two_v * top_m
+        x_m, y_m = anchor - hi, anchor + lo
+        # the translated corners; q1 and p2 lie above (1 - v) b, off the locus
+        p1, q1 = c - hi, c + lo
+        p2, q2 = c + hi, c - lo
+        ax, ay = abs(x), abs(y)
+        least = ax if ax < ay else ay
+        ax_m, ay_m = abs(x_m), abs(y_m)
+        least_m = ax_m if ax_m < ay_m else ay_m
+        least_t = min(abs(p1), abs(q2))
+        square = base * top
+        square_m = base_m * top_m
+        if (least < _POLE_TOUCH_EPS * (v * (abs(top) + abs(base)) + b)
+                or least_m < _POLE_TOUCH_EPS * (v * (abs(top_m) + abs(base_m)) + b)
+                or least_t < _POLE_TOUCH_EPS * (c + b)
+                or not (square and square_m and nav)):
+            terms.append(_image_pair_term(seg, a, n))
+            continue
+        # half the log ratios l(X, Y) of +n and -n, l1 - l2 and l1 + l2
+        ds = ds_reflection * (two_v * (base + top))
+        half = copysign(log1p(abs(ds) / ((ax + ay) * least)), ds)
+        ds = ds_reflection * (two_v * (base_m + top_m))
+        half_m = copysign(log1p(abs(ds) / ((ax_m + ay_m) * least_m)), ds)
+        cross_p, cross_q = p1 * q2, q1 * p2
+        outer_p, outer_q = p1 * p2, q1 * q2
+        ds = (cross_p + cross_q) * (c * ds_diff)
+        cross_p, cross_q = abs(cross_p), abs(cross_q)
+        half_diff = copysign(
+            log1p(abs(ds) / ((cross_p + cross_q) * (cross_p if cross_p < cross_q else cross_q))),
+            ds)
+        ds = (outer_p + outer_q) * ds_sum
+        outer_p, outer_q = abs(outer_p), abs(outer_q)
+        half_sum = copysign(
+            log1p(abs(ds) / ((outer_p + outer_q) * (outer_p if outer_p < outer_q else outer_q))),
+            ds)
+        term = ((((base + top) * reflection_log) * half + reflection_rest) / (square * square)
+                + (((base_m + top_m) * reflection_log) * half_m + reflection_rest)
+                / (square_m * square_m)
+                + (diff_factor * half_diff + (c * sum_factor) * half_sum) / nav**3)
+        terms.append(term if isfinite(term) else _image_pair_term(seg, a, n))
+    return terms
+
+
+def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
+    """Four-image contribution of +n and -n for each integer index in ns.
 
     For each n, R(z0 - an) + R(z0 + an) + 2 T(n), R and T the squares of
     _reflection_square and _translation_square, with their log arguments,
     exact differences and log ratios formed as those squares form them and
-    the rest fused: one p/q buffer, one |p|, |q| array for both the locus
-    test and the log ratios, and folded constants, so a term can differ from
-    the scalar pair term in its last bits. A block holding any index those
-    integrals would refuse (a log argument on the singular locus, an image
-    plane through a corner, n = 0) is re-evaluated through them one index
-    at a time, so it raises the same error at the same index. An ns longer
-    than _KERNEL_BLOCK is taken in pieces of that length, in order.
+    the constants folded, so a term can differ from the scalar pair term in
+    its last bits. ns is a range, or a sequence of integer-valued numbers; a
+    value that is not an integer raises DomainError. Blocks of at most
+    _SCALAR_BLOCK indices are formed one index at a time
+    (_scalar_pair_terms), longer ones by a numpy kernel that fuses them into
+    one pass: one p/q buffer, one |p|, |q| array for both the locus test and
+    the log ratios. A numpy block holding any index those integrals would
+    refuse (a log argument on the singular locus, an image plane through a
+    corner, n = 0, a term that is not finite) is formed again by
+    _scalar_pair_terms, so it raises the same error at the same index. An
+    ns longer than _KERNEL_BLOCK is taken in pieces of that length, in
+    order.
     """
-    import numpy as np
-
+    if not isinstance(ns, range):
+        ns = _integer_indices(ns)
     if len(ns) > _KERNEL_BLOCK:
-        return np.concatenate([image_pair_terms(seg, a, ns[i:i + _KERNEL_BLOCK])
-                               for i in range(0, len(ns), _KERNEL_BLOCK)])
+        return [term for i in range(0, len(ns), _KERNEL_BLOCK)
+                for term in image_pair_terms(seg, a, ns[i:i + _KERNEL_BLOCK])]
     _check_v(seg.v)
     check_separation(a)
+    if len(ns) <= _SCALAR_BLOCK:
+        return _scalar_pair_terms(seg, a, ns)
+    import numpy as np
+
     z0, b, v, size = seg.z0, seg.b, seg.v, len(ns)
     lo, hi, k = (1.0 - v) * b, (1.0 + v) * b, 1.0 - v * v
     reflection_scale = b / (64.0 * v**3)
     with np.errstate(all="ignore"):
-        an = ns * a
+        if isinstance(ns, range):
+            an = np.arange(ns.start, ns.stop, ns.step, dtype=float)
+        else:
+            an = np.array(ns, dtype=float)
+        an *= a
         nav = abs(an) * v  # |n| a v, as translated_image_integral forms it
         # base and top of the reflected squares of +n (row 0) and -n (row 1)
         base = np.empty((2, size))
@@ -399,8 +505,8 @@ def image_pair_terms(seg: PathSegment, a: float, ns):
         scales *= _POLE_TOUCH_EPS
         refusable = (least[1:5] < scales).any() or not math.isfinite(np.add.reduce(terms))
     if not refusable:
-        return terms
-    return np.array([_image_pair_term(seg, a, int(n)) for n in ns])
+        return terms.tolist()
+    return _scalar_pair_terms(seg, a, ns)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 from . import _ORACLE_NAMES
 from .closed_forms import (
     PathSegment,
+    _check_small_speed,
     _reflection_square,
     _translation_square,
     one_plate_kernel,
@@ -413,7 +414,8 @@ def variance_two_plate_series_smallv(
     and tail_estimate_eV2 = q^2 v^2 / (4 pi^2 a^2) (tail_csc + tail_zeta),
     their integral-test bounds on the dropped terms. Both series collapse
     to the csc^2 closed form of variance_two_plate_smallv, which must agree
-    with this within tail_estimate_eV2.
+    with this within tail_estimate_eV2. Like it, this refuses speeds below
+    the small-v forms' floor, 1e-22.
     """
     check_separation(a)
     if not 0.0 < z0 < a:
@@ -421,6 +423,7 @@ def variance_two_plate_series_smallv(
             f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"
         )
     v = particle.speed_value
+    _check_small_speed(v)
     flags = ("small_v", "two_plate", "series")
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))

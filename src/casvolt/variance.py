@@ -13,6 +13,7 @@ units of e.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from .closed_forms import (
@@ -71,6 +72,12 @@ _TAIL_ORDERS = (
             (543114, 679536, 20386080, 152216064), (301730, 377520, 11325600),
             (41860, 240240), (1260,))),
 )
+# The terms of _TAIL_ORDERS as (q_jki, k, i, j - i), one tuple per order j,
+# each q_jki rounded once
+_TAIL_TERMS = tuple(
+    tuple((numerator / denominator, k, i, j - i)
+          for k, row in enumerate(rows) for i, numerator in enumerate(row))
+    for j, (denominator, rows) in enumerate(_TAIL_ORDERS))
 # The remainder past the subtracted orders falls like n^-16.
 _REMAINDER_ORDER = 4 + 2 * len(_TAIL_ORDERS)
 # Rounding allowance on the pair term at the reference index, relative to the
@@ -86,15 +93,23 @@ _PAIR_ROUNDING = 1e-12
 # max(_TAIL_ROUNDING, n ulps) covers that with a wide margin.
 _TAIL_ROUNDING = 1e-12
 _ULP = 2.0**-53
+# Least magnitude of a nonzero charge, in units of e. Every variance is q^2
+# times a factor; the small-v forms' least factor, at the speed floor 1e-22
+# with their lengths at errors' upper edge 1e60, is (e v / (2 pi z0))^2 =
+# 2.3e-167 for rms_one_plate_smallv. So charges below 3.1e-71 give
+# variances below the normal doubles, 0.0 among them. The floor keeps 12
+# decades above that, as _SMALLV_MIN does above its edge.
+_CHARGE_MIN = 1e-58
 
 
 @record
 class Particle:
     """A charged particle, with exactly one of kinetic energy or speed given.
 
-    charge_e is in units of the elementary charge; mass_eV in eV. The speed
-    is derived nonrelativistically from the kinetic energy when needed:
-    v = sqrt(2 K / m).
+    charge_e is in units of the elementary charge, either 0 (a neutral
+    particle) or of magnitude at least _CHARGE_MIN = 1e-58; mass_eV in eV.
+    The speed is derived nonrelativistically from the kinetic energy when
+    needed: v = sqrt(2 K / m).
     """
 
     charge_e: float
@@ -103,8 +118,12 @@ class Particle:
     speed: float | None = None
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.charge_e):
-            raise DomainError(f"particle charge must be finite, got {self.charge_e!r}")
+        charge = self.charge_e
+        if not (charge == 0.0 or _CHARGE_MIN <= abs(charge) < math.inf):
+            if math.isfinite(charge):
+                raise DomainError(f"particle charge must be 0 or at least {_CHARGE_MIN:g} "
+                                  f"in magnitude, got {charge!r}")
+            raise DomainError(f"particle charge must be finite, got {charge!r}")
         check_positive_finite("particle mass", self.mass_eV)
         given = (self.kinetic_energy_eV is not None) + (self.speed is not None)
         if given != 1:
@@ -293,60 +312,44 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     return _result(rms * rms, particle.charge_e, flags)
 
 
-@lru_cache(maxsize=None)
-def _tail_matrix():
-    """(exponents, matrix) for _tail_series.
-
-    exponents has one column (k, i, j - i) per entry of _TAIL_ORDERS, the
-    powers of g, s and h in its monomial. matrix takes the monomials to
-    C_0, ..., C_5 / scale (rows 0-5: the q_jki, each rounded once) and,
-    below them, to the series of sum_j C_j zeta(4+2j, x) / scale in
-    hurwitz_zeta_series's form.
-    """
-    import numpy as np
-
-    entries = [(j, k, i, numerator / denominator)
-               for j, (denominator, rows) in enumerate(_TAIL_ORDERS)
-               for k, row in enumerate(rows)
-               for i, numerator in enumerate(row)]
-    exponents = np.array([(k, i, j - i) for j, k, i, _ in entries], dtype=float).T
-    orders = np.zeros((len(_TAIL_ORDERS), len(entries)))
-    for column, (j, _, _, q) in enumerate(entries):
-        orders[j, column] = q
-    zeta_rows = np.array(hurwitz_zeta_series(4, len(_TAIL_ORDERS)))
-    return exponents, np.vstack((orders, zeta_rows.T @ orders))
-
-
-def _tail_series(seg: PathSegment, a: float):
+def _tail_coefficients(seg: PathSegment, a: float) -> list[float]:
     """C_0, ..., C_5 in pair_term(n) = sum_j C_j n^-(4+2j) + O(n^-16) for the
-    two-plate sum, and the series of sum_j C_j zeta(4+2j, x) for _tail_sum,
-    highest power first.
+    two-plate sum, evaluated straight from _TAIL_ORDERS.
 
-    From _TAIL_ORDERS: C_0 = b^2 / (4 a^4 v^4) and
+    C_0 = b^2 / (4 a^4 v^4) and
     C_1 = [20 b^2 (4 zc^2 + b^2/6) + (20 + 8/v^2) b^4/6] / (v^4 (2a)^6):
     with d = z - z' and s = z + z', the +n/-n reflected kernels sum to
     1/(v^4 (2an)^4) [2 + 20 s^2/(2an)^2 + 4 d^2/(v^2 (2an)^2) + ...] and the
     translated ones to the same with s replaced by d. Every term of every
-    C_j is positive, so nothing cancels. Both come from one product of
-    _tail_matrix with the monomials g^k s^i h^(j-i).
+    C_j is positive, so nothing cancels: each is q_jki, rounded once, times
+    its monomial g^k s^i h^(j-i).
     """
     v, b, w = seg.v, seg.b, 2.0 * a
-    exponents, matrix = _tail_matrix()
-    # exponents is an array: the rows g^k, s^i and h^(j-i) of every monomial
-    powers = [[1.0 / (v * v)], [((seg.z0 + 0.5 * b) / w) ** 2], [(b / w) ** 2]] ** exponents
-    values = (matrix @ (powers[0] * powers[1] * powers[2]) * (b / (v * v * w * w)) ** 2).tolist()
-    count = len(_TAIL_ORDERS)
-    return values[:count], values[:count - 1:-1]
+    g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2
+    g_powers, s_powers, h_powers = ([1.0, x, x * x, x**3, x**4, x**5] for x in (g, s, h))
+    scale = (b / (v * v * w * w)) ** 2
+    return [scale * sum([q * g_powers[k] * s_powers[i] * h_powers[m] for q, k, i, m in order])
+            for order in _TAIL_TERMS]
 
 
-def _tail_sum(series: list[float], x: float) -> float:
-    """T = sum_j C_j zeta(4+2j, x) = x^-3 sum_m p_m x^-m, x >= 16, given the
-    p_m of _tail_series highest power first."""
+@lru_cache(maxsize=4096)
+def _tail_zetas(x: float) -> tuple[float, ...]:
+    """zeta(4+2j, x), j = 0, ..., 5, at an integer x >= 16: the rows of
+    hurwitz_zeta_series, each a polynomial in 1/x times x^-3. The sum takes
+    them at block ends, which repeat from sum to sum."""
     inverse = 1.0 / x
-    total = 0.0
-    for p in series:
-        total = total * inverse + p
-    return x**-3 * total
+    zetas = []
+    for row in hurwitz_zeta_series(4, len(_TAIL_ORDERS)):
+        total = 0.0
+        for p in reversed(row):
+            total = total * inverse + p
+        zetas.append(x**-3 * total)
+    return tuple(zetas)
+
+
+def _tail_sum(coefficients: list[float], x: float) -> float:
+    """T = sum_j C_j zeta(4+2j, x), x >= 16 an integer."""
+    return sum(map(operator.mul, coefficients, _tail_zetas(x)))
 
 
 def _tail_expansion(coefficients: list[float], n: int) -> float:
@@ -402,19 +405,17 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
 
     if n_max < n_ref:
         raise refuse(math.inf)
-    import numpy as np
-
-    coefficients, series = _tail_series(seg, a)
+    coefficients = _tail_coefficients(seg, a)
     base = one_plate_integral(seg)
     end = min(n_max, n_ref + n_ref // 4 + 2)
-    terms = image_pair_terms(seg, a, np.arange(1.0, end + 1.0))
-    pair = float(terms[n_ref - 1])
+    terms = image_pair_terms(seg, a, range(1, end + 1))
+    pair = terms[n_ref - 1]
     remainder = pair - _tail_expansion(coefficients, n_ref)
     envelope = n_ref**_REMAINDER_ORDER * (abs(remainder) + _PAIR_ROUNDING * pair)
-    parts = [base, *terms.tolist()]
+    parts = [base, *terms]
     while True:
         x = end + 1.0
-        tail = _tail_sum(series, x)
+        tail = _tail_sum(coefficients, x)
         bound = envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, end * _ULP) * tail
         value = math.fsum([*parts, tail])
         if bound <= tol * abs(value):
@@ -422,7 +423,7 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
         if end == n_max:
             raise refuse(bound)
         start, end = end + 1, min(n_max, 2 * end)
-        parts += image_pair_terms(seg, a, np.arange(start, end + 1.0)).tolist()
+        parts += image_pair_terms(seg, a, range(start, end + 1))
 
 
 def variance_two_plate_exact(

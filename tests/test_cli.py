@@ -218,6 +218,14 @@ def test_non_finite_particle_exits_two(capsys, particle, message):
     assert message in err
 
 
+def test_charge_below_the_floor_exits_two(capsys):
+    # this printed a zero spread and exited 0
+    code, out, err = _run(capsys, "variance", "--plates", "one", "--mode", "small-v",
+                          "--z0", "100", "--kinetic-eV", "1", "--charge-e", "1e-200")
+    assert code == 2 and out == ""
+    assert "particle charge must be 0 or at least 1e-58 in magnitude, got 1e-200" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (("variance", "--plates", "one", "--z0", "100", "--b", "10", "--kinetic-eV", "inf"),
      "kinetic energy must be non-negative and finite"),

@@ -23,13 +23,20 @@ from casvolt import (
     variance_two_plate_exact,
 )
 import casvolt.variance
-from casvolt.closed_forms import _KERNEL_BLOCK, _POLE_TOUCH_EPS, _image_pair_term, image_pair_terms
+from casvolt.closed_forms import (
+    _KERNEL_BLOCK,
+    _POLE_TOUCH_EPS,
+    _SCALAR_BLOCK,
+    _image_pair_term,
+    _scalar_pair_terms,
+    image_pair_terms,
+)
 from casvolt.correlators import _inverse_square_factor
 from casvolt.variance import _two_plate_sum
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
-from test_square_accuracy import _assert_close, _pair_kappa  # noqa: E402
+from test_square_accuracy import BRANCHES, _assert_close, _pair_kappa, pinned_branch  # noqa: E402
 from test_tail_coefficients import _exact_coefficients, _reference_index  # noqa: E402
 
 
@@ -69,16 +76,21 @@ def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns):
         scalar = [_image_pair_term(seg, a, n) for n in ns]
     except (DomainError, SingularityError) as exc:
         # a corner on the light cone, or an image plane through a corner
-        with pytest.raises(type(exc)) as excinfo:
-            image_pair_terms(seg, a, block)
-        assert str(excinfo.value) == str(exc)
+        for branch in BRANCHES:
+            with pinned_branch(branch), pytest.raises(type(exc)) as excinfo:
+                image_pair_terms(seg, a, block)
+            assert str(excinfo.value) == str(exc)
         return
-    got = image_pair_terms(seg, a, block)
-    for n, value, scalar_value in zip(ns, got, scalar):
+    blocks = []
+    for branch in BRANCHES:
+        with pinned_branch(branch):
+            blocks.append(image_pair_terms(seg, a, block))
+    for n, scalar_value, *values in zip(ns, scalar, *blocks):
         reference = float(mp.pair(z0, b, v, a, n))
         bound = 1e-12 * _corner_magnitude(seg, a, n)
-        assert abs(value - reference) <= bound
         assert abs(scalar_value - reference) <= bound
+        for value in values:
+            assert abs(value - reference) <= bound
 
 
 def _block_ends(n_ref, n_max):
@@ -236,7 +248,8 @@ def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
 
     def shifted(seg, a, ns):
         blocks.append((ns[0], ns[-1]))
-        return image_pair_terms(seg, a, ns) - np.where(ns == 1.0, shift, 0.0)
+        return [term - (shift if n == 1 else 0.0)
+                for n, term in zip(ns, image_pair_terms(seg, a, ns))]
 
     monkeypatch.setattr(casvolt.variance, "image_pair_terms", shifted)
     result, _, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 5.5e-4, SummationControl(),
@@ -247,9 +260,28 @@ def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
 
 def test_long_block_is_taken_in_pieces_with_the_same_terms():
     seg = PathSegment(z0=0.3, b=0.5, v=1e-4)
-    ns = np.arange(1.0, 2.5 * _KERNEL_BLOCK)
-    pieces = [image_pair_terms(seg, 1.0, ns[i:i + 100]) for i in range(0, ns.size, 100)]
-    assert image_pair_terms(seg, 1.0, ns).tolist() == np.concatenate(pieces).tolist()
+    ns = range(1, 5 * _KERNEL_BLOCK // 2)
+    pieces = [image_pair_terms(seg, 1.0, ns[i:i + 100]) for i in range(0, len(ns), 100)]
+    assert image_pair_terms(seg, 1.0, ns) == [term for piece in pieces for term in piece]
+
+
+def test_blocks_up_to_the_scalar_length_take_the_pure_python_pass(monkeypatch):
+    # the least block a sum forms, 22 indices, and every block up to
+    # _SCALAR_BLOCK go through the pass; a longer one through the kernel,
+    # whose fallback is the pass only for a refusable block
+    calls = []
+
+    def counted(seg, a, ns):
+        calls.append(len(ns))
+        return _scalar_pair_terms(seg, a, ns)
+
+    monkeypatch.setattr(casvolt.closed_forms, "_scalar_pair_terms", counted)
+    seg = PathSegment(z0=0.3, b=0.1, v=1e-3)
+    assert _SCALAR_BLOCK >= 22
+    for length in (22, _SCALAR_BLOCK, _SCALAR_BLOCK + 1, 128):
+        calls.clear()
+        assert len(image_pair_terms(seg, 1.0, range(1, length + 1))) == length
+        assert calls == ([length] if length <= _SCALAR_BLOCK else [])
 
 
 def test_pole_touching_image_raises_as_scalar_path():
@@ -258,14 +290,18 @@ def test_pole_touching_image_raises_as_scalar_path():
     seg = PathSegment(z0=z0, b=2.0 * v * (a - z0) / (1.0 + v), v=v)
     with pytest.raises(SingularityError) as scalar:
         reflected_image_integral(seg, a, 1)
-    with pytest.raises(SingularityError) as block:
-        image_pair_terms(seg, a, np.arange(1.0, 9.0))
-    with pytest.raises(SingularityError) as summed:
-        variance_two_plate_exact(Particle.electron(speed=v), seg, a)
-    for raised in (block.value, summed.value):
-        assert type(raised) is type(scalar.value)
-        assert str(raised) == str(scalar.value)
-        assert (raised.factor, raised.threshold) == (scalar.value.factor, scalar.value.threshold)
+    raised = []
+    for branch in BRANCHES:
+        with pinned_branch(branch):
+            with pytest.raises(SingularityError) as block:
+                image_pair_terms(seg, a, np.arange(1.0, 9.0))
+            with pytest.raises(SingularityError) as summed:
+                variance_two_plate_exact(Particle.electron(speed=v), seg, a)
+        raised += [block.value, summed.value]
+    for error in raised:
+        assert type(error) is type(scalar.value)
+        assert str(error) == str(scalar.value)
+        assert (error.factor, error.threshold) == (scalar.value.factor, scalar.value.threshold)
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5], ids=["base", "top"])
@@ -274,9 +310,90 @@ def test_image_plane_through_a_corner_raises_as_scalar_path(a):
     seg = PathSegment(z0=0.25, b=0.25, v=0.1)
     with pytest.raises(DomainError) as scalar:
         reflected_image_integral(seg, a, 1)
-    with pytest.raises(DomainError) as block:
-        image_pair_terms(seg, a, np.arange(1.0, 4.0))
-    assert str(block.value) == str(scalar.value) == "antiderivative undefined at z = 0 or z' = 0"
+    for branch in BRANCHES:
+        with pinned_branch(branch), pytest.raises(DomainError) as block:
+            image_pair_terms(seg, a, np.arange(1.0, 4.0))
+        assert str(block.value) == str(scalar.value) == "antiderivative undefined at z = 0 or z' = 0"
+
+
+@pytest.mark.parametrize("ns, named", [
+    ([1.25, 2.5], "1.25"),
+    ([2.5], "2.5"),
+    (np.array([1.0, 2.0, 2.5]), "2.5"),
+    ([*range(1, 40), 40.5], "40.5"),
+    ([1, 2, math.inf], "inf"),
+    ([1, math.nan], "nan"),
+])
+def test_non_integer_index_refuses(ns, named):
+    # the per-index fallback evaluated int(n): the terms of 1 and 2 for
+    # [1.25, 2.5], of 2 for [2.5]
+    seg = PathSegment(z0=1.25, b=0.1, v=0.05)
+    for branch in BRANCHES:
+        with pinned_branch(branch), pytest.raises(DomainError) as excinfo:
+            image_pair_terms(seg, 1.0, ns)
+        assert str(excinfo.value) == f"image index n must be an integer, got {named}"
+
+
+@pytest.mark.parametrize("ns", [[0], [1, 2, 0], range(-2, 3), range(-20, 20)],
+                         ids=["zero", "zero-last", "range", "long-range"])
+def test_zero_index_refuses_as_scalar_path(ns):
+    seg = PathSegment(z0=0.3, b=0.1, v=0.01)
+    for branch in BRANCHES:
+        with pinned_branch(branch), pytest.raises(DomainError) as excinfo:
+            image_pair_terms(seg, 1.0, ns)
+        assert str(excinfo.value) == "image index n must be a nonzero integer"
+
+
+def _on_locus_separation(family, z0, b, v, n):
+    """The plate separation a at which a log argument of the pair term of n
+    vanishes, or an image plane passes through a corner: X or Y of the
+    reflected square of +n, X of that of -n, the translated corner p1 or
+    q2, or base = 0 of +n. None where no positive a does."""
+    separation = {
+        "X+": (z0 - (1.0 - v) * b / (2.0 * v)) / n,
+        "Y+": (z0 + (1.0 + v) * b / (2.0 * v)) / n,
+        "X-": ((1.0 - v) * b / (2.0 * v) - z0) / n,
+        "p1": (1.0 + v) * b / (2.0 * v * n),
+        "q2": (1.0 - v) * b / (2.0 * v * n),
+        "plane": z0 / n,
+    }[family]
+    return separation if separation > 0.0 else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z0=st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+       b=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+       v=st.floats(-4.0, math.log10(0.3)).map(lambda e: 10.0**e),
+       n=st.integers(1, 50),
+       family=st.sampled_from(["X+", "Y+", "X-", "p1", "q2", "plane"]),
+       offset=st.one_of(st.just(0.0), st.floats(-16.0, -1.0).map(lambda e: 10.0**e),
+                        st.floats(-16.0, -1.0).map(lambda e: -(10.0**e))),
+       others=st.lists(st.integers(-3, 60), max_size=5))
+def test_branches_refuse_alike_and_agree(z0, b, v, n, family, offset, others):
+    # a block with index n next to, or on, a singular locus or an image
+    # plane through a corner, and other indices, 0 and negative ones
+    # included: both branches raise the same error, or both return terms
+    # within the error maps' 64 u kappa of each other
+    a = _on_locus_separation(family, z0, b, v, n)
+    if a is None:
+        return
+    a *= 1.0 + offset
+    seg = PathSegment(z0=z0, b=b, v=v)
+    ns = [n, *others]
+    outcomes = []
+    for branch in BRANCHES:
+        with pinned_branch(branch):
+            try:
+                outcomes.append(image_pair_terms(seg, a, ns))
+            except (DomainError, SingularityError) as exc:
+                outcomes.append((type(exc), str(exc), getattr(exc, "factor", None),
+                                 getattr(exc, "threshold", None)))
+    kernel, loop = outcomes
+    if isinstance(kernel, tuple) or isinstance(loop, tuple):
+        assert kernel == loop
+        return
+    for index, x, y in zip(ns, kernel, loop):
+        assert abs(x - y) <= 64.0 * 2.0**-53 * _pair_kappa(seg, a, index) * abs(x)
 
 
 def test_light_like_dual_image_raises_as_scalar_path():
@@ -361,7 +478,7 @@ def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
     sizes = []
 
     def counted(seg, a, ns):
-        sizes.append(ns.size)
+        sizes.append((type(ns), len(ns)))
         return image_pair_terms(seg, a, ns)
 
     monkeypatch.setattr(casvolt.variance, "image_pair_terms", counted)
@@ -372,18 +489,21 @@ def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
                                               PathSegment(z0=z0, b=b, v=v), a)
         except SingularityError:
             continue
-        assert sizes == [result.terms_used]
+        # a range, which the pure-Python pass takes as it is
+        assert sizes == [(range, result.terms_used)]
 
 
 def _assert_block_matches_scalar(seg, a, ns):
     """Block and scalar pair terms both within 1e-12 of the corner
     magnitudes of the 60-digit pair term."""
-    block = image_pair_terms(seg, a, np.array(ns, dtype=float))
-    for n, value in zip(ns, block):
-        reference = float(mp.pair(seg.z0, seg.b, seg.v, a, n))
-        bound = 1e-12 * _corner_magnitude(seg, a, n)
-        assert abs(value - reference) <= bound
-        assert abs(_image_pair_term(seg, a, n) - reference) <= bound
+    for branch in BRANCHES:
+        with pinned_branch(branch):
+            block = image_pair_terms(seg, a, np.array(ns, dtype=float))
+        for n, value in zip(ns, block):
+            reference = float(mp.pair(seg.z0, seg.b, seg.v, a, n))
+            bound = 1e-12 * _corner_magnitude(seg, a, n)
+            assert abs(value - reference) <= bound
+            assert abs(_image_pair_term(seg, a, n) - reference) <= bound
 
 
 def _near_edge(edge, measure, above, step=1e-9):
@@ -474,11 +594,12 @@ def test_singular_corner_inside_block_raises_as_scalar_path(family, a):
         for n in range(1, 10):
             _image_pair_term(seg, a, n)
     assert str(scalar.value).startswith(family)
-    with pytest.raises(SingularityError) as block:
-        image_pair_terms(seg, a, np.arange(1.0, 10.0))
-    assert str(block.value) == str(scalar.value)
-    assert (block.value.factor, block.value.threshold) == (scalar.value.factor,
-                                                           scalar.value.threshold)
+    for branch in BRANCHES:
+        with pinned_branch(branch), pytest.raises(SingularityError) as block:
+            image_pair_terms(seg, a, np.arange(1.0, 10.0))
+        assert str(block.value) == str(scalar.value)
+        assert (block.value.factor, block.value.threshold) == (scalar.value.factor,
+                                                               scalar.value.threshold)
 
 
 def _locus_ratio(row, z0, b, v, n, a):
@@ -552,13 +673,17 @@ def test_locus_edge_matches_scalar(row, z0, b, v, n, a_zero, inside):
             _image_pair_term(seg, a, index)
     except SingularityError as exc:
         assert inside
-        with pytest.raises(SingularityError) as block:
-            image_pair_terms(seg, a, np.array(ns, dtype=float))
-        assert str(block.value) == str(exc)
-        assert (block.value.factor, block.value.threshold) == (exc.factor, exc.threshold)
+        for branch in BRANCHES:
+            with pinned_branch(branch), pytest.raises(SingularityError) as block:
+                image_pair_terms(seg, a, np.array(ns, dtype=float))
+            assert str(block.value) == str(exc)
+            assert (block.value.factor, block.value.threshold) == (exc.factor, exc.threshold)
         return
     assert not inside
-    for index, value in zip(ns, image_pair_terms(seg, a, np.array(ns, dtype=float))):
-        reference, kappa = mp.pair(z0, b, v, a, index), _pair_kappa(seg, a, index)
-        _assert_close(value, reference, kappa)
-        _assert_close(_image_pair_term(seg, a, index), reference, kappa)
+    for branch in BRANCHES:
+        with pinned_branch(branch):
+            block = image_pair_terms(seg, a, np.array(ns, dtype=float))
+        for index, value in zip(ns, block):
+            reference, kappa = mp.pair(z0, b, v, a, index), _pair_kappa(seg, a, index)
+            _assert_close(value, reference, kappa)
+            _assert_close(_image_pair_term(seg, a, index), reference, kappa)

@@ -57,6 +57,11 @@ def test_import_leaves_oracle_and_numpy_unloaded(module):
     ["moddel"],
     ["correlator", "--plates", "dual", "--z", "0.3", "--z-prime", "0.4", "--t", "0.2",
      "--a", "1", "--natural-units"],
+    # two-plate sums whose pair blocks hold at most _SCALAR_BLOCK indices: 22 here
+    ["variance", "--plates", "two", "--mode", "exact", "--z0", "0.3", "--b", "0.1", "--a", "1",
+     "--speed", "0.01", "--natural-units"],
+    ["sweep", "--over", "v", "--values", "0.015,0.03,0.07", "--plates", "two", "--z0", "0.3",
+     "--b", "0.1", "--a", "1", "--natural-units"],
 ])
 def test_commands_without_the_oracle_run_without_numpy(argv):
     code, loaded = _fresh(
@@ -84,6 +89,21 @@ def test_two_plate_n_max_refusal_runs_without_numpy():
     )
     assert code == 3
     assert loaded == {"numpy": False, "casvolt.oracle": False}
+
+
+def test_two_plate_sum_with_a_long_block_loads_numpy():
+    # at v = 1e-3 the first pair block holds 128 indices, past _SCALAR_BLOCK,
+    # and takes the numpy kernel
+    code, loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from casvolt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['variance', '--plates', 'two', '--z0', '0.3', '--b', '0.1', "
+        "'--a', '1', '--speed', '0.001', '--natural-units'])\n"
+        f"print(json.dumps([code, {LOADED}]))"
+    )
+    assert code == 0
+    assert loaded == {"numpy": True, "casvolt.oracle": False}
 
 
 # the record classes are built without dataclasses, which imports inspect;

@@ -7,8 +7,10 @@ from zero), which is O(1) away from the kernel's singular locus and grows
 only next to it (b near b* = 2 v z0 / (1 - v) for the one-plate square).
 Over 6,000 random points of the ranges below, the largest error measured was
 15 u kappa |reference| (u = 2^-53), and 19 u |reference| where kappa < 100;
-the bound asserted is 64 u kappa |reference|.
+the bound asserted is 64 u kappa |reference|. image_pair_terms is mapped
+through both of its branches, the numpy kernel and the pure-Python pass.
 """
+import contextlib
 import math
 
 import numpy as np
@@ -23,7 +25,8 @@ from casvolt import (
     reflected_image_integral,
     translated_image_integral,
 )
-from casvolt.closed_forms import _image_pair_term, image_pair_terms
+import casvolt.closed_forms
+from casvolt.closed_forms import _KERNEL_BLOCK, _image_pair_term, image_pair_terms
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
@@ -38,6 +41,23 @@ pole_fractions = st.floats(-3.0, 1.0).map(lambda e: 10.0**e)
 # a / (z0 + b) from just above 1 to 20, so every image square lies beyond a plate
 gaps = st.floats(0.005, 1.3).map(lambda e: 10.0**e)
 indices = st.floats(0.0, math.log10(20000.0)).map(lambda e: int(10.0**e))
+
+
+# image_pair_terms takes a block of at most _SCALAR_BLOCK indices through its
+# pure-Python pass and a longer one through its numpy kernel: pinned to 0,
+# every block takes the kernel; pinned to _KERNEL_BLOCK, every block the pass
+BRANCHES = {"numpy": 0, "python": _KERNEL_BLOCK}
+
+
+@contextlib.contextmanager
+def pinned_branch(name):
+    """Send every image_pair_terms block through the branch name."""
+    saved = casvolt.closed_forms._SCALAR_BLOCK
+    casvolt.closed_forms._SCALAR_BLOCK = BRANCHES[name]
+    try:
+        yield
+    finally:
+        casvolt.closed_forms._SCALAR_BLOCK = saved
 
 
 def _segment(z0, b_frac, v):
@@ -116,12 +136,19 @@ def test_translated_image_integral_error_map(z0, b_frac, v, gap, n):
 def test_image_pair_terms_error_map(z0, b_frac, v, gap, ns):
     seg = _segment(z0, b_frac, v)
     a = gap * (seg.z0 + seg.b)
-    try:
-        block = image_pair_terms(seg, a, np.array(ns, dtype=float))
-    except SingularityError:
+    blocks = []
+    for branch in BRANCHES:
+        with pinned_branch(branch):
+            try:
+                blocks.append(image_pair_terms(seg, a, np.array(ns, dtype=float)))
+            except SingularityError:
+                continue
+    if not blocks:
         return
-    for n, value in zip(ns, block):
-        _assert_close(value, mp.pair(seg.z0, seg.b, v, a, n), _pair_kappa(seg, a, n))
+    for n, *values in zip(ns, *blocks):
+        reference, kappa = mp.pair(seg.z0, seg.b, v, a, n), _pair_kappa(seg, a, n)
+        for value in values:
+            _assert_close(value, reference, kappa)
 
 
 def test_pair_term_far_past_the_light_cone():
@@ -131,7 +158,9 @@ def test_pair_term_far_past_the_light_cone():
     seg, a, n = PathSegment(z0=0.5, b=1e-4, v=2.0**-8), 0.5, 9999
     reference = mp.pair(seg.z0, seg.b, seg.v, a, n)
     kappa = _pair_kappa(seg, a, n)
-    _assert_close(image_pair_terms(seg, a, np.array([float(n)]))[0], reference, kappa)
+    for branch in BRANCHES:
+        with pinned_branch(branch):
+            _assert_close(image_pair_terms(seg, a, np.array([float(n)]))[0], reference, kappa)
     _assert_close(_image_pair_term(seg, a, n), reference, kappa)
     leading = seg.b**2 / (4.0 * a**4 * seg.v**4) / n**4
     assert float(reference) == pytest.approx(leading, rel=1e-5, abs=0.0)

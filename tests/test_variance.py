@@ -27,6 +27,7 @@ from casvolt import (
     zeta_two_series,
 )
 from casvolt.closed_forms import _SMALLV_MIN
+from casvolt.variance import _CHARGE_MIN
 
 M_E = CONSTANTS.electron_mass_eV
 
@@ -163,6 +164,9 @@ FLOOR_FORMS = {
         lambda v, L: rms_one_plate_smallv(Particle.electron(speed=v), 3.0 * L).variance_eV2,
     "variance_two_plate_smallv":
         lambda v, L: variance_two_plate_smallv(Particle.electron(speed=v), L, 3.0 * L).variance_eV2,
+    # the oracle's series returned 0.0 with tail 0.0 at v = 1e-200
+    "variance_two_plate_series_smallv": lambda v, L: variance_two_plate_series_smallv(
+        Particle.electron(speed=v), L, 3.0 * L).variance_eV2,
 }
 
 
@@ -183,6 +187,29 @@ def test_small_speed_forms_stay_normal_just_above_the_floor(form, scale):
     # and lengths lie nearest the ends of the doubles
     for speed in (_SMALLV_MIN, math.nextafter(_SMALLV_MIN, 1.0)):
         assert sys.float_info.min <= form(speed, scale) < math.inf
+
+
+@pytest.mark.parametrize("charge", [1e-200, math.nextafter(_CHARGE_MIN, 0.0), 5e-324])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_particle_refuses_a_charge_below_the_floor(charge, sign):
+    # rms_one_plate_smallv gave variance 0.0 at charge_e = 1e-200, unflagged
+    with pytest.raises(DomainError) as excinfo:
+        Particle.electron(speed=0.01, charge_e=sign * charge)
+    assert str(excinfo.value) == (
+        f"particle charge must be 0 or at least 1e-58 in magnitude, got {sign * charge!r}")
+
+
+@pytest.mark.parametrize("charge", [_CHARGE_MIN, -_CHARGE_MIN])
+def test_small_speed_variances_stay_normal_at_the_charge_floor(charge):
+    # the least charge at the least speed, with lengths at the window's upper
+    # edge: the least variances the package forms
+    particle = Particle(charge_e=charge, mass_eV=M_E, speed=_SMALLV_MIN)
+    scale = 3e59
+    for result in (rms_one_plate_smallv(particle, 3.0 * scale),
+                   variance_two_plate_smallv(particle, scale, 3.0 * scale),
+                   variance_two_plate_series_smallv(particle, scale, 3.0 * scale)):
+        assert sys.float_info.min <= result.variance_eV2 < math.inf
+        assert "neutral" not in result.regime
 
 
 def test_validity_window():
