@@ -89,10 +89,11 @@ def _warn_small_speed(v: float) -> None:
 _POLE_TOUCH_EPS = 1e-10
 
 # Longest block image_pair_terms forms one index at a time, without numpy:
-# a fused pure-Python pass costs about 1.9 us per index, the numpy kernel
-# about 50 us whatever the length up to a few hundred, and they cross at 27
-# indices (docs/decisions.md, "Short pair blocks without numpy"). The least
-# block a two-plate sum forms has 22 indices.
+# a fused pure-Python pass cost about 1.9 us per index, the numpy kernel
+# about 50 us whatever the length up to a few hundred, and they crossed at
+# 27 indices (docs/decisions.md, "Short pair blocks without numpy"); the
+# pass has since dropped to about 0.8 of that cost ("Floored pair blocks
+# end from n_U"). The least block a two-plate sum forms has 16 indices.
 _SCALAR_BLOCK = 26
 
 # Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
@@ -336,14 +337,20 @@ def _integer_indices(ns) -> list[int]:
 def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     """The pair terms of the integer indices ns, one fused pass per index.
 
-    Every log argument, exact difference and touch scale is formed as
-    _reflection_square and _translation_square form it, and every half log
-    ratio as _log_ratio does, so an index refuses exactly when the scalar
-    squares refuse it; such an index (a log argument on the singular locus,
-    a zero denominator: an image plane through a corner or n = 0), and one
-    whose term is not finite, is evaluated through _image_pair_term, which
-    raises its error. The constants are folded as the numpy kernel of
-    image_pair_terms folds them.
+    The pair term is even in n, so each index is formed from am = |n| a:
+    the reflected squares of the near image, base z0 - am, and of the far
+    image, base z0 + am, and the translated corners. For |n| >= 1 the far
+    square lies above z = 0, so its base, top and Y are positive and its
+    log ratio's d s negative, and the translated q1, p2 and q1 p2 are
+    positive: those take no abs(). Every log argument, exact difference
+    and touch scale is formed as _reflection_square and _translation_square
+    form it, and every half log ratio as _log_ratio does, so an index
+    refuses exactly when the scalar squares refuse it; such an index (a log
+    argument on the singular locus, a zero denominator: an image plane
+    through a corner or n = 0), and one whose term is not finite, is
+    evaluated through _image_pair_term with its own n, which raises its
+    error. The constants are folded as the numpy kernel of image_pair_terms
+    folds them.
     """
     z0, b, v = seg.z0, seg.b, seg.v
     lo, hi, two_v = (1.0 - v) * b, (1.0 + v) * b, 2.0 * v
@@ -352,46 +359,52 @@ def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     reflection_rest = 4.0 * v * b * reflection_scale
     diff_factor, sum_factor = (1.0 - v * v) * b / -16.0, v / -16.0
     ds_reflection, ds_diff, ds_sum = -2.0 * b, -4.0 * b, -4.0 * v * b * b
+    two_b = 2.0 * b
     log1p, copysign, isfinite = math.log1p, math.copysign, math.isfinite
     terms = []
+    append = terms.append
     for n in ns:
-        an = n * a
-        nav = abs(an) * v
+        am = abs(n) * a
+        nav = am * v
         c = 2.0 * nav
-        # the reflected squares of +n and -n: base, top, X and Y
-        base = z0 - an
-        top = base + b
-        anchor = two_v * top
+        # the reflected squares of the near and the far image: base, top,
+        # base + top, X and Y
+        near = z0 - am
+        near_top = near + b
+        near_sum = near + near_top
+        anchor = two_v * near_top
         x, y = anchor - hi, anchor + lo
-        base_m = z0 + an
-        top_m = base_m + b
-        anchor = two_v * top_m
-        x_m, y_m = anchor - hi, anchor + lo
+        far = z0 + am
+        far_top = far + b
+        far_sum = far + far_top
+        anchor = two_v * far_top
+        x_far, y_far = anchor - hi, anchor + lo
         # the translated corners; q1 and p2 lie above (1 - v) b, off the locus
         p1, q1 = c - hi, c + lo
         p2, q2 = c + hi, c - lo
         ax, ay = abs(x), abs(y)
         least = ax if ax < ay else ay
-        ax_m, ay_m = abs(x_m), abs(y_m)
-        least_m = ax_m if ax_m < ay_m else ay_m
-        least_t = min(abs(p1), abs(q2))
-        square = base * top
-        square_m = base_m * top_m
-        if (least < _POLE_TOUCH_EPS * (v * (abs(top) + abs(base)) + b)
-                or least_m < _POLE_TOUCH_EPS * (v * (abs(top_m) + abs(base_m)) + b)
-                or least_t < _POLE_TOUCH_EPS * (c + b)
-                or not (square and square_m and nav)):
-            terms.append(_image_pair_term(seg, a, n))
+        ax_far = abs(x_far)
+        least_far = ax_far if ax_far < y_far else y_far
+        ap1, aq2 = abs(p1), abs(q2)
+        square = near * near_top
+        # the near square's touch scale is _on_locus's v (|top| + |base|) + b
+        # unless the square straddles z = 0, where |X| and |Y| exceed (1 - v) b
+        if (least < _POLE_TOUCH_EPS * (v * abs(near_sum) + b)
+                or least_far < _POLE_TOUCH_EPS * (v * far_sum + b)
+                or (ap1 if ap1 < aq2 else aq2) < _POLE_TOUCH_EPS * (c + b)
+                or not (square and nav)):
+            append(_image_pair_term(seg, a, n))
             continue
-        # half the log ratios l(X, Y) of +n and -n, l1 - l2 and l1 + l2
-        ds = ds_reflection * (two_v * (base + top))
+        far_square = far * far_top
+        # half the log ratios l(X, Y) of the near and the far image, l1 - l2 and l1 + l2
+        ds = ds_reflection * (two_v * near_sum)
         half = copysign(log1p(abs(ds) / ((ax + ay) * least)), ds)
-        ds = ds_reflection * (two_v * (base_m + top_m))
-        half_m = copysign(log1p(abs(ds) / ((ax_m + ay_m) * least_m)), ds)
+        half_far = -log1p(two_b * (two_v * far_sum) / ((ax_far + y_far) * least_far))
         cross_p, cross_q = p1 * q2, q1 * p2
         outer_p, outer_q = p1 * p2, q1 * q2
         ds = (cross_p + cross_q) * (c * ds_diff)
-        cross_p, cross_q = abs(cross_p), abs(cross_q)
+        cross_p = abs(cross_p)
         half_diff = copysign(
             log1p(abs(ds) / ((cross_p + cross_q) * (cross_p if cross_p < cross_q else cross_q))),
             ds)
@@ -400,11 +413,11 @@ def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
         half_sum = copysign(
             log1p(abs(ds) / ((outer_p + outer_q) * (outer_p if outer_p < outer_q else outer_q))),
             ds)
-        term = ((((base + top) * reflection_log) * half + reflection_rest) / (square * square)
-                + (((base_m + top_m) * reflection_log) * half_m + reflection_rest)
-                / (square_m * square_m)
+        term = (((near_sum * reflection_log) * half + reflection_rest) / (square * square)
+                + ((far_sum * reflection_log) * half_far + reflection_rest)
+                / (far_square * far_square)
                 + (diff_factor * half_diff + (c * sum_factor) * half_sum) / nav**3)
-        terms.append(term if isfinite(term) else _image_pair_term(seg, a, n))
+        append(term if isfinite(term) else _image_pair_term(seg, a, n))
     return terms
 
 

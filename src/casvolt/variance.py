@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from functools import lru_cache
 
 from .closed_forms import (
@@ -100,6 +101,10 @@ _ULP = 2.0**-53
 # variances below the normal doubles, 0.0 among them. The floor keeps 12
 # decades above that, as _SMALLV_MIN does above its edge.
 _CHARGE_MIN = 1e-58
+# The least normal double. The charge floor covers the charge's share of a
+# variance, but the exact forms' factor also depends on the lengths' ratios,
+# so a charged particle's variance below this has underflowed and refuses.
+_NORMAL_MIN = sys.float_info.min
 
 
 @record
@@ -202,6 +207,12 @@ def _result(
     terms_used: int = 0,
     tail: float = 0.0,
 ) -> FluctuationResult:
+    """The result record of a variance; a charged particle's variance below
+    the normal doubles raises DomainError rather than returning a silent 0.0."""
+    if variance < _NORMAL_MIN and charge_e != 0.0:
+        raise DomainError(
+            f"variance underflows: {variance!r} eV^2 lies below the least normal double "
+            f"{_NORMAL_MIN:g}; the lengths' ratios put it out of range")
     rms = math.sqrt(variance)
     rms_voltage = rms / abs(charge_e) if charge_e != 0.0 else 0.0
     return FluctuationResult(
@@ -370,32 +381,39 @@ def _zeta16_bound(x):
 def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> SummationResult:
     """The one-plate integral plus the image pairs n >= 1, with a certified tail.
 
-    The sum certifies only from the reference index n_ref on, the first
-    n >= _ZETA_X_MIN = 16 with U = v (2an - 2(z0+b)) / b >= _TAIL_REFERENCE_U,
-    so terms_used >= 16. An n_max below n_ref raises ConvergenceError at
-    once, before any pair term is formed. At each N >= n_ref the sum adds
-    the subtracted tail T(N) = sum_j C_j zeta(4+2j, N+1), j = 0..5, and
-    bounds only its remainder, by the envelope n_ref^16 r(n_ref) zeta(16, N+1)
-    on r(n) = pair_term(n) - sum_j C_j n^-(4+2j), plus rounding allowances.
-    Past the light cone (U > 1) every coefficient of the pair term's
-    expansion in 1/n^2 is nonnegative, so r >= 0 and n^16 r(n) does not
-    increase: r(m) <= n_ref^16 r(n_ref) / m^16 for every m > N >= n_ref.
+    The sum certifies only from the reference index n_ref = max(16, n_U) on,
+    n_U the first n >= 1 with U = v (2an - 2(z0+b)) / b >= _TAIL_REFERENCE_U
+    and 16 = _ZETA_X_MIN, so terms_used >= 16. An n_max below n_ref raises
+    ConvergenceError at once, before any pair term is formed. At each
+    N >= n_ref the sum adds the subtracted tail T(N) = sum_j C_j
+    zeta(4+2j, N+1), j = 0..5, and bounds only its remainder, by the
+    envelope n_ref^16 r(n_ref) zeta(16, N+1) on r(n) = pair_term(n) -
+    sum_j C_j n^-(4+2j), plus rounding allowances. Past the light cone
+    (U > 1) every coefficient of the pair term's expansion in 1/n^2 is
+    nonnegative, so r >= 0 and n^16 r(n) does not increase: r(m) <=
+    n_ref^16 r(n_ref) / m^16 for every m > N >= n_ref.
 
-    The pair terms 1..E, E = min(n_max, n_ref + n_ref // 4 + 2), are formed
-    in one block, which also gives r(n_ref). The sum certifies at the
-    block's end only: value(E) is the compensated sum of the one-plate
-    term, every pair of the block and T(E), and the sum returns it when
-    bound(E) <= tol |value(E)|, with terms_used = E and tail_estimate =
-    bound(E); on the image_sums ranges it does. Otherwise the next block
-    reaches min(n_max, 2E), then twice that, and so on. From n_ref on the
-    bound falls while value(N) rises by r(N+1) >= 0, so when n_max does not
+    The pair terms 1..E, E = min(n_max, max(n_ref, n_U + n_U // 4 + 2)),
+    are formed in one block, which also gives r(n_ref). E is taken from n_U
+    rather than n_ref: a sum whose n_ref is raised to 16 has an envelope
+    no larger than n_U^16 r(n_U), since n^16 r(n) does not increase from
+    n_U on, so its bound at E is no larger than the one a sum with that
+    n_ref = n_U would have at the same E (docs/decisions.md, "Floored pair
+    blocks end from n_U"). The sum certifies at the block's end only:
+    value(E) is the compensated sum of the one-plate term, every pair of
+    the block and T(E), and the sum returns it when bound(E) <= tol
+    |value(E)|, with terms_used = E and tail_estimate = bound(E); on the
+    image_sums ranges it does. Otherwise the next block reaches
+    min(n_max, 2E), then twice that, and so on. From n_ref on the bound
+    falls while value(N) rises by r(N+1) >= 0, so when n_max does not
     certify no index up to n_max does, and the sum refuses.
     """
     v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
     tol, n_max = control.tol, control.n_max
-    n_ref = max(_ZETA_X_MIN, math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a)))
-    while v * (2.0 * a * n_ref - 2.0 * z1) / b < _TAIL_REFERENCE_U:
-        n_ref += 1
+    n_u = math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a))
+    while v * (2.0 * a * n_u - 2.0 * z1) / b < _TAIL_REFERENCE_U:
+        n_u += 1
+    n_ref = max(_ZETA_X_MIN, n_u)
 
     def refuse(bound: float) -> ConvergenceError:
         return ConvergenceError(
@@ -407,7 +425,7 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
         raise refuse(math.inf)
     coefficients = _tail_coefficients(seg, a)
     base = one_plate_integral(seg)
-    end = min(n_max, n_ref + n_ref // 4 + 2)
+    end = min(n_max, max(n_ref, n_u + n_u // 4 + 2))
     terms = image_pair_terms(seg, a, range(1, end + 1))
     pair = terms[n_ref - 1]
     remainder = pair - _tail_expansion(coefficients, n_ref)
@@ -435,16 +453,18 @@ def variance_two_plate_exact(
     """Exact two-plate <(Delta U)^2> by summing image contributions.
 
     The n=0 one-plate term plus reflected and translated image integrals in
-    symmetric pairs n, -n (_two_plate_sum). From a reference index n_ref
-    >= 16 on, the analytic tail sum_j C_j zeta(4+2j, N+1), j = 0..5, of the
-    dropped pairs is added and only its remainder, of order N^-15, is
-    bounded. The pair terms are evaluated in one block reaching a quarter
-    past n_ref, and the sum certifies at its end N when the bound there
-    falls below control.tol of the returned value; if not, a block doubling
-    N follows. terms_used is that N, the last pair summed, and
-    tail_estimate_eV2 bounds the truncation error of the returned variance,
-    not the rounding of the pair terms (about 1e-15 of the value), which
-    at the default tol it often falls below. Raises ConvergenceError when
+    symmetric pairs n, -n (_two_plate_sum). From a reference index
+    n_ref = max(16, n_U) on, n_U the first index past the light cone by
+    U = v (2an - 2(z0+b)) / b >= 2, the analytic tail sum_j C_j
+    zeta(4+2j, N+1), j = 0..5, of the dropped pairs is added and only its
+    remainder, of order N^-15, is bounded. The pair terms are evaluated in
+    one block reaching a quarter past n_U, and at least n_ref, and the sum
+    certifies at its end N when the bound there falls below control.tol of
+    the returned value; if not, a block doubling N follows. terms_used is
+    that N, the last pair summed, and tail_estimate_eV2 bounds the
+    truncation error of the returned variance, not the rounding of the pair
+    terms (about 1e-15 of the value), which at the default tol it often
+    falls below. Raises ConvergenceError when
     no pair up to control.n_max certifies, at once and without numpy when
     control.n_max < n_ref. The flight must stay between the plates:
     0 < z0 and z0 + b < a.

@@ -226,6 +226,15 @@ def test_charge_below_the_floor_exits_two(capsys):
     assert "particle charge must be 0 or at least 1e-58 in magnitude, got 1e-200" in err
 
 
+def test_underflowing_variance_exits_two(capsys):
+    # this printed a zero variance and exited 0
+    code, out, err = _run(capsys, "variance", "--plates", "one", "--z0", "5e59", "--b", "1e-57",
+                          "--speed", "1.0000001e-6", "--natural-units")
+    assert code == 2 and out == ""
+    assert "variance underflows: 0.0 eV^2 lies below the least normal double" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (("variance", "--plates", "one", "--z0", "100", "--b", "10", "--kinetic-eV", "inf"),
      "kinetic energy must be non-negative and finite"),

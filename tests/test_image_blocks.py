@@ -37,7 +37,11 @@ from casvolt.variance import _two_plate_sum
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
 from test_square_accuracy import BRANCHES, _assert_close, _pair_kappa, pinned_branch  # noqa: E402
-from test_tail_coefficients import _exact_coefficients, _reference_index  # noqa: E402
+from test_tail_coefficients import (  # noqa: E402
+    _exact_coefficients,
+    _natural_index,
+    _reference_index,
+)
 
 
 def _scalar_pair(seg, a, n):
@@ -93,10 +97,11 @@ def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns):
             assert abs(value - reference) <= bound
 
 
-def _block_ends(n_ref, n_max):
+def _block_ends(n_ref, n_u, n_max):
     """Where variance_two_plate_exact tries to certify: E = min(n_max,
-    n_ref + n_ref // 4 + 2), then min(n_max, 2E), and so on up to n_max."""
-    ends = [min(n_max, n_ref + n_ref // 4 + 2)]
+    max(n_ref, n_u + n_u // 4 + 2)), then min(n_max, 2E), and so on up to
+    n_max. n_u is the first n >= 1 with U >= 2 and n_ref = max(16, n_u)."""
+    ends = [min(n_max, max(n_ref, n_u + n_u // 4 + 2))]
     while ends[-1] < n_max:
         ends.append(min(n_max, 2 * ends[-1]))
     return ends
@@ -184,7 +189,7 @@ def _assert_matches_per_index_reference(z0, b, a, v, control, shift=0.0):
         rule,
         control,
         one_plate_integral(seg),
-        _block_ends(n_ref, control.n_max),
+        _block_ends(n_ref, _natural_index(z0, b, a, v), control.n_max),
     )
     if isinstance(expected, str):
         with pytest.raises(ConvergenceError) as excinfo:
@@ -208,7 +213,7 @@ def _assert_matches_per_index_reference(z0, b, a, v, control, shift=0.0):
     _case(0.3, 0.1, 1.0, 1e-3),  # reference index 101, block end 128
     _case(0.05, 0.4, 0.5, 0.05),
     _case(1.2, 0.3, 1.6, 0.01),
-    _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # n_ref = 16 certifies already
+    _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # n_U = 2, n_ref = 16 certifies already
     _case(0.3, 0.1, 1.0, 1e-3, tol=1e-13),
 ])
 def test_two_plate_exact_matches_per_index_reference(z0, b, a, v, tol):
@@ -217,13 +222,13 @@ def test_two_plate_exact_matches_per_index_reference(z0, b, a, v, tol):
     # or at tol = 1e-13 the doubled end 2E = 256 (former stop 185)
     control = SummationControl(tol=tol)
     result, n_ref, (_, end, _, first) = _assert_matches_per_index_reference(z0, b, a, v, control)
-    ends = _block_ends(n_ref, control.n_max)
+    ends = _block_ends(n_ref, _natural_index(z0, b, a, v), control.n_max)
     assert result.terms_used == end == ends[0 if tol > 1e-13 else 1]
     assert n_ref <= first <= end
     assert end == min(e for e in ends if e >= first)
     if tol == 1e-4:
-        # no index below n_ref certifies
-        assert first == n_ref == 16 and end == 22
+        # no index below n_ref certifies, and the block ends at n_ref
+        assert first == n_ref == 16 and end == 16
 
 
 # (0.3, 0.1, 1.0, 5.5e-4) has n_ref = 183 and certifies at E = 230: n_max 8
@@ -396,6 +401,42 @@ def test_branches_refuse_alike_and_agree(z0, b, v, n, family, offset, others):
         assert abs(x - y) <= 64.0 * 2.0**-53 * _pair_kappa(seg, a, index) * abs(x)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z0=st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+       b=st.floats(-3.0, 0.0).map(lambda e: 10.0**e),
+       v=st.floats(-4.0, math.log10(0.3)).map(lambda e: 10.0**e),
+       n=st.integers(1, 50),
+       family=st.sampled_from(["X+", "Y+", "X-", "p1", "q2", "plane", "free"]),
+       offset=st.one_of(st.just(0.0), st.floats(-16.0, -1.0).map(lambda e: 10.0**e),
+                        st.floats(-16.0, -1.0).map(lambda e: -(10.0**e))))
+def test_pure_python_pass_is_even_in_the_index(z0, b, v, n, family, offset):
+    # the pass forms each index from |n|: n and -n give bitwise-equal terms,
+    # or both refuse, next to every singular locus and image plane through a
+    # corner too, each with the error _image_pair_term raises for its own
+    # index (which image it names first depends on the index's sign)
+    a = z0 if family == "free" else _on_locus_separation(family, z0, b, v, n)
+    if a is None:
+        return
+    a *= 1.0 + offset
+    seg = PathSegment(z0=z0, b=b, v=v)
+
+    def outcome(f, index):
+        try:
+            return f(index).hex()
+        except (DomainError, SingularityError) as exc:
+            return (type(exc), str(exc), getattr(exc, "factor", None),
+                    getattr(exc, "threshold", None))
+
+    plus, minus = (outcome(lambda i: _scalar_pair_terms(seg, a, [i])[0], index)
+                   for index in (n, -n))
+    if isinstance(plus, str) and isinstance(minus, str):
+        assert plus == minus
+        return
+    assert not isinstance(plus, str) and not isinstance(minus, str)
+    for index, got in ((n, plus), (-n, minus)):
+        assert got == outcome(lambda i: _image_pair_term(seg, a, i), index)
+
+
 def test_light_like_dual_image_raises_as_scalar_path():
     a, z, z_prime = 1.0, 0.3, 0.4
     dt = 2.0 * a - (z - z_prime)  # the n = 1 image of z - z' sits on the light cone
@@ -468,13 +509,32 @@ def test_two_plate_sum_certifies_at_a_block_end(a, uz, ub, log_v, log_tol):
     except SingularityError:
         return
     assert result.tail_estimate <= control.tol * abs(result.value)
-    assert result.terms_used in _block_ends(_reference_index(z0, b, a, v), control.n_max)
+    assert result.terms_used in _block_ends(_reference_index(z0, b, a, v),
+                                            _natural_index(z0, b, a, v), control.n_max)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.floats(0.5, 2.0), uz=st.floats(0.05, 0.8), ub=st.floats(0.02, 0.5),
+       log_v=st.floats(-3.0, -1.0))
+def test_two_plate_sum_certifies_at_its_first_block_end(a, uz, ub, log_v):
+    # on the image_sums ranges, at the default tolerance, every sum certifies
+    # at the end of its first pair block, a floored one (n_U < 16) at
+    # max(16, n_U + n_U // 4 + 2) <= 20 as well
+    z0 = a * uz
+    b, v = ub * (a - z0), 10.0**log_v
+    try:
+        result = _two_plate_sum(PathSegment(z0=z0, b=b, v=v), a, SummationControl())
+    except SingularityError:
+        return
+    n_u = _natural_index(z0, b, a, v)
+    assert result.terms_used == max(16, n_u + n_u // 4 + 2)
+    assert result.tail_estimate <= SummationControl().tol * abs(result.value)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
-    # the pair terms 1..E, E = n_ref + n_ref // 4 + 2, are evaluated once,
-    # and the sum certifies at E, keeping every one of them
+    # the pair terms 1..E, E = max(n_ref, n_U + n_U // 4 + 2), are evaluated
+    # once, and the sum certifies at E, keeping every one of them
     sizes = []
 
     def counted(seg, a, ns):

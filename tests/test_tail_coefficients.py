@@ -89,12 +89,17 @@ def test_tail_coefficients_evaluate_the_table(a, uz, ub, log_v):
         assert abs(Fraction(got) - exact) <= 64 * 2.0**-53 * exact
 
 
-def _reference_index(z0, b, a, v):
-    """The first n >= 16 with U = v (2an - 2(z0+b)) / b >= 2."""
-    n = 16
+def _natural_index(z0, b, a, v, least=1):
+    """The first n >= least with U = v (2an - 2(z0+b)) / b >= 2."""
+    n = least
     while v * (2.0 * a * n - 2.0 * (z0 + b)) / b < 2.0:
         n += 1
     return n
+
+
+def _reference_index(z0, b, a, v):
+    """The first n >= 16 with U >= 2."""
+    return _natural_index(z0, b, a, v, least=16)
 
 
 # indices past n_ref at which the remainder is checked: every one of the
@@ -108,13 +113,16 @@ _STEPS = (0, 1, 2, 3, 4, 5, 6, 7, 11, 17, 26, 40)
 def test_scaled_remainder_is_nonnegative_and_nonincreasing(a, uz, ub, log_v):
     # the certificate: past the light cone every 1/n^2 coefficient of the
     # pair term is nonnegative, so r(n) = pair(n) - sum_j C_j n^-(4+2j) >= 0
-    # and n^16 r(n) does not increase from n_ref on; against 60-digit pair
-    # terms and the exact coefficients
+    # and n^16 r(n) does not increase from n_U on, the first n >= 1 with
+    # U >= 2, and so from n_ref = max(16, n_U) on; a sum whose n_ref is
+    # raised to 16 ends its pair block from n_U on that premise. Against
+    # 60-digit pair terms and the exact coefficients
     z0 = uz * a
     b, v = ub * (a - z0), 10.0**log_v
-    n_ref = _reference_index(z0, b, a, v)
+    n_u, n_ref = _natural_index(z0, b, a, v), _reference_index(z0, b, a, v)
     coefficients = _exact_coefficients(z0, b, v, a)
-    ns = sorted({n_ref + step for step in _STEPS} | {n_ref + n_ref * k // 2 for k in (1, 2, 3, 4)})
+    ns = sorted({start + step for start in (n_u, n_ref) for step in _STEPS}
+                | {n_ref + n_ref * k // 2 for k in (1, 2, 3, 4)})
     with mpmath.workdps(mp.DPS):
         expansion = [mpmath.mpf(c.numerator) / c.denominator for c in coefficients]
         scaled = []

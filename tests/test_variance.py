@@ -27,7 +27,7 @@ from casvolt import (
     zeta_two_series,
 )
 from casvolt.closed_forms import _SMALLV_MIN
-from casvolt.variance import _CHARGE_MIN
+from casvolt.variance import _CHARGE_MIN, _result
 
 M_E = CONSTANTS.electron_mass_eV
 
@@ -210,6 +210,26 @@ def test_small_speed_variances_stay_normal_at_the_charge_floor(charge):
                    variance_two_plate_series_smallv(particle, scale, 3.0 * scale)):
         assert sys.float_info.min <= result.variance_eV2 < math.inf
         assert "neutral" not in result.regime
+
+
+def test_charged_variance_below_the_normal_doubles_refuses():
+    # the length window bounds each length, not their ratios: a flight of
+    # 1e-57 at z0 = 5e59 gave an electron variance 0.0, unflagged
+    v = 1.0000001e-6
+    seg = PathSegment(z0=5e59, b=1e-57, v=v)
+    with pytest.raises(DomainError, match=r"^variance underflows: 0\.0 eV\^2 lies below "):
+        variance_one_plate(Particle.electron(speed=v), seg)
+    neutral = variance_one_plate(Particle.electron(speed=v, charge_e=0.0), seg)
+    assert neutral.variance_eV2 == 0.0 and "neutral" in neutral.regime
+
+
+@pytest.mark.parametrize("charge", [1.0, -1.0])
+def test_result_refuses_exactly_below_the_least_normal_double(charge):
+    least = sys.float_info.min
+    assert _result(least, charge, ("exact",)).variance_eV2 == least
+    for variance in (math.nextafter(least, 0.0), 5e-324, 0.0):
+        with pytest.raises(DomainError, match="variance underflows"):
+            _result(variance, charge, ("exact",))
 
 
 def test_validity_window():
