@@ -8,10 +8,12 @@ the light-cone pole; the quadrature oracle refuses such domains, which is
 what makes it an independent check where both are defined.
 
 Each module's __all__ declares what it makes public, and the package
-re-exports those names. The oracle (and with it numpy) loads on first use:
-the names in _ORACLE_NAMES resolve through the module __getattr__, so
-`import casvolt` and the CLI commands that never reach the oracle or a
-pair block longer than closed_forms._SCALAR_BLOCK start without numpy.
+re-exports those names. The oracle loads on first use: the names in
+_ORACLE_NAMES resolve through the module __getattr__. numpy loads only with
+a pair block longer than closed_forms._SCALAR_BLOCK or a call of
+oracle.brute_dual_correlator, so `import casvolt`, `verify` (its
+quadrature is pure Python) and every CLI command whose two-plate sums keep
+to short blocks run without it.
 """
 from . import closed_forms, correlators, errors, experiment, summation, units, variance
 from .closed_forms import *

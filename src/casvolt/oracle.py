@@ -2,7 +2,8 @@
 
 Everything in this module recomputes quantities from their defining double
 integrals, derivative identities or image series, sharing no algebra with
-closed_forms beyond the integrand kernels themselves; the truncated series
+closed_forms beyond the integrand kernels themselves, which the quadrature
+writes out inline in pure Python; the truncated series
 are plain sums with integral-test tail bounds, and brute_dual_correlator
 adds the dual-plate images one by one where production has a closed form.
 The adaptive quadrature refuses domains that contain the light-cone pole
@@ -20,8 +21,6 @@ import random
 import sys
 import time
 
-import numpy as np
-
 from . import _ORACLE_NAMES
 from .closed_forms import (
     PathSegment,
@@ -29,7 +28,6 @@ from .closed_forms import (
     _reflection_square,
     _translation_square,
     one_plate_kernel,
-    reflected_image_kernel,
     translated_image_kernel,
 )
 from .errors import (
@@ -44,10 +42,41 @@ from .variance import FluctuationResult, Particle, _result
 
 __all__ = list(_ORACLE_NAMES)
 
-_LOW_NODES, _LOW_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_HIGH_NODES, _HIGH_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# patch error estimates are floored at this multiple of the patch's absolute
-# integral so that accumulated rounding in the 256-node sums stays covered
+
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Ascending nodes and their weights of the n-point Gauss-Legendre rule
+    on [-1, 1], for even n.
+
+    Each positive root of P_n takes eight Newton steps from the guess
+    cos(pi (i + 3/4) / (n + 1/2)), which leave it converged to rounding for
+    n <= 16, with P_n and P_{n-1} from the recurrence
+    k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2} and
+    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1); its weight is
+    2 / [(1 - x^2) P_n'(x)^2]. The negative half mirrors the positive one.
+    """
+    def legendre(x: float) -> tuple[float, float]:
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    half = []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(8):
+            p, dp = legendre(x)
+            x -= p / dp
+        _, dp = legendre(x)
+        half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    rule = [(-x, w) for x, w in half] + [(x, w) for x, w in reversed(half)]
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
+
+
+_LOW_NODES, _LOW_WEIGHTS = _gauss_legendre(8)
+_HIGH_NODES, _HIGH_WEIGHTS = _gauss_legendre(16)
+# patch error estimates are floored at this multiple of the patch's integral,
+# which is its absolute integral since the kernels are positive, so that the
+# rounding accumulated over the 256-point sums stays covered
 _NOISE_FLOOR = 300.0 * sys.float_info.epsilon
 # the adaptive quadrature refines until its error estimate is within this
 # fraction of the value, and gives up after this many subdivisions
@@ -69,39 +98,61 @@ class QuadratureResult:
     subdivisions: int
 
 
-def _patch(f, x0: float, x1: float, y0: float, y1: float) -> tuple[float, float]:
-    """Embedded 8x8 / 16x16 tensor Gauss-Legendre estimates on one patch.
+def _rule_sum(xs, ys, weights, v2: float, sign: float, shift: float) -> float:
+    """sum_ij w_i w_j K(x_i, y_j) for the kernel
+    K(z, z') = 1/[(z - z')^2 - v2 ((z + sign z') - shift)^2]^2.
+
+    The one-plate kernel is sign = +1, shift = 0, the reflected image of
+    index n sign = +1, shift = 2an and the translated image sign = -1,
+    shift = 2an. The kernel is written out in the loop, since a function
+    call per point costs more than the point, and s = (z + sign z') - shift
+    is associated as one_plate_kernel, reflected_image_kernel and
+    translated_image_kernel associate it.
+    """
+    columns = [(w, y, sign * y) for w, y in zip(weights, ys)]
+    total = 0.0
+    for wx, x in zip(weights, xs):
+        row = 0.0
+        for wy, y, sy in columns:
+            d = x - y
+            s = (x + sy) - shift
+            den = d * d - v2 * (s * s)
+            row += wy / (den * den)
+        total += wx * row
+    return total
+
+
+def _patch(v2: float, sign: float, shift: float,
+           x0: float, x1: float, y0: float, y1: float) -> tuple[float, float]:
+    """Embedded 8x8 / 16x16 tensor Gauss-Legendre estimates on one patch of
+    the kernel of _rule_sum.
 
     Returns (high-order value, error estimate). The estimate is the
     difference of the two rules, floored at _NOISE_FLOOR times the patch's
-    absolute integral.
+    integral; the kernel is positive, so that is its absolute integral.
     """
     hx = 0.5 * (x1 - x0)
     cx = 0.5 * (x1 + x0)
     hy = 0.5 * (y1 - y0)
     cy = 0.5 * (y1 + y0)
-    grid_low = f(
-        (cx + hx * _LOW_NODES)[:, None], (cy + hy * _LOW_NODES)[None, :]
-    )
-    low = hx * hy * np.einsum("i,j,ij->", _LOW_WEIGHTS, _LOW_WEIGHTS, grid_low)
-    grid_high = f(
-        (cx + hx * _HIGH_NODES)[:, None], (cy + hy * _HIGH_NODES)[None, :]
-    )
-    high = hx * hy * np.einsum("i,j,ij->", _HIGH_WEIGHTS, _HIGH_WEIGHTS, grid_high)
-    absolute = hx * hy * np.einsum(
-        "i,j,ij->", _HIGH_WEIGHTS, _HIGH_WEIGHTS, np.abs(grid_high)
-    )
-    error = max(abs(high - low), _NOISE_FLOOR * absolute)
-    return float(high), float(error)
+    low = hx * hy * _rule_sum([cx + hx * t for t in _LOW_NODES],
+                              [cy + hy * t for t in _LOW_NODES],
+                              _LOW_WEIGHTS, v2, sign, shift)
+    high = hx * hy * _rule_sum([cx + hx * t for t in _HIGH_NODES],
+                               [cy + hy * t for t in _HIGH_NODES],
+                               _HIGH_WEIGHTS, v2, sign, shift)
+    return high, max(abs(high - low), _NOISE_FLOOR * abs(high))
 
 
-def _adaptive_quad(f, x0: float, x1: float, y0: float, y1: float) -> QuadratureResult:
-    """Globally adaptive 2-D quadrature: always split the worst patch in four.
+def _adaptive_quad(v2: float, sign: float, shift: float,
+                   x0: float, x1: float, y0: float, y1: float) -> QuadratureResult:
+    """Globally adaptive 2-D quadrature of the kernel of _rule_sum: always
+    split the worst patch in four.
 
     The final value is a compensated sum over the surviving patches in a
     fixed spatial order, so results are deterministic.
     """
-    value, error = _patch(f, x0, x1, y0, y1)
+    value, error = _patch(v2, sign, shift, x0, x1, y0, y1)
     heap = [(-error, 0, x0, x1, y0, y1, value, error)]
     counter = 1
     total = value
@@ -120,7 +171,7 @@ def _adaptive_quad(f, x0: float, x1: float, y0: float, y1: float) -> QuadratureR
         ym = 0.5 * (py0 + py1)
         for qx0, qx1 in ((px0, xm), (xm, px1)):
             for qy0, qy1 in ((py0, ym), (ym, py1)):
-                qval, qerr = _patch(f, qx0, qx1, qy0, qy1)
+                qval, qerr = _patch(v2, sign, shift, qx0, qx1, qy0, qy1)
                 heapq.heappush(heap, (-qerr, counter, qx0, qx1, qy0, qy1, qval, qerr))
                 counter += 1
                 total += qval
@@ -164,16 +215,18 @@ def pole_entry_translated(v: float, a: float, n: int) -> float:
     return 2.0 * a * abs(n) * v / (1.0 + v)
 
 
-def _quad_square(seg: PathSegment, threshold: float, pole: str, kernel) -> QuadratureResult:
-    """kernel integrated over [z0, z0+b]^2, or PoleInsideDomainError, its
-    message led by pole, once b reaches the pole's entry threshold."""
+def _quad_square(seg: PathSegment, threshold: float, pole: str,
+                 sign: float, shift: float) -> QuadratureResult:
+    """The kernel of _rule_sum at v2 = v^2, sign and shift integrated over
+    [z0, z0+b]^2, or PoleInsideDomainError, its message led by pole, once b
+    reaches the pole's entry threshold."""
     if seg.b >= threshold:
         raise PoleInsideDomainError(
             f"{pole}: b = {seg.b!r} reaches the entry threshold {threshold!r}",
             threshold=threshold,
         )
     lo, hi = seg.z0, seg.z0 + seg.b
-    return _adaptive_quad(kernel, lo, hi, lo, hi)
+    return _adaptive_quad(seg.v * seg.v, sign, shift, lo, hi, lo, hi)
 
 
 def quad_one_plate(seg: PathSegment) -> QuadratureResult:
@@ -184,8 +237,7 @@ def quad_one_plate(seg: PathSegment) -> QuadratureResult:
     diverges there while the closed form continues through it.
     """
     return _quad_square(seg, pole_entry_one_plate(seg.z0, seg.v),
-                        "light-cone pole inside the integration square",
-                        lambda z, zp: one_plate_kernel(z, zp, seg.v))
+                        "light-cone pole inside the integration square", 1.0, 0.0)
 
 
 def quad_image(seg: PathSegment, a: float, n: int, family: str) -> QuadratureResult:
@@ -200,16 +252,16 @@ def quad_image(seg: PathSegment, a: float, n: int, family: str) -> QuadratureRes
         raise DomainError("image index n must be nonzero")
     if family == "reflected":
         threshold = pole_entry_reflected(seg.z0, seg.v, a, n)
-        kernel = lambda z, zp: reflected_image_kernel(z, zp, seg.v, a, n)
+        sign = 1.0
     elif family == "translated":
         threshold = pole_entry_translated(seg.v, a, n)
-        kernel = lambda z, zp: translated_image_kernel(z, zp, seg.v, a, n)
+        sign = -1.0
     else:
         raise DomainError(
             f"family must be 'reflected' or 'translated', got {family!r}"
         )
     pole = f"image light-cone pole inside the integration square for family {family!r}, n={n}"
-    return _quad_square(seg, threshold, pole, kernel)
+    return _quad_square(seg, threshold, pole, sign, 2.0 * a * n)
 
 
 @record
@@ -337,6 +389,8 @@ def brute_dual_correlator(
     No tail logic, no convergence gating; used to cross-check the production
     closed form, correlator_dual_plate, on benign points.
     """
+    import numpy as np
+
     check_separation(a)
     dt = t - t_prime
     dz = z - z_prime

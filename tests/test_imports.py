@@ -1,4 +1,5 @@
-"""Import boundary: the oracle, and with it numpy, loads on first use.
+"""Import boundary: the oracle loads on first use, and numpy only with a
+long two-plate pair block or brute_dual_correlator; verify runs without it.
 
 Each check runs in a fresh interpreter, because this test session has long
 since imported both."""
@@ -73,6 +74,35 @@ def test_commands_without_the_oracle_run_without_numpy(argv):
     )
     assert code == 0
     assert loaded == {"numpy": False, "casvolt.oracle": False}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify"], 0),
+    (["verify", "--inject-wrong-sign"], 4),
+])
+def test_verify_runs_the_oracle_without_numpy(argv, expected):
+    # the oracle's quadrature is pure Python, so verify, passing or failing,
+    # has no use for numpy
+    code, loaded = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from casvolt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        f"print(json.dumps([code, {LOADED}]))"
+    )
+    assert code == expected
+    assert loaded == {"numpy": False, "casvolt.oracle": True}
+
+
+def test_brute_dual_correlator_loads_numpy():
+    loaded = _fresh(
+        "import json, sys\n"
+        "from casvolt import brute_dual_correlator\n"
+        "brute_dual_correlator(0.2, 0.3, 0.0, 0.4, 1.0, n_terms=10)\n"
+        f"print(json.dumps({LOADED}))"
+    )
+    assert loaded == {"numpy": True, "casvolt.oracle": True}
 
 
 def test_two_plate_n_max_refusal_runs_without_numpy():

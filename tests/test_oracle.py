@@ -1,7 +1,9 @@
 """Independent quadrature, derivative, and verification oracles."""
 import math
 import random
+import sys
 
+import numpy as np
 import pytest
 
 import casvolt.oracle as oracle
@@ -12,17 +14,29 @@ from casvolt import (
     PoleInsideDomainError,
     deriv_check,
     one_plate_integral,
+    one_plate_kernel,
     quad_image,
     quad_one_plate,
     reflected_image_integral,
+    reflected_image_kernel,
     run_verification,
     translated_image_integral,
+    translated_image_kernel,
 )
 from casvolt.closed_forms import _reflection_square, _translation_square
 from casvolt.oracle import (
     _DERIV_MARGIN,
+    _HIGH_NODES,
+    _HIGH_WEIGHTS,
+    _LOW_NODES,
+    _LOW_WEIGHTS,
+    _NOISE_FLOOR,
     _closed_reflection,
     _closed_translated,
+    _patch,
+    _rule_sum,
+    _sample_image,
+    _sample_one_plate,
     _sample_translation_point,
     pole_entry_one_plate,
     pole_entry_reflected,
@@ -37,6 +51,86 @@ def test_quad_one_plate_matches_closed_form():
     assert result.value == pytest.approx(closed, rel=1e-12, abs=0.0)
     assert abs(result.value - closed) <= result.error_estimate
     assert result.error_estimate <= 1e-9 * abs(closed)
+
+
+EPS = sys.float_info.epsilon
+
+
+@pytest.mark.parametrize("size, nodes, weights", [
+    (8, _LOW_NODES, _LOW_WEIGHTS), (16, _HIGH_NODES, _HIGH_WEIGHTS),
+])
+def test_rules_are_gauss_legendre(size, nodes, weights):
+    # the Newton-refined rule sits within a few ulps of 1 of numpy's
+    # eigenvalue rule, whose weights are themselves up to ~60 ulps of the
+    # weight off the exact ones
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(size)
+    assert len(nodes) == len(weights) == size
+    assert max(abs(x - r) for x, r in zip(nodes, ref_nodes)) <= 2 * EPS
+    assert max(abs(w - r) for w, r in zip(weights, ref_weights)) <= 8 * EPS
+    assert abs(math.fsum(weights) - 2.0) <= 2 * EPS
+    for k in range(2 * size):
+        moment = math.fsum(w * x**k for x, w in zip(nodes, weights))
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(moment - exact) <= 1e-14 * max(exact, 1.0), k
+
+
+# (name, sign, public kernel of (z, z', v, a, n)) of each quadrature family
+FAMILIES = [
+    ("one_plate", 1.0, lambda z, zp, v, a, n: one_plate_kernel(z, zp, v)),
+    ("reflected", 1.0, reflected_image_kernel),
+    ("translated", -1.0, translated_image_kernel),
+]
+
+
+@pytest.mark.parametrize("name, sign, kernel", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_inline_integrand_is_the_public_kernel(name, sign, kernel):
+    # a one-point rule of weight 1 returns the inline integrand itself
+    rng = random.Random(20261019)
+    for _ in range(500):
+        z, zp, v = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0), rng.uniform(0.003, 0.3)
+        a, n = rng.uniform(0.5, 2.0), rng.choice((1, 2, 3, -1, -2, -3))
+        shift = 0.0 if name == "one_plate" else 2.0 * a * n
+        inline = _rule_sum([z], [zp], [1.0], v * v, sign, shift)
+        public = kernel(z, zp, v, a, n)
+        assert abs(inline - public) <= 2 * math.ulp(public), (z, zp, v, a, n)
+
+
+def _einsum_patch(kernel, x0, x1, y0, y1):
+    """The embedded rule evaluated as a numpy einsum over the public kernel,
+    with its error floored at the absolute integral."""
+    hx, cx, hy, cy = 0.5 * (x1 - x0), 0.5 * (x1 + x0), 0.5 * (y1 - y0), 0.5 * (y1 + y0)
+    sums = []
+    for size in (8, 16):
+        nodes, weights = np.polynomial.legendre.leggauss(size)
+        grid = kernel((cx + hx * nodes)[:, None], (cy + hy * nodes)[None, :])
+        sums.append([hx * hy * np.einsum("i,j,ij->", weights, weights, values)
+                     for values in (grid, np.abs(grid))])
+    (low, _), (high, absolute) = sums
+    return float(high), float(max(abs(high - low), _NOISE_FLOOR * absolute))
+
+
+@pytest.mark.parametrize("name, sign, kernel", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_patch_matches_an_einsum_of_the_rule(name, sign, kernel):
+    # whole verify squares, whose two rules differ by up to order one, and
+    # quadrants of them down to the noise floor
+    rng = random.Random(4242)
+    for _ in range(30):
+        if name == "one_plate":
+            seg, a, n = _sample_one_plate(rng), 1.0, 1
+        else:
+            seg, a, n = _sample_image(rng, name)
+        shift = 0.0 if name == "one_plate" else 2.0 * a * n
+        x0, x1 = seg.z0, seg.z0 + seg.b
+        y0, y1 = x0, x1
+        for _ in range(rng.randrange(4)):
+            xm, ym = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+            x0, x1 = rng.choice(((x0, xm), (xm, x1)))
+            y0, y1 = rng.choice(((y0, ym), (ym, y1)))
+        value, error = _patch(seg.v * seg.v, sign, shift, x0, x1, y0, y1)
+        ref_value, ref_error = _einsum_patch(
+            lambda z, zp: kernel(z, zp, seg.v, a, n), x0, x1, y0, y1)
+        assert abs(value - ref_value) <= 1e-14 * ref_value
+        assert abs(error - ref_error) <= 1e-14 * ref_value
 
 
 def test_quadrature_gives_up_at_the_subdivision_cap(monkeypatch):
