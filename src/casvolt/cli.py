@@ -19,29 +19,13 @@ or quadrature failed to converge, 4 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
-from .closed_forms import PathSegment, _reflection_square
-from .correlators import SpacetimePair, correlator_dual_plate, correlator_single_plate
+# the exit-code mapping and the parser's defaults read these three; each
+# command imports the modules it runs, so a cold start compiles no others
 from .errors import CasvoltError, ConvergenceError, DomainError, SingularityError
-from .experiment import (
-    DEFAULT_SCENARIO,
-    load_scenario,
-    moddel_report,
-    rms_estimate_eV,
-)
 from .summation import SummationControl
 from .units import CONSTANTS, length_to_natural
-from .variance import (
-    Particle,
-    rms_one_plate_smallv,
-    variance_one_plate,
-    variance_two_plate_exact,
-    variance_two_plate_smallv,
-)
 
 __all__ = ["main"]
 
@@ -75,6 +59,9 @@ def _json_value(value):
 def _emit(rows: list[dict], args, command: str) -> None:
     """Write rows as CSV or JSON to --output (default stdout)."""
     if args.format == "csv":
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         if rows:
@@ -83,6 +70,8 @@ def _emit(rows: list[dict], args, command: str) -> None:
                 writer.writerow(_cell(value) for value in row.values())
         text = buffer.getvalue()
     else:
+        import json
+
         text = json.dumps(_json_value({"command": command, "rows": rows}), indent=2) + "\n"
     _write(text, args)
 
@@ -91,9 +80,12 @@ def _write(text: str, args) -> None:
     """Write text to --output (default stdout)."""
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise DomainError(f"could not write --output: {exc}") from exc
 
 
 def _length_suffix(args) -> str:
@@ -158,6 +150,8 @@ def _add_particle_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_correlator(args) -> int:
+    from .correlators import SpacetimePair, correlator_dual_plate, correlator_single_plate
+
     suffix = _length_suffix(args)
     pair = SpacetimePair(
         t=_time_to_natural(args.t, args),
@@ -188,6 +182,15 @@ def _cmd_correlator(args) -> int:
 
 def _variance_row(args) -> dict:
     """One variance/estimate row: lengths as given, computed in natural units."""
+    from .closed_forms import PathSegment
+    from .variance import (
+        Particle,
+        rms_one_plate_smallv,
+        variance_one_plate,
+        variance_two_plate_exact,
+        variance_two_plate_smallv,
+    )
+
     particle = Particle(charge_e=args.charge_e, mass_eV=args.mass_eV,
                         kinetic_energy_eV=args.kinetic_eV, speed=args.speed)
     if args.z0 is None:
@@ -270,6 +273,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     values = _sweep_values(args, parser)
 
     if args.over == "d_C":
+        from .experiment import rms_estimate_eV
+
         def build(value: float) -> dict:
             kinetic = args.voltage
             rms = rms_estimate_eV(kinetic, value)
@@ -310,6 +315,8 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
     reflection_override = None
     if args.inject_wrong_sign:
+        from .closed_forms import _reflection_square
+
         def reflection_override(base, b, v):
             return -_reflection_square(base, b, v)
 
@@ -320,6 +327,8 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         reflection_override=reflection_override,
     )
     if args.format == "json":
+        import json
+
         _write(json.dumps(_json_value(report.to_dict()), indent=2) + "\n", args)
     else:
         rows = [
@@ -342,9 +351,13 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_moddel(args) -> int:
+    from .experiment import DEFAULT_SCENARIO, load_scenario, moddel_report
+
     if args.scenario is None:
         data = dict(DEFAULT_SCENARIO)
     else:
+        import json
+
         try:
             with open(args.scenario, "r", encoding="utf-8") as handle:
                 data = json.load(handle)

@@ -32,20 +32,10 @@ from __future__ import annotations
 import math
 import warnings
 
+from . import _EXPORTS
 from .errors import DomainError, SingularityError, check_length, check_separation, record
 
-__all__ = [
-    "PathSegment",
-    "one_plate_integral",
-    "one_plate_integral_smallv",
-    "reflected_image_integral",
-    "reflected_image_integral_smallv",
-    "translated_image_integral",
-    "translated_image_integral_smallv",
-    "one_plate_kernel",
-    "reflected_image_kernel",
-    "translated_image_kernel",
-]
+__all__ = list(_EXPORTS["closed_forms"])
 
 # Evaluation limits for the exact squares: below v ~ 1e-6 the 1/v^3
 # prefactors destroy all precision in the corner differences (use the small-v

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .errors import (
     _LENGTH_MAX,
     DomainError,
@@ -21,13 +22,7 @@ from .errors import (
 )
 from .summation import SummationResult
 
-__all__ = [
-    "SpacetimePair",
-    "MeanSquaredField",
-    "correlator_single_plate",
-    "correlator_dual_plate",
-    "mean_squared_field",
-]
+__all__ = list(_EXPORTS["correlators"])
 
 # a denominator (difference of squares, then squared) counts as singular when
 # it falls below this relative fraction of its scale to the fourth power

@@ -11,13 +11,9 @@ from __future__ import annotations
 
 import math
 
-__all__ = [
-    "CasvoltError",
-    "DomainError",
-    "SingularityError",
-    "PoleInsideDomainError",
-    "ConvergenceError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class CasvoltError(Exception):

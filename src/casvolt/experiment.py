@@ -12,23 +12,11 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .errors import DomainError, check_positive_finite, record
 from .units import CONSTANTS, length_to_natural, speed_from_kinetic
 
-__all__ = [
-    "MaterialMirror",
-    "ExperimentConfig",
-    "RegimeReport",
-    "EnhancementRatio",
-    "ModdelRow",
-    "DEFAULT_SCENARIO",
-    "rms_estimate_eV",
-    "minkowski_rms",
-    "enhancement_ratio",
-    "regime_classify",
-    "load_scenario",
-    "moddel_report",
-]
+__all__ = list(_EXPORTS["experiment"])
 
 # a layer thinner than this many reduced plasma wavelengths is treated as
 # transparent; one much thicker reflects at its plasma frequency

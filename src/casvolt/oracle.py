@@ -21,7 +21,7 @@ import random
 import sys
 import time
 
-from . import _ORACLE_NAMES
+from . import _EXPORTS
 from .closed_forms import (
     PathSegment,
     _check_small_speed,
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .variance import FluctuationResult, Particle, _result
 
-__all__ = list(_ORACLE_NAMES)
+__all__ = list(_EXPORTS["oracle"])
 
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -122,6 +122,29 @@ def _rule_sum(xs, ys, weights, v2: float, sign: float, shift: float) -> float:
     return total
 
 
+def _symmetric_rule_sum(xs, weights, v2: float, shift: float) -> float:
+    """_rule_sum(xs, xs, weights, v2, +1, shift), forming each off-diagonal
+    kernel value once.
+
+    At sign = +1 the kernel is symmetric to the bit, K(x_i, x_j) =
+    K(x_j, x_i): x_j - x_i is exactly -(x_i - x_j) and x_j + x_i is
+    x_i + x_j, so the sum is its diagonal plus twice its upper triangle.
+    """
+    nodes = list(zip(weights, xs))
+    total = 0.0
+    for i, (wx, x) in enumerate(nodes):
+        s = (x + x) - shift
+        den = v2 * (s * s)
+        row = 0.5 * wx / (den * den)
+        for wy, y in nodes[i + 1:]:
+            d = x - y
+            s = (x + y) - shift
+            den = d * d - v2 * (s * s)
+            row += wy / (den * den)
+        total += wx * row
+    return 2.0 * total
+
+
 def _patch(v2: float, sign: float, shift: float,
            x0: float, x1: float, y0: float, y1: float) -> tuple[float, float]:
     """Embedded 8x8 / 16x16 tensor Gauss-Legendre estimates on one patch of
@@ -129,18 +152,23 @@ def _patch(v2: float, sign: float, shift: float,
 
     Returns (high-order value, error estimate). The estimate is the
     difference of the two rules, floored at _NOISE_FLOOR times the patch's
-    integral; the kernel is positive, so that is its absolute integral.
+    integral; the kernel is positive, so that is its absolute integral. A
+    patch on the diagonal of a sign = +1 kernel takes _symmetric_rule_sum.
     """
     hx = 0.5 * (x1 - x0)
     cx = 0.5 * (x1 + x0)
     hy = 0.5 * (y1 - y0)
     cy = 0.5 * (y1 + y0)
-    low = hx * hy * _rule_sum([cx + hx * t for t in _LOW_NODES],
-                              [cy + hy * t for t in _LOW_NODES],
-                              _LOW_WEIGHTS, v2, sign, shift)
-    high = hx * hy * _rule_sum([cx + hx * t for t in _HIGH_NODES],
-                               [cy + hy * t for t in _HIGH_NODES],
-                               _HIGH_WEIGHTS, v2, sign, shift)
+    symmetric = sign > 0.0 and x0 == y0 and x1 == y1
+    estimates = []
+    for nodes, weights in ((_LOW_NODES, _LOW_WEIGHTS), (_HIGH_NODES, _HIGH_WEIGHTS)):
+        xs = [cx + hx * t for t in nodes]
+        if symmetric:
+            total = _symmetric_rule_sum(xs, weights, v2, shift)
+        else:
+            total = _rule_sum(xs, [cy + hy * t for t in nodes], weights, v2, sign, shift)
+        estimates.append(hx * hy * total)
+    low, high = estimates
     return high, max(abs(high - low), _NOISE_FLOOR * abs(high))
 
 

@@ -15,9 +15,10 @@ import math
 from functools import lru_cache
 from numbers import Integral
 
+from . import _EXPORTS
 from .errors import DomainError, record
 
-__all__ = ["SummationControl", "SummationResult"]
+__all__ = list(_EXPORTS["summation"])
 
 # Least argument x at which hurwitz_zeta_series's rows reach double
 # precision; a subtracted tail built from zeta(s, N + 1) needs N + 1 >= this.

@@ -9,17 +9,10 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .errors import _LENGTH_MAX, _LENGTH_MIN, DomainError, check_positive_finite, record
 
-__all__ = [
-    "Constants",
-    "CONSTANTS",
-    "length_to_natural",
-    "natural_to_length",
-    "speed_from_kinetic",
-    "kinetic_from_speed",
-    "charge_natural",
-]
+__all__ = list(_EXPORTS["units"])
 
 
 @record

@@ -17,6 +17,7 @@ import operator
 import sys
 from functools import lru_cache
 
+from . import _EXPORTS
 from .closed_forms import (
     PathSegment,
     _check_small_speed,
@@ -35,16 +36,7 @@ from .errors import (
 from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta_series
 from .units import CONSTANTS, speed_from_kinetic
 
-__all__ = [
-    "Particle",
-    "FluctuationResult",
-    "WindowReport",
-    "variance_one_plate",
-    "rms_one_plate_smallv",
-    "validity_window",
-    "variance_two_plate_exact",
-    "variance_two_plate_smallv",
-]
+__all__ = list(_EXPORTS["variance"])
 
 _SPEED_MATCH_RTOL = 1e-9
 # The two-plate sum subtracts its analytic tail from the first index n >= 16,

@@ -524,6 +524,19 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert path.read_text(encoding="utf-8") == stdout_text
 
 
+@pytest.mark.parametrize("argv", [
+    ["variance", "--plates", "one", "--z0", "100", "--b", "10", "--kinetic-eV", "1"],
+    # verify writes only after running every check
+    ["verify", "--sets", "1", "--grid-points", "1"],
+], ids=["variance", "verify"])
+def test_unwritable_output_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "table.csv"
+    code, out, err = _run(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == ""
+    assert "error: could not write --output" in err and str(path) in err
+    assert not path.exists()
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -1,8 +1,10 @@
-"""Import boundary: the oracle loads on first use, and numpy only with a
-long two-plate pair block or brute_dual_correlator; verify runs without it.
+"""Import boundary: `import casvolt` imports no submodule, each command
+loads only the modules it runs, the oracle loads on first use, and numpy
+only with a long two-plate pair block or brute_dual_correlator; verify runs
+without it.
 
 Each check runs in a fresh interpreter, because this test session has long
-since imported both."""
+since imported all of them."""
 import json
 import os
 import subprocess
@@ -193,8 +195,9 @@ def test_series_cross_checks_live_outside_production():
             if getattr(value, "__module__", None) == "casvolt.summation"] == []
 
 
-EAGER_MODULES = ["closed_forms", "correlators", "errors", "experiment", "summation", "units",
-                 "variance"]
+# every module but the oracle
+PRODUCTION_MODULES = ["closed_forms", "correlators", "errors", "experiment", "summation",
+                      "units", "variance"]
 # casvolt.__all__, sorted; a name joins or leaves the package surface here
 # and in its module's __all__ together
 PUBLIC = [
@@ -221,7 +224,7 @@ PUBLIC = [
 def _modules():
     from importlib import import_module
 
-    return {name: import_module(f"casvolt.{name}") for name in EAGER_MODULES}
+    return {name: import_module(f"casvolt.{name}") for name in PRODUCTION_MODULES}
 
 
 def test_package_exports_the_modules_lists():
@@ -234,12 +237,91 @@ def test_package_exports_the_modules_lists():
 def test_lazy_names_are_the_oracle_list():
     import casvolt.oracle as oracle
 
-    assert sorted(casvolt._ORACLE_NAMES) == sorted(oracle.__all__) == ORACLE_NAMES
+    assert sorted(casvolt._EXPORTS["oracle"]) == sorted(oracle.__all__) == ORACLE_NAMES
     declared = {name for module in _modules().values() for name in module.__all__}
-    assert declared.isdisjoint(casvolt._ORACLE_NAMES)
+    assert declared.isdisjoint(casvolt._EXPORTS["oracle"])
 
 
 def test_every_export_is_its_modules_object():
     for name, module in _modules().items():
         for attr in module.__all__:
             assert getattr(casvolt, attr) is getattr(module, attr), (name, attr)
+
+
+# the modules the cli imports at module level: the exit-code mapping and the
+# parser's defaults read them
+CLI_BASE = ["cli", "errors", "summation", "units"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (None, []),
+    (VARIANCE_ONE, [*CLI_BASE, "closed_forms", "variance"]),
+    (["sweep", "--over", "v", "--values", "0.015,0.03,0.07", "--plates", "two", "--z0", "0.3",
+      "--b", "0.1", "--a", "1", "--natural-units"], [*CLI_BASE, "closed_forms", "variance"]),
+    (["correlator", "--plates", "dual", "--z", "0.3", "--z-prime", "0.4", "--t", "0.2",
+      "--a", "1", "--natural-units"], [*CLI_BASE, "correlators"]),
+    (["moddel"], [*CLI_BASE, "experiment"]),
+    # the oracle imports closed_forms and variance
+    (["verify"], [*CLI_BASE, "closed_forms", "oracle", "variance"]),
+], ids=["import casvolt", "variance", "sweep", "correlator", "moddel", "verify"])
+def test_each_run_loads_only_its_modules(argv, modules):
+    run = "import casvolt" if argv is None else (
+        "import contextlib, io, runpy\n"
+        f"sys.argv = ['casvolt', *{argv!r}]\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    runpy.run_module('casvolt', run_name='__main__', alter_sys=True)"
+    )
+    loaded = _fresh(
+        "import json, sys\n"
+        f"{run}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('casvolt.'))))"
+    )
+    assert loaded == sorted(f"casvolt.{module}" for module in modules)
+
+
+def test_every_name_resolves_after_a_bare_import():
+    # names bind on first use, each module's whole row at once, so later
+    # lookups are plain reads of the package namespace
+    resolved = _fresh(
+        "import json\n"
+        "import casvolt\n"
+        "before = sorted(set(casvolt.__all__) & set(vars(casvolt)))\n"
+        "casvolt.PathSegment\n"
+        "row = sorted(set(casvolt._EXPORTS['closed_forms']) - set(vars(casvolt)))\n"
+        "from importlib import import_module\n"
+        "modules = {module: import_module(f'casvolt.{module}') for module in casvolt._EXPORTS}\n"
+        "wrong = [name for module, names in casvolt._EXPORTS.items() for name in names\n"
+        "         if getattr(casvolt, name) is not getattr(modules[module], name)]\n"
+        "rows = [module for module, names in casvolt._EXPORTS.items()\n"
+        "        if modules[module].__all__ != list(names)]\n"
+        "hidden = sorted(set(casvolt.__all__) - set(dir(casvolt)))\n"
+        "print(json.dumps([before, row, wrong, rows, hidden]))"
+    )
+    assert resolved == [["__version__"], [], [], [], []]
+
+
+@pytest.mark.parametrize("module", ["closed_forms", "oracle"])
+def test_submodule_resolves_after_a_bare_import(module):
+    same = _fresh(
+        "import json, sys\n"
+        "import casvolt\n"
+        f"found = casvolt.{module}\n"
+        f"print(json.dumps(found is sys.modules['casvolt.{module}']))"
+    )
+    assert same is True
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_ORACLE_NAMES"])
+def test_unknown_name_raises_and_loads_nothing(name):
+    message, loaded = _fresh(
+        "import json, sys\n"
+        "import casvolt\n"
+        "try:\n"
+        f"    casvolt.{name}\n"
+        "except AttributeError as exc:\n"
+        "    message = str(exc)\n"
+        "print(json.dumps([message, [m for m in sys.modules if m.startswith('casvolt.')]]))"
+    )
+    assert message == f"module 'casvolt' has no attribute {name!r}"
+    assert loaded == []
