@@ -79,11 +79,11 @@ def _warn_small_speed(v: float) -> None:
 _POLE_TOUCH_EPS = 1e-10
 
 # Longest block image_pair_terms forms one index at a time, without numpy:
-# a fused pure-Python pass cost about 1.9 us per index, the numpy kernel
-# about 50 us whatever the length up to a few hundred, and they crossed at
-# 27 indices (docs/decisions.md, "Short pair blocks without numpy"); the
-# pass has since dropped to about 0.8 of that cost ("Floored pair blocks
-# end from n_U"). The least block a two-plate sum forms has 16 indices.
+# a fused pure-Python pass costs 1.7-3.4 us per index; the numpy kernel about
+# 55 us at 27 indices, growing to 80-135 us at 299 and 300 us at 1024, so
+# below 0.5 us per index from 128 on (docs/decisions.md, "Short pair blocks
+# without numpy", "The two-plate tail forms zeta directly"). The least block
+# a two-plate sum forms has 16 indices.
 _SCALAR_BLOCK = 26
 
 # Most indices image_pair_terms broadcasts in one pass. Its temporaries peak

@@ -79,9 +79,13 @@ _HIGH_NODES, _HIGH_WEIGHTS = _gauss_legendre(16)
 # rounding accumulated over the 256-point sums stays covered
 _NOISE_FLOOR = 300.0 * sys.float_info.epsilon
 # the adaptive quadrature refines until its error estimate is within this
-# fraction of the value, and gives up after this many subdivisions
+# fraction of the value, and gives up after this many subdivisions: verify's
+# squares take at most 3, one-plate squares at b = (1 - 1e-6) b* up to about
+# 140 and closer ones thousands. At about 0.4 ms each the cap stops a runaway
+# within seconds and tens of MB (docs/decisions.md, "The two-plate tail forms
+# zeta directly").
 _QUAD_REL_TOL = 1e-10
-_QUAD_MAX_SUBDIVISIONS = 10**6
+_QUAD_MAX_SUBDIVISIONS = 10**4
 # Richardson levels of the derivative check; the relative gates that
 # run_verification applies to its quadrature and derivative checks
 _RICHARDSON_LEVELS = 7

@@ -1,28 +1,22 @@
-"""Image-sum control and results, and the Hurwitz zeta series the
-two-plate sum's analytic tail is built from.
+"""Image-sum control and results.
 
 SummationControl sets an image sum's relative tolerance and its budget of
 image pairs; a sum that cannot certify within them raises ConvergenceError.
 SummationResult reports a sum: its value, the image index it summed to term
 by term and a certified bound on what truncation left out. The two-plate
-variance's image sum (variance._two_plate_sum) takes the one and returns
-the other; the dual-plate correlator returns one too, dropping no image:
-terms_used = 1 and tail_estimate = 0.0.
+variance's image sum (variance._two_plate_sum, which forms its analytic
+Hurwitz zeta tail there too) takes the one and returns the other; the
+dual-plate correlator returns one too, dropping no image: terms_used = 1
+and tail_estimate = 0.0.
 """
 from __future__ import annotations
 
-import math
-from functools import lru_cache
 from numbers import Integral
 
 from . import _EXPORTS
 from .errors import DomainError, record
 
 __all__ = list(_EXPORTS["summation"])
-
-# Least argument x at which hurwitz_zeta_series's rows reach double
-# precision; a subtracted tail built from zeta(s, N + 1) needs N + 1 >= this.
-_ZETA_X_MIN = 16
 
 
 @record
@@ -60,47 +54,3 @@ class SummationResult:
     tail_estimate: float  # certified bound on the truncation error of value
                           # (0.0 where nothing is truncated)
 
-
-# B_2, B_4, ..., B_20 as (numerator, denominator): enough Euler-Maclaurin
-# terms for double precision at x >= 16
-_BERNOULLI = (
-    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
-    (43867, 798), (-174611, 330),
-)
-
-
-@lru_cache(maxsize=None)
-def _euler_maclaurin_coefficients(s: int) -> tuple[float, ...]:
-    """B_2k / (2k)! * s (s+1) ... (s+2k-2) for k = 1, ..., len(_BERNOULLI),
-    each rounded once from exact integer arithmetic."""
-    return tuple(
-        num * math.prod(range(s, s + 2 * k - 1)) / (den * math.factorial(2 * k))
-        for k, (num, den) in enumerate(_BERNOULLI, start=1)
-    )
-
-
-@lru_cache(maxsize=None)
-def hurwitz_zeta_series(s: int, count: int) -> tuple[tuple[float, ...], ...]:
-    """Row j < count: the coefficients p_jm, m = 0, 1, ..., of
-    zeta(s + 2j, x) = x^(1-s) sum_m p_jm x^-m for x >= 16: 1/(s + 2j - 1)
-    at m = 2j, 1/2 at m = 2j + 1 and ten Bernoulli terms at m = 2j + 2k.
-
-    That is Euler-Maclaurin summation from k = 0 (DLMF 25.11.5 with N = 0,
-    2.10.1): zeta(s, x) = x^(1-s)/(s-1) + x^-s/2 + sum_k B_2k/(2k)!
-    (s)_(2k-1) x^(1-s-2k). For real x the remainder is smaller than the
-    first omitted term: below 1e-17 relative for s <= 8 and below 8e-14 for
-    s <= 16 at x >= 16.
-
-    A weighted sum of rows, taken as one polynomial in 1/x, is the weighted
-    sum of those zeta values at the cost of one polynomial whatever the
-    number of orders. For s = 4, six orders and nonnegative weights it was
-    within 3.8e-16 relative of 100-digit mpmath over 1,000 random weights
-    and x.
-    """
-    rows = []
-    for j in range(count):
-        row = [0.0] * (2 * (count + len(_BERNOULLI)) - 1)
-        row[2 * j], row[2 * j + 1] = 1.0 / (s + 2 * j - 1), 0.5
-        row[2 * j + 2:2 * j + 2 + 2 * len(_BERNOULLI):2] = _euler_maclaurin_coefficients(s + 2 * j)
-        rows.append(tuple(row))
-    return tuple(rows)

@@ -21,6 +21,7 @@ from . import _EXPORTS
 from .closed_forms import (
     PathSegment,
     _check_small_speed,
+    _check_v,
     _warn_small_speed,
     image_pair_terms,
     one_plate_integral,
@@ -33,18 +34,23 @@ from .errors import (
     check_separation,
     record,
 )
-from .summation import _ZETA_X_MIN, SummationControl, SummationResult, hurwitz_zeta_series
+from .summation import SummationControl, SummationResult
 from .units import CONSTANTS, speed_from_kinetic
 
 __all__ = list(_EXPORTS["variance"])
 
 _SPEED_MATCH_RTOL = 1e-9
-# The two-plate sum subtracts its analytic tail from the first index n >= 16,
-# where hurwitz_zeta_series reaches double precision, at which
-# U = v (2an - 2(z0+b)) / b reaches this value: there the pair terms' expansion in 1/n gains a factor
-# (1/U)^2 <= 1/4 per order, so the envelope coefficient taken at that index
-# is close to its limit.
+# The two-plate sum subtracts its analytic tail from the first index
+# n >= _ZETA_X_MIN at which U = v (2an - 2(z0+b)) / b reaches this value: there
+# the pair terms' expansion in 1/n gains a factor (1/U)^2 <= 1/4 per order, so
+# the envelope coefficient taken at that index is close to its limit.
 _TAIL_REFERENCE_U = 2.0
+# Least argument x at which _hurwitz_zeta reaches double precision with the
+# Euler-Maclaurin terms of B_2, ..., B_20, here as (numerator, denominator); a
+# subtracted tail built from zeta(s, N + 1) needs N + 1 >= this.
+_ZETA_X_MIN = 16
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+              (43867, 798), (-174611, 330))
 # The pair term's expansion in 1/n past the light cone, through n^-14:
 #   pair_term(n) = sum_{j=0..5} C_j n^-(4+2j) + O(n^-16),
 #   C_j = b^2 / (v^4 (2a)^4) sum_{k,i} q_jki g^k s^i h^(j-i),
@@ -80,9 +86,9 @@ _REMAINDER_ORDER = 4 + 2 * len(_TAIL_ORDERS)
 # pair term and the float C_j, was off by at most 1.2e-15 of it over 1,500
 # random geometries, v from 1e-4 to 0.3, at n_ref and up to 100 past it.
 _PAIR_ROUNDING = 1e-12
-# Rounding allowance on the subtracted tail T(n), relative to T(n): T is
-# formed from hurwitz_zeta_series, whose orders s = 4..14 are each within
-# 1.9e-15 relative at x = n + 1 >= 17, so it is off by a few ulps. The allowance
+# Rounding allowance on the subtracted tail T(n), relative to T(n): T is formed
+# from _hurwitz_zeta, whose orders s = 4..14 are each within 14.5 ulps of
+# 80-digit mpmath at x = n + 1 from 17 to 10^6. The allowance
 # max(_TAIL_ROUNDING, n ulps) covers that with a wide margin.
 _TAIL_ROUNDING = 1e-12
 _ULP = 2.0**-53
@@ -335,24 +341,34 @@ def _tail_coefficients(seg: PathSegment, a: float) -> list[float]:
             for order in _TAIL_TERMS]
 
 
+@lru_cache(maxsize=None)
+def _euler_maclaurin_coefficients(s: int) -> tuple[float, ...]:
+    """B_2k / (2k)! * s (s+1) ... (s+2k-2) for k = 1, ..., len(_BERNOULLI),
+    each rounded once from exact integer arithmetic."""
+    return tuple(
+        num * math.prod(range(s, s + 2 * k - 1)) / (den * math.factorial(2 * k))
+        for k, (num, den) in enumerate(_BERNOULLI, start=1)
+    )
+
+
+def _hurwitz_zeta(s: int, x: float) -> float:
+    """zeta(s, x) = x^(1-s) [1/(s-1) + 1/(2x) + sum_k c_k(s) x^-2k] for x >= 16,
+    c_k the _euler_maclaurin_coefficients: Euler-Maclaurin summation from
+    k = 0 (DLMF 25.11.5 with N = 0, 2.10.1). For real x the remainder is
+    smaller than the first omitted term: below 1e-17 relative for s <= 8 and
+    below 8e-14 for s <= 16 at x >= 16."""
+    inv_sq = 1.0 / (x * x)
+    total = 0.0
+    for c in reversed(_euler_maclaurin_coefficients(s)):
+        total = (total + c) * inv_sq
+    return x ** (1 - s) * (1.0 / (s - 1) + 0.5 / x + total)
+
+
 @lru_cache(maxsize=4096)
 def _tail_zetas(x: float) -> tuple[float, ...]:
-    """zeta(4+2j, x), j = 0, ..., 5, at an integer x >= 16: the rows of
-    hurwitz_zeta_series, each a polynomial in 1/x times x^-3. The sum takes
+    """zeta(4+2j, x), j = 0, ..., 5, at an integer x >= 16. The sum takes
     them at block ends, which repeat from sum to sum."""
-    inverse = 1.0 / x
-    zetas = []
-    for row in hurwitz_zeta_series(4, len(_TAIL_ORDERS)):
-        total = 0.0
-        for p in reversed(row):
-            total = total * inverse + p
-        zetas.append(x**-3 * total)
-    return tuple(zetas)
-
-
-def _tail_sum(coefficients: list[float], x: float) -> float:
-    """T = sum_j C_j zeta(4+2j, x), x >= 16 an integer."""
-    return sum(map(operator.mul, coefficients, _tail_zetas(x)))
+    return tuple(_hurwitz_zeta(4 + 2 * j, x) for j in range(len(_TAIL_ORDERS)))
 
 
 def _tail_expansion(coefficients: list[float], n: int) -> float:
@@ -400,6 +416,7 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     falls while value(N) rises by r(N+1) >= 0, so when n_max does not
     certify no index up to n_max does, and the sum refuses.
     """
+    _check_v(seg.v)
     v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
     tol, n_max = control.tol, control.n_max
     n_u = math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a))
@@ -425,7 +442,7 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     parts = [base, *terms]
     while True:
         x = end + 1.0
-        tail = _tail_sum(coefficients, x)
+        tail = sum(map(operator.mul, coefficients, _tail_zetas(x)))
         bound = envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, end * _ULP) * tail
         value = math.fsum([*parts, tail])
         if bound <= tol * abs(value):
@@ -458,8 +475,8 @@ def variance_two_plate_exact(
     terms (about 1e-15 of the value), which at the default tol it often
     falls below. Raises ConvergenceError when
     no pair up to control.n_max certifies, at once and without numpy when
-    control.n_max < n_ref. The flight must stay between the plates:
-    0 < z0 and z0 + b < a.
+    control.n_max < n_ref. The flight must stay between the plates,
+    0 < z0 and z0 + b < a, and v must lie in (1e-6, 0.99).
     """
     check_separation(a)
     if not seg.z0 + seg.b < a:

@@ -1,10 +1,13 @@
 """End-to-end checks of the command-line interface (in-process)."""
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casvolt import (
     ConvergenceError,
@@ -386,6 +389,61 @@ def test_exhausted_image_budget_exits_three(capsys):
     )
     assert code == 3
     assert "n_max=1" in err
+
+
+@pytest.mark.parametrize("speed", ["1e-320", "1e-7"])
+def test_two_plate_speed_below_the_range_exits_two(capsys, speed):
+    # 1e-320 raised OverflowError out of main (a traceback, exit 1) and 1e-7
+    # exhausted the image budget (exit 3) before the speed was checked
+    code, out, err = _run(
+        capsys,
+        "variance", "--plates", "two", "--z0", "0.3", "--b", "0.1", "--a", "1",
+        "--speed", speed, "--natural-units",
+    )
+    assert code == 2 and out == ""
+    assert f"speed v={float(speed)!r} outside the supported range" in err
+
+
+# Awkward values for every numeric flag, and command templates whose slots
+# take them as --flag=value (so that "-inf" is not read as an option). A
+# small --n-max keeps each two-plate sum short.
+_FUZZ_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "1e-7", "0.999999",
+                "1e-60", "1e60", "0.01", "0.1", "0.3", "1", "2.5")
+_FUZZ_TEMPLATES = {
+    "variance_one": (["variance", "--plates", "one", "--natural-units"],
+                     ("--z0", "--b", "--speed")),
+    "variance_two": (["variance", "--plates", "two", "--natural-units", "--n-max", "300"],
+                     ("--z0", "--b", "--a", "--speed")),
+    "variance_small_v": (["variance", "--plates", "two", "--mode", "small-v"],
+                         ("--z0", "--a", "--kinetic-eV", "--charge-e")),
+    "correlator_single": (["correlator", "--plates", "single"], ("--z", "--z-prime", "--t")),
+    "correlator_dual": (["correlator", "--plates", "dual", "--natural-units"],
+                        ("--z", "--z-prime", "--t", "--a")),
+    "sweep": (["sweep", "--over", "v", "--plates", "two", "--natural-units", "--n-max", "300"],
+              ("--values", "--z0", "--b", "--a")),
+    "moddel": (["moddel"], ("--voltage",)),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    fixed, flags = _FUZZ_TEMPLATES[draw(st.sampled_from(sorted(_FUZZ_TEMPLATES)))]
+    return fixed + [f"{flag}={draw(st.sampled_from(_FUZZ_VALUES))}" for flag in flags]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_fuzz_argv())
+@example(argv=["variance", "--plates", "two", "--natural-units", "--n-max", "300",
+               "--z0=0.3", "--b=0.1", "--a=1", "--speed=1e-320"])
+def test_awkward_numbers_exit_with_a_documented_code(argv):
+    # main returns 0, 2 (domain), 3 (convergence) or 4 (verify failed); only
+    # argparse's usage errors leave it, as SystemExit
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
 
 
 def test_verify_passes_and_reports(capsys):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casvolt import SpacetimePair, correlator_dual_plate
-from casvolt.summation import hurwitz_zeta_series
+from casvolt.variance import _hurwitz_zeta
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -125,17 +125,15 @@ def test_tail_requests_zeta_orders_up_to_sixteen(tol, t):
     # The image sum the closed form replaced, rebuilt here: every image with
     # |n| < N term by term and, past them, 1/(s^2 - d^2)^2
     # = sum_j (j + 1) d^2j / s^(2j+4) summed over n as Hurwitz zeta orders
-    # 4, 6, ..., 16 from hurwitz_zeta_series. N is the least head, from 17
+    # 4, 6, ..., 16 from _hurwitz_zeta. N is the least head, from 17
     # on, at which orders 18 and up are bounded by tol/2 of the value; the
     # closed form must then agree with the sum to within tol.
     z, z_prime, a = 0.3, 0.4, 1.0
     value = _reference(t, z, z_prime, a)
     d, width = abs(t), 2.0 * a
-    rows = hurwitz_zeta_series(4, 7)
-    orders = [4 + 2 * j for j in range(len(rows))]
+    orders = [4 + 2 * j for j in range(7)]
     assert orders[0] == 4 and orders[-1] == 16
-    weights = [(j + 1) * d ** (2 * j) / width ** (4 + 2 * j) for j in range(len(rows))]
-    series = [math.fsum(w * row[m] for w, row in zip(weights, rows)) for m in range(len(rows[0]))]
+    weights = [(j + 1) * d ** (2 * j) / width ** (4 + 2 * j) for j in range(len(orders))]
     # each family's separation c; the z - z' family has no n = 0 term
     families = ((z + z_prime, True), (z - z_prime, False))
 
@@ -151,9 +149,9 @@ def test_tail_requests_zeta_orders_up_to_sixteen(tol, t):
             r = (d / (width * x)) ** 2
             if r >= 1.0:  # images inside the light cone: the series diverges
                 return math.inf
-            first = len(rows) + 1
-            bound += (d ** (2 * len(rows)) / width ** (4 + 2 * len(rows))
-                      * _zeta_upper_bound(4 + 2 * len(rows), x)
+            first = len(orders) + 1
+            bound += (d ** (2 * len(orders)) / width ** (4 + 2 * len(orders))
+                      * _zeta_upper_bound(4 + 2 * len(orders), x)
                       * (first / (1.0 - r) + r / (1.0 - r) ** 2))
         return bound
 
@@ -163,10 +161,7 @@ def test_tail_requests_zeta_orders_up_to_sixteen(tol, t):
     terms = [1.0 / (d * d - (c - width * n) ** 2) ** 2
              for c, with_zero in families for n in range(1 - head, head) if n or with_zero]
     for x in tail_starts(head):
-        total = 0.0
-        for p in reversed(series):
-            total = total / x + p
-        terms.append(x**-3 * total)
+        terms += [w * _hurwitz_zeta(s, x) for w, s in zip(weights, orders)]
     image_sum = math.fsum(terms) / math.pi**2
 
     result = correlator_dual_plate(SpacetimePair(t=t, z=z, t_prime=0.0, z_prime=z_prime), a)

@@ -144,6 +144,26 @@ def test_quadrature_gives_up_at_the_subdivision_cap(monkeypatch):
         quad_one_plate(seg)
 
 
+def test_a_runaway_quadrature_stops_at_the_cap(monkeypatch):
+    # an estimate that never shrinks: each split's four patches carry the
+    # whole error again, so only the cap ends the refinement. A real
+    # subdivision costs about 0.4 ms, and at a cap of 10^6 such a runaway
+    # ran for minutes and past 1 GB; at 10^4 it stops within seconds.
+    calls = []
+
+    def flat(*args):
+        calls.append(args)
+        return 1.0, 1.0
+
+    monkeypatch.setattr(oracle, "_patch", flat)
+    cap = oracle._QUAD_MAX_SUBDIVISIONS
+    assert cap <= 10**4
+    with pytest.raises(ConvergenceError,
+                       match=f"quadrature did not reach tolerance after {cap} subdivisions"):
+        quad_one_plate(PathSegment(1.0, 0.019, 0.01))
+    assert len(calls) == 1 + 4 * cap
+
+
 def test_quad_one_plate_refuses_pole_inside_domain():
     # b beyond 2 v z0 / (1 - v) puts the light cone inside the square
     seg = PathSegment(1.0, 0.05, 0.01)

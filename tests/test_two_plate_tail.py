@@ -3,6 +3,7 @@ of the certified two-plate variance over the benchmark's geometry ranges."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from casvolt import (
     variance_two_plate_exact,
 )
 from casvolt.closed_forms import image_pair_terms
+from casvolt.variance import _zeta16_bound
 
 # speeds 1e-3 to 1e-1; a in [0.5, 2], z0/a in [0.05, 0.8], b/(a - z0) in [0.02, 0.5]
 speeds = st.floats(-3.0, -1.0).map(lambda e: 10.0**e)
@@ -94,3 +96,20 @@ def test_two_plate_variance_mirror_symmetry(a, z0_frac, b_frac, v):
     right = _variance(PathSegment(z0=a - seg.z0 - seg.b, b=seg.b, v=v), a)
     allowed = left.tail_estimate_eV2 + right.tail_estimate_eV2 + 1e-13 * left.variance_eV2
     assert abs(left.variance_eV2 - right.variance_eV2) <= allowed
+
+
+def test_zeta16_bound_holds_with_a_small_excess():
+    # the envelope's one analytic inequality: zeta(16, x) <= _zeta16_bound(x),
+    # to within the bound's own rounding, at the block ends x = N + 1 >= 17 a
+    # sum certifies at; and the bound overestimates by at most 1e-3 of it
+    # (7.85e-4 at x = 17, falling like 1/x^2). The reference takes 80 digits.
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0**-53
+    xs = [float(x) for x in range(17, 65)]
+    xs += [float(round(10.0 ** (math.log10(65.0) + i * (6.0 - math.log10(65.0)) / 40)))
+           for i in range(41)]
+    with mpmath.workdps(80):
+        for x in xs:
+            zeta = float(mpmath.zeta(16, x))
+            bound = _zeta16_bound(x)
+            assert zeta * (1.0 - 4.0 * u) <= bound <= zeta * (1.0 + 1e-3), x

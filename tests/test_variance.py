@@ -293,6 +293,18 @@ def test_variance_two_plate_requires_flight_between_plates():
         )
 
 
+@pytest.mark.parametrize("v, n_max", [(1e-320, 10**6), (1e-7, 10**6), (1e-7, 10**8)])
+def test_variance_two_plate_checks_the_speed_before_using_it(v, n_max):
+    # the reference index was formed from b/v before the speed was checked:
+    # at 1e-320 math.ceil overflowed, and at 1e-7 the default n_max refused
+    # with ConvergenceError; a neutral particle still returns zero
+    seg, control = PathSegment(0.3, 0.1, v), SummationControl(n_max=n_max)
+    with pytest.raises(DomainError, match=rf"speed v={v!r} outside the supported range"):
+        variance_two_plate_exact(Particle(charge_e=1.0, mass_eV=M_E, speed=v), seg, 1.0, control)
+    neutral = variance_two_plate_exact(Particle(charge_e=0.0, mass_eV=M_E, speed=v), seg, 1.0)
+    assert neutral.variance_eV2 == 0.0 and "neutral" in neutral.regime
+
+
 def test_variance_two_plate_smallv_golden():
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.005)
     result = variance_two_plate_smallv(p, 0.3, 1.0)
