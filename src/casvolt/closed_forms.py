@@ -37,10 +37,15 @@ from .errors import DomainError, SingularityError, check_length, check_separatio
 
 __all__ = list(_EXPORTS["closed_forms"])
 
-# Evaluation limits for the exact squares: below v ~ 1e-6 the 1/v^3
-# prefactors destroy all precision in the corner differences (use the small-v
-# operations instead); the construction also assumes distinctly sub-luminal
-# motion, so v >= 0.99 is rejected.
+# Evaluation limits for the exact squares. The collapsed squares keep their
+# precision far below _V_MIN: at 300 random points per speed off the locus,
+# _reflection_square and _translation_square were within 1.4e-15 of the same
+# formulas at 80 digits at v = 1e-4, and within 8.9e-16 at v = 1e-12. What
+# holds exact evaluations above 1e-6 is the two-plate sum, which forms every
+# pair up to about 1.25 b / (a v), so its work grows like 1/v: 62,503 and
+# 312,503 pairs at v = 2e-6 for a = 1, (z0, b) = (0.3, 0.1) and (0.1, 0.5).
+# Below the limit, use the small-v operations. The construction also assumes
+# distinctly sub-luminal motion, so v >= 0.99 is rejected.
 _V_MIN = 1e-6
 _V_MAX = 0.99
 
@@ -78,13 +83,16 @@ def _warn_small_speed(v: float) -> None:
 # this fraction of its natural magnitude scale
 _POLE_TOUCH_EPS = 1e-10
 
-# Longest block image_pair_terms forms one index at a time, without numpy:
-# a fused pure-Python pass costs 1.7-3.4 us per index; the numpy kernel about
-# 55 us at 27 indices, growing to 80-135 us at 299 and 300 us at 1024, so
-# below 0.5 us per index from 128 on (docs/decisions.md, "Short pair blocks
-# without numpy", "The two-plate tail forms zeta directly"). The least block
-# a two-plate sum forms has 16 indices.
-_SCALAR_BLOCK = 26
+# Longest block image_pair_terms forms one index at a time, without numpy.
+# Warm, at a = 1 and (z0, b, v) = (0.3, 0.1, 0.01) and (0.1, 0.5, 1e-3), the
+# fused pure-Python pass costs 1.4-1.5 us per index and the numpy kernel
+# 44-49 us from 24 to 34 indices: pass over kernel is 0.65-0.82 at 26
+# indices, 0.94-0.95 at 30, 0.98-1.01 at 32 and 1.04-1.07 at 34. The kernel
+# takes 70-71 us at 299 indices and 256-263 us at 1024 (z0, b, v = 0.3, 0.1,
+# 1e-3), below 0.3 us per index (docs/decisions.md, "Two-plate image sums").
+# The least block a two-plate sum forms has 16 indices; one whose n_U is at
+# most 23 ends its block by index 30 and loads no numpy.
+_SCALAR_BLOCK = 30
 
 # Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
 # at 511 bytes per index (tracemalloc, 1024 indices), so the n_max = 10^6

@@ -72,7 +72,7 @@ _TAIL_ORDERS = (
             (41860, 240240), (1260,))),
 )
 # The terms of _TAIL_ORDERS as (q_jki, k, i, j - i), one tuple per order j,
-# each q_jki rounded once
+# each q_jki rounded once: the table _tail_source writes out as code
 _TAIL_TERMS = tuple(
     tuple((numerator / denominator, k, i, j - i)
           for k, row in enumerate(rows) for i, numerator in enumerate(row))
@@ -321,9 +321,43 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     return _result(rms * rms, particle.charge_e, flags)
 
 
+def _tail_source() -> str:
+    """The source of the evaluator of _TAIL_TERMS: one straight-line
+    function that forms every term of every C_j as the product
+    ((q_jki * g^k) * s^i) * h^(j-i), leaving out the factors of exponent 0
+    (a product with 1.0 is exact), and adds each order's terms left to
+    right in the order of _TAIL_TERMS."""
+    exponents = [max(term[axis] for order in _TAIL_TERMS for term in order) for axis in (1, 2, 3)]
+    powers = [f"    {x}{p} = {x} * {x}\n" if p == 2 else f"    {x}{p} = {x}**{p}\n"
+              for x, top in zip("gsh", exponents) for p in range(2, top + 1)]
+    orders = []
+    for order in _TAIL_TERMS:
+        terms = []
+        for q, *monomial in order:
+            factors = [f"{x}{p}" if p > 1 else x for x, p in zip("gsh", monomial) if p]
+            terms.append(" * ".join([repr(q), *factors]))
+        orders.append(f"        scale * ({' + '.join(terms)}),\n")
+    return ("def _tail_coefficients(seg, a):\n"
+            "    v, b, w = seg.v, seg.b, 2.0 * a\n"
+            "    g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2\n"
+            + "".join(powers)
+            + "    scale = (b / (v * v * w * w)) ** 2\n"
+            "    return [\n" + "".join(orders) + "    ]\n")
+
+
+@lru_cache(maxsize=None)
+def _tail_evaluator():
+    """The straight-line evaluator of _tail_source, compiled once."""
+    namespace = {"__name__": __name__}
+    exec(compile(_tail_source(), "<casvolt.variance tail coefficients>", "exec"), namespace)
+    evaluator = namespace["_tail_coefficients"]
+    evaluator.__doc__ = _tail_coefficients.__doc__
+    return evaluator
+
+
 def _tail_coefficients(seg: PathSegment, a: float) -> list[float]:
     """C_0, ..., C_5 in pair_term(n) = sum_j C_j n^-(4+2j) + O(n^-16) for the
-    two-plate sum, evaluated straight from _TAIL_ORDERS.
+    two-plate sum, evaluated from _TAIL_TERMS.
 
     C_0 = b^2 / (4 a^4 v^4) and
     C_1 = [20 b^2 (4 zc^2 + b^2/6) + (20 + 8/v^2) b^4/6] / (v^4 (2a)^6):
@@ -331,14 +365,16 @@ def _tail_coefficients(seg: PathSegment, a: float) -> list[float]:
     1/(v^4 (2an)^4) [2 + 20 s^2/(2an)^2 + 4 d^2/(v^2 (2an)^2) + ...] and the
     translated ones to the same with s replaced by d. Every term of every
     C_j is positive, so nothing cancels: each is q_jki, rounded once, times
-    its monomial g^k s^i h^(j-i).
+    its monomial g^k s^i h^(j-i), with g = 1/v^2, s = (zc/2a)^2, h = (b/2a)^2
+    and the powers g * g, then g**k from the cube on.
+
+    The first call compiles the straight-line evaluator of _tail_source and
+    puts it in this function's place, so a command that forms no two-plate
+    sum compiles nothing.
     """
-    v, b, w = seg.v, seg.b, 2.0 * a
-    g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2
-    g_powers, s_powers, h_powers = ([1.0, x, x * x, x**3, x**4, x**5] for x in (g, s, h))
-    scale = (b / (v * v * w * w)) ** 2
-    return [scale * sum([q * g_powers[k] * s_powers[i] * h_powers[m] for q, k, i, m in order])
-            for order in _TAIL_TERMS]
+    global _tail_coefficients
+    _tail_coefficients = _tail_evaluator()
+    return _tail_coefficients(seg, a)
 
 
 @lru_cache(maxsize=None)
@@ -386,6 +422,14 @@ def _zeta16_bound(x):
     return (1.0 / 15.0 + (0.5 + 4.0 / (3.0 * x)) / x) / x**15
 
 
+def _refusal(tol: float, n_max: int, bound: float) -> ConvergenceError:
+    """The two-plate sum's refusal when no index up to n_max certifies."""
+    return ConvergenceError(
+        f"two-plate variance: image sum not certified below relative tolerance "
+        f"{tol:g} within n_max={n_max} terms (last tail bound {bound:.3e})"
+    )
+
+
 def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> SummationResult:
     """The one-plate integral plus the image pairs n >= 1, with a certified tail.
 
@@ -406,8 +450,8 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     rather than n_ref: a sum whose n_ref is raised to 16 has an envelope
     no larger than n_U^16 r(n_U), since n^16 r(n) does not increase from
     n_U on, so its bound at E is no larger than the one a sum with that
-    n_ref = n_U would have at the same E (docs/decisions.md, "Floored pair
-    blocks end from n_U"). The sum certifies at the block's end only:
+    n_ref = n_U would have at the same E (docs/decisions.md, "Two-plate
+    image sums"). The sum certifies at the block's end only:
     value(E) is the compensated sum of the one-plate term, every pair of
     the block and T(E), and the sum returns it when bound(E) <= tol
     |value(E)|, with terms_used = E and tail_estimate = bound(E); on the
@@ -423,34 +467,28 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     while v * (2.0 * a * n_u - 2.0 * z1) / b < _TAIL_REFERENCE_U:
         n_u += 1
     n_ref = max(_ZETA_X_MIN, n_u)
-
-    def refuse(bound: float) -> ConvergenceError:
-        return ConvergenceError(
-            f"two-plate variance: image sum not certified below relative tolerance "
-            f"{tol:g} within n_max={n_max} terms (last tail bound {bound:.3e})"
-        )
-
     if n_max < n_ref:
-        raise refuse(math.inf)
+        raise _refusal(tol, n_max, math.inf)
     coefficients = _tail_coefficients(seg, a)
-    base = one_plate_integral(seg)
+    # the one-plate term, then the pair terms 1..end, then the tail
+    parts = [one_plate_integral(seg)]
     end = min(n_max, max(n_ref, n_u + n_u // 4 + 2))
-    terms = image_pair_terms(seg, a, range(1, end + 1))
-    pair = terms[n_ref - 1]
+    parts += image_pair_terms(seg, a, range(1, end + 1))
+    pair = parts[n_ref]
     remainder = pair - _tail_expansion(coefficients, n_ref)
     envelope = n_ref**_REMAINDER_ORDER * (abs(remainder) + _PAIR_ROUNDING * pair)
-    parts = [base, *terms]
     while True:
         x = end + 1.0
         tail = sum(map(operator.mul, coefficients, _tail_zetas(x)))
         bound = envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, end * _ULP) * tail
-        value = math.fsum([*parts, tail])
+        parts.append(tail)
+        value = math.fsum(parts)
         if bound <= tol * abs(value):
-            return SummationResult(value=value, terms_used=end, tail_estimate=bound)
+            return SummationResult(value, end, bound)
         if end == n_max:
-            raise refuse(bound)
+            raise _refusal(tol, n_max, bound)
         start, end = end + 1, min(n_max, 2 * end)
-        parts += image_pair_terms(seg, a, range(start, end + 1))
+        parts[-1:] = image_pair_terms(seg, a, range(start, end + 1))
 
 
 def variance_two_plate_exact(

@@ -325,3 +325,20 @@ def test_unknown_name_raises_and_loads_nothing(name):
     )
     assert message == f"module 'casvolt' has no attribute {name!r}"
     assert loaded == []
+
+
+@pytest.mark.parametrize("plates, compiled", [("one", 0), ("two", 1)])
+def test_tail_evaluator_is_compiled_by_the_first_two_plate_sum(plates, compiled):
+    # the straight-line evaluator of the tail coefficients is generated and
+    # compiled on first use, so a command that forms no two-plate sum pays
+    # nothing for it
+    built = _fresh(
+        "import contextlib, io, json\n"
+        "from casvolt.cli import main\n"
+        "import casvolt.variance as variance\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['variance', '--plates', '{plates}', '--z0', '0.3', '--b', '0.1', "
+        "'--a', '1', '--speed', '0.01', '--natural-units'])\n"
+        "print(json.dumps([code, variance._tail_evaluator.cache_info().currsize]))"
+    )
+    assert built == [0, compiled]

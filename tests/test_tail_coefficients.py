@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casvolt import PathSegment
-from casvolt.variance import _TAIL_ORDERS, _tail_coefficients
+from casvolt.variance import _TAIL_ORDERS, _TAIL_TERMS, _tail_coefficients
 
 mpmath = pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
@@ -87,6 +87,37 @@ def test_tail_coefficients_evaluate_the_table(a, uz, ub, log_v):
                           _exact_coefficients(seg.z0, seg.b, seg.v, a), strict=True):
         assert got > 0.0
         assert abs(Fraction(got) - exact) <= 64 * 2.0**-53 * exact
+
+
+def _walk_coefficients(seg, a):
+    """C_0, ..., C_5 by the plain walk of _TAIL_TERMS that _tail_coefficients'
+    straight-line code is derived from: each term ((q * g^k) * s^i) * h^m
+    from the powers [1.0, x, x * x, x**3, x**4, x**5], and each order's
+    terms added left to right from 0, as sum() adds floats before Python
+    3.12 (whose sum() compensates)."""
+    v, b, w = seg.v, seg.b, 2.0 * a
+    g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2
+    g_powers, s_powers, h_powers = ([1.0, x, x * x, x**3, x**4, x**5] for x in (g, s, h))
+    scale = (b / (v * v * w * w)) ** 2
+    coefficients = []
+    for order in _TAIL_TERMS:
+        total = 0
+        for q, k, i, m in order:
+            total = total + q * g_powers[k] * s_powers[i] * h_powers[m]
+        coefficients.append(scale * total)
+    return coefficients
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(a=st.floats(1e-3, 1e3), uz=st.floats(1e-4, 0.999), ub=st.floats(1e-4, 0.999),
+       log_v=st.floats(-6.0, math.log10(0.99), exclude_max=True))
+def test_tail_coefficients_are_the_walk_of_the_table(a, uz, ub, log_v):
+    # the evaluator forms every product and every sum of the walk in the
+    # walk's order, so each C_j is the same float
+    z0 = uz * a
+    seg = PathSegment(z0=z0, b=ub * (a - z0), v=10.0**log_v)
+    got = _tail_coefficients(seg, a)
+    assert [c.hex() for c in got] == [c.hex() for c in _walk_coefficients(seg, a)]
 
 
 def _natural_index(z0, b, a, v, least=1):

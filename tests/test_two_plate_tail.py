@@ -14,8 +14,11 @@ from casvolt import (
     one_plate_integral,
     variance_two_plate_exact,
 )
-from casvolt.closed_forms import image_pair_terms
-from casvolt.variance import _zeta16_bound
+from casvolt.closed_forms import _KERNEL_BLOCK, _SCALAR_BLOCK, image_pair_terms
+from casvolt.summation import SummationControl
+from casvolt.variance import _hurwitz_zeta, _two_plate_sum, _zeta16_bound
+
+from test_tail_coefficients import _walk_coefficients
 
 # speeds 1e-3 to 1e-1; a in [0.5, 2], z0/a in [0.05, 0.8], b/(a - z0) in [0.02, 0.5]
 speeds = st.floats(-3.0, -1.0).map(lambda e: 10.0**e)
@@ -113,3 +116,25 @@ def test_zeta16_bound_holds_with_a_small_excess():
             zeta = float(mpmath.zeta(16, x))
             bound = _zeta16_bound(x)
             assert zeta * (1.0 - 4.0 * u) <= bound <= zeta * (1.0 + 1e-3), x
+
+
+@pytest.mark.parametrize("v, end, pieces", [
+    (0.1, 16, 0),  # n_U = 2, floored at n_ref = 16: the pure-Python pass
+    (0.2 / 45.0, 30, 0),  # n_U = 23: the longest block the pass takes
+    (0.2 / 47.0, 32, 1),  # n_U = 24: the numpy kernel, in one piece
+    (2e-5, 6253, 7),  # n_U = 5,001: seven kernel pieces
+])
+def test_two_plate_sum_is_its_documented_parts(v, end, pieces):
+    # value(E) is the compensated sum of the one-plate term, the pair terms
+    # 1..E and the tail sum_j C_j zeta(4+2j, E+1), C_j by the walk of the
+    # table: equal bit for bit, so that no change to the sum's fixed cost
+    # re-associates it unseen
+    assert (end > _SCALAR_BLOCK) == (pieces > 0)
+    assert pieces == 0 or math.ceil(end / _KERNEL_BLOCK) == pieces
+    a, seg = 1.0, PathSegment(z0=0.3, b=0.1, v=v)
+    result = _two_plate_sum(seg, a, SummationControl())
+    assert result.terms_used == end
+    coefficients = _walk_coefficients(seg, a)
+    tail = sum(c * _hurwitz_zeta(4 + 2 * j, end + 1.0) for j, c in enumerate(coefficients))
+    parts = [one_plate_integral(seg), *image_pair_terms(seg, a, range(1, end + 1)), tail]
+    assert result.value.hex() == math.fsum(parts).hex()

@@ -14,6 +14,7 @@ from casvolt import (
     PathSegment,
     SummationControl,
     csc_identity,
+    one_plate_integral,
     one_plate_integral_smallv,
     reflected_image_integral_smallv,
     rms_one_plate_smallv,
@@ -26,7 +27,7 @@ from casvolt import (
     variance_two_plate_smallv,
     zeta_two_series,
 )
-from casvolt.closed_forms import _SMALLV_MIN
+from casvolt.closed_forms import _SMALLV_MIN, _V_MAX, _V_MIN
 from casvolt.variance import _CHARGE_MIN, _result
 
 M_E = CONSTANTS.electron_mass_eV
@@ -303,6 +304,34 @@ def test_variance_two_plate_checks_the_speed_before_using_it(v, n_max):
         variance_two_plate_exact(Particle(charge_e=1.0, mass_eV=M_E, speed=v), seg, 1.0, control)
     neutral = variance_two_plate_exact(Particle(charge_e=0.0, mass_eV=M_E, speed=v), seg, 1.0)
     assert neutral.variance_eV2 == 0.0 and "neutral" in neutral.regime
+
+
+_EDGES = pytest.mark.parametrize("edge, inward", [(_V_MIN, 1.0), (_V_MAX, 0.0)],
+                                 ids=["v_min", "v_max"])
+# a short flight: at the float above _V_MIN its two-plate sum takes one block
+# of 10,003 pairs, E = n_U + n_U // 4 + 2 with n_U = 8,001
+_EDGE_FLIGHT = {"z0": 0.3, "b": 0.008}
+
+
+@_EDGES
+def test_exact_forms_refuse_the_speed_limits(edge, inward):
+    # the supported speeds (_V_MIN, _V_MAX) are open at both ends
+    seg = PathSegment(v=edge, **_EDGE_FLIGHT)
+    with pytest.raises(DomainError, match=rf"speed v={edge!r} outside the supported range"):
+        one_plate_integral(seg)
+    with pytest.raises(DomainError, match=rf"speed v={edge!r} outside the supported range"):
+        variance_two_plate_exact(Particle(charge_e=1.0, mass_eV=M_E, speed=edge), seg, 1.0)
+
+
+@_EDGES
+def test_exact_forms_evaluate_just_inside_the_speed_limits(edge, inward):
+    v = math.nextafter(edge, inward)
+    seg = PathSegment(v=v, **_EDGE_FLIGHT)
+    assert 0.0 < one_plate_integral(seg) < math.inf
+    result = variance_two_plate_exact(Particle(charge_e=1.0, mass_eV=M_E, speed=v), seg, 1.0)
+    assert 0.0 < result.variance_eV2 < math.inf
+    assert result.tail_estimate_eV2 <= SummationControl().tol * result.variance_eV2
+    assert result.terms_used == (10_003 if edge == _V_MIN else 16)
 
 
 def test_variance_two_plate_smallv_golden():
