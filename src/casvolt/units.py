@@ -8,6 +8,7 @@ appear only at the I/O boundary.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from . import _EXPORTS
 from .errors import _LENGTH_MAX, _LENGTH_MIN, DomainError, check_positive_finite, record
@@ -17,13 +18,16 @@ __all__ = list(_EXPORTS["units"])
 
 @record
 class Constants:
-    """Fixed CODATA-2018 values; frozen so golden tests are bit-stable."""
+    """Fixed CODATA-2018 values; frozen so golden tests are bit-stable.
+
+    elementary_charge_natural is computed on its first read and kept in the
+    instance dict, outside the fields, so eq, hash and repr do not see it."""
 
     hbar_c_eV_nm: float = 197.3269804
     alpha: float = 1.0 / 137.035999
     electron_mass_eV: float = 510998.95
 
-    @property
+    @cached_property
     def elementary_charge_natural(self) -> float:
         """e in Lorentz-Heaviside natural units: sqrt(4 pi alpha) ~ 0.302822."""
         return math.sqrt(4.0 * math.pi * self.alpha)

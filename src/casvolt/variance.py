@@ -13,11 +13,10 @@ units of e.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from functools import lru_cache
 
-from . import _EXPORTS
+from . import _EXPORTS, units
 from .closed_forms import (
     PathSegment,
     _check_small_speed,
@@ -51,34 +50,8 @@ _TAIL_REFERENCE_U = 2.0
 _ZETA_X_MIN = 16
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
               (43867, 798), (-174611, 330))
-# The pair term's expansion in 1/n past the light cone, through n^-14:
-#   pair_term(n) = sum_{j=0..5} C_j n^-(4+2j) + O(n^-16),
-#   C_j = b^2 / (v^4 (2a)^4) sum_{k,i} q_jki g^k s^i h^(j-i),
-# with g = 1/v^2, s = (zc/2a)^2, h = (b/2a)^2 and zc = z0 + b/2. Entry j is
-# (denominator, rows): rows[k][i] is the numerator of q_jki. Every q_jki is
-# positive. Derived with sympy by expanding the four image kernels of +n
-# and -n in 1/(2an) and integrating each order over the square;
-# tests/test_tail_coefficients.py derives them again and compares exactly.
-_TAIL_ORDERS = (
-    (1, ((4,),)),
-    (3, ((20, 240), (4,))),
-    (15, ((140, 4200, 16800), (98, 840), (12,))),
-    (35, ((420, 23520, 235200, 376320), (672, 4704, 47040), (288, 2016), (20,))),
-    (315, ((4620, 415800, 7761600, 31046400, 26611200), (13398, 83160, 1552320, 6209280),
-           (14058, 35640, 665280), (3190, 19800), (140,))),
-    (3465, ((60060, 7927920, 237837600, 1775854080, 3805401600, 2029547520),
-            (276276, 1585584, 47567520, 355170816, 761080320),
-            (543114, 679536, 20386080, 152216064), (301730, 377520, 11325600),
-            (41860, 240240), (1260,))),
-)
-# The terms of _TAIL_ORDERS as (q_jki, k, i, j - i), one tuple per order j,
-# each q_jki rounded once: the table _tail_source writes out as code
-_TAIL_TERMS = tuple(
-    tuple((numerator / denominator, k, i, j - i)
-          for k, row in enumerate(rows) for i, numerator in enumerate(row))
-    for j, (denominator, rows) in enumerate(_TAIL_ORDERS))
-# The remainder past the subtracted orders falls like n^-16.
-_REMAINDER_ORDER = 4 + 2 * len(_TAIL_ORDERS)
+# The remainder past the six subtracted orders C_0, ..., C_5 falls like n^-16.
+_REMAINDER_ORDER = 16
 # Rounding allowance on the pair term at the reference index, relative to the
 # summed magnitude of its parts R(z0 - an), R(z0 + an) and 2 T(n): past the
 # light cone every part is positive, so that is the pair term itself. Against
@@ -170,11 +143,11 @@ class Particle:
         """Kinetic energy in eV, derived from the speed if necessary."""
         if self.kinetic_energy_eV is not None:
             return self.kinetic_energy_eV
-        return 0.5 * self.mass_eV * self.speed * self.speed
+        return units.kinetic_from_speed(self.speed, self.mass_eV)
 
     @property
     def charge_natural(self) -> float:
-        return self.charge_e * CONSTANTS.elementary_charge_natural
+        return units.charge_natural(self.charge_e)
 
 
 @record
@@ -321,60 +294,49 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     return _result(rms * rms, particle.charge_e, flags)
 
 
-def _tail_source() -> str:
-    """The source of the evaluator of _TAIL_TERMS: one straight-line
-    function that forms every term of every C_j as the product
-    ((q_jki * g^k) * s^i) * h^(j-i), leaving out the factors of exponent 0
-    (a product with 1.0 is exact), and adds each order's terms left to
-    right in the order of _TAIL_TERMS."""
-    exponents = [max(term[axis] for order in _TAIL_TERMS for term in order) for axis in (1, 2, 3)]
-    powers = [f"    {x}{p} = {x} * {x}\n" if p == 2 else f"    {x}{p} = {x}**{p}\n"
-              for x, top in zip("gsh", exponents) for p in range(2, top + 1)]
-    orders = []
-    for order in _TAIL_TERMS:
-        terms = []
-        for q, *monomial in order:
-            factors = [f"{x}{p}" if p > 1 else x for x, p in zip("gsh", monomial) if p]
-            terms.append(" * ".join([repr(q), *factors]))
-        orders.append(f"        scale * ({' + '.join(terms)}),\n")
-    return ("def _tail_coefficients(seg, a):\n"
-            "    v, b, w = seg.v, seg.b, 2.0 * a\n"
-            "    g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2\n"
-            + "".join(powers)
-            + "    scale = (b / (v * v * w * w)) ** 2\n"
-            "    return [\n" + "".join(orders) + "    ]\n")
-
-
-@lru_cache(maxsize=None)
-def _tail_evaluator():
-    """The straight-line evaluator of _tail_source, compiled once."""
-    namespace = {"__name__": __name__}
-    exec(compile(_tail_source(), "<casvolt.variance tail coefficients>", "exec"), namespace)
-    evaluator = namespace["_tail_coefficients"]
-    evaluator.__doc__ = _tail_coefficients.__doc__
-    return evaluator
-
-
 def _tail_coefficients(seg: PathSegment, a: float) -> list[float]:
-    """C_0, ..., C_5 in pair_term(n) = sum_j C_j n^-(4+2j) + O(n^-16) for the
-    two-plate sum, evaluated from _TAIL_TERMS.
+    """C_0, ..., C_5 in pair_term(n) = sum_j C_j n^-(4+2j) + O(n^-16), the two-plate
+    pair term's expansion in 1/n past the light cone.
 
-    C_0 = b^2 / (4 a^4 v^4) and
-    C_1 = [20 b^2 (4 zc^2 + b^2/6) + (20 + 8/v^2) b^4/6] / (v^4 (2a)^6):
-    with d = z - z' and s = z + z', the +n/-n reflected kernels sum to
-    1/(v^4 (2an)^4) [2 + 20 s^2/(2an)^2 + 4 d^2/(v^2 (2an)^2) + ...] and the
-    translated ones to the same with s replaced by d. Every term of every
-    C_j is positive, so nothing cancels: each is q_jki, rounded once, times
-    its monomial g^k s^i h^(j-i), with g = 1/v^2, s = (zc/2a)^2, h = (b/2a)^2
-    and the powers g * g, then g**k from the cube on.
-
-    The first call compiles the straight-line evaluator of _tail_source and
-    puts it in this function's place, so a command that forms no two-plate
-    sum compiles nothing.
+    C_j = b^2 / (v^4 (2a)^4) sum_{k,i} q_jki g^k s^i h^(j-i), with g = 1/v^2,
+    s = (zc/2a)^2, h = (b/2a)^2 and zc = z0 + b/2; so C_0 = b^2 / (4 a^4 v^4).
+    Each q_jki is the rational its sympy derivation gives (the four image
+    kernels of +n and -n expanded in 1/(2an), each order integrated over the
+    square; tests/test_tail_coefficients.py derives them again), which the
+    compiler folds to one rounded float. Every q_jki is positive, so nothing
+    cancels: each term is ((q_jki * g^k) * s^i) * h^(j-i), and each order adds
+    its terms left to right.
     """
-    global _tail_coefficients
-    _tail_coefficients = _tail_evaluator()
-    return _tail_coefficients(seg, a)
+    v, b, w = seg.v, seg.b, 2.0 * a
+    g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2
+    g2, g3, g4, g5 = g * g, g**3, g**4, g**5
+    s2, s3, s4, s5 = s * s, s**3, s**4, s**5
+    h2, h3, h4, h5 = h * h, h**3, h**4, h**5
+    scale = (b / (v * v * w * w)) ** 2
+    return [
+        scale * (4 / 1),
+        scale * (20 / 3 * h + 240 / 3 * s + 4 / 3 * g * h),
+        scale * (140 / 15 * h2 + 4200 / 15 * s * h + 16800 / 15 * s2 + 98 / 15 * g * h2 +
+                 840 / 15 * g * s * h + 12 / 15 * g2 * h2),
+        scale * (420 / 35 * h3 + 23520 / 35 * s * h2 + 235200 / 35 * s2 * h + 376320 / 35 * s3 +
+                 672 / 35 * g * h3 + 4704 / 35 * g * s * h2 + 47040 / 35 * g * s2 * h +
+                 288 / 35 * g2 * h3 + 2016 / 35 * g2 * s * h2 + 20 / 35 * g3 * h3),
+        scale * (4620 / 315 * h4 + 415800 / 315 * s * h3 + 7761600 / 315 * s2 * h2 +
+                 31046400 / 315 * s3 * h + 26611200 / 315 * s4 + 13398 / 315 * g * h4 +
+                 83160 / 315 * g * s * h3 + 1552320 / 315 * g * s2 * h2 +
+                 6209280 / 315 * g * s3 * h + 14058 / 315 * g2 * h4 + 35640 / 315 * g2 * s * h3 +
+                 665280 / 315 * g2 * s2 * h2 + 3190 / 315 * g3 * h4 + 19800 / 315 * g3 * s * h3 +
+                 140 / 315 * g4 * h4),
+        scale * (60060 / 3465 * h5 + 7927920 / 3465 * s * h4 + 237837600 / 3465 * s2 * h3 +
+                 1775854080 / 3465 * s3 * h2 + 3805401600 / 3465 * s4 * h +
+                 2029547520 / 3465 * s5 + 276276 / 3465 * g * h5 + 1585584 / 3465 * g * s * h4 +
+                 47567520 / 3465 * g * s2 * h3 + 355170816 / 3465 * g * s3 * h2 +
+                 761080320 / 3465 * g * s4 * h + 543114 / 3465 * g2 * h5 +
+                 679536 / 3465 * g2 * s * h4 + 20386080 / 3465 * g2 * s2 * h3 +
+                 152216064 / 3465 * g2 * s3 * h2 + 301730 / 3465 * g3 * h5 +
+                 377520 / 3465 * g3 * s * h4 + 11325600 / 3465 * g3 * s2 * h3 +
+                 41860 / 3465 * g4 * h5 + 240240 / 3465 * g4 * s * h4 + 1260 / 3465 * g5 * h5),
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -404,7 +366,7 @@ def _hurwitz_zeta(s: int, x: float) -> float:
 def _tail_zetas(x: float) -> tuple[float, ...]:
     """zeta(4+2j, x), j = 0, ..., 5, at an integer x >= 16. The sum takes
     them at block ends, which repeat from sum to sum."""
-    return tuple(_hurwitz_zeta(4 + 2 * j, x) for j in range(len(_TAIL_ORDERS)))
+    return tuple(_hurwitz_zeta(4 + 2 * j, x) for j in range(6))
 
 
 def _tail_expansion(coefficients: list[float], n: int) -> float:
@@ -479,7 +441,10 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     envelope = n_ref**_REMAINDER_ORDER * (abs(remainder) + _PAIR_ROUNDING * pair)
     while True:
         x = end + 1.0
-        tail = sum(map(operator.mul, coefficients, _tail_zetas(x)))
+        # left to right on every Python: from 3.12, sum() of floats compensates
+        tail = 0.0
+        for c, zeta in zip(coefficients, _tail_zetas(x)):
+            tail += c * zeta
         bound = envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, end * _ULP) * tail
         parts.append(tail)
         value = math.fsum(parts)

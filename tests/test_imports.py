@@ -1,7 +1,7 @@
 """Import boundary: `import casvolt` imports no submodule, each command
 loads only the modules it runs, the oracle loads on first use, and numpy
 only with a long two-plate pair block or brute_dual_correlator; verify runs
-without it.
+without it. Once loaded, a two-plate sum compiles no code.
 
 Each check runs in a fresh interpreter, because this test session has long
 since imported all of them."""
@@ -327,18 +327,23 @@ def test_unknown_name_raises_and_loads_nothing(name):
     assert loaded == []
 
 
-@pytest.mark.parametrize("plates, compiled", [("one", 0), ("two", 1)])
-def test_tail_evaluator_is_compiled_by_the_first_two_plate_sum(plates, compiled):
-    # the straight-line evaluator of the tail coefficients is generated and
-    # compiled on first use, so a command that forms no two-plate sum pays
-    # nothing for it
-    built = _fresh(
-        "import contextlib, io, json\n"
-        "from casvolt.cli import main\n"
-        "import casvolt.variance as variance\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['variance', '--plates', '{plates}', '--z0', '0.3', '--b', '0.1', "
-        "'--a', '1', '--speed', '0.01', '--natural-units'])\n"
-        "print(json.dumps([code, variance._tail_evaluator.cache_info().currsize]))"
+def test_two_plate_sums_compile_no_code():
+    # the tail coefficients are plain code: once the casvolt modules and
+    # numpy are loaded, a sum on the pure-Python pass and one on the numpy
+    # kernel compile and exec nothing
+    events, pairs, scalar_block = _fresh(
+        "import json, sys\n"
+        "import numpy\n"
+        "from casvolt import closed_forms, errors, summation, units, variance\n"
+        "seen = []\n"
+        "sys.addaudithook(lambda event, _: event in ('compile', 'exec') and seen.append(event))\n"
+        "pairs = []\n"
+        "for v in (0.01, 1e-3):\n"
+        "    particle = variance.Particle.electron(speed=v)\n"
+        "    seg = closed_forms.PathSegment(z0=0.3, b=0.1, v=v)\n"
+        "    pairs.append(variance.variance_two_plate_exact(particle, seg, 1.0).terms_used)\n"
+        "print(json.dumps([seen, pairs, closed_forms._SCALAR_BLOCK]))"
     )
-    assert built == [0, compiled]
+    assert events == []
+    short, long = pairs
+    assert short <= scalar_block < long

@@ -9,10 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casvolt import PathSegment
-from casvolt.variance import _TAIL_ORDERS, _TAIL_TERMS, _tail_coefficients
+from casvolt.variance import _tail_coefficients
 
 mpmath = pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
+
+# The pair term's expansion in 1/n past the light cone, through n^-14:
+#   pair_term(n) = sum_{j=0..5} C_j n^-(4+2j) + O(n^-16),
+#   C_j = b^2 / (v^4 (2a)^4) sum_{k,i} q_jki g^k s^i h^(j-i),
+# with g = 1/v^2, s = (zc/2a)^2, h = (b/2a)^2 and zc = z0 + b/2. Entry j is
+# (denominator, rows): rows[k][i] is the numerator of q_jki. Every q_jki is
+# positive. _tail_coefficients writes each q_jki as this numerator over this
+# denominator; _derived_orders derives the table again and compares exactly.
+_TAIL_ORDERS = (
+    (1, ((4,),)),
+    (3, ((20, 240), (4,))),
+    (15, ((140, 4200, 16800), (98, 840), (12,))),
+    (35, ((420, 23520, 235200, 376320), (672, 4704, 47040), (288, 2016), (20,))),
+    (315, ((4620, 415800, 7761600, 31046400, 26611200), (13398, 83160, 1552320, 6209280),
+           (14058, 35640, 665280), (3190, 19800), (140,))),
+    (3465, ((60060, 7927920, 237837600, 1775854080, 3805401600, 2029547520),
+            (276276, 1585584, 47567520, 355170816, 761080320),
+            (543114, 679536, 20386080, 152216064), (301730, 377520, 11325600),
+            (41860, 240240), (1260,))),
+)
 
 
 def _derived_orders():
@@ -90,20 +110,22 @@ def test_tail_coefficients_evaluate_the_table(a, uz, ub, log_v):
 
 
 def _walk_coefficients(seg, a):
-    """C_0, ..., C_5 by the plain walk of _TAIL_TERMS that _tail_coefficients'
-    straight-line code is derived from: each term ((q * g^k) * s^i) * h^m
-    from the powers [1.0, x, x * x, x**3, x**4, x**5], and each order's
-    terms added left to right from 0, as sum() adds floats before Python
-    3.12 (whose sum() compensates)."""
+    """C_0, ..., C_5 by the plain walk of _TAIL_ORDERS that _tail_coefficients
+    writes out: each term ((q * g^k) * s^i) * h^(j-i), q = numerator /
+    denominator rounded once, from the powers [1.0, x, x * x, x**3, x**4,
+    x**5], and each order's terms added left to right from 0 explicitly (from
+    Python 3.12 on, sum() of floats compensates)."""
     v, b, w = seg.v, seg.b, 2.0 * a
     g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2
     g_powers, s_powers, h_powers = ([1.0, x, x * x, x**3, x**4, x**5] for x in (g, s, h))
     scale = (b / (v * v * w * w)) ** 2
     coefficients = []
-    for order in _TAIL_TERMS:
-        total = 0
-        for q, k, i, m in order:
-            total = total + q * g_powers[k] * s_powers[i] * h_powers[m]
+    for j, (denominator, rows) in enumerate(_TAIL_ORDERS):
+        total = 0.0
+        for k, row in enumerate(rows):
+            for i, numerator in enumerate(row):
+                q = numerator / denominator
+                total = total + q * g_powers[k] * s_powers[i] * h_powers[j - i]
         coefficients.append(scale * total)
     return coefficients
 
@@ -112,8 +134,9 @@ def _walk_coefficients(seg, a):
 @given(a=st.floats(1e-3, 1e3), uz=st.floats(1e-4, 0.999), ub=st.floats(1e-4, 0.999),
        log_v=st.floats(-6.0, math.log10(0.99), exclude_max=True))
 def test_tail_coefficients_are_the_walk_of_the_table(a, uz, ub, log_v):
-    # the evaluator forms every product and every sum of the walk in the
-    # walk's order, so each C_j is the same float
+    # the function forms every product and every sum of the walk in the
+    # walk's order, and the compiler folds each numerator / denominator to
+    # the walk's q, so each C_j is the same float
     z0 = uz * a
     seg = PathSegment(z0=z0, b=ub * (a - z0), v=10.0**log_v)
     got = _tail_coefficients(seg, a)

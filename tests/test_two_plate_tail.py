@@ -127,14 +127,16 @@ def test_zeta16_bound_holds_with_a_small_excess():
 def test_two_plate_sum_is_its_documented_parts(v, end, pieces):
     # value(E) is the compensated sum of the one-plate term, the pair terms
     # 1..E and the tail sum_j C_j zeta(4+2j, E+1), C_j by the walk of the
-    # table: equal bit for bit, so that no change to the sum's fixed cost
-    # re-associates it unseen
+    # table and the tail added left to right explicitly: equal bit for bit,
+    # so that no change to the sum's fixed cost re-associates it unseen
     assert (end > _SCALAR_BLOCK) == (pieces > 0)
     assert pieces == 0 or math.ceil(end / _KERNEL_BLOCK) == pieces
     a, seg = 1.0, PathSegment(z0=0.3, b=0.1, v=v)
     result = _two_plate_sum(seg, a, SummationControl())
     assert result.terms_used == end
     coefficients = _walk_coefficients(seg, a)
-    tail = sum(c * _hurwitz_zeta(4 + 2 * j, end + 1.0) for j, c in enumerate(coefficients))
+    tail = 0.0
+    for j, c in enumerate(coefficients):
+        tail += c * _hurwitz_zeta(4 + 2 * j, end + 1.0)
     parts = [one_plate_integral(seg), *image_pair_terms(seg, a, range(1, end + 1)), tail]
     assert result.value.hex() == math.fsum(parts).hex()

@@ -1,11 +1,14 @@
 """Unit conversions and physical constants."""
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 
 from casvolt import (
     CONSTANTS,
+    Constants,
     DomainError,
     charge_natural,
     kinetic_from_speed,
@@ -92,6 +95,23 @@ def test_elementary_charge_natural():
     assert CONSTANTS.elementary_charge_natural == pytest.approx(
         0.302822120965, rel=1e-11, abs=0.0
     )
+
+
+def test_elementary_charge_natural_is_computed_once_and_stays_frozen():
+    # read once and kept outside the fields: the same float as the formula,
+    # no assignment, and a copy that has read it still equals CONSTANTS
+    fresh = Constants()
+    assert "elementary_charge_natural" not in vars(fresh)
+    e = fresh.elementary_charge_natural
+    assert e.hex() == math.sqrt(4.0 * math.pi * fresh.alpha).hex()
+    assert fresh.elementary_charge_natural is e
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh.elementary_charge_natural = 1.0
+    assert fresh.elementary_charge_natural is e
+    for clone in (copy.copy(fresh), pickle.loads(pickle.dumps(fresh))):
+        assert clone == CONSTANTS and hash(clone) == hash(CONSTANTS)
+        assert repr(clone) == repr(CONSTANTS)
+        assert clone.elementary_charge_natural == CONSTANTS.elementary_charge_natural
 
 
 def test_charge_natural_scales_linearly():
