@@ -26,19 +26,15 @@ _EXPORTS = {
         "one_plate_integral",
         "one_plate_integral_smallv",
         "reflected_image_integral",
-        "reflected_image_integral_smallv",
         "translated_image_integral",
-        "translated_image_integral_smallv",
         "one_plate_kernel",
         "reflected_image_kernel",
         "translated_image_kernel",
     ),
     "correlators": (
         "SpacetimePair",
-        "MeanSquaredField",
         "correlator_single_plate",
         "correlator_dual_plate",
-        "mean_squared_field",
     ),
     "errors": (
         "CasvoltError",
@@ -80,7 +76,6 @@ _EXPORTS = {
         "Constants",
         "CONSTANTS",
         "length_to_natural",
-        "natural_to_length",
         "speed_from_kinetic",
         "kinetic_from_speed",
         "charge_natural",

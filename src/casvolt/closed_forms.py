@@ -51,13 +51,13 @@ _V_MAX = 0.99
 
 # the small-v forms here and in variance warn at speeds above this one
 _SMALLV_WARN = 0.1
-# and refuse speeds below this one. They form v^2 times fourth powers of
-# lengths, 8 v^2 (z0 (z0 + b))^2 and 8 v^2 (d0 d1)^2 in the segment forms and
-# 4 (a v n)^2 in the translated one, and the variances square q v / z0 and
-# q v / a. With every length at errors' lower edge 1e-60 the segment forms
-# leave the normal doubles below v ~ 5e-35; the others hold to v ~ 1e-93.
-# The floor keeps 12 decades above 5e-35, as the length window does from
-# its edges; an electron at this speed has K = 2.6e-39 eV.
+# and refuse speeds below this one. The segment form multiplies v^2 by a
+# fourth power of lengths, 8 v^2 (z0 (z0 + b))^2, and the variances square
+# q v / z0 and q v / a. With every length at errors' lower edge 1e-60 the
+# segment form leaves the normal doubles below v ~ 3e-35; the variances
+# hold to v ~ 1e-93. The floor keeps 12 decades above that edge, as the
+# length window does from its edges; an electron at this speed has
+# K = 2.6e-39 eV.
 _SMALLV_MIN = 1e-22
 
 
@@ -210,11 +210,11 @@ def one_plate_integral(seg: PathSegment) -> float:
     try:
         return _reflection_square(seg.z0, seg.b, seg.v)
     except SingularityError as exc:
-        raise SingularityError(
+        exc.args = (
             f"integration corner on the singular locus (b near 2 v z0/(1-v) = "
             f"{2 * seg.v * seg.z0 / (1 - seg.v):.9g}); perturb b slightly. {exc}",
-            factor=exc.factor, threshold=exc.threshold,
-        ) from exc
+        )
+        raise
 
 
 def one_plate_integral_smallv(seg: PathSegment) -> float:
@@ -258,28 +258,8 @@ def reflected_image_integral(seg: PathSegment, a: float, n: int) -> float:
     try:
         return _reflection_square(base, seg.b, seg.v)
     except SingularityError as exc:
-        raise SingularityError(
-            f"reflected image n={n}: {exc}", factor=exc.factor, threshold=exc.threshold
-        ) from exc
-
-
-def reflected_image_integral_smallv(seg: PathSegment, a: float, n: int) -> float:
-    """Leading small-v form of the reflected-image integral.
-
-    [(an - z0)^2 + (an - z0 - b)^2] / [8 v^2 (an - z0)^2 (an - z0 - b)^2],
-    the same two-corner average structure as the one-plate expansion with the
-    corner offsets an - z0 and an - z0 - b. As b -> 0 this tends to
-    1/(4 v^2 (an - z0)^2).
-    """
-    if n == 0:
-        raise DomainError("image index n must be a nonzero integer")
-    check_separation(a)
-    _check_small_speed(seg.v)
-    d0 = a * n - seg.z0
-    d1 = a * n - seg.z0 - seg.b
-    if d0 == 0.0 or d1 == 0.0:
-        raise DomainError(f"image plane a*n={a * n!r} coincides with a segment endpoint")
-    return (d0 * d0 + d1 * d1) / (8.0 * seg.v * seg.v * d0 * d0 * d1 * d1)
+        exc.args = (f"reflected image n={n}: {exc}",)
+        raise
 
 
 def translated_image_integral(seg: PathSegment, a: float, n: int) -> float:
@@ -295,21 +275,8 @@ def translated_image_integral(seg: PathSegment, a: float, n: int) -> float:
     try:
         return _translation_square(seg.b, seg.v, abs(n) * a * seg.v)
     except SingularityError as exc:
-        raise SingularityError(
-            f"translated image n={n}: {exc}", factor=exc.factor, threshold=exc.threshold
-        ) from exc
-
-
-def translated_image_integral_smallv(seg: PathSegment, a: float, n: int) -> float:
-    """Leading small-v form of the translated-image integral: 1/(4 a^2 v^2 n^2).
-
-    Independent of the segment geometry; only the image distance matters.
-    """
-    if n == 0:
-        raise DomainError("image index n must be a nonzero integer")
-    check_separation(a)
-    _check_small_speed(seg.v)
-    return 1.0 / (4.0 * a * a * seg.v * seg.v * n * n)
+        exc.args = (f"translated image n={n}: {exc}",)
+        raise
 
 
 def _image_pair_term(seg: PathSegment, a: float, n: int) -> float:

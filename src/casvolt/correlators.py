@@ -196,38 +196,3 @@ def correlator_dual_plate(pair: SpacetimePair, a: float) -> SummationResult:
         terms_used=1,
         tail_estimate=0.0,
     )
-
-
-@record
-class MeanSquaredField:
-    """<E^2(z)> near a mirror of finite plasma frequency, with its regime."""
-
-    value: float
-    regime: str  # "perfect_reflector" (omega_p z >= 1) or "finite_reflectivity"
-    omega_p_z: float
-
-
-def mean_squared_field(z: float, omega_p: float) -> MeanSquaredField:
-    """Mean squared electric field at distance z from a mirror.
-
-    3/(16 pi^2 z^4) once omega_p z >= 1 (the perfect-reflector behavior) and
-    sqrt(2) omega_p/(32 pi z^3) below it. The switch is hard at omega_p z = 1;
-    only the asymptotic forms are known, so no interpolation is invented and
-    the value may jump at the boundary while the regime flag flips exactly
-    there.
-    """
-    check_length("distance z", z)
-    if not omega_p > 0.0:
-        raise DomainError(f"plasma frequency must be positive, got {omega_p!r}")
-    product = omega_p * z
-    if product >= 1.0:
-        return MeanSquaredField(
-            value=3.0 / (16.0 * math.pi**2 * z**4),
-            regime="perfect_reflector",
-            omega_p_z=product,
-        )
-    return MeanSquaredField(
-        value=math.sqrt(2.0) * omega_p / (32.0 * math.pi * z**3),
-        regime="finite_reflectivity",
-        omega_p_z=product,
-    )

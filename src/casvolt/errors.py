@@ -64,14 +64,13 @@ def check_positive_finite(label: str, value: float) -> None:
 # and every event time within _LENGTH_MAX of zero. The kernels are inverse
 # fourth powers of lengths, and their evaluations form fourth powers times
 # constants: 64 v^3 (z0 (z0 + b))^2 with v > 1e-6 in the squares,
-# 1e-12 (z + z')^4 in the correlators' singularity test, (pi/2a)^4 in the
-# dual-plate sum and 16 pi^2 z^4 in mean_squared_field, and the two-plate
-# sum at v near 1e-6 forms (a n)^4 out to image index n near 1/v. These
-# leave the normal doubles [2.2e-308, 1.8e308] for lengths of one size below
-# about 1e-74 or above about 1e72; short of that, scaling every length by a
-# power of two scales each result by its power exactly
-# (tests/test_length_window.py). The window keeps 12 decades from those
-# edges; 1 fm to 1 km is 5e-9 to 5e9 1/eV.
+# 1e-12 (z + z')^4 in the correlators' singularity test and (pi/2a)^4 in the
+# dual-plate sum, and the two-plate sum at v near 1e-6 forms (a n)^4 out to
+# image index n near 1/v. These leave the normal doubles [2.2e-308, 1.8e308]
+# for lengths of one size below about 1e-74 or above about 1e72; short of
+# that, scaling every length by a power of two scales each result by its
+# power exactly (tests/test_length_window.py). The window keeps 12 decades
+# from those edges; 1 fm to 1 km is 5e-9 to 5e9 1/eV.
 _LENGTH_MIN = 1e-60
 _LENGTH_MAX = 1e60
 

@@ -204,7 +204,8 @@ def load_scenario(data: dict) -> tuple[ExperimentConfig, ...]:
     numbers), insulator_nm (number), electrode_nm (number), mirrors
     (non-empty list of {name, plasma_frequency_eV, thickness_nm,
     optional distance_nm}). Malformed input raises DomainError naming the
-    offending key.
+    offending key. Mirror names must differ: the table has one regime and
+    one skin-depth column per name.
     """
     if not isinstance(data, dict):
         raise DomainError(f"scenario must be a mapping, got {type(data).__name__}")
@@ -218,6 +219,7 @@ def load_scenario(data: dict) -> tuple[ExperimentConfig, ...]:
     if not raw_mirrors:
         raise DomainError("scenario key 'mirrors' must be a non-empty list")
     mirrors = []
+    first_index: dict[str, int] = {}
     for index, entry in enumerate(raw_mirrors):
         context = f"mirrors[{index}]"
         if not isinstance(entry, dict):
@@ -225,14 +227,19 @@ def load_scenario(data: dict) -> tuple[ExperimentConfig, ...]:
         distance = None
         if "distance_nm" in entry:
             distance = _require(entry, "distance_nm", float, context)
-        mirrors.append(
-            MaterialMirror(
-                name=_require(entry, "name", str, context),
-                plasma_frequency_eV=_require(entry, "plasma_frequency_eV", float, context),
-                thickness_nm=_require(entry, "thickness_nm", float, context),
-                distance_nm=distance,
-            )
+        mirror = MaterialMirror(
+            name=_require(entry, "name", str, context),
+            plasma_frequency_eV=_require(entry, "plasma_frequency_eV", float, context),
+            thickness_nm=_require(entry, "thickness_nm", float, context),
+            distance_nm=distance,
         )
+        if mirror.name in first_index:
+            raise DomainError(
+                f"scenario {context} repeats the mirror name {mirror.name!r} "
+                f"of mirrors[{first_index[mirror.name]}]"
+            )
+        first_index[mirror.name] = index
+        mirrors.append(mirror)
     configs = []
     for index, cavity in enumerate(cavities):
         if isinstance(cavity, bool) or not isinstance(cavity, (int, float)):

@@ -48,13 +48,6 @@ def length_to_natural(length_nm: float) -> float:
     return natural
 
 
-def natural_to_length(length_inv_eV: float) -> float:
-    """Convert a natural-unit length (1/eV) back to nm."""
-    if not 0.0 < length_inv_eV < math.inf:
-        raise DomainError(f"length must be positive and finite, got {length_inv_eV!r} /eV")
-    return length_inv_eV * CONSTANTS.hbar_c_eV_nm
-
-
 def speed_from_kinetic(kinetic_eV: float, mass_eV: float) -> float:
     """Non-relativistic speed v = sqrt(2K/m) as a fraction of c.
 

@@ -122,10 +122,9 @@ class Particle:
         cls,
         kinetic_energy_eV: float | None = None,
         speed: float | None = None,
-        charge_e: float = 1.0,
     ) -> "Particle":
         return cls(
-            charge_e=charge_e,
+            charge_e=1.0,
             mass_eV=CONSTANTS.electron_mass_eV,
             kinetic_energy_eV=kinetic_energy_eV,
             speed=speed,

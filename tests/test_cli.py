@@ -555,11 +555,16 @@ def test_moddel_missing_scenario_exits_two(capsys, tmp_path):
 
 
 def test_moddel_malformed_scenario_exits_two(capsys, tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, _, err = _run(capsys, "moddel", "--scenario", str(path))
-    assert code == 2
-    assert "not valid JSON" in err
+    repeated = json.loads(json.dumps(DEFAULT_SCENARIO))
+    repeated["mirrors"][2]["name"] = "Al"
+    for text, message in (("{not json", "not valid JSON"),
+                          # exited 0 with one pair of Al columns, the second mirror's
+                          (json.dumps(repeated), "mirrors[2] repeats the mirror name 'Al'")):
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _run(capsys, "moddel", "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_moddel_infinite_scenario_value_exits_two(capsys, tmp_path):

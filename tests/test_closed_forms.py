@@ -12,12 +12,11 @@ from casvolt import (
     one_plate_integral_smallv,
     one_plate_kernel,
     reflected_image_integral,
-    reflected_image_integral_smallv,
     reflected_image_kernel,
     translated_image_integral,
-    translated_image_integral_smallv,
     translated_image_kernel,
 )
+from casvolt.closed_forms import _reflection_square
 
 
 def test_segment_validation():
@@ -102,6 +101,13 @@ def test_one_plate_pole_touch_raises_with_guidance():
     with pytest.raises(SingularityError) as excinfo:
         one_plate_integral(PathSegment(z0, b_star, v))
     assert "perturb b" in str(excinfo.value)
+    # the square's own refusal, raised once with the guidance in front
+    with pytest.raises(SingularityError) as square:
+        _reflection_square(z0, b_star, v)
+    error = excinfo.value
+    assert str(error).endswith(f"perturb b slightly. {square.value}")
+    assert (error.factor, error.threshold) == (square.value.factor, square.value.threshold)
+    assert error.__cause__ is None
 
 
 def test_reflected_image_goldens():
@@ -123,31 +129,6 @@ def test_reflected_image_rejects_n_zero():
         reflected_image_integral(PathSegment(0.3, 0.01, 0.01), 1.0, 0)
 
 
-def test_reflected_smallv_form():
-    # [(an - z0)^2 + (an - z0 - b)^2] / (8 v^2 (an - z0)^2 (an - z0 - b)^2)
-    seg = PathSegment(0.3, 0.05, 0.01)
-    a, n = 1.0, 1
-    d0 = a * n - seg.z0
-    d1 = a * n - seg.z0 - seg.b
-    expected = (d0 * d0 + d1 * d1) / (8.0 * seg.v**2 * d0 * d0 * d1 * d1)
-    assert reflected_image_integral_smallv(seg, a, n) == pytest.approx(
-        expected, rel=1e-15, abs=0.0
-    )
-
-
-def test_reflected_smallv_is_second_order_in_v():
-    # the absolute residual of the small-v form shrinks like v^2
-    a, n = 1.0, 1
-    rels = []
-    for v in (0.01, 0.005):
-        seg = PathSegment(0.3, 0.05, v)
-        exact = reflected_image_integral(seg, a, n)
-        small = reflected_image_integral_smallv(seg, a, n)
-        rels.append(abs(small - exact) / exact)
-    ratio = rels[0] / rels[1]
-    assert 3.0 < ratio < 5.0  # halving v divides the residual by ~4
-
-
 def test_translated_image_goldens():
     assert translated_image_integral(PathSegment(0.3, 0.2, 0.01), 1.0, 1) == pytest.approx(
         2508.1353975993175, rel=1e-12, abs=0.0
@@ -158,13 +139,6 @@ def test_translated_image_goldens():
     assert translated_image_integral(
         PathSegment(0.3, 0.005, 0.005), 1.0, 1
     ) == pytest.approx(2746.5731702078004, rel=1e-12, abs=0.0)
-
-
-def test_translated_smallv_form():
-    seg = PathSegment(0.4, 0.01, 0.02)
-    assert translated_image_integral_smallv(seg, 1.5, 2) == pytest.approx(
-        1.0 / (4.0 * 1.5**2 * 0.02**2 * 4.0), rel=1e-15, abs=0.0
-    )
 
 
 def test_translated_image_sign_symmetry():

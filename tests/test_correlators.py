@@ -11,7 +11,6 @@ from casvolt import (
     brute_dual_correlator,
     correlator_dual_plate,
     correlator_single_plate,
-    mean_squared_field,
 )
 
 
@@ -170,30 +169,3 @@ def test_correlators_positive_at_random_points():
         )
         assert correlator_dual_plate(pair, a).value > 0.0
 
-
-def test_mean_squared_field_regimes():
-    # perfect-reflector branch: 3/(16 pi^2 z^4) once omega_p z >= 1
-    good = mean_squared_field(z=1.0, omega_p=2.0)
-    assert good.regime == "perfect_reflector"
-    assert good.value == pytest.approx(3.0 / (16.0 * math.pi**2), rel=1e-14, abs=0.0)
-    # finite-reflectivity branch: sqrt(2) omega_p / (32 pi z^3)
-    poor = mean_squared_field(z=1.0, omega_p=0.1)
-    assert poor.regime == "finite_reflectivity"
-    assert poor.value == pytest.approx(
-        math.sqrt(2.0) * 0.1 / (32.0 * math.pi), rel=1e-14, abs=0.0
-    )
-
-
-def test_mean_squared_field_switch_is_hard():
-    omega_p = 2.0
-    at = mean_squared_field(z=0.5, omega_p=omega_p)  # omega_p z = 1 exactly
-    below = mean_squared_field(z=0.5 * (1.0 - 1e-12), omega_p=omega_p)
-    assert at.regime == "perfect_reflector"
-    assert below.regime == "finite_reflectivity"
-
-
-def test_mean_squared_field_validation():
-    with pytest.raises(DomainError):
-        mean_squared_field(z=0.0, omega_p=1.0)
-    with pytest.raises(DomainError):
-        mean_squared_field(z=1.0, omega_p=0.0)

@@ -116,6 +116,13 @@ def test_load_scenario_rejects_malformed():
         load_scenario(boolean)
     with pytest.raises(DomainError):
         load_scenario([1, 2, 3])
+    # moddel keys its columns by mirror name: a second "Al" (transparent,
+    # skin depth 26.67 nm) replaced the first (a perfect mirror, 13.16 nm)
+    mirrors = [dict(mirror) for mirror in DEFAULT_SCENARIO["mirrors"]]
+    mirrors[1]["name"] = "Al"
+    with pytest.raises(DomainError) as excinfo:
+        load_scenario(dict(DEFAULT_SCENARIO, mirrors=mirrors))
+    assert str(excinfo.value) == "scenario mirrors[1] repeats the mirror name 'Al' of mirrors[0]"
 
 
 def test_experiment_config_validation():

@@ -303,10 +303,11 @@ def test_pole_touching_image_raises_as_scalar_path():
             with pytest.raises(SingularityError) as summed:
                 variance_two_plate_exact(Particle.electron(speed=v), seg, a)
         raised += [block.value, summed.value]
-    for error in raised:
+    for error in [scalar.value, *raised]:
         assert type(error) is type(scalar.value)
         assert str(error) == str(scalar.value)
         assert (error.factor, error.threshold) == (scalar.value.factor, scalar.value.threshold)
+        assert error.__cause__ is None
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5], ids=["base", "top"])
@@ -654,12 +655,14 @@ def test_singular_corner_inside_block_raises_as_scalar_path(family, a):
         for n in range(1, 10):
             _image_pair_term(seg, a, n)
     assert str(scalar.value).startswith(family)
+    assert scalar.value.__cause__ is None
     for branch in BRANCHES:
         with pinned_branch(branch), pytest.raises(SingularityError) as block:
             image_pair_terms(seg, a, np.arange(1.0, 10.0))
         assert str(block.value) == str(scalar.value)
         assert (block.value.factor, block.value.threshold) == (scalar.value.factor,
                                                                scalar.value.threshold)
+        assert block.value.__cause__ is None
 
 
 def _locus_ratio(row, z0, b, v, n, a):
@@ -732,12 +735,13 @@ def test_locus_edge_matches_scalar(row, z0, b, v, n, a_zero, inside):
         for index in ns:
             _image_pair_term(seg, a, index)
     except SingularityError as exc:
-        assert inside
+        assert inside and exc.__cause__ is None
         for branch in BRANCHES:
             with pinned_branch(branch), pytest.raises(SingularityError) as block:
                 image_pair_terms(seg, a, np.array(ns, dtype=float))
             assert str(block.value) == str(exc)
             assert (block.value.factor, block.value.threshold) == (exc.factor, exc.threshold)
+            assert block.value.__cause__ is None
         return
     assert not inside
     for branch in BRANCHES:

@@ -5,6 +5,7 @@ without it. Once loaded, a two-plate sum compiles no code.
 
 Each check runs in a fresh interpreter, because this test session has long
 since imported all of them."""
+import ast
 import json
 import os
 import subprocess
@@ -203,20 +204,18 @@ PRODUCTION_MODULES = ["closed_forms", "correlators", "errors", "experiment", "su
 PUBLIC = [
     "CONSTANTS", "CasvoltError", "Constants", "ConvergenceError", "CscSeriesComparison",
     "DEFAULT_SCENARIO", "DerivativeReport", "DomainError", "EnhancementRatio",
-    "ExperimentConfig", "FluctuationResult", "MaterialMirror", "MeanSquaredField", "ModdelRow",
-    "Particle", "PathSegment", "PoleInsideDomainError", "QuadratureResult", "RegimeReport",
+    "ExperimentConfig", "FluctuationResult", "MaterialMirror", "ModdelRow", "Particle",
+    "PathSegment", "PoleInsideDomainError", "QuadratureResult", "RegimeReport",
     "SingularityError", "SpacetimePair", "SummationControl", "SummationResult",
     "VerificationReport", "WindowReport", "__version__", "brute_dual_correlator",
     "charge_natural", "correlator_dual_plate", "correlator_single_plate", "csc_identity",
     "deriv_check", "enhancement_ratio", "kinetic_from_speed", "length_to_natural",
-    "load_scenario", "mean_squared_field", "minkowski_rms", "moddel_report",
-    "natural_to_length", "one_plate_integral", "one_plate_integral_smallv",
-    "one_plate_kernel", "quad_image", "quad_one_plate", "reflected_image_integral",
-    "reflected_image_integral_smallv", "reflected_image_kernel", "regime_classify",
-    "rms_estimate_eV", "rms_one_plate_smallv", "run_verification", "speed_from_kinetic",
-    "translated_image_integral", "translated_image_integral_smallv",
-    "translated_image_kernel", "validity_window", "variance_one_plate",
-    "variance_two_plate_exact", "variance_two_plate_series_smallv",
+    "load_scenario", "minkowski_rms", "moddel_report", "one_plate_integral",
+    "one_plate_integral_smallv", "one_plate_kernel", "quad_image", "quad_one_plate",
+    "reflected_image_integral", "reflected_image_kernel", "regime_classify", "rms_estimate_eV",
+    "rms_one_plate_smallv", "run_verification", "speed_from_kinetic",
+    "translated_image_integral", "translated_image_kernel", "validity_window",
+    "variance_one_plate", "variance_two_plate_exact", "variance_two_plate_series_smallv",
     "variance_two_plate_smallv", "zeta_two_series",
 ]
 
@@ -246,6 +245,42 @@ def test_every_export_is_its_modules_object():
     for name, module in _modules().items():
         for attr in module.__all__:
             assert getattr(casvolt, attr) is getattr(module, attr), (name, attr)
+
+
+# the code that makes a public name earn its place: the package's modules,
+# the benchmark, and the acceptance criteria
+CALLER_FILES = [
+    *sorted(path for path in (SRC / "casvolt").glob("*.py") if path.name != "__init__.py"),
+    *sorted((SRC.parent / "perfbench").glob("*.py")),
+    SRC.parent / "tests" / "test_acceptance.py",
+]
+# public names that stay without such a reference, each with its reason
+UNREFERENCED = {
+    # the defining kernel the oracle's inline quadrature kernel is checked
+    # against (tests/test_oracle.py); reference code for the tests
+    "reflected_image_kernel",
+}
+
+
+def _references(path: Path):
+    """(name, the top-level def or class it sits in, or None) for every
+    ast.Name load and every ast.Attribute in the file at path."""
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        scope = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, scope
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, scope
+
+
+def test_every_public_name_is_referenced_outside_the_tests():
+    # a name's own def or class does not count as its caller
+    referenced = {name for path in CALLER_FILES for name, scope in _references(path)
+                  if name != scope}
+    unreached = sorted(set(casvolt._OWNER) - referenced - UNREFERENCED)
+    assert not unreached, f"public names with no caller outside the tests: {unreached}"
+    assert UNREFERENCED <= set(casvolt._OWNER) - referenced
 
 
 # the modules the cli imports at module level: the exit-code mapping and the

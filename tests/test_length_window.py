@@ -3,9 +3,9 @@ every quantity is homogeneous in the lengths.
 
 Scaling every length by 2^k and every inverse length by 2^-k scales each
 value by an exact power of two (lambda^-2 for the variances and segment
-squares, lambda^-4 for the correlators and the mean squared field), as long
-as no intermediate leaves the normal doubles. So inside the window the
-scaled value must equal the unscaled one bit for bit."""
+squares, lambda^-4 for the correlators), as long as no intermediate leaves
+the normal doubles. So inside the window the scaled value must equal the
+unscaled one bit for bit."""
 import math
 
 import pytest
@@ -21,7 +21,6 @@ from casvolt import (
     correlator_single_plate,
     enhancement_ratio,
     length_to_natural,
-    mean_squared_field,
     minkowski_rms,
     one_plate_integral_smallv,
     rms_estimate_eV,
@@ -85,10 +84,6 @@ def _dual(s, u1, u2, u3):
     return correlator_dual_plate(pair, s).value
 
 
-def _mean_squared_field(s, u1, u2, u3):
-    return mean_squared_field((0.01 + u1) * s, (0.1 + 10.0 * u2) / s).value
-
-
 HOMOGENEOUS = {
     "variance_one_plate": (2, _one_plate),
     "variance_two_plate_exact": (2, _two_plate),
@@ -97,7 +92,6 @@ HOMOGENEOUS = {
     "variance_two_plate_smallv": (2, _two_plate_smallv),
     "correlator_single_plate": (4, _single),
     "correlator_dual_plate": (4, _dual),
-    "mean_squared_field": (4, _mean_squared_field),
 }
 
 
@@ -125,7 +119,6 @@ ENTRY_POINTS = {
     "rms_one_plate_smallv.z0": lambda x: rms_one_plate_smallv(ELECTRON, x),
     "variance_two_plate_smallv.z0": lambda x: variance_two_plate_smallv(ELECTRON, x, 1.0),
     "variance_two_plate_smallv.a": lambda x: variance_two_plate_smallv(ELECTRON, 0.3, x),
-    "mean_squared_field.z": lambda x: mean_squared_field(x, 1.0),
 }
 
 

@@ -19,16 +19,12 @@ from casvolt import (
     enhancement_ratio,
     length_to_natural,
     load_scenario,
-    mean_squared_field,
     minkowski_rms,
-    natural_to_length,
     reflected_image_integral,
-    reflected_image_integral_smallv,
     reflected_image_kernel,
     regime_classify,
     rms_estimate_eV,
     translated_image_integral,
-    translated_image_integral_smallv,
     translated_image_kernel,
     variance_two_plate_exact,
     variance_two_plate_smallv,
@@ -51,9 +47,7 @@ CONFIG = {"cavity_nm": 50.0, "insulator_nm": 2.0, "electrode_nm": 8.0,
 
 SEPARATION = {
     "reflected_image_integral": lambda a: reflected_image_integral(SEG, a, 1),
-    "reflected_image_integral_smallv": lambda a: reflected_image_integral_smallv(SEG, a, 1),
     "translated_image_integral": lambda a: translated_image_integral(SEG, a, 1),
-    "translated_image_integral_smallv": lambda a: translated_image_integral_smallv(SEG, a, 1),
     "image_pair_terms": lambda a: image_pair_terms(SEG, a, np.arange(1.0, 5.0)),
     "reflected_image_kernel": lambda a: reflected_image_kernel(0.3, 0.4, 0.1, a, 1),
     "translated_image_kernel": lambda a: translated_image_kernel(0.3, 0.4, 0.1, a, 1),
@@ -70,8 +64,6 @@ SEPARATION = {
 }
 LENGTH = {
     "length_to_natural": length_to_natural,
-    "natural_to_length": natural_to_length,
-    "mean_squared_field": lambda z: mean_squared_field(z, 1.0),
     "rms_estimate_eV": lambda z0_nm: rms_estimate_eV(1.0, z0_nm),
     "minkowski_rms": lambda a_nm: minkowski_rms(1.0, a_nm),
     "enhancement_ratio": lambda a_nm: enhancement_ratio(1.0, 10.0, a_nm),

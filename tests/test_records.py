@@ -23,7 +23,6 @@ from casvolt import (
     ExperimentConfig,
     FluctuationResult,
     MaterialMirror,
-    MeanSquaredField,
     ModdelRow,
     Particle,
     PathSegment,
@@ -52,9 +51,6 @@ RECORDS = {
     SpacetimePair: (
         dict(t=0.2, z=0.3, t_prime=-0.1, z_prime=0.4), {},
         "SpacetimePair(t=0.2, z=0.3, t_prime=-0.1, z_prime=0.4)"),
-    MeanSquaredField: (
-        dict(value=0.0019, regime="perfect_reflector", omega_p_z=2.5), {},
-        "MeanSquaredField(value=0.0019, regime='perfect_reflector', omega_p_z=2.5)"),
     MaterialMirror: (
         dict(name="Pd", plasma_frequency_eV=7.0, thickness_nm=10.0, distance_nm=2.3),
         dict(distance_nm=None),

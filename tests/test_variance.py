@@ -16,10 +16,8 @@ from casvolt import (
     csc_identity,
     one_plate_integral,
     one_plate_integral_smallv,
-    reflected_image_integral_smallv,
     rms_one_plate_smallv,
     length_to_natural,
-    translated_image_integral_smallv,
     validity_window,
     variance_one_plate,
     variance_two_plate_exact,
@@ -157,10 +155,6 @@ def test_small_speed_forms_share_the_warning_edge(form, speed, warns):
 # every small-v form at speed v, its lengths a multiple of the scale L
 FLOOR_FORMS = {
     "one_plate_integral_smallv": lambda v, L: one_plate_integral_smallv(PathSegment(L, L, v)),
-    "reflected_image_integral_smallv":
-        lambda v, L: reflected_image_integral_smallv(PathSegment(L, L, v), 3.0 * L, 1),
-    "translated_image_integral_smallv":
-        lambda v, L: translated_image_integral_smallv(PathSegment(L, L, v), 3.0 * L, 1),
     "rms_one_plate_smallv":
         lambda v, L: rms_one_plate_smallv(Particle.electron(speed=v), 3.0 * L).variance_eV2,
     "variance_two_plate_smallv":
@@ -175,7 +169,7 @@ FLOOR_FORMS = {
                          ids=["1e-200", "below"])
 @pytest.mark.parametrize("form", FLOOR_FORMS.values(), ids=FLOOR_FORMS)
 def test_small_speed_forms_refuse_below_the_floor(form, speed):
-    # at 1e-200 the three segment forms raised ZeroDivisionError and the two
+    # at 1e-200 the segment form raised ZeroDivisionError and the two
     # variances returned 0.0 for a charged electron
     with pytest.raises(DomainError, match="below 1e-22, the least the small-v forms evaluate"):
         form(speed, 1.0)
@@ -195,7 +189,7 @@ def test_small_speed_forms_stay_normal_just_above_the_floor(form, scale):
 def test_particle_refuses_a_charge_below_the_floor(charge, sign):
     # rms_one_plate_smallv gave variance 0.0 at charge_e = 1e-200, unflagged
     with pytest.raises(DomainError) as excinfo:
-        Particle.electron(speed=0.01, charge_e=sign * charge)
+        Particle(charge_e=sign * charge, mass_eV=M_E, speed=0.01)
     assert str(excinfo.value) == (
         f"particle charge must be 0 or at least 1e-58 in magnitude, got {sign * charge!r}")
 
@@ -220,7 +214,7 @@ def test_charged_variance_below_the_normal_doubles_refuses():
     seg = PathSegment(z0=5e59, b=1e-57, v=v)
     with pytest.raises(DomainError, match=r"^variance underflows: 0\.0 eV\^2 lies below "):
         variance_one_plate(Particle.electron(speed=v), seg)
-    neutral = variance_one_plate(Particle.electron(speed=v, charge_e=0.0), seg)
+    neutral = variance_one_plate(Particle(charge_e=0.0, mass_eV=M_E, speed=v), seg)
     assert neutral.variance_eV2 == 0.0 and "neutral" in neutral.regime
 
 
