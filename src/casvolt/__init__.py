@@ -13,8 +13,9 @@ re-exports every row. `import casvolt` imports no submodule: the module
 __getattr__ imports the owning module the first time one of its names (or
 the module itself, as in casvolt.closed_forms) is looked up, and binds the
 whole row into the package namespace, so later lookups are plain attribute
-reads. Each CLI command therefore compiles only the modules it runs. numpy
-loads only with a pair block longer than closed_forms._SCALAR_BLOCK or a
+reads. Each CLI command therefore compiles only the modules it runs; images,
+which declares no public name, loads with the first two-plate exact sum.
+numpy loads only with a pair block longer than images._SCALAR_BLOCK or a
 call of oracle.brute_dual_correlator.
 """
 __version__ = "0.1.0"

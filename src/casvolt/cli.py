@@ -344,7 +344,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     status = "PASSED" if report.passed else "FAILED"
     print(
         f"verification {status}: {sum(c.passed for c in report.checks)}/"
-        f"{len(report.checks)} checks in {report.elapsed_s:.1f}s (seed {report.seed})",
+        f"{len(report.checks)} checks in {report.elapsed_s * 1e3:.0f} ms (seed {report.seed})",
         file=sys.stderr,
     )
     return 0 if report.passed else 4

@@ -23,7 +23,8 @@ convergent Riemann integral). The corners share their log arguments and
 their other parts cancel exactly, so each square is evaluated in collapsed
 form, with one log ratio per pair of off-diagonal corners and no
 cancellation between corners (_reflection_square, _translation_square).
-The oracle checks these squares against the kernels they integrate.
+The oracle checks these squares against the kernels they integrate, and
+images sums them over the two-plate images.
 
 All lengths are natural units (1/eV); integral values carry eV^2.
 """
@@ -82,23 +83,6 @@ def _warn_small_speed(v: float) -> None:
 # a corner sits "on the singular locus" when a log argument is smaller than
 # this fraction of its natural magnitude scale
 _POLE_TOUCH_EPS = 1e-10
-
-# Longest block image_pair_terms forms one index at a time, without numpy.
-# Warm, at a = 1 and (z0, b, v) = (0.3, 0.1, 0.01) and (0.1, 0.5, 1e-3), the
-# fused pure-Python pass costs 1.4-1.5 us per index and the numpy kernel
-# 44-49 us from 24 to 34 indices: pass over kernel is 0.65-0.82 at 26
-# indices, 0.94-0.95 at 30, 0.98-1.01 at 32 and 1.04-1.07 at 34. The kernel
-# takes 70-71 us at 299 indices and 256-263 us at 1024 (z0, b, v = 0.3, 0.1,
-# 1e-3), below 0.3 us per index (docs/decisions.md, "Two-plate image sums").
-# The least block a two-plate sum forms has 16 indices; one whose n_U is at
-# most 23 ends its block by index 30 and loads no numpy.
-_SCALAR_BLOCK = 30
-
-# Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
-# at 511 bytes per index (tracemalloc, 1024 indices), so the n_max = 10^6
-# pairs a sum may take would need about 510 MB in one pass; pieces of this
-# length need 0.5 MB.
-_KERNEL_BLOCK = 1024
 
 
 @record
@@ -277,214 +261,6 @@ def translated_image_integral(seg: PathSegment, a: float, n: int) -> float:
     except SingularityError as exc:
         exc.args = (f"translated image n={n}: {exc}",)
         raise
-
-
-def _image_pair_term(seg: PathSegment, a: float, n: int) -> float:
-    """The +n/-n pair term of one index, as image_pair_terms forms it:
-    R(z0 - an) + R(z0 + an) + 2 T(n). It raises what the image integrals
-    raise, in the order reflected +n, translated, reflected -n."""
-    reflected = reflected_image_integral(seg, a, n)
-    translated = translated_image_integral(seg, a, n)
-    return reflected + reflected_image_integral(seg, a, -n) + 2.0 * translated
-
-
-def _integer_indices(ns) -> list[int]:
-    """The indices of ns as ints; DomainError names the first that is not
-    an integer."""
-    indices = []
-    for n in ns:
-        if not float(n).is_integer():
-            raise DomainError(f"image index n must be an integer, got {float(n)!r}")
-        indices.append(int(n))
-    return indices
-
-
-def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
-    """The pair terms of the integer indices ns, one fused pass per index.
-
-    The pair term is even in n, so each index is formed from am = |n| a:
-    the reflected squares of the near image, base z0 - am, and of the far
-    image, base z0 + am, and the translated corners. For |n| >= 1 the far
-    square lies above z = 0, so its base, top and Y are positive and its
-    log ratio's d s negative, and the translated q1, p2 and q1 p2 are
-    positive: those take no abs(). Every log argument, exact difference
-    and touch scale is formed as _reflection_square and _translation_square
-    form it, and every half log ratio as _log_ratio does, so an index
-    refuses exactly when the scalar squares refuse it; such an index (a log
-    argument on the singular locus, a zero denominator: an image plane
-    through a corner or n = 0), and one whose term is not finite, is
-    evaluated through _image_pair_term with its own n, which raises its
-    error. The constants are folded as the numpy kernel of image_pair_terms
-    folds them.
-    """
-    z0, b, v = seg.z0, seg.b, seg.v
-    lo, hi, two_v = (1.0 - v) * b, (1.0 + v) * b, 2.0 * v
-    reflection_scale = b / (64.0 * v**3)
-    reflection_log = -2.0 * (1.0 - v * v) * reflection_scale
-    reflection_rest = 4.0 * v * b * reflection_scale
-    diff_factor, sum_factor = (1.0 - v * v) * b / -16.0, v / -16.0
-    ds_reflection, ds_diff, ds_sum = -2.0 * b, -4.0 * b, -4.0 * v * b * b
-    two_b = 2.0 * b
-    log1p, copysign, isfinite = math.log1p, math.copysign, math.isfinite
-    terms = []
-    append = terms.append
-    for n in ns:
-        am = abs(n) * a
-        nav = am * v
-        c = 2.0 * nav
-        # the reflected squares of the near and the far image: base, top,
-        # base + top, X and Y
-        near = z0 - am
-        near_top = near + b
-        near_sum = near + near_top
-        anchor = two_v * near_top
-        x, y = anchor - hi, anchor + lo
-        far = z0 + am
-        far_top = far + b
-        far_sum = far + far_top
-        anchor = two_v * far_top
-        x_far, y_far = anchor - hi, anchor + lo
-        # the translated corners; q1 and p2 lie above (1 - v) b, off the locus
-        p1, q1 = c - hi, c + lo
-        p2, q2 = c + hi, c - lo
-        ax, ay = abs(x), abs(y)
-        least = ax if ax < ay else ay
-        ax_far = abs(x_far)
-        least_far = ax_far if ax_far < y_far else y_far
-        ap1, aq2 = abs(p1), abs(q2)
-        square = near * near_top
-        # the near square's touch scale is _on_locus's v (|top| + |base|) + b
-        # unless the square straddles z = 0, where |X| and |Y| exceed (1 - v) b
-        if (least < _POLE_TOUCH_EPS * (v * abs(near_sum) + b)
-                or least_far < _POLE_TOUCH_EPS * (v * far_sum + b)
-                or (ap1 if ap1 < aq2 else aq2) < _POLE_TOUCH_EPS * (c + b)
-                or not (square and nav)):
-            append(_image_pair_term(seg, a, n))
-            continue
-        far_square = far * far_top
-        # half the log ratios l(X, Y) of the near and the far image, l1 - l2 and l1 + l2
-        ds = ds_reflection * (two_v * near_sum)
-        half = copysign(log1p(abs(ds) / ((ax + ay) * least)), ds)
-        half_far = -log1p(two_b * (two_v * far_sum) / ((ax_far + y_far) * least_far))
-        cross_p, cross_q = p1 * q2, q1 * p2
-        outer_p, outer_q = p1 * p2, q1 * q2
-        ds = (cross_p + cross_q) * (c * ds_diff)
-        cross_p = abs(cross_p)
-        half_diff = copysign(
-            log1p(abs(ds) / ((cross_p + cross_q) * (cross_p if cross_p < cross_q else cross_q))),
-            ds)
-        ds = (outer_p + outer_q) * ds_sum
-        outer_p, outer_q = abs(outer_p), abs(outer_q)
-        half_sum = copysign(
-            log1p(abs(ds) / ((outer_p + outer_q) * (outer_p if outer_p < outer_q else outer_q))),
-            ds)
-        term = (((near_sum * reflection_log) * half + reflection_rest) / (square * square)
-                + ((far_sum * reflection_log) * half_far + reflection_rest)
-                / (far_square * far_square)
-                + (diff_factor * half_diff + (c * sum_factor) * half_sum) / nav**3)
-        append(term if isfinite(term) else _image_pair_term(seg, a, n))
-    return terms
-
-
-def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
-    """Four-image contribution of +n and -n for each integer index in ns.
-
-    For each n, R(z0 - an) + R(z0 + an) + 2 T(n), R and T the squares of
-    _reflection_square and _translation_square, with their log arguments,
-    exact differences and log ratios formed as those squares form them and
-    the constants folded, so a term can differ from the scalar pair term in
-    its last bits. ns is a range, or a sequence of integer-valued numbers; a
-    value that is not an integer raises DomainError. Blocks of at most
-    _SCALAR_BLOCK indices are formed one index at a time
-    (_scalar_pair_terms), longer ones by a numpy kernel that fuses them into
-    one pass: one p/q buffer, one |p|, |q| array for both the locus test and
-    the log ratios. A numpy block holding any index those integrals would
-    refuse (a log argument on the singular locus, an image plane through a
-    corner, n = 0, a term that is not finite) is formed again by
-    _scalar_pair_terms, so it raises the same error at the same index. An
-    ns longer than _KERNEL_BLOCK is taken in pieces of that length, in
-    order.
-    """
-    if not isinstance(ns, range):
-        ns = _integer_indices(ns)
-    if len(ns) > _KERNEL_BLOCK:
-        return [term for i in range(0, len(ns), _KERNEL_BLOCK)
-                for term in image_pair_terms(seg, a, ns[i:i + _KERNEL_BLOCK])]
-    _check_v(seg.v)
-    check_separation(a)
-    if len(ns) <= _SCALAR_BLOCK:
-        return _scalar_pair_terms(seg, a, ns)
-    import numpy as np
-
-    z0, b, v, size = seg.z0, seg.b, seg.v, len(ns)
-    lo, hi, k = (1.0 - v) * b, (1.0 + v) * b, 1.0 - v * v
-    reflection_scale = b / (64.0 * v**3)
-    with np.errstate(all="ignore"):
-        if isinstance(ns, range):
-            an = np.arange(ns.start, ns.stop, ns.step, dtype=float)
-        else:
-            an = np.array(ns, dtype=float)
-        an *= a
-        nav = abs(an) * v  # |n| a v, as translated_image_integral forms it
-        # base and top of the reflected squares of +n (row 0) and -n (row 1)
-        base = np.empty((2, size))
-        np.subtract(z0, an, out=base[0])
-        np.add(z0, an, out=base[1])
-        top = base + b
-        s = base + top
-        # rows c = 2 nav, c, 2 v top of +n and of -n: rows 1-3 anchor the log
-        # arguments below, and at the end every row becomes a touch scale
-        scales = np.empty((4, size))
-        c = np.multiply(nav, 2.0, out=scales[:2])[0]
-        np.multiply(2.0 * v, top, out=scales[2:])
-        # p (pq[0]) and q (pq[1]) of the rows (q2, p2), (p2, q2), (p1, q1),
-        # (X, Y) of +n and of -n, (p1 q2, q1 p2) and (p1 p2, q1 q2)
-        pq = np.empty((2, 7, size))
-        np.subtract(scales[1:], hi, out=pq[0, 2:5])
-        np.add(scales[1:], lo, out=pq[1, 2:5])
-        np.add(c, hi, out=pq[0, 1])
-        np.subtract(c, lo, out=pq[1, 1])
-        pq[:, 0] = pq[::-1, 1]
-        np.multiply(pq[0, 2], pq[0, :2], out=pq[0, 5:])
-        np.multiply(pq[1, 2], pq[1, :2], out=pq[1, 5:])
-        magnitude = np.abs(pq)
-        least = np.minimum(magnitude[0], magnitude[1])
-        # d s of rows 3-6: the sums times the differences -2 b, -4 c b, -4 v b^2
-        ds = np.empty((4, size))
-        np.multiply(2.0 * v, s, out=ds[:2])
-        np.add(pq[0, 5:], pq[1, 5:], out=ds[2:])
-        ds[:2] *= -2.0 * b
-        ds[2] *= c * (-4.0 * b)
-        ds[3] *= -4.0 * v * b * b
-        # half the log ratios of rows 3-6, as _log_ratio forms them
-        half = np.add(magnitude[0, 3:], magnitude[1, 3:])
-        half *= least[3:]
-        np.divide(np.abs(ds), half, out=half)
-        np.log1p(half, out=half)
-        np.copysign(half, ds, out=half)
-        # R(z0 - an), R(z0 + an) and 2 T(n) as numerators over (base top)^2 and nav^3
-        values = np.empty((7, size))
-        np.multiply(s, -2.0 * k * reflection_scale, out=values[:2])
-        values[2] = k * b / -16.0
-        np.multiply(c, v / -16.0, out=values[3])
-        values[:4] *= half
-        values[:2] += 4.0 * v * b * reflection_scale
-        values[2] += values[3]
-        np.multiply(base, top, out=values[4:6])
-        np.square(values[4:6], out=values[4:6])
-        np.power(nav, 3, out=values[6])
-        terms = np.add.reduce(np.divide(values[:3], values[4:], out=values[:3]))
-        # tolerances of least[1:5] from c + b and from v |base + top| + b, which is
-        # _on_locus's v (|top| + |base|) + b unless a square straddles z = 0, where
-        # |X| and |Y| exceed (1 - v) b. A non-finite term makes their sum non-finite.
-        np.abs(s, out=scales[2:])
-        scales[2:] *= v
-        scales += b
-        scales *= _POLE_TOUCH_EPS
-        refusable = (least[1:5] < scales).any() or not math.isfinite(np.add.reduce(terms))
-    if not refusable:
-        return terms.tolist()
-    return _scalar_pair_terms(seg, a, ns)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,439 @@
+"""The two-plate image-sum engine: how a two-plate sum is blocked, formed and
+certified.
+
+variance_two_plate_exact sums the one-plate integral and the pair terms
+R(z0 - an) + R(z0 + an) + 2 T(n), n >= 1, R and T closed_forms' reflected
+and translated squares. _two_plate_sum sets the block ends and certifies the
+sum with its analytic Hurwitz zeta tail; image_pair_terms forms a block of
+pair terms. Only a two-plate exact sum imports this module, so no other run
+compiles it (docs/decisions.md, "Two-plate image sums").
+"""
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+# the one-plate and image integrals are looked up on closed_forms, whose
+# attributes perfbench's tracer wraps
+from . import closed_forms
+from .closed_forms import _POLE_TOUCH_EPS, PathSegment, _check_v
+from .errors import ConvergenceError, DomainError, check_separation
+from .summation import SummationControl, SummationResult
+
+# no public name: variance_two_plate_exact is this engine's entry point
+__all__: list[str] = []
+
+# Longest block image_pair_terms forms one index at a time, without numpy.
+# Warm, at a = 1 and (z0, b, v) = (0.3, 0.1, 0.01) and (0.1, 0.5, 1e-3), the
+# fused pure-Python pass costs 1.4-1.5 us per index and the numpy kernel
+# 44-49 us from 24 to 34 indices: pass over kernel is 0.65-0.82 at 26
+# indices, 0.94-0.95 at 30, 0.98-1.01 at 32 and 1.04-1.07 at 34. The kernel
+# takes 70-71 us at 299 indices and 256-263 us at 1024 (z0, b, v = 0.3, 0.1,
+# 1e-3), below 0.3 us per index (docs/decisions.md, "Two-plate image sums").
+# The least block a two-plate sum forms has 16 indices; one whose n_U is at
+# most 23 ends its block by index 30 and loads no numpy.
+_SCALAR_BLOCK = 30
+
+# Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
+# at 511 bytes per index (tracemalloc, 1024 indices), so the n_max = 10^6
+# pairs a sum may take would need about 510 MB in one pass; pieces of this
+# length need 0.5 MB.
+_KERNEL_BLOCK = 1024
+
+# The two-plate sum subtracts its analytic tail from the first index
+# n >= _ZETA_X_MIN at which U = v (2an - 2(z0+b)) / b reaches this value: there
+# the pair terms' expansion in 1/n gains a factor (1/U)^2 <= 1/4 per order, so
+# the envelope coefficient taken at that index is close to its limit.
+_TAIL_REFERENCE_U = 2.0
+# Least argument x at which _hurwitz_zeta reaches double precision with the
+# Euler-Maclaurin terms of B_2, ..., B_20, here as (numerator, denominator); a
+# subtracted tail built from zeta(s, N + 1) needs N + 1 >= this.
+_ZETA_X_MIN = 16
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+              (43867, 798), (-174611, 330))
+# The remainder past the six subtracted orders C_0, ..., C_5 falls like n^-16.
+_REMAINDER_ORDER = 16
+# Rounding allowance on the pair term at the reference index, relative to the
+# summed magnitude of its parts R(z0 - an), R(z0 + an) and 2 T(n): past the
+# light cone every part is positive, so that is the pair term itself. Against
+# 60-digit mpmath the remainder pair - sum_j C_j n^-(4+2j), with the block's
+# pair term and the float C_j, was off by at most 1.2e-15 of it over 1,500
+# random geometries, v from 1e-4 to 0.3, at n_ref and up to 100 past it.
+_PAIR_ROUNDING = 1e-12
+# Rounding allowance on the subtracted tail T(n), relative to T(n): T is formed
+# from _hurwitz_zeta, whose orders s = 4..14 are each within 14.5 ulps of
+# 80-digit mpmath at x = n + 1 from 17 to 10^6. The allowance
+# max(_TAIL_ROUNDING, n ulps) covers that with a wide margin.
+_TAIL_ROUNDING = 1e-12
+_ULP = 2.0**-53
+
+
+def _image_pair_term(seg: PathSegment, a: float, n: int) -> float:
+    """The +n/-n pair term of one index, as image_pair_terms forms it:
+    R(z0 - an) + R(z0 + an) + 2 T(n). It raises what the image integrals
+    raise, in the order reflected +n, translated, reflected -n."""
+    reflected = closed_forms.reflected_image_integral(seg, a, n)
+    translated = closed_forms.translated_image_integral(seg, a, n)
+    return reflected + closed_forms.reflected_image_integral(seg, a, -n) + 2.0 * translated
+
+
+def _integer_indices(ns) -> list[int]:
+    """The indices of ns as ints; DomainError names the first that is not
+    an integer."""
+    indices = []
+    for n in ns:
+        if not float(n).is_integer():
+            raise DomainError(f"image index n must be an integer, got {float(n)!r}")
+        indices.append(int(n))
+    return indices
+
+
+def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
+    """The pair terms of the integer indices ns, one fused pass per index.
+
+    The pair term is even in n, so each index is formed from am = |n| a:
+    the reflected squares of the near image, base z0 - am, and of the far
+    image, base z0 + am, and the translated corners. For |n| >= 1 the far
+    square lies above z = 0, so its base, top and Y are positive and its
+    log ratio's d s negative, and the translated q1, p2 and q1 p2 are
+    positive: those take no abs(). Every log argument, exact difference
+    and touch scale is formed as _reflection_square and _translation_square
+    form it, and every half log ratio as _log_ratio does, so an index
+    refuses exactly when the scalar squares refuse it; such an index (a log
+    argument on the singular locus, a zero denominator: an image plane
+    through a corner or n = 0), and one whose term is not finite, is
+    evaluated through _image_pair_term with its own n, which raises its
+    error. The constants are folded as the numpy kernel of image_pair_terms
+    folds them.
+    """
+    z0, b, v = seg.z0, seg.b, seg.v
+    lo, hi, two_v = (1.0 - v) * b, (1.0 + v) * b, 2.0 * v
+    reflection_scale = b / (64.0 * v**3)
+    reflection_log = -2.0 * (1.0 - v * v) * reflection_scale
+    reflection_rest = 4.0 * v * b * reflection_scale
+    diff_factor, sum_factor = (1.0 - v * v) * b / -16.0, v / -16.0
+    ds_reflection, ds_diff, ds_sum = -2.0 * b, -4.0 * b, -4.0 * v * b * b
+    two_b = 2.0 * b
+    log1p, copysign, isfinite = math.log1p, math.copysign, math.isfinite
+    terms = []
+    append = terms.append
+    for n in ns:
+        am = abs(n) * a
+        nav = am * v
+        c = 2.0 * nav
+        # the reflected squares of the near and the far image: base, top,
+        # base + top, X and Y
+        near = z0 - am
+        near_top = near + b
+        near_sum = near + near_top
+        anchor = two_v * near_top
+        x, y = anchor - hi, anchor + lo
+        far = z0 + am
+        far_top = far + b
+        far_sum = far + far_top
+        anchor = two_v * far_top
+        x_far, y_far = anchor - hi, anchor + lo
+        # the translated corners; q1 and p2 lie above (1 - v) b, off the locus
+        p1, q1 = c - hi, c + lo
+        p2, q2 = c + hi, c - lo
+        ax, ay = abs(x), abs(y)
+        least = ax if ax < ay else ay
+        ax_far = abs(x_far)
+        least_far = ax_far if ax_far < y_far else y_far
+        ap1, aq2 = abs(p1), abs(q2)
+        square = near * near_top
+        # the near square's touch scale is _on_locus's v (|top| + |base|) + b
+        # unless the square straddles z = 0, where |X| and |Y| exceed (1 - v) b
+        if (least < _POLE_TOUCH_EPS * (v * abs(near_sum) + b)
+                or least_far < _POLE_TOUCH_EPS * (v * far_sum + b)
+                or (ap1 if ap1 < aq2 else aq2) < _POLE_TOUCH_EPS * (c + b)
+                or not (square and nav)):
+            append(_image_pair_term(seg, a, n))
+            continue
+        far_square = far * far_top
+        # half the log ratios l(X, Y) of the near and the far image, l1 - l2 and l1 + l2
+        ds = ds_reflection * (two_v * near_sum)
+        half = copysign(log1p(abs(ds) / ((ax + ay) * least)), ds)
+        half_far = -log1p(two_b * (two_v * far_sum) / ((ax_far + y_far) * least_far))
+        cross_p, cross_q = p1 * q2, q1 * p2
+        outer_p, outer_q = p1 * p2, q1 * q2
+        ds = (cross_p + cross_q) * (c * ds_diff)
+        cross_p = abs(cross_p)
+        half_diff = copysign(
+            log1p(abs(ds) / ((cross_p + cross_q) * (cross_p if cross_p < cross_q else cross_q))),
+            ds)
+        ds = (outer_p + outer_q) * ds_sum
+        outer_p, outer_q = abs(outer_p), abs(outer_q)
+        half_sum = copysign(
+            log1p(abs(ds) / ((outer_p + outer_q) * (outer_p if outer_p < outer_q else outer_q))),
+            ds)
+        term = (((near_sum * reflection_log) * half + reflection_rest) / (square * square)
+                + ((far_sum * reflection_log) * half_far + reflection_rest)
+                / (far_square * far_square)
+                + (diff_factor * half_diff + (c * sum_factor) * half_sum) / nav**3)
+        append(term if isfinite(term) else _image_pair_term(seg, a, n))
+    return terms
+
+
+def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
+    """Four-image contribution of +n and -n for each integer index in ns.
+
+    For each n, R(z0 - an) + R(z0 + an) + 2 T(n), R and T the squares of
+    _reflection_square and _translation_square, with their log arguments,
+    exact differences and log ratios formed as those squares form them and
+    the constants folded, so a term can differ from the scalar pair term in
+    its last bits. ns is a range, or a sequence of integer-valued numbers; a
+    value that is not an integer raises DomainError. Blocks of at most
+    _SCALAR_BLOCK indices are formed one index at a time
+    (_scalar_pair_terms), longer ones by a numpy kernel that fuses them into
+    one pass: one p/q buffer, one |p|, |q| array for both the locus test and
+    the log ratios. A numpy block holding any index those integrals would
+    refuse (a log argument on the singular locus, an image plane through a
+    corner, n = 0, a term that is not finite) is formed again by
+    _scalar_pair_terms, so it raises the same error at the same index. An
+    ns longer than _KERNEL_BLOCK is taken in pieces of that length, in
+    order.
+    """
+    if not isinstance(ns, range):
+        ns = _integer_indices(ns)
+    if len(ns) > _KERNEL_BLOCK:
+        return [term for i in range(0, len(ns), _KERNEL_BLOCK)
+                for term in image_pair_terms(seg, a, ns[i:i + _KERNEL_BLOCK])]
+    _check_v(seg.v)
+    check_separation(a)
+    if len(ns) <= _SCALAR_BLOCK:
+        return _scalar_pair_terms(seg, a, ns)
+    import numpy as np
+
+    z0, b, v, size = seg.z0, seg.b, seg.v, len(ns)
+    lo, hi, k = (1.0 - v) * b, (1.0 + v) * b, 1.0 - v * v
+    reflection_scale = b / (64.0 * v**3)
+    with np.errstate(all="ignore"):
+        if isinstance(ns, range):
+            an = np.arange(ns.start, ns.stop, ns.step, dtype=float)
+        else:
+            an = np.array(ns, dtype=float)
+        an *= a
+        nav = abs(an) * v  # |n| a v, as translated_image_integral forms it
+        # base and top of the reflected squares of +n (row 0) and -n (row 1)
+        base = np.empty((2, size))
+        np.subtract(z0, an, out=base[0])
+        np.add(z0, an, out=base[1])
+        top = base + b
+        s = base + top
+        # rows c = 2 nav, c, 2 v top of +n and of -n: rows 1-3 anchor the log
+        # arguments below, and at the end every row becomes a touch scale
+        scales = np.empty((4, size))
+        c = np.multiply(nav, 2.0, out=scales[:2])[0]
+        np.multiply(2.0 * v, top, out=scales[2:])
+        # p (pq[0]) and q (pq[1]) of the rows (q2, p2), (p2, q2), (p1, q1),
+        # (X, Y) of +n and of -n, (p1 q2, q1 p2) and (p1 p2, q1 q2)
+        pq = np.empty((2, 7, size))
+        np.subtract(scales[1:], hi, out=pq[0, 2:5])
+        np.add(scales[1:], lo, out=pq[1, 2:5])
+        np.add(c, hi, out=pq[0, 1])
+        np.subtract(c, lo, out=pq[1, 1])
+        pq[:, 0] = pq[::-1, 1]
+        np.multiply(pq[0, 2], pq[0, :2], out=pq[0, 5:])
+        np.multiply(pq[1, 2], pq[1, :2], out=pq[1, 5:])
+        magnitude = np.abs(pq)
+        least = np.minimum(magnitude[0], magnitude[1])
+        # d s of rows 3-6: the sums times the differences -2 b, -4 c b, -4 v b^2
+        ds = np.empty((4, size))
+        np.multiply(2.0 * v, s, out=ds[:2])
+        np.add(pq[0, 5:], pq[1, 5:], out=ds[2:])
+        ds[:2] *= -2.0 * b
+        ds[2] *= c * (-4.0 * b)
+        ds[3] *= -4.0 * v * b * b
+        # half the log ratios of rows 3-6, as _log_ratio forms them
+        half = np.add(magnitude[0, 3:], magnitude[1, 3:])
+        half *= least[3:]
+        np.divide(np.abs(ds), half, out=half)
+        np.log1p(half, out=half)
+        np.copysign(half, ds, out=half)
+        # R(z0 - an), R(z0 + an) and 2 T(n) as numerators over (base top)^2 and nav^3
+        values = np.empty((7, size))
+        np.multiply(s, -2.0 * k * reflection_scale, out=values[:2])
+        values[2] = k * b / -16.0
+        np.multiply(c, v / -16.0, out=values[3])
+        values[:4] *= half
+        values[:2] += 4.0 * v * b * reflection_scale
+        values[2] += values[3]
+        np.multiply(base, top, out=values[4:6])
+        np.square(values[4:6], out=values[4:6])
+        np.power(nav, 3, out=values[6])
+        terms = np.add.reduce(np.divide(values[:3], values[4:], out=values[:3]))
+        # tolerances of least[1:5] from c + b and from v |base + top| + b, which is
+        # _on_locus's v (|top| + |base|) + b unless a square straddles z = 0, where
+        # |X| and |Y| exceed (1 - v) b. A non-finite term makes their sum non-finite.
+        np.abs(s, out=scales[2:])
+        scales[2:] *= v
+        scales += b
+        scales *= _POLE_TOUCH_EPS
+        refusable = (least[1:5] < scales).any() or not math.isfinite(np.add.reduce(terms))
+    if not refusable:
+        return terms.tolist()
+    return _scalar_pair_terms(seg, a, ns)
+
+
+def _tail_coefficients(seg: PathSegment, a: float) -> list[float]:
+    """C_0, ..., C_5 in pair_term(n) = sum_j C_j n^-(4+2j) + O(n^-16), the two-plate
+    pair term's expansion in 1/n past the light cone.
+
+    C_j = b^2 / (v^4 (2a)^4) sum_{k,i} q_jki g^k s^i h^(j-i), with g = 1/v^2,
+    s = (zc/2a)^2, h = (b/2a)^2 and zc = z0 + b/2; so C_0 = b^2 / (4 a^4 v^4).
+    Each q_jki is the rational its sympy derivation gives (the four image
+    kernels of +n and -n expanded in 1/(2an), each order integrated over the
+    square; tests/test_tail_coefficients.py derives them again), which the
+    compiler folds to one rounded float. Every q_jki is positive, so nothing
+    cancels: each term is ((q_jki * g^k) * s^i) * h^(j-i), and each order adds
+    its terms left to right.
+    """
+    v, b, w = seg.v, seg.b, 2.0 * a
+    g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2
+    g2, g3, g4, g5 = g * g, g**3, g**4, g**5
+    s2, s3, s4, s5 = s * s, s**3, s**4, s**5
+    h2, h3, h4, h5 = h * h, h**3, h**4, h**5
+    scale = (b / (v * v * w * w)) ** 2
+    return [
+        scale * (4 / 1),
+        scale * (20 / 3 * h + 240 / 3 * s + 4 / 3 * g * h),
+        scale * (140 / 15 * h2 + 4200 / 15 * s * h + 16800 / 15 * s2 + 98 / 15 * g * h2 +
+                 840 / 15 * g * s * h + 12 / 15 * g2 * h2),
+        scale * (420 / 35 * h3 + 23520 / 35 * s * h2 + 235200 / 35 * s2 * h + 376320 / 35 * s3 +
+                 672 / 35 * g * h3 + 4704 / 35 * g * s * h2 + 47040 / 35 * g * s2 * h +
+                 288 / 35 * g2 * h3 + 2016 / 35 * g2 * s * h2 + 20 / 35 * g3 * h3),
+        scale * (4620 / 315 * h4 + 415800 / 315 * s * h3 + 7761600 / 315 * s2 * h2 +
+                 31046400 / 315 * s3 * h + 26611200 / 315 * s4 + 13398 / 315 * g * h4 +
+                 83160 / 315 * g * s * h3 + 1552320 / 315 * g * s2 * h2 +
+                 6209280 / 315 * g * s3 * h + 14058 / 315 * g2 * h4 + 35640 / 315 * g2 * s * h3 +
+                 665280 / 315 * g2 * s2 * h2 + 3190 / 315 * g3 * h4 + 19800 / 315 * g3 * s * h3 +
+                 140 / 315 * g4 * h4),
+        scale * (60060 / 3465 * h5 + 7927920 / 3465 * s * h4 + 237837600 / 3465 * s2 * h3 +
+                 1775854080 / 3465 * s3 * h2 + 3805401600 / 3465 * s4 * h +
+                 2029547520 / 3465 * s5 + 276276 / 3465 * g * h5 + 1585584 / 3465 * g * s * h4 +
+                 47567520 / 3465 * g * s2 * h3 + 355170816 / 3465 * g * s3 * h2 +
+                 761080320 / 3465 * g * s4 * h + 543114 / 3465 * g2 * h5 +
+                 679536 / 3465 * g2 * s * h4 + 20386080 / 3465 * g2 * s2 * h3 +
+                 152216064 / 3465 * g2 * s3 * h2 + 301730 / 3465 * g3 * h5 +
+                 377520 / 3465 * g3 * s * h4 + 11325600 / 3465 * g3 * s2 * h3 +
+                 41860 / 3465 * g4 * h5 + 240240 / 3465 * g4 * s * h4 + 1260 / 3465 * g5 * h5),
+    ]
+
+
+@lru_cache(maxsize=None)
+def _euler_maclaurin_coefficients(s: int) -> tuple[float, ...]:
+    """B_2k / (2k)! * s (s+1) ... (s+2k-2) for k = 1, ..., len(_BERNOULLI),
+    each rounded once from exact integer arithmetic."""
+    return tuple(
+        num * math.prod(range(s, s + 2 * k - 1)) / (den * math.factorial(2 * k))
+        for k, (num, den) in enumerate(_BERNOULLI, start=1)
+    )
+
+
+def _hurwitz_zeta(s: int, x: float) -> float:
+    """zeta(s, x) = x^(1-s) [1/(s-1) + 1/(2x) + sum_k c_k(s) x^-2k] for x >= 16,
+    c_k the _euler_maclaurin_coefficients: Euler-Maclaurin summation from
+    k = 0 (DLMF 25.11.5 with N = 0, 2.10.1). For real x the remainder is
+    smaller than the first omitted term: below 1e-17 relative for s <= 8 and
+    below 8e-14 for s <= 16 at x >= 16."""
+    inv_sq = 1.0 / (x * x)
+    total = 0.0
+    for c in reversed(_euler_maclaurin_coefficients(s)):
+        total = (total + c) * inv_sq
+    return x ** (1 - s) * (1.0 / (s - 1) + 0.5 / x + total)
+
+
+@lru_cache(maxsize=4096)
+def _tail_zetas(x: float) -> tuple[float, ...]:
+    """zeta(4+2j, x), j = 0, ..., 5, at an integer x >= 16. The sum takes
+    them at block ends, which repeat from sum to sum."""
+    return tuple(_hurwitz_zeta(4 + 2 * j, x) for j in range(6))
+
+
+def _tail_expansion(coefficients: list[float], n: int) -> float:
+    """sum_j C_j n^-(4+2j): the subtracted orders of the pair term at n."""
+    inv_sq = 1.0 / (n * n)
+    total = 0.0
+    for c in reversed(coefficients):
+        total = total * inv_sq + c
+    return total * inv_sq * inv_sq
+
+
+def _zeta16_bound(x):
+    """zeta(16, x) <= x^-15/15 + x^-16/2 + (4/3) x^-17: Euler-Maclaurin stopped
+    after a positive term, which overestimates a completely monotone sum."""
+    return (1.0 / 15.0 + (0.5 + 4.0 / (3.0 * x)) / x) / x**15
+
+
+def _refusal(tol: float, n_max: int, bound: float) -> ConvergenceError:
+    """The two-plate sum's refusal when no index up to n_max certifies."""
+    return ConvergenceError(
+        f"two-plate variance: image sum not certified below relative tolerance "
+        f"{tol:g} within n_max={n_max} terms (last tail bound {bound:.3e})"
+    )
+
+
+def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> SummationResult:
+    """The one-plate integral plus the image pairs n >= 1, with a certified tail.
+
+    The sum certifies only from the reference index n_ref = max(16, n_U) on,
+    n_U the first n >= 1 with U = v (2an - 2(z0+b)) / b >= _TAIL_REFERENCE_U
+    and 16 = _ZETA_X_MIN, so terms_used >= 16. An n_max below n_ref raises
+    ConvergenceError at once, before any pair term is formed. At each
+    N >= n_ref the sum adds the subtracted tail T(N) = sum_j C_j
+    zeta(4+2j, N+1), j = 0..5, and bounds only its remainder, by the
+    envelope n_ref^16 r(n_ref) zeta(16, N+1) on r(n) = pair_term(n) -
+    sum_j C_j n^-(4+2j), plus rounding allowances. Past the light cone
+    (U > 1) every coefficient of the pair term's expansion in 1/n^2 is
+    nonnegative, so r >= 0 and n^16 r(n) does not increase: r(m) <=
+    n_ref^16 r(n_ref) / m^16 for every m > N >= n_ref.
+
+    The pair terms 1..E, E = min(n_max, max(n_ref, n_U + n_U // 4 + 2)),
+    are formed in one block, which also gives r(n_ref). E is taken from n_U
+    rather than n_ref: a sum whose n_ref is raised to 16 has an envelope
+    no larger than n_U^16 r(n_U), since n^16 r(n) does not increase from
+    n_U on, so its bound at E is no larger than the one a sum with that
+    n_ref = n_U would have at the same E (docs/decisions.md, "Two-plate
+    image sums"). The sum certifies at the block's end only:
+    value(E) is the compensated sum of the one-plate term, every pair of
+    the block and T(E), and the sum returns it when bound(E) <= tol
+    |value(E)|, with terms_used = E and tail_estimate = bound(E); on the
+    image_sums ranges it does. Otherwise the next block reaches
+    min(n_max, 2E), then twice that, and so on. From n_ref on the bound
+    falls while value(N) rises by r(N+1) >= 0, so when n_max does not
+    certify no index up to n_max does, and the sum refuses.
+    """
+    _check_v(seg.v)
+    v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
+    tol, n_max = control.tol, control.n_max
+    n_u = math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a))
+    while v * (2.0 * a * n_u - 2.0 * z1) / b < _TAIL_REFERENCE_U:
+        n_u += 1
+    n_ref = max(_ZETA_X_MIN, n_u)
+    if n_max < n_ref:
+        raise _refusal(tol, n_max, math.inf)
+    coefficients = _tail_coefficients(seg, a)
+    # the one-plate term, then the pair terms 1..end, then the tail
+    parts = [closed_forms.one_plate_integral(seg)]
+    end = min(n_max, max(n_ref, n_u + n_u // 4 + 2))
+    parts += image_pair_terms(seg, a, range(1, end + 1))
+    pair = parts[n_ref]
+    remainder = pair - _tail_expansion(coefficients, n_ref)
+    envelope = n_ref**_REMAINDER_ORDER * (abs(remainder) + _PAIR_ROUNDING * pair)
+    while True:
+        x = end + 1.0
+        # left to right on every Python: from 3.12, sum() of floats compensates
+        tail = 0.0
+        for c, zeta in zip(coefficients, _tail_zetas(x)):
+            tail += c * zeta
+        bound = envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, end * _ULP) * tail
+        parts.append(tail)
+        value = math.fsum(parts)
+        if bound <= tol * abs(value):
+            return SummationResult(value, end, bound)
+        if end == n_max:
+            raise _refusal(tol, n_max, bound)
+        start, end = end + 1, min(n_max, 2 * end)
+        parts[-1:] = image_pair_terms(seg, a, range(start, end + 1))
+

@@ -657,7 +657,8 @@ def run_verification(
     better); error-estimate conservativeness on the same cases; Richardson
     derivative identity checks (deriv_check) on grid_points off-singular
     points per square (gate 1e-6); and the series identities behind the
-    small-v closed form, gated by their analytic tail bounds. Raises
+    small-v closed form, whose gaps must lie between the integral-test
+    bounds on the dropped terms from N + 1 and from N. Raises
     DomainError when sets_per_family or grid_points is below 1.
 
     reflection_override substitutes a deliberately wrong reflection square,
@@ -739,15 +740,22 @@ def run_verification(
             f"(gate {_DERIV_GATE:.0e})",
         ))
 
-    series = [(f"x={x:.4g}", csc_identity(x, terms=10000)) for x in (0.25, 1.0 / 3.0, 0.5, 0.9)]
-    series.append(("zeta2", zeta_two_series(terms=10000)))
-    gaps = [(label, abs(c.closed_form - c.series_value), c.tail_bound) for label, c in series]
+    # the dropped terms of each decreasing series lie between the integral
+    # tests from N + 1 and from N, a band about 2/N^2 wide
+    terms = 10000
+    series = [(f"x={x:.4g}", csc_identity(x, terms), 1.0 / (terms + 1 + x) + 1.0 / (terms + 1 - x))
+              for x in (0.25, 1.0 / 3.0, 0.5, 0.9)]
+    series.append(("zeta2", zeta_two_series(terms), 2.0 / (terms + 1)))
+    gaps = [(label, c.closed_form - c.series_value, floor, c.tail_bound)
+            for label, c, floor in series]
     checks.append(CheckResult(
         name="series_identities_within_tail_bounds",
-        passed=all(gap <= bound for _, gap, bound in gaps),
-        worst=_worst(gap / bound for _, gap, bound in gaps),
-        detail="; ".join(f"{label}: gap {gap:.3e} <= bound {bound:.3e}"
-                         for label, gap, bound in gaps),
+        passed=all(floor <= gap <= bound for _, gap, floor, bound in gaps),
+        worst=_worst(abs(gap) / bound for _, gap, _, bound in gaps),
+        detail="; ".join(
+            f"{label}: gap {gap:.3e} below floor {floor:.3e}" if gap < floor
+            else f"{label}: gap {abs(gap):.3e} {'<=' if gap <= bound else '>'} bound {bound:.3e}"
+            for label, gap, floor, bound in gaps),
     ))
 
     return VerificationReport(

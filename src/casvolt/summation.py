@@ -4,14 +4,14 @@ SummationControl sets an image sum's relative tolerance and its budget of
 image pairs; a sum that cannot certify within them raises ConvergenceError.
 SummationResult reports a sum: its value, the image index it summed to term
 by term and a certified bound on what truncation left out. The two-plate
-variance's image sum (variance._two_plate_sum, which forms its analytic
+variance's image sum (images._two_plate_sum, which forms its analytic
 Hurwitz zeta tail there too) takes the one and returns the other; the
 dual-plate correlator returns one too, dropping no image: terms_used = 1
 and tail_estimate = 0.0.
 """
 from __future__ import annotations
 
-from numbers import Integral
+from operator import index
 
 from . import _EXPORTS
 from .errors import DomainError, record
@@ -33,7 +33,12 @@ class SummationControl:
     def __post_init__(self) -> None:
         if not 0.0 < self.tol < 1.0:
             raise DomainError(f"tol must lie in (0, 1), got {self.tol!r}")
-        if isinstance(self.n_max, bool) or not isinstance(self.n_max, Integral) or self.n_max < 1:
+        # index() takes numpy integers and refuses floats; operator is loaded at start, numbers not
+        try:
+            whole = not isinstance(self.n_max, bool) and index(self.n_max) >= 1
+        except TypeError:
+            whole = False
+        if not whole:
             raise DomainError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
 

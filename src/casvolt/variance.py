@@ -4,67 +4,29 @@ A particle of charge q crossing the vacuum region perpendicular to the
 plates, on the worldline t = z/v from z0 to z0 + b, picks up a fluctuating
 momentum from the boundary-modified field. The variance of the energy shift
 is q^2 v^4 / pi^2 times a double line integral of the correlator along the
-path, which closed_forms evaluates in closed form over the segment square,
-and over its images for two plates. Everything here works in natural units
-internally and reports energies in eV (the natural unit of this package),
-so variances are eV^2 and rms voltages are volts for a charge given in
-units of e.
+path, which closed_forms evaluates in closed form over the segment square;
+for two plates, images sums it over the mirror images. Everything here
+works in natural units internally and reports energies in eV (the natural
+unit of this package), so variances are eV^2 and rms voltages are volts
+for a charge given in units of e.
 """
 from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 
 from . import _EXPORTS, units
-from .closed_forms import (
-    PathSegment,
-    _check_small_speed,
-    _check_v,
-    _warn_small_speed,
-    image_pair_terms,
-    one_plate_integral,
-)
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    check_length,
-    check_positive_finite,
-    check_separation,
-    record,
-)
-from .summation import SummationControl, SummationResult
+from .closed_forms import PathSegment, _check_small_speed, _warn_small_speed, one_plate_integral
+from .errors import DomainError, check_length, check_positive_finite, check_separation, record
+from .summation import SummationControl
 from .units import CONSTANTS, speed_from_kinetic
 
 __all__ = list(_EXPORTS["variance"])
 
+# the two-plate image-sum engine, casvolt.images: bound by the first exact
+# two-plate sum, so that no other run compiles it
+_images = None
 _SPEED_MATCH_RTOL = 1e-9
-# The two-plate sum subtracts its analytic tail from the first index
-# n >= _ZETA_X_MIN at which U = v (2an - 2(z0+b)) / b reaches this value: there
-# the pair terms' expansion in 1/n gains a factor (1/U)^2 <= 1/4 per order, so
-# the envelope coefficient taken at that index is close to its limit.
-_TAIL_REFERENCE_U = 2.0
-# Least argument x at which _hurwitz_zeta reaches double precision with the
-# Euler-Maclaurin terms of B_2, ..., B_20, here as (numerator, denominator); a
-# subtracted tail built from zeta(s, N + 1) needs N + 1 >= this.
-_ZETA_X_MIN = 16
-_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
-              (43867, 798), (-174611, 330))
-# The remainder past the six subtracted orders C_0, ..., C_5 falls like n^-16.
-_REMAINDER_ORDER = 16
-# Rounding allowance on the pair term at the reference index, relative to the
-# summed magnitude of its parts R(z0 - an), R(z0 + an) and 2 T(n): past the
-# light cone every part is positive, so that is the pair term itself. Against
-# 60-digit mpmath the remainder pair - sum_j C_j n^-(4+2j), with the block's
-# pair term and the float C_j, was off by at most 1.2e-15 of it over 1,500
-# random geometries, v from 1e-4 to 0.3, at n_ref and up to 100 past it.
-_PAIR_ROUNDING = 1e-12
-# Rounding allowance on the subtracted tail T(n), relative to T(n): T is formed
-# from _hurwitz_zeta, whose orders s = 4..14 are each within 14.5 ulps of
-# 80-digit mpmath at x = n + 1 from 17 to 10^6. The allowance
-# max(_TAIL_ROUNDING, n ulps) covers that with a wide margin.
-_TAIL_ROUNDING = 1e-12
-_ULP = 2.0**-53
 # Least magnitude of a nonzero charge, in units of e. Every variance is q^2
 # times a factor; the small-v forms' least factor, at the speed floor 1e-22
 # with their lengths at errors' upper edge 1e60, is (e v / (2 pi z0))^2 =
@@ -293,168 +255,6 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     return _result(rms * rms, particle.charge_e, flags)
 
 
-def _tail_coefficients(seg: PathSegment, a: float) -> list[float]:
-    """C_0, ..., C_5 in pair_term(n) = sum_j C_j n^-(4+2j) + O(n^-16), the two-plate
-    pair term's expansion in 1/n past the light cone.
-
-    C_j = b^2 / (v^4 (2a)^4) sum_{k,i} q_jki g^k s^i h^(j-i), with g = 1/v^2,
-    s = (zc/2a)^2, h = (b/2a)^2 and zc = z0 + b/2; so C_0 = b^2 / (4 a^4 v^4).
-    Each q_jki is the rational its sympy derivation gives (the four image
-    kernels of +n and -n expanded in 1/(2an), each order integrated over the
-    square; tests/test_tail_coefficients.py derives them again), which the
-    compiler folds to one rounded float. Every q_jki is positive, so nothing
-    cancels: each term is ((q_jki * g^k) * s^i) * h^(j-i), and each order adds
-    its terms left to right.
-    """
-    v, b, w = seg.v, seg.b, 2.0 * a
-    g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2
-    g2, g3, g4, g5 = g * g, g**3, g**4, g**5
-    s2, s3, s4, s5 = s * s, s**3, s**4, s**5
-    h2, h3, h4, h5 = h * h, h**3, h**4, h**5
-    scale = (b / (v * v * w * w)) ** 2
-    return [
-        scale * (4 / 1),
-        scale * (20 / 3 * h + 240 / 3 * s + 4 / 3 * g * h),
-        scale * (140 / 15 * h2 + 4200 / 15 * s * h + 16800 / 15 * s2 + 98 / 15 * g * h2 +
-                 840 / 15 * g * s * h + 12 / 15 * g2 * h2),
-        scale * (420 / 35 * h3 + 23520 / 35 * s * h2 + 235200 / 35 * s2 * h + 376320 / 35 * s3 +
-                 672 / 35 * g * h3 + 4704 / 35 * g * s * h2 + 47040 / 35 * g * s2 * h +
-                 288 / 35 * g2 * h3 + 2016 / 35 * g2 * s * h2 + 20 / 35 * g3 * h3),
-        scale * (4620 / 315 * h4 + 415800 / 315 * s * h3 + 7761600 / 315 * s2 * h2 +
-                 31046400 / 315 * s3 * h + 26611200 / 315 * s4 + 13398 / 315 * g * h4 +
-                 83160 / 315 * g * s * h3 + 1552320 / 315 * g * s2 * h2 +
-                 6209280 / 315 * g * s3 * h + 14058 / 315 * g2 * h4 + 35640 / 315 * g2 * s * h3 +
-                 665280 / 315 * g2 * s2 * h2 + 3190 / 315 * g3 * h4 + 19800 / 315 * g3 * s * h3 +
-                 140 / 315 * g4 * h4),
-        scale * (60060 / 3465 * h5 + 7927920 / 3465 * s * h4 + 237837600 / 3465 * s2 * h3 +
-                 1775854080 / 3465 * s3 * h2 + 3805401600 / 3465 * s4 * h +
-                 2029547520 / 3465 * s5 + 276276 / 3465 * g * h5 + 1585584 / 3465 * g * s * h4 +
-                 47567520 / 3465 * g * s2 * h3 + 355170816 / 3465 * g * s3 * h2 +
-                 761080320 / 3465 * g * s4 * h + 543114 / 3465 * g2 * h5 +
-                 679536 / 3465 * g2 * s * h4 + 20386080 / 3465 * g2 * s2 * h3 +
-                 152216064 / 3465 * g2 * s3 * h2 + 301730 / 3465 * g3 * h5 +
-                 377520 / 3465 * g3 * s * h4 + 11325600 / 3465 * g3 * s2 * h3 +
-                 41860 / 3465 * g4 * h5 + 240240 / 3465 * g4 * s * h4 + 1260 / 3465 * g5 * h5),
-    ]
-
-
-@lru_cache(maxsize=None)
-def _euler_maclaurin_coefficients(s: int) -> tuple[float, ...]:
-    """B_2k / (2k)! * s (s+1) ... (s+2k-2) for k = 1, ..., len(_BERNOULLI),
-    each rounded once from exact integer arithmetic."""
-    return tuple(
-        num * math.prod(range(s, s + 2 * k - 1)) / (den * math.factorial(2 * k))
-        for k, (num, den) in enumerate(_BERNOULLI, start=1)
-    )
-
-
-def _hurwitz_zeta(s: int, x: float) -> float:
-    """zeta(s, x) = x^(1-s) [1/(s-1) + 1/(2x) + sum_k c_k(s) x^-2k] for x >= 16,
-    c_k the _euler_maclaurin_coefficients: Euler-Maclaurin summation from
-    k = 0 (DLMF 25.11.5 with N = 0, 2.10.1). For real x the remainder is
-    smaller than the first omitted term: below 1e-17 relative for s <= 8 and
-    below 8e-14 for s <= 16 at x >= 16."""
-    inv_sq = 1.0 / (x * x)
-    total = 0.0
-    for c in reversed(_euler_maclaurin_coefficients(s)):
-        total = (total + c) * inv_sq
-    return x ** (1 - s) * (1.0 / (s - 1) + 0.5 / x + total)
-
-
-@lru_cache(maxsize=4096)
-def _tail_zetas(x: float) -> tuple[float, ...]:
-    """zeta(4+2j, x), j = 0, ..., 5, at an integer x >= 16. The sum takes
-    them at block ends, which repeat from sum to sum."""
-    return tuple(_hurwitz_zeta(4 + 2 * j, x) for j in range(6))
-
-
-def _tail_expansion(coefficients: list[float], n: int) -> float:
-    """sum_j C_j n^-(4+2j): the subtracted orders of the pair term at n."""
-    inv_sq = 1.0 / (n * n)
-    total = 0.0
-    for c in reversed(coefficients):
-        total = total * inv_sq + c
-    return total * inv_sq * inv_sq
-
-
-def _zeta16_bound(x):
-    """zeta(16, x) <= x^-15/15 + x^-16/2 + (4/3) x^-17: Euler-Maclaurin stopped
-    after a positive term, which overestimates a completely monotone sum."""
-    return (1.0 / 15.0 + (0.5 + 4.0 / (3.0 * x)) / x) / x**15
-
-
-def _refusal(tol: float, n_max: int, bound: float) -> ConvergenceError:
-    """The two-plate sum's refusal when no index up to n_max certifies."""
-    return ConvergenceError(
-        f"two-plate variance: image sum not certified below relative tolerance "
-        f"{tol:g} within n_max={n_max} terms (last tail bound {bound:.3e})"
-    )
-
-
-def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> SummationResult:
-    """The one-plate integral plus the image pairs n >= 1, with a certified tail.
-
-    The sum certifies only from the reference index n_ref = max(16, n_U) on,
-    n_U the first n >= 1 with U = v (2an - 2(z0+b)) / b >= _TAIL_REFERENCE_U
-    and 16 = _ZETA_X_MIN, so terms_used >= 16. An n_max below n_ref raises
-    ConvergenceError at once, before any pair term is formed. At each
-    N >= n_ref the sum adds the subtracted tail T(N) = sum_j C_j
-    zeta(4+2j, N+1), j = 0..5, and bounds only its remainder, by the
-    envelope n_ref^16 r(n_ref) zeta(16, N+1) on r(n) = pair_term(n) -
-    sum_j C_j n^-(4+2j), plus rounding allowances. Past the light cone
-    (U > 1) every coefficient of the pair term's expansion in 1/n^2 is
-    nonnegative, so r >= 0 and n^16 r(n) does not increase: r(m) <=
-    n_ref^16 r(n_ref) / m^16 for every m > N >= n_ref.
-
-    The pair terms 1..E, E = min(n_max, max(n_ref, n_U + n_U // 4 + 2)),
-    are formed in one block, which also gives r(n_ref). E is taken from n_U
-    rather than n_ref: a sum whose n_ref is raised to 16 has an envelope
-    no larger than n_U^16 r(n_U), since n^16 r(n) does not increase from
-    n_U on, so its bound at E is no larger than the one a sum with that
-    n_ref = n_U would have at the same E (docs/decisions.md, "Two-plate
-    image sums"). The sum certifies at the block's end only:
-    value(E) is the compensated sum of the one-plate term, every pair of
-    the block and T(E), and the sum returns it when bound(E) <= tol
-    |value(E)|, with terms_used = E and tail_estimate = bound(E); on the
-    image_sums ranges it does. Otherwise the next block reaches
-    min(n_max, 2E), then twice that, and so on. From n_ref on the bound
-    falls while value(N) rises by r(N+1) >= 0, so when n_max does not
-    certify no index up to n_max does, and the sum refuses.
-    """
-    _check_v(seg.v)
-    v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
-    tol, n_max = control.tol, control.n_max
-    n_u = math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a))
-    while v * (2.0 * a * n_u - 2.0 * z1) / b < _TAIL_REFERENCE_U:
-        n_u += 1
-    n_ref = max(_ZETA_X_MIN, n_u)
-    if n_max < n_ref:
-        raise _refusal(tol, n_max, math.inf)
-    coefficients = _tail_coefficients(seg, a)
-    # the one-plate term, then the pair terms 1..end, then the tail
-    parts = [one_plate_integral(seg)]
-    end = min(n_max, max(n_ref, n_u + n_u // 4 + 2))
-    parts += image_pair_terms(seg, a, range(1, end + 1))
-    pair = parts[n_ref]
-    remainder = pair - _tail_expansion(coefficients, n_ref)
-    envelope = n_ref**_REMAINDER_ORDER * (abs(remainder) + _PAIR_ROUNDING * pair)
-    while True:
-        x = end + 1.0
-        # left to right on every Python: from 3.12, sum() of floats compensates
-        tail = 0.0
-        for c, zeta in zip(coefficients, _tail_zetas(x)):
-            tail += c * zeta
-        bound = envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, end * _ULP) * tail
-        parts.append(tail)
-        value = math.fsum(parts)
-        if bound <= tol * abs(value):
-            return SummationResult(value, end, bound)
-        if end == n_max:
-            raise _refusal(tol, n_max, bound)
-        start, end = end + 1, min(n_max, 2 * end)
-        parts[-1:] = image_pair_terms(seg, a, range(start, end + 1))
-
-
 def variance_two_plate_exact(
     particle: Particle,
     seg: PathSegment,
@@ -464,7 +264,7 @@ def variance_two_plate_exact(
     """Exact two-plate <(Delta U)^2> by summing image contributions.
 
     The n=0 one-plate term plus reflected and translated image integrals in
-    symmetric pairs n, -n (_two_plate_sum). From a reference index
+    symmetric pairs n, -n (images._two_plate_sum). From a reference index
     n_ref = max(16, n_U) on, n_U the first index past the light cone by
     U = v (2an - 2(z0+b)) / b >= 2, the analytic tail sum_j C_j
     zeta(4+2j, N+1), j = 0..5, of the dropped pairs is added and only its
@@ -490,9 +290,12 @@ def variance_two_plate_exact(
     flags = ("exact", "two_plate") + _window_flags(seg)
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
+    global _images
+    if _images is None:
+        from . import images as _images
     q = particle.charge_natural
     prefactor = q * q * seg.v**4 / math.pi**2
-    summed = _two_plate_sum(seg, a, control)
+    summed = _images._two_plate_sum(seg, a, control)
     return _result(
         prefactor * summed.value,
         particle.charge_e,

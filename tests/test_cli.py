@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -453,6 +454,7 @@ def test_verify_passes_and_reports(capsys):
     assert len(rows) == 7
     assert all(row["passed"] == "true" for row in rows)
     assert err.startswith("verification PASSED: 7/7 checks")
+    assert re.search(r" checks in \d+ ms \(seed 12345\)$", err.strip())
 
 
 def test_verify_detects_injected_wrong_sign(capsys):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casvolt import SpacetimePair, correlator_dual_plate
-from casvolt.variance import _hurwitz_zeta
+from casvolt.images import _hurwitz_zeta
 
 mpmath = pytest.importorskip("mpmath")
 

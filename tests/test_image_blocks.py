@@ -22,17 +22,18 @@ from casvolt import (
     translated_image_integral,
     variance_two_plate_exact,
 )
-import casvolt.variance
-from casvolt.closed_forms import (
+import casvolt.closed_forms
+import casvolt.images
+from casvolt.closed_forms import _POLE_TOUCH_EPS
+from casvolt.correlators import _inverse_square_factor
+from casvolt.images import (
     _KERNEL_BLOCK,
-    _POLE_TOUCH_EPS,
     _SCALAR_BLOCK,
     _image_pair_term,
     _scalar_pair_terms,
+    _two_plate_sum,
     image_pair_terms,
 )
-from casvolt.correlators import _inverse_square_factor
-from casvolt.variance import _two_plate_sum
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
@@ -256,7 +257,7 @@ def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
         return [term - (shift if n == 1 else 0.0)
                 for n, term in zip(ns, image_pair_terms(seg, a, ns))]
 
-    monkeypatch.setattr(casvolt.variance, "image_pair_terms", shifted)
+    monkeypatch.setattr(casvolt.images, "image_pair_terms", shifted)
     result, _, _ = _assert_matches_per_index_reference(0.3, 0.1, 1.0, 5.5e-4, SummationControl(),
                                                        shift=shift)
     assert blocks == [(1.0, 230.0), (231.0, 460.0)]
@@ -280,7 +281,7 @@ def test_blocks_up_to_the_scalar_length_take_the_pure_python_pass(monkeypatch):
         calls.append(len(ns))
         return _scalar_pair_terms(seg, a, ns)
 
-    monkeypatch.setattr(casvolt.closed_forms, "_scalar_pair_terms", counted)
+    monkeypatch.setattr(casvolt.images, "_scalar_pair_terms", counted)
     seg = PathSegment(z0=0.3, b=0.1, v=1e-3)
     assert _SCALAR_BLOCK >= 22
     for length in (22, _SCALAR_BLOCK, _SCALAR_BLOCK + 1, 128):
@@ -476,9 +477,9 @@ def test_n_max_below_reference_index_refuses_before_any_pair(z0, b, a, v, n_max,
             return f(*args)
         return wrapped
 
-    monkeypatch.setattr(casvolt.variance, "image_pair_terms",
+    monkeypatch.setattr(casvolt.images, "image_pair_terms",
                         counted("image_pair_terms", image_pair_terms))
-    monkeypatch.setattr(casvolt.variance, "one_plate_integral",
+    monkeypatch.setattr(casvolt.closed_forms, "one_plate_integral",
                         counted("one_plate_integral", one_plate_integral))
     with pytest.raises(ConvergenceError, match=rf"within n_max={n_max} terms "
                                                r"\(last tail bound inf\)$"):
@@ -542,7 +543,7 @@ def test_two_plate_sum_takes_one_pair_block(seed, monkeypatch):
         sizes.append((type(ns), len(ns)))
         return image_pair_terms(seg, a, ns)
 
-    monkeypatch.setattr(casvolt.variance, "image_pair_terms", counted)
+    monkeypatch.setattr(casvolt.images, "image_pair_terms", counted)
     for a, z0, b, v in _image_sums_grid(seed):
         sizes.clear()
         try:

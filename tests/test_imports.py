@@ -197,8 +197,8 @@ def test_series_cross_checks_live_outside_production():
 
 
 # every module but the oracle
-PRODUCTION_MODULES = ["closed_forms", "correlators", "errors", "experiment", "summation",
-                      "units", "variance"]
+PRODUCTION_MODULES = ["closed_forms", "correlators", "errors", "experiment", "images",
+                      "summation", "units", "variance"]
 # casvolt.__all__, sorted; a name joins or leaves the package surface here
 # and in its module's __all__ together
 PUBLIC = [
@@ -288,17 +288,29 @@ def test_every_public_name_is_referenced_outside_the_tests():
 CLI_BASE = ["cli", "errors", "summation", "units"]
 
 
+# a two-plate exact sum, and only such a sum, loads the image-sum engine
+TWO_PLATE = ["--plates", "two", "--z0", "0.3", "--b", "0.1", "--a", "1", "--natural-units"]
+VARIANCE_MODULES = [*CLI_BASE, "closed_forms", "variance"]
+
+
 @pytest.mark.parametrize("argv, modules", [
     (None, []),
-    (VARIANCE_ONE, [*CLI_BASE, "closed_forms", "variance"]),
-    (["sweep", "--over", "v", "--values", "0.015,0.03,0.07", "--plates", "two", "--z0", "0.3",
-      "--b", "0.1", "--a", "1", "--natural-units"], [*CLI_BASE, "closed_forms", "variance"]),
+    (VARIANCE_ONE, VARIANCE_MODULES),
+    (["variance", *TWO_PLATE, "--speed", "0.01"], [*VARIANCE_MODULES, "images"]),
+    (["variance", *TWO_PLATE, "--speed", "0.01", "--n-max", "5"], [*VARIANCE_MODULES, "images"]),
+    (["variance", "--plates", "two", "--mode", "small-v", "--z0", "30", "--a", "100",
+      "--kinetic-eV", "1"], VARIANCE_MODULES),
+    (["variance", "--plates", "one", "--z0", "1e-300", "--b", "1e-300", "--speed", "0.01",
+      "--natural-units"], VARIANCE_MODULES),
+    (["sweep", "--over", "v", "--values", "0.015,0.03,0.07", *TWO_PLATE],
+     [*VARIANCE_MODULES, "images"]),
     (["correlator", "--plates", "dual", "--z", "0.3", "--z-prime", "0.4", "--t", "0.2",
       "--a", "1", "--natural-units"], [*CLI_BASE, "correlators"]),
     (["moddel"], [*CLI_BASE, "experiment"]),
     # the oracle imports closed_forms and variance
     (["verify"], [*CLI_BASE, "closed_forms", "oracle", "variance"]),
-], ids=["import casvolt", "variance", "sweep", "correlator", "moddel", "verify"])
+], ids=["import casvolt", "variance", "two-plate variance", "n_max refusal", "small-v",
+        "one-plate refusal", "sweep", "correlator", "moddel", "verify"])
 def test_each_run_loads_only_its_modules(argv, modules):
     run = "import casvolt" if argv is None else (
         "import contextlib, io, runpy\n"
@@ -363,13 +375,13 @@ def test_unknown_name_raises_and_loads_nothing(name):
 
 
 def test_two_plate_sums_compile_no_code():
-    # the tail coefficients are plain code: once the casvolt modules and
-    # numpy are loaded, a sum on the pure-Python pass and one on the numpy
-    # kernel compile and exec nothing
+    # the tail coefficients are plain code: once the casvolt modules, the
+    # image-sum engine among them, and numpy are loaded, a sum on the
+    # pure-Python pass and one on the numpy kernel compile and exec nothing
     events, pairs, scalar_block = _fresh(
         "import json, sys\n"
         "import numpy\n"
-        "from casvolt import closed_forms, errors, summation, units, variance\n"
+        "from casvolt import closed_forms, errors, images, summation, units, variance\n"
         "seen = []\n"
         "sys.addaudithook(lambda event, _: event in ('compile', 'exec') and seen.append(event))\n"
         "pairs = []\n"
@@ -377,7 +389,7 @@ def test_two_plate_sums_compile_no_code():
         "    particle = variance.Particle.electron(speed=v)\n"
         "    seg = closed_forms.PathSegment(z0=0.3, b=0.1, v=v)\n"
         "    pairs.append(variance.variance_two_plate_exact(particle, seg, 1.0).terms_used)\n"
-        "print(json.dumps([seen, pairs, closed_forms._SCALAR_BLOCK]))"
+        "print(json.dumps([seen, pairs, images._SCALAR_BLOCK]))"
     )
     assert events == []
     short, long = pairs

@@ -29,7 +29,7 @@ from casvolt import (
     variance_two_plate_exact,
     variance_two_plate_smallv,
 )
-from casvolt.closed_forms import image_pair_terms
+from casvolt.images import image_pair_terms
 from casvolt.oracle import (
     brute_dual_correlator,
     deriv_check,

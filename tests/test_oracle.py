@@ -369,6 +369,29 @@ def test_run_verification_shape():
     ]
 
 
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_series_check_fails_a_closed_form_off_by_a_millionth(scale, monkeypatch):
+    # each gap sits mid-band between the integral tests from N + 1 and N,
+    # 2e-8 wide at N = 10,000; a closed form 1e-6 low stays under the upper
+    # bound alone, so it fails on the lower one
+    def scaled(series):
+        def wrong(*args, **kwargs):
+            right = series(*args, **kwargs)
+            return oracle.CscSeriesComparison(
+                series_value=right.series_value, closed_form=right.closed_form * scale,
+                tail_bound=right.tail_bound, terms=right.terms)
+        return wrong
+
+    monkeypatch.setattr(oracle, "csc_identity", scaled(oracle.csc_identity))
+    monkeypatch.setattr(oracle, "zeta_two_series", scaled(oracle.zeta_two_series))
+    report = run_verification(seed=7, sets_per_family=1, grid_points=1)
+    failed = [check.name for check in report.checks if not check.passed]
+    assert failed == ["series_identities_within_tail_bounds"]
+    detail = report.checks[-1].detail
+    assert detail.count("below floor") == (5 if scale < 1.0 else 0)
+    assert detail.count(" > bound") == (0 if scale < 1.0 else 5)
+
+
 # At these seeds the reflected closed form used to shift both corners by -a n
 # before differencing them, rounding the side of the square at the magnitude
 # of a n: 1.7e-13 and 1.9e-13 relative error against a quadrature good to

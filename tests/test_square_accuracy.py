@@ -25,8 +25,8 @@ from casvolt import (
     reflected_image_integral,
     translated_image_integral,
 )
-import casvolt.closed_forms
-from casvolt.closed_forms import _KERNEL_BLOCK, _image_pair_term, image_pair_terms
+import casvolt.images
+from casvolt.images import _KERNEL_BLOCK, _image_pair_term, image_pair_terms
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
@@ -52,12 +52,12 @@ BRANCHES = {"numpy": 0, "python": _KERNEL_BLOCK}
 @contextlib.contextmanager
 def pinned_branch(name):
     """Send every image_pair_terms block through the branch name."""
-    saved = casvolt.closed_forms._SCALAR_BLOCK
-    casvolt.closed_forms._SCALAR_BLOCK = BRANCHES[name]
+    saved = casvolt.images._SCALAR_BLOCK
+    casvolt.images._SCALAR_BLOCK = BRANCHES[name]
     try:
         yield
     finally:
-        casvolt.closed_forms._SCALAR_BLOCK = saved
+        casvolt.images._SCALAR_BLOCK = saved
 
 
 def _segment(z0, b_frac, v):

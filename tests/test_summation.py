@@ -1,12 +1,12 @@
 """Truncation control, and the Hurwitz zeta series behind the two-plate
-tail (variance._hurwitz_zeta)."""
+tail (images._hurwitz_zeta)."""
 import math
 from fractions import Fraction
 
 import pytest
 
 from casvolt import DomainError, SummationControl
-from casvolt.variance import _hurwitz_zeta
+from casvolt.images import _hurwitz_zeta
 
 
 def test_control_validation():
@@ -23,6 +23,14 @@ def test_control_refuses_n_max_that_is_not_an_integer(n_max):
     # these passed and the sum then refused "within n_max=True terms"
     with pytest.raises(DomainError, match="n_max must be an integer >= 1"):
         SummationControl(n_max=n_max)
+
+
+def test_control_takes_numpy_integers_and_refuses_integral_floats():
+    np = pytest.importorskip("numpy")
+    assert SummationControl(n_max=np.int64(40)).n_max == 40
+    for n_max in (40.0, np.float64(40.0), np.bool_(True)):
+        with pytest.raises(DomainError, match="n_max must be an integer >= 1"):
+            SummationControl(n_max=n_max)
 
 
 def test_hurwitz_zeta_matches_mpmath():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casvolt import PathSegment
-from casvolt.variance import _tail_coefficients
+from casvolt.images import _tail_coefficients
 
 mpmath = pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402

@@ -14,9 +14,15 @@ from casvolt import (
     one_plate_integral,
     variance_two_plate_exact,
 )
-from casvolt.closed_forms import _KERNEL_BLOCK, _SCALAR_BLOCK, image_pair_terms
+from casvolt.images import (
+    _KERNEL_BLOCK,
+    _SCALAR_BLOCK,
+    _hurwitz_zeta,
+    _two_plate_sum,
+    _zeta16_bound,
+    image_pair_terms,
+)
 from casvolt.summation import SummationControl
-from casvolt.variance import _hurwitz_zeta, _two_plate_sum, _zeta16_bound
 
 from test_tail_coefficients import _walk_coefficients
 
