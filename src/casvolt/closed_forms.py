@@ -34,7 +34,15 @@ import math
 import warnings
 
 from . import _EXPORTS
-from .errors import DomainError, SingularityError, check_length, check_separation, record
+from .errors import (
+    _LENGTH_MAX,
+    _LENGTH_MIN,
+    DomainError,
+    SingularityError,
+    check_length,
+    check_separation,
+    record,
+)
 
 __all__ = list(_EXPORTS["closed_forms"])
 
@@ -95,10 +103,13 @@ class PathSegment:
     v: float
 
     def __post_init__(self) -> None:
-        check_length("segment start z0", self.z0)
-        check_length("segment length b", self.b)
-        if not 0.0 < self.v < 1.0:
-            raise DomainError(f"speed v must lie in (0, 1), got {self.v!r}")
+        # one comparison on the way through; the labelled checks only raise
+        z0, b, v = self.z0, self.b, self.v
+        if not (_LENGTH_MIN <= z0 <= _LENGTH_MAX and _LENGTH_MIN <= b <= _LENGTH_MAX
+                and 0.0 < v < 1.0):
+            check_length("segment start z0", z0)
+            check_length("segment length b", b)
+            raise DomainError(f"speed v must lie in (0, 1), got {v!r}")
 
 
 def _check_v(v: float) -> None:
@@ -190,9 +201,11 @@ def one_plate_integral(seg: PathSegment) -> float:
     locus when b = 2 v z0 / (1-v); that raises SingularityError with
     guidance to perturb b.
     """
-    _check_v(seg.v)
+    v = seg.v
+    if not _V_MIN < v < _V_MAX:
+        _check_v(v)
     try:
-        return _reflection_square(seg.z0, seg.b, seg.v)
+        return _reflection_square(seg.z0, seg.b, v)
     except SingularityError as exc:
         exc.args = (
             f"integration corner on the singular locus (b near 2 v z0/(1-v) = "

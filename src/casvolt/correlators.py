@@ -14,6 +14,7 @@ import math
 from . import _EXPORTS
 from .errors import (
     _LENGTH_MAX,
+    _LENGTH_MIN,
     DomainError,
     SingularityError,
     check_length,
@@ -60,8 +61,11 @@ class SpacetimePair:
                 f"event times must be finite, within {_LENGTH_MAX:g} 1/eV of zero, "
                 f"got t={self.t!r}, t'={self.t_prime!r}"
             )
-        check_length("evaluation point z", self.z)
-        check_length("evaluation point z'", self.z_prime)
+        # one comparison on the way through; the labelled checks only raise
+        z, z_prime = self.z, self.z_prime
+        if not (_LENGTH_MIN <= z <= _LENGTH_MAX and _LENGTH_MIN <= z_prime <= _LENGTH_MAX):
+            check_length("evaluation point z", z)
+            check_length("evaluation point z'", z_prime)
 
 
 def _singular(dt: float, separation: float, description: str) -> SingularityError:
@@ -192,7 +196,4 @@ def correlator_dual_plate(pair: SpacetimePair, a: float) -> SummationResult:
         _raise_at_light_like_image(dt, dz, sz, a)
     nearest = _inverse_square_factor(dt, c0, label)
     return SummationResult(
-        value=(nearest + _images_off_zero(d, c0, a) + _images_off_zero(d, dz, a)) / math.pi**2,
-        terms_used=1,
-        tail_estimate=0.0,
-    )
+        (nearest + _images_off_zero(d, c0, a) + _images_off_zero(d, dz, a)) / math.pi**2, 1, 0.0)

@@ -150,11 +150,7 @@ def regime_classify(mirror: MaterialMirror, distance_nm: float) -> RegimeReport:
         regime = "perfect_mirror"
     else:
         regime = "partial"
-    return RegimeReport(
-        regime=regime,
-        omega_p_distance=product_distance,
-        omega_p_thickness=product_thickness,
-    )
+    return RegimeReport(regime, product_distance, product_thickness)
 
 
 DEFAULT_SCENARIO: dict = {

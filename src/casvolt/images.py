@@ -17,11 +17,18 @@ from functools import lru_cache
 # attributes perfbench's tracer wraps
 from . import closed_forms
 from .closed_forms import _POLE_TOUCH_EPS, PathSegment, _check_v
-from .errors import ConvergenceError, DomainError, check_separation
+from .errors import DomainError, check_separation
 from .summation import SummationControl, SummationResult
+# variance checks v, finds n_U and refuses an n_max below n_ref before it
+# loads this module; the refusal's message is its own
+from .variance import _ZETA_X_MIN, _refusal
 
 # no public name: variance_two_plate_exact is this engine's entry point
 __all__: list[str] = []
+
+# numpy: bound by the first block longer than _SCALAR_BLOCK, so that a run
+# whose blocks are all shorter never imports it
+np = None
 
 # Longest block image_pair_terms forms one index at a time, without numpy.
 # Warm, at a = 1 and (z0, b, v) = (0.3, 0.1, 0.01) and (0.1, 0.5, 1e-3), the
@@ -40,15 +47,9 @@ _SCALAR_BLOCK = 30
 # length need 0.5 MB.
 _KERNEL_BLOCK = 1024
 
-# The two-plate sum subtracts its analytic tail from the first index
-# n >= _ZETA_X_MIN at which U = v (2an - 2(z0+b)) / b reaches this value: there
-# the pair terms' expansion in 1/n gains a factor (1/U)^2 <= 1/4 per order, so
-# the envelope coefficient taken at that index is close to its limit.
-_TAIL_REFERENCE_U = 2.0
-# Least argument x at which _hurwitz_zeta reaches double precision with the
-# Euler-Maclaurin terms of B_2, ..., B_20, here as (numerator, denominator); a
-# subtracted tail built from zeta(s, N + 1) needs N + 1 >= this.
-_ZETA_X_MIN = 16
+# The Euler-Maclaurin terms of B_2, ..., B_20 that _hurwitz_zeta takes, as
+# (numerator, denominator): with them it reaches double precision from
+# x = variance._ZETA_X_MIN on.
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
               (43867, 798), (-174611, 330))
 # The remainder past the six subtracted orders C_0, ..., C_5 falls like n^-16.
@@ -203,7 +204,9 @@ def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     check_separation(a)
     if len(ns) <= _SCALAR_BLOCK:
         return _scalar_pair_terms(seg, a, ns)
-    import numpy as np
+    global np
+    if np is None:
+        import numpy as np
 
     z0, b, v, size = seg.z0, seg.b, seg.v, len(ns)
     lo, hi, k = (1.0 - v) * b, (1.0 + v) * b, 1.0 - v * v
@@ -366,21 +369,15 @@ def _zeta16_bound(x):
     return (1.0 / 15.0 + (0.5 + 4.0 / (3.0 * x)) / x) / x**15
 
 
-def _refusal(tol: float, n_max: int, bound: float) -> ConvergenceError:
-    """The two-plate sum's refusal when no index up to n_max certifies."""
-    return ConvergenceError(
-        f"two-plate variance: image sum not certified below relative tolerance "
-        f"{tol:g} within n_max={n_max} terms (last tail bound {bound:.3e})"
-    )
-
-
-def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> SummationResult:
+def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl,
+                   n_u: int) -> SummationResult:
     """The one-plate integral plus the image pairs n >= 1, with a certified tail.
 
     The sum certifies only from the reference index n_ref = max(16, n_U) on,
-    n_U the first n >= 1 with U = v (2an - 2(z0+b)) / b >= _TAIL_REFERENCE_U
-    and 16 = _ZETA_X_MIN, so terms_used >= 16. An n_max below n_ref raises
-    ConvergenceError at once, before any pair term is formed. At each
+    n_U = n_u the first n >= 1 with U = v (2an - 2(z0+b)) / b >=
+    variance._TAIL_REFERENCE_U (variance._cone_index) and 16 = _ZETA_X_MIN,
+    so terms_used >= 16. The caller has checked v and refused an n_max
+    below n_ref, before this module loads. At each
     N >= n_ref the sum adds the subtracted tail T(N) = sum_j C_j
     zeta(4+2j, N+1), j = 0..5, and bounds only its remainder, by the
     envelope n_ref^16 r(n_ref) zeta(16, N+1) on r(n) = pair_term(n) -
@@ -404,15 +401,8 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl) -> Sum
     falls while value(N) rises by r(N+1) >= 0, so when n_max does not
     certify no index up to n_max does, and the sum refuses.
     """
-    _check_v(seg.v)
-    v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
     tol, n_max = control.tol, control.n_max
-    n_u = math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a))
-    while v * (2.0 * a * n_u - 2.0 * z1) / b < _TAIL_REFERENCE_U:
-        n_u += 1
     n_ref = max(_ZETA_X_MIN, n_u)
-    if n_max < n_ref:
-        raise _refusal(tol, n_max, math.inf)
     coefficients = _tail_coefficients(seg, a)
     # the one-plate term, then the pair terms 1..end, then the tail
     parts = [closed_forms.one_plate_integral(seg)]

@@ -16,8 +16,21 @@ import math
 import sys
 
 from . import _EXPORTS, units
-from .closed_forms import PathSegment, _check_small_speed, _warn_small_speed, one_plate_integral
-from .errors import DomainError, check_length, check_positive_finite, check_separation, record
+from .closed_forms import (
+    PathSegment,
+    _check_small_speed,
+    _check_v,
+    _warn_small_speed,
+    one_plate_integral,
+)
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    check_length,
+    check_positive_finite,
+    check_separation,
+    record,
+)
 from .summation import SummationControl
 from .units import CONSTANTS, speed_from_kinetic
 
@@ -26,6 +39,15 @@ __all__ = list(_EXPORTS["variance"])
 # the two-plate image-sum engine, casvolt.images: bound by the first exact
 # two-plate sum, so that no other run compiles it
 _images = None
+# The two-plate sum subtracts its analytic tail from the first index
+# n >= _ZETA_X_MIN at which U = v (2an - 2(z0+b)) / b reaches this value: there
+# the pair terms' expansion in 1/n gains a factor (1/U)^2 <= 1/4 per order, so
+# the envelope coefficient taken at that index is close to its limit.
+_TAIL_REFERENCE_U = 2.0
+# Least argument x at which images._hurwitz_zeta reaches double precision with
+# the Euler-Maclaurin terms of B_2, ..., B_20; a subtracted tail built from
+# zeta(s, N + 1) needs N + 1 >= this.
+_ZETA_X_MIN = 16
 _SPEED_MATCH_RTOL = 1e-9
 # Least magnitude of a nonzero charge, in units of e. Every variance is q^2
 # times a factor; the small-v forms' least factor, at the speed floor 1e-22
@@ -38,6 +60,8 @@ _CHARGE_MIN = 1e-58
 # variance, but the exact forms' factor also depends on the lengths' ratios,
 # so a charged particle's variance below this has underflowed and refuses.
 _NORMAL_MIN = sys.float_info.min
+# the one-plate window's lower edge is 2 v z0 / sqrt(3)
+_SQRT3 = math.sqrt(3.0)
 
 
 @record
@@ -62,7 +86,8 @@ class Particle:
                 raise DomainError(f"particle charge must be 0 or at least {_CHARGE_MIN:g} "
                                   f"in magnitude, got {charge!r}")
             raise DomainError(f"particle charge must be finite, got {charge!r}")
-        check_positive_finite("particle mass", self.mass_eV)
+        if not 0.0 < self.mass_eV < math.inf:
+            check_positive_finite("particle mass", self.mass_eV)
         given = (self.kinetic_energy_eV is not None) + (self.speed is not None)
         if given != 1:
             raise DomainError(
@@ -85,12 +110,7 @@ class Particle:
         kinetic_energy_eV: float | None = None,
         speed: float | None = None,
     ) -> "Particle":
-        return cls(
-            charge_e=1.0,
-            mass_eV=CONSTANTS.electron_mass_eV,
-            kinetic_energy_eV=kinetic_energy_eV,
-            speed=speed,
-        )
+        return cls(1.0, CONSTANTS.electron_mass_eV, kinetic_energy_eV, speed)
 
     @property
     def speed_value(self) -> float:
@@ -147,14 +167,7 @@ def _result(
             f"{_NORMAL_MIN:g}; the lengths' ratios put it out of range")
     rms = math.sqrt(variance)
     rms_voltage = rms / abs(charge_e) if charge_e != 0.0 else 0.0
-    return FluctuationResult(
-        variance_eV2=variance,
-        rms_energy_eV=rms,
-        rms_voltage_V=rms_voltage,
-        regime=regime,
-        terms_used=terms_used,
-        tail_estimate_eV2=tail,
-    )
+    return FluctuationResult(variance, rms, rms_voltage, regime, terms_used, tail)
 
 
 def _check_speed_match(particle: Particle, seg: PathSegment) -> None:
@@ -192,27 +205,40 @@ class WindowReport:
 
 def validity_window(seg: PathSegment) -> WindowReport:
     """Place seg.b against the one-plate window edges described in WindowReport."""
-    lower = 2.0 * seg.v * seg.z0 / math.sqrt(3.0)
-    pole = 2.0 * seg.v * seg.z0 / (1.0 - seg.v)
-    inside = lower <= seg.b <= seg.z0
-    return WindowReport(
-        b=seg.b,
-        lower_bound=lower,
-        upper_bound=seg.z0,
-        pole_entry=pole,
-        inside=inside,
-        below_window=seg.b < lower,
-    )
+    z0, b, v = seg.z0, seg.b, seg.v
+    lower = 2.0 * v * z0 / _SQRT3
+    pole = 2.0 * v * z0 / (1.0 - v)
+    return WindowReport(b, lower, z0, pole, lower <= b <= z0, b < lower)
 
 
 def _window_flags(seg: PathSegment) -> tuple[str, ...]:
     """The regime flags of validity_window's edges, without building its report."""
     flags: tuple[str, ...] = ()
-    if seg.b < 2.0 * seg.v * seg.z0 / math.sqrt(3.0):
+    if seg.b < 2.0 * seg.v * seg.z0 / _SQRT3:
         flags += ("below_window",)
     if seg.b > seg.z0:
         flags += ("beyond_window",)
     return flags
+
+
+def _refusal(tol: float, n_max: int, bound: float) -> ConvergenceError:
+    """The two-plate sum's refusal when no index up to n_max certifies."""
+    return ConvergenceError(
+        f"two-plate variance: image sum not certified below relative tolerance "
+        f"{tol:g} within n_max={n_max} terms (last tail bound {bound:.3e})"
+    )
+
+
+def _cone_index(seg: PathSegment, a: float) -> int:
+    """n_U, the first image index n >= 1 with U = v (2an - 2(z0+b)) / b >=
+    _TAIL_REFERENCE_U. Raises DomainError first when v lies outside the
+    exact forms' range, since U divides by v."""
+    v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
+    _check_v(v)
+    n_u = math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a))
+    while v * (2.0 * a * n_u - 2.0 * z1) / b < _TAIL_REFERENCE_U:
+        n_u += 1
+    return n_u
 
 
 def variance_one_plate(particle: Particle, seg: PathSegment) -> FluctuationResult:
@@ -276,9 +302,10 @@ def variance_two_plate_exact(
     truncation error of the returned variance, not the rounding of the pair
     terms (about 1e-15 of the value), which at the default tol it often
     falls below. Raises ConvergenceError when
-    no pair up to control.n_max certifies, at once and without numpy when
-    control.n_max < n_ref. The flight must stay between the plates,
-    0 < z0 and z0 + b < a, and v must lie in (1e-6, 0.99).
+    no pair up to control.n_max certifies, and at once, without loading the
+    image engine (casvolt.images), when control.n_max < n_ref. The flight
+    must stay between the plates, 0 < z0 and z0 + b < a, and v must lie in
+    (1e-6, 0.99).
     """
     check_separation(a)
     if not seg.z0 + seg.b < a:
@@ -290,12 +317,15 @@ def variance_two_plate_exact(
     flags = ("exact", "two_plate") + _window_flags(seg)
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
+    n_u = _cone_index(seg, a)
+    if control.n_max < max(_ZETA_X_MIN, n_u):
+        raise _refusal(control.tol, control.n_max, math.inf)
     global _images
     if _images is None:
         from . import images as _images
     q = particle.charge_natural
     prefactor = q * q * seg.v**4 / math.pi**2
-    summed = _images._two_plate_sum(seg, a, control)
+    summed = _images._two_plate_sum(seg, a, control, n_u)
     return _result(
         prefactor * summed.value,
         particle.charge_e,

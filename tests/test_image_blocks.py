@@ -34,6 +34,7 @@ from casvolt.images import (
     _two_plate_sum,
     image_pair_terms,
 )
+from casvolt.variance import _cone_index
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
@@ -249,7 +250,7 @@ def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
     # hundredth of it, E no longer certifies, and the next block 231..460
     # ends at 2E, which does
     seg = PathSegment(z0=0.3, b=0.1, v=5.5e-4)
-    shift = 0.99 * _two_plate_sum(seg, 1.0, SummationControl()).value
+    shift = 0.99 * _two_plate_sum(seg, 1.0, SummationControl(), _cone_index(seg, 1.0)).value
     blocks = []
 
     def shifted(seg, a, ns):
@@ -483,7 +484,8 @@ def test_n_max_below_reference_index_refuses_before_any_pair(z0, b, a, v, n_max,
                         counted("one_plate_integral", one_plate_integral))
     with pytest.raises(ConvergenceError, match=rf"within n_max={n_max} terms "
                                                r"\(last tail bound inf\)$"):
-        _two_plate_sum(PathSegment(z0=z0, b=b, v=v), a, SummationControl(n_max=n_max))
+        variance_two_plate_exact(Particle.electron(speed=v), PathSegment(z0=z0, b=b, v=v), a,
+                                 SummationControl(n_max=n_max))
     assert calls == []
 
 
@@ -493,8 +495,9 @@ def test_n_max_below_reference_index_refuses_before_any_pair(z0, b, a, v, n_max,
 def test_two_plate_sum_never_stops_before_the_reference_index(a, uz, ub, log_v, tol):
     z0 = a * uz
     b, v = ub * (a - z0), 10.0**log_v
+    seg = PathSegment(z0=z0, b=b, v=v)
     try:
-        result = _two_plate_sum(PathSegment(z0=z0, b=b, v=v), a, SummationControl(tol=tol))
+        result = _two_plate_sum(seg, a, SummationControl(tol=tol), _cone_index(seg, a))
     except SingularityError:
         return
     assert result.terms_used >= _reference_index(z0, b, a, v) >= 16
@@ -506,8 +509,9 @@ def test_two_plate_sum_never_stops_before_the_reference_index(a, uz, ub, log_v, 
 def test_two_plate_sum_certifies_at_a_block_end(a, uz, ub, log_v, log_tol):
     z0 = a * uz
     b, v, control = ub * (a - z0), 10.0**log_v, SummationControl(tol=10.0**log_tol)
+    seg = PathSegment(z0=z0, b=b, v=v)
     try:
-        result = _two_plate_sum(PathSegment(z0=z0, b=b, v=v), a, control)
+        result = _two_plate_sum(seg, a, control, _cone_index(seg, a))
     except SingularityError:
         return
     assert result.tail_estimate <= control.tol * abs(result.value)
@@ -524,8 +528,9 @@ def test_two_plate_sum_certifies_at_its_first_block_end(a, uz, ub, log_v):
     # max(16, n_U + n_U // 4 + 2) <= 20 as well
     z0 = a * uz
     b, v = ub * (a - z0), 10.0**log_v
+    seg = PathSegment(z0=z0, b=b, v=v)
     try:
-        result = _two_plate_sum(PathSegment(z0=z0, b=b, v=v), a, SummationControl())
+        result = _two_plate_sum(seg, a, SummationControl(), _cone_index(seg, a))
     except SingularityError:
         return
     n_u = _natural_index(z0, b, a, v)

@@ -4,7 +4,8 @@ only with a long two-plate pair block or brute_dual_correlator; verify runs
 without it. Once loaded, a two-plate sum compiles no code.
 
 Each check runs in a fresh interpreter, because this test session has long
-since imported all of them."""
+since imported all of them; the n_max refusal is also checked in process,
+with the image engine taken out of sys.modules."""
 import ast
 import json
 import os
@@ -122,6 +123,22 @@ def test_two_plate_n_max_refusal_runs_without_numpy():
     )
     assert code == 3
     assert loaded == {"numpy": False, "casvolt.oracle": False}
+
+
+def test_two_plate_n_max_refusal_leaves_the_image_engine_unloaded(monkeypatch):
+    # n_U, n_ref and the refusal are variance's, so the refusal loads no
+    # casvolt.images, even in a session whose variance has bound it before
+    from casvolt import variance
+
+    monkeypatch.delitem(sys.modules, "casvolt.images", raising=False)
+    monkeypatch.delattr(casvolt, "images", raising=False)
+    monkeypatch.setattr(variance, "_images", None)
+    seg = casvolt.PathSegment(z0=0.3, b=0.1, v=0.01)
+    with pytest.raises(casvolt.ConvergenceError,
+                       match=r"within n_max=5 terms \(last tail bound inf\)$"):
+        casvolt.variance_two_plate_exact(casvolt.Particle.electron(speed=0.01), seg, 1.0,
+                                         casvolt.SummationControl(n_max=5))
+    assert "casvolt.images" not in sys.modules
 
 
 def test_two_plate_sum_with_a_long_block_loads_numpy():
@@ -288,7 +305,8 @@ def test_every_public_name_is_referenced_outside_the_tests():
 CLI_BASE = ["cli", "errors", "summation", "units"]
 
 
-# a two-plate exact sum, and only such a sum, loads the image-sum engine
+# a two-plate exact sum, and only such a sum, loads the image-sum engine; an
+# n_max refusal is checked before it
 TWO_PLATE = ["--plates", "two", "--z0", "0.3", "--b", "0.1", "--a", "1", "--natural-units"]
 VARIANCE_MODULES = [*CLI_BASE, "closed_forms", "variance"]
 
@@ -297,7 +315,7 @@ VARIANCE_MODULES = [*CLI_BASE, "closed_forms", "variance"]
     (None, []),
     (VARIANCE_ONE, VARIANCE_MODULES),
     (["variance", *TWO_PLATE, "--speed", "0.01"], [*VARIANCE_MODULES, "images"]),
-    (["variance", *TWO_PLATE, "--speed", "0.01", "--n-max", "5"], [*VARIANCE_MODULES, "images"]),
+    (["variance", *TWO_PLATE, "--speed", "0.01", "--n-max", "5"], VARIANCE_MODULES),
     (["variance", "--plates", "two", "--mode", "small-v", "--z0", "30", "--a", "100",
       "--kinetic-eV", "1"], VARIANCE_MODULES),
     (["variance", "--plates", "one", "--z0", "1e-300", "--b", "1e-300", "--speed", "0.01",

@@ -33,6 +33,13 @@ from casvolt import (
     SummationResult,
     VerificationReport,
     WindowReport,
+    correlator_dual_plate,
+    regime_classify,
+    rms_one_plate_smallv,
+    validity_window,
+    variance_one_plate,
+    variance_two_plate_exact,
+    variance_two_plate_smallv,
 )
 from casvolt.oracle import CheckResult
 
@@ -276,3 +283,70 @@ def test_verification_report_dict_lists_check_fields():
         "seed": 7, "passed": True, "elapsed_s": 0.25,
         "checks": [{"name": "a", "passed": True, "worst": 0.5, "detail": "b"}],
     }
+
+
+# The package builds these records positionally; each field is checked by
+# name against its definition, with values that differ field from field, so
+# that two swapped arguments cannot pass. At charge 2 e the rms energy and
+# the rms voltage differ, where at 1 e they are equal.
+SEG = PathSegment(z0=0.3, b=0.1, v=0.01)
+# name: (the variance of a particle, its leading regime flags)
+VARIANCES = {
+    "variance_one_plate": (lambda p: variance_one_plate(p, SEG), ("exact", "one_plate")),
+    "rms_one_plate_smallv": (lambda p: rms_one_plate_smallv(p, SEG.z0), ("small_v", "one_plate")),
+    "variance_two_plate_exact": (lambda p: variance_two_plate_exact(p, SEG, 1.0),
+                                 ("exact", "two_plate")),
+    "variance_two_plate_smallv": (lambda p: variance_two_plate_smallv(p, SEG.z0, 1.0),
+                                  ("small_v", "two_plate")),
+}
+
+
+@pytest.mark.parametrize("name", VARIANCES)
+def test_variance_results_carry_each_field_by_name(name):
+    variance, regime = VARIANCES[name]
+    result = variance(Particle(2.0, M_E, speed=SEG.v))
+    assert 0.0 < result.variance_eV2 < 1.0
+    assert result.rms_energy_eV == math.sqrt(result.variance_eV2)
+    assert result.rms_voltage_V == result.rms_energy_eV / 2.0
+    assert result.regime[:2] == regime
+    assert type(result.terms_used) is int and type(result.tail_estimate_eV2) is float
+    if name == "variance_two_plate_exact":
+        assert result.terms_used >= 16
+        assert 0.0 < result.tail_estimate_eV2 <= 1e-10 * result.variance_eV2
+    else:
+        assert (result.terms_used, result.tail_estimate_eV2) == (0, 0.0)
+
+
+def test_particle_electron_carries_each_field_by_name():
+    by_speed = Particle.electron(speed=0.01)
+    assert (by_speed.charge_e, by_speed.mass_eV) == (1.0, M_E)
+    assert (by_speed.kinetic_energy_eV, by_speed.speed) == (None, 0.01)
+    by_energy = Particle.electron(kinetic_energy_eV=2.0)
+    assert (by_energy.kinetic_energy_eV, by_energy.speed) == (2.0, None)
+
+
+@pytest.mark.parametrize("b", [0.1, 1e-3], ids=["inside", "below"])
+def test_validity_window_carries_each_field_by_name(b):
+    z0, v = 0.3, 0.01
+    window = validity_window(PathSegment(z0=z0, b=b, v=v))
+    lower = 2.0 * v * z0 / math.sqrt(3.0)
+    assert window.b == b
+    assert window.lower_bound == lower
+    assert window.upper_bound == z0
+    assert window.pole_entry == 2.0 * v * z0 / (1.0 - v)
+    assert window.inside is (b == 0.1) and window.below_window is (b == 1e-3)
+
+
+def test_regime_classify_carries_each_field_by_name():
+    report = regime_classify(MaterialMirror("Al", 15.0, 150.0), 2.3)
+    hbar_c = CONSTANTS.hbar_c_eV_nm
+    assert report.regime == "partial"
+    assert report.omega_p_distance == 15.0 * 2.3 / hbar_c
+    assert report.omega_p_thickness == 15.0 * 150.0 / hbar_c
+
+
+def test_correlator_dual_plate_carries_each_field_by_name():
+    result = correlator_dual_plate(SpacetimePair(t=0.2, z=0.3, t_prime=0.0, z_prime=0.4), 1.0)
+    assert type(result.value) is float and result.value > 0.0
+    assert type(result.terms_used) is int and result.terms_used == 1
+    assert type(result.tail_estimate) is float and result.tail_estimate == 0.0

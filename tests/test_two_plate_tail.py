@@ -23,6 +23,7 @@ from casvolt.images import (
     image_pair_terms,
 )
 from casvolt.summation import SummationControl
+from casvolt.variance import _cone_index
 
 from test_tail_coefficients import _walk_coefficients
 
@@ -138,7 +139,7 @@ def test_two_plate_sum_is_its_documented_parts(v, end, pieces):
     assert (end > _SCALAR_BLOCK) == (pieces > 0)
     assert pieces == 0 or math.ceil(end / _KERNEL_BLOCK) == pieces
     a, seg = 1.0, PathSegment(z0=0.3, b=0.1, v=v)
-    result = _two_plate_sum(seg, a, SummationControl())
+    result = _two_plate_sum(seg, a, SummationControl(), _cone_index(seg, a))
     assert result.terms_used == end
     coefficients = _walk_coefficients(seg, a)
     tail = 0.0
