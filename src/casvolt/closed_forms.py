@@ -157,13 +157,20 @@ def _reflection_square(base: float, b: float, v: float) -> float:
     Both parts are nonnegative when base and top share a sign, so nothing
     cancels. X and Y are formed as the corner (top, base) forms them, so a
     refusal reports that log argument; X - Y and X + Y are exact. Raises
-    SingularityError when X or Y lies on the singular locus.
+    SingularityError when X or Y lies on the singular locus. The locus test
+    and the log ratio are _on_locus's and _log_ratio's, written inline;
+    _on_locus is called only to raise.
     """
     top = base + b
     x = 2.0 * v * top - (1.0 + v) * b
     y = 2.0 * v * top + (1.0 - v) * b
-    _on_locus(x, y, v * (abs(top) + abs(base)) + b)
-    ell = _log_ratio(x, y, -2.0 * b * (2.0 * v * (base + top)))
+    ax, ay = abs(x), abs(y)
+    least = ax if ax < ay else ay
+    touch_scale = v * (abs(top) + abs(base)) + b
+    if least < _POLE_TOUCH_EPS * touch_scale:
+        _on_locus(x, y, touch_scale)
+    ds = -2.0 * b * (2.0 * v * (base + top))
+    ell = 2.0 * math.copysign(math.log1p(abs(ds) / ((ax + ay) * least)), ds)
     return b * (4.0 * v * b - (1.0 - v * v) * (base + top) * ell) / (64.0 * v**3 * (base * top) ** 2)
 
 
@@ -199,7 +206,9 @@ def one_plate_integral(seg: PathSegment) -> float:
     Evaluated as the collapsed corner difference of the reflection
     antiderivative (_reflection_square). A corner can land on the singular
     locus when b = 2 v z0 / (1-v); that raises SingularityError with
-    guidance to perturb b.
+    guidance to perturb b. At extreme length ratios the integral can
+    underflow to 0.0 (about 1e-330 at z0 = 5e59, b = 1e-57, v = 1.0000001e-6):
+    it is returned as is, and variance_one_plate refuses the variance it gives.
     """
     v = seg.v
     if not _V_MIN < v < _V_MAX:

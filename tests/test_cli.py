@@ -423,6 +423,7 @@ _FUZZ_TEMPLATES = {
     "sweep": (["sweep", "--over", "v", "--plates", "two", "--natural-units", "--n-max", "300"],
               ("--values", "--z0", "--b", "--a")),
     "moddel": (["moddel"], ("--voltage",)),
+    "sweep_d_C": (["sweep", "--over", "d_C"], ("--values", "--voltage")),
 }
 
 
@@ -445,6 +446,27 @@ def test_awkward_numbers_exit_with_a_documented_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2, 3, 4), argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_fuzz_argv())
+@example(argv=["moddel", "--voltage=1e-320"])
+@example(argv=["sweep", "--over", "d_C", "--values=10", "--voltage=1e-320"])
+def test_a_charged_command_that_succeeds_prints_a_positive_rms(argv):
+    # an rms that underflows refuses (exit 2) rather than printing 0; only a
+    # neutral particle's rms is 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code != 0 or "--charge-e=0" in argv:
+        return
+    for row in _rows(out.getvalue()):
+        for column, value in row.items():
+            if column.startswith("rms"):
+                assert float(value) > 0.0, (argv, column, value)
 
 
 def test_verify_passes_and_reports(capsys):

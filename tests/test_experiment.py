@@ -56,6 +56,20 @@ def test_enhancement_ratio_goldens():
     )
 
 
+@pytest.mark.parametrize("spread, kinetic", [
+    (rms_estimate_eV, 1e-320),  # v = sqrt(2K/m) rounds to 0.0
+    (minkowski_rms, 1e-320),
+    (minkowski_rms, 1e-300),  # a subnormal e^2 K / (m^2 a^2)
+])
+def test_spread_below_the_normal_doubles_refuses(spread, kinetic):
+    # these returned 0.0 or a subnormal, and enhancement_ratio then raised a
+    # bare ZeroDivisionError
+    with pytest.raises(DomainError, match="rms energy spread underflows"):
+        spread(kinetic, 10.0)
+    with pytest.raises(DomainError, match="rms energy spread underflows"):
+        enhancement_ratio(kinetic, 10.0, 10.0)
+
+
 def test_mirror_validation():
     with pytest.raises(DomainError):
         MaterialMirror("X", plasma_frequency_eV=0.0, thickness_nm=10.0)

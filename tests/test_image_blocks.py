@@ -34,7 +34,7 @@ from casvolt.images import (
     _two_plate_sum,
     image_pair_terms,
 )
-from casvolt.variance import _cone_index
+from casvolt.variance import _REFERENCE_FLOOR, _cone_index
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
@@ -102,7 +102,8 @@ def test_block_pair_terms_match_scalar_images(z0, b, a, v, ns):
 def _block_ends(n_ref, n_u, n_max):
     """Where variance_two_plate_exact tries to certify: E = min(n_max,
     max(n_ref, n_u + n_u // 4 + 2)), then min(n_max, 2E), and so on up to
-    n_max. n_u is the first n >= 1 with U >= 2 and n_ref = max(16, n_u)."""
+    n_max. n_u is the first n >= 1 with U >= 2 and n_ref = max(_REFERENCE_FLOOR,
+    n_u)."""
     ends = [min(n_max, max(n_ref, n_u + n_u // 4 + 2))]
     while ends[-1] < n_max:
         ends.append(min(n_max, 2 * ends[-1]))
@@ -138,8 +139,8 @@ def _reference_sum(pair_term, tail_bound, control, base, ends):
 def _two_plate_tail(seg, a):
     """variance_two_plate_exact's tail rule for one index N: (bound, T).
 
-    From the first N >= 16 with U = v (2aN - 2(z0+b)) / b >= 2 on, the sum
-    adds T(N) = sum_j C_j zeta(4+2j, N+1), j = 0..5, and bounds the
+    From the first N >= _REFERENCE_FLOOR with U = v (2aN - 2(z0+b)) / b >= 2
+    on, the sum adds T(N) = sum_j C_j zeta(4+2j, N+1), j = 0..5, and bounds the
     remainder by n_ref^16 r(n_ref) zeta(16, N+1) plus rounding allowances,
     r being the pair term minus sum_j C_j n^-(4+2j), and the pair term's
     allowance 1e-12 of itself. The C_j are the exact rationals of
@@ -215,7 +216,7 @@ def _assert_matches_per_index_reference(z0, b, a, v, control, shift=0.0):
     _case(0.3, 0.1, 1.0, 1e-3),  # reference index 101, block end 128
     _case(0.05, 0.4, 0.5, 0.05),
     _case(1.2, 0.3, 1.6, 0.01),
-    _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # n_U = 2, n_ref = 16 certifies already
+    _case(0.3, 0.1, 1.0, 0.1, tol=1e-4),  # n_U = 2, n_ref = 9 certifies already
     _case(0.3, 0.1, 1.0, 1e-3, tol=1e-13),
 ])
 def test_two_plate_exact_matches_per_index_reference(z0, b, a, v, tol):
@@ -230,7 +231,7 @@ def test_two_plate_exact_matches_per_index_reference(z0, b, a, v, tol):
     assert end == min(e for e in ends if e >= first)
     if tol == 1e-4:
         # no index below n_ref certifies, and the block ends at n_ref
-        assert first == n_ref == 16 and end == 16
+        assert first == n_ref == _REFERENCE_FLOOR and end == _REFERENCE_FLOOR
 
 
 # (0.3, 0.1, 1.0, 5.5e-4) has n_ref = 183 and certifies at E = 230: n_max 8
@@ -467,7 +468,7 @@ def _image_sums_grid(seed):
 
 @pytest.mark.parametrize("z0, b, a, v, n_max", [
     (0.3, 0.1, 1.0, 1e-3, 100),  # n_ref = 101
-    (0.3, 0.1, 1.0, 0.1, 15),  # n_ref = 16
+    (0.3, 0.1, 1.0, 0.1, _REFERENCE_FLOOR - 1),  # n_ref = _REFERENCE_FLOOR
 ])
 def test_n_max_below_reference_index_refuses_before_any_pair(z0, b, a, v, n_max, monkeypatch):
     calls = []
@@ -500,7 +501,7 @@ def test_two_plate_sum_never_stops_before_the_reference_index(a, uz, ub, log_v, 
         result = _two_plate_sum(seg, a, SummationControl(tol=tol), _cone_index(seg, a))
     except SingularityError:
         return
-    assert result.terms_used >= _reference_index(z0, b, a, v) >= 16
+    assert result.terms_used >= _reference_index(z0, b, a, v) >= _REFERENCE_FLOOR
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -524,8 +525,8 @@ def test_two_plate_sum_certifies_at_a_block_end(a, uz, ub, log_v, log_tol):
        log_v=st.floats(-3.0, -1.0))
 def test_two_plate_sum_certifies_at_its_first_block_end(a, uz, ub, log_v):
     # on the image_sums ranges, at the default tolerance, every sum certifies
-    # at the end of its first pair block, a floored one (n_U < 16) at
-    # max(16, n_U + n_U // 4 + 2) <= 20 as well
+    # at the end of its first pair block, a floored one (n_U < 9) at
+    # max(_REFERENCE_FLOOR, n_U + n_U // 4 + 2) <= 12 as well
     z0 = a * uz
     b, v = ub * (a - z0), 10.0**log_v
     seg = PathSegment(z0=z0, b=b, v=v)
@@ -534,7 +535,7 @@ def test_two_plate_sum_certifies_at_its_first_block_end(a, uz, ub, log_v):
     except SingularityError:
         return
     n_u = _natural_index(z0, b, a, v)
-    assert result.terms_used == max(16, n_u + n_u // 4 + 2)
+    assert result.terms_used == max(_REFERENCE_FLOOR, n_u + n_u // 4 + 2)
     assert result.tail_estimate <= SummationControl().tol * abs(result.value)
 
 

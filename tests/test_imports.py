@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import casvolt
 
@@ -139,6 +141,34 @@ def test_two_plate_n_max_refusal_leaves_the_image_engine_unloaded(monkeypatch):
         casvolt.variance_two_plate_exact(casvolt.Particle.electron(speed=0.01), seg, 1.0,
                                          casvolt.SummationControl(n_max=5))
     assert "casvolt.images" not in sys.modules
+
+
+class _Unloaded:
+    """Stands in for the image engine: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the refusal reached casvolt.images.{name}")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.floats(0.5, 2.0), uz=st.floats(0.02, 0.9), ub=st.floats(0.02, 0.5),
+       log_v=st.floats(-5.99, -0.01), n_max=st.integers(1, 8))
+def test_an_n_max_below_the_reference_floor_refuses_before_the_engine(a, uz, ub, log_v, n_max):
+    # every n_ref is at least _REFERENCE_FLOOR = 9, so any n_max up to 8
+    # refuses at every geometry without touching the image engine
+    from unittest import mock
+
+    from casvolt import variance
+
+    z0 = uz * a
+    b, v = ub * (a - z0), 10.0**log_v
+    assert n_max < variance._REFERENCE_FLOOR
+    with mock.patch.object(variance, "_images", _Unloaded()):
+        with pytest.raises(casvolt.ConvergenceError,
+                           match=rf"within n_max={n_max} terms \(last tail bound inf\)$"):
+            casvolt.variance_two_plate_exact(casvolt.Particle.electron(speed=v),
+                                             casvolt.PathSegment(z0=z0, b=b, v=v), a,
+                                             casvolt.SummationControl(n_max=n_max))
 
 
 def test_two_plate_sum_with_a_long_block_loads_numpy():

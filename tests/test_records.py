@@ -42,6 +42,7 @@ from casvolt import (
     variance_two_plate_smallv,
 )
 from casvolt.oracle import CheckResult
+from casvolt.variance import _REFERENCE_FLOOR
 
 M_E = CONSTANTS.electron_mass_eV
 MIRROR = MaterialMirror("Au", 9.0, 20.0)
@@ -311,7 +312,7 @@ def test_variance_results_carry_each_field_by_name(name):
     assert result.regime[:2] == regime
     assert type(result.terms_used) is int and type(result.tail_estimate_eV2) is float
     if name == "variance_two_plate_exact":
-        assert result.terms_used >= 16
+        assert result.terms_used >= _REFERENCE_FLOOR
         assert 0.0 < result.tail_estimate_eV2 <= 1e-10 * result.variance_eV2
     else:
         assert (result.terms_used, result.tail_estimate_eV2) == (0, 0.0)

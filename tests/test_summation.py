@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from casvolt import DomainError, SummationControl
-from casvolt.images import _hurwitz_zeta
+from casvolt.images import _EULER_MACLAURIN_FROM, _TAIL_ROUNDING, _hurwitz_zeta, _tail_zetas
+from casvolt.variance import _REFERENCE_FLOOR
 
 
 def test_control_validation():
@@ -64,3 +65,24 @@ def test_hurwitz_zeta_series_sums_weighted_orders(weights):
             expected = float(mpmath.fsum(w * mpmath.zeta(4 + 2 * j, x)
                                          for j, w in enumerate(weights)))
         assert abs(total - expected) <= 8 * 2.0**-53 * expected
+
+
+# ulps of zeta(4+2j, x) the six tail orders stay within, at every block end
+# x = N + 1 from _REFERENCE_FLOOR + 1 = 10 to 40; the worst measured is 60.3
+# ulps at s = 14 and x = 16, the Euler-Maclaurin remainder at 16
+_TAIL_ZETA_ULPS = 64
+
+
+def test_tail_zetas_match_mpmath_from_the_reference_floor():
+    # below _EULER_MACLAURIN_FROM = 16 each value is the fsum of the head
+    # sum_{m=x}^{15} m^-s and the Euler-Maclaurin value at 16; from 16 on,
+    # the series itself. The reference takes 80 digits.
+    mpmath = pytest.importorskip("mpmath")
+    assert _TAIL_ZETA_ULPS * 2.0**-53 <= _TAIL_ROUNDING
+    xs = range(_REFERENCE_FLOOR + 1, 41)
+    assert xs[0] < _EULER_MACLAURIN_FROM < xs[-1]
+    with mpmath.workdps(80):
+        for x in xs:
+            for j, value in enumerate(_tail_zetas(float(x))):
+                expected = mpmath.zeta(4 + 2 * j, x)
+                assert abs(value - expected) <= _TAIL_ZETA_ULPS * 2.0**-53 * expected, (x, j)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from casvolt import PathSegment
 from casvolt.images import _tail_coefficients
+from casvolt.variance import _REFERENCE_FLOOR
 
 mpmath = pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
@@ -152,8 +153,8 @@ def _natural_index(z0, b, a, v, least=1):
 
 
 def _reference_index(z0, b, a, v):
-    """The first n >= 16 with U >= 2."""
-    return _natural_index(z0, b, a, v, least=16)
+    """n_ref: the first n >= _REFERENCE_FLOOR with U >= 2."""
+    return _natural_index(z0, b, a, v, least=_REFERENCE_FLOOR)
 
 
 # indices past n_ref at which the remainder is checked: every one of the
@@ -168,8 +169,8 @@ def test_scaled_remainder_is_nonnegative_and_nonincreasing(a, uz, ub, log_v):
     # the certificate: past the light cone every 1/n^2 coefficient of the
     # pair term is nonnegative, so r(n) = pair(n) - sum_j C_j n^-(4+2j) >= 0
     # and n^16 r(n) does not increase from n_U on, the first n >= 1 with
-    # U >= 2, and so from n_ref = max(16, n_U) on; a sum whose n_ref is
-    # raised to 16 ends its pair block from n_U on that premise. Against
+    # U >= 2, and so from n_ref = max(9, n_U) on; a sum whose n_ref is
+    # raised to 9 ends its pair block from n_U on that premise. Against
     # 60-digit pair terms and the exact coefficients
     z0 = uz * a
     b, v = ub * (a - z0), 10.0**log_v

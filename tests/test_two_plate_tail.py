@@ -23,7 +23,7 @@ from casvolt.images import (
     image_pair_terms,
 )
 from casvolt.summation import SummationControl
-from casvolt.variance import _cone_index
+from casvolt.variance import _REFERENCE_FLOOR, _cone_index
 
 from test_tail_coefficients import _walk_coefficients
 
@@ -86,6 +86,28 @@ def test_tail_estimate_bounds_the_true_remainder(a, z0_frac, b_frac, v):
     assert result.tail_estimate_eV2 <= 1e-10 * result.variance_eV2
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(a=separations, z0_frac=st.floats(0.02, 0.9), b_frac=lengths,
+       log_v=st.floats(-3.0, math.log10(0.5)))
+def test_floored_sums_agree_with_the_integral_test_reference(tol, a, z0_frac, b_frac, log_v):
+    # an error map of the sums floored at n_ref = _REFERENCE_FLOOR (n_U < 9),
+    # whose tail takes zeta(s, x) at x = 10..13 from the head sum: each value
+    # lies within its tail_estimate + 2 tol of a plain fsum reference, cut
+    # where the benchmark's integral-test tail falls below 1e-12 of it (the
+    # benchmark's own cut) at tol = 1e-10 and below tol at 1e-13, so that
+    # what the reference drops stays inside the allowance
+    seg = _geometry(a, z0_frac, b_frac, 10.0**log_v)
+    if _cone_index(seg, a) >= _REFERENCE_FLOOR:
+        reject()
+    try:
+        result = _two_plate_sum(seg, a, SummationControl(tol=tol), _cone_index(seg, a))
+    except SingularityError:
+        reject()
+    reference, _ = _plain_sum(seg, a, min(1e-12, tol))
+    assert abs(result.value - reference) <= result.tail_estimate + 2.0 * tol * reference
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(a=separations, z0_frac=starts, b_frac=lengths, v=speeds, scale=st.floats(0.25, 4.0))
 def test_two_plate_variance_scales_as_inverse_square_length(a, z0_frac, b_frac, v, scale):
@@ -110,23 +132,25 @@ def test_two_plate_variance_mirror_symmetry(a, z0_frac, b_frac, v):
 
 def test_zeta16_bound_holds_with_a_small_excess():
     # the envelope's one analytic inequality: zeta(16, x) <= _zeta16_bound(x),
-    # to within the bound's own rounding, at the block ends x = N + 1 >= 17 a
-    # sum certifies at; and the bound overestimates by at most 1e-3 of it
-    # (7.85e-4 at x = 17, falling like 1/x^2). The reference takes 80 digits.
+    # to within the bound's own rounding, at the block ends x = N + 1 >= 10 a
+    # sum certifies at; and the bound overestimates by at most 1e-3 of it from
+    # x = 17 on (7.85e-4 at x = 17, falling like 1/x^2) and by at most 5e-3
+    # below (4.83e-3 at x = 10). The reference takes 80 digits.
     mpmath = pytest.importorskip("mpmath")
     u = 2.0**-53
-    xs = [float(x) for x in range(17, 65)]
+    xs = [float(x) for x in range(_REFERENCE_FLOOR + 1, 65)]
     xs += [float(round(10.0 ** (math.log10(65.0) + i * (6.0 - math.log10(65.0)) / 40)))
            for i in range(41)]
     with mpmath.workdps(80):
         for x in xs:
             zeta = float(mpmath.zeta(16, x))
             bound = _zeta16_bound(x)
-            assert zeta * (1.0 - 4.0 * u) <= bound <= zeta * (1.0 + 1e-3), x
+            excess = 1e-3 if x >= 17 else 5e-3
+            assert zeta * (1.0 - 4.0 * u) <= bound <= zeta * (1.0 + excess), x
 
 
 @pytest.mark.parametrize("v, end, pieces", [
-    (0.1, 16, 0),  # n_U = 2, floored at n_ref = 16: the pure-Python pass
+    (0.1, 9, 0),  # n_U = 2, floored at n_ref = 9: the pure-Python pass
     (0.2 / 45.0, 30, 0),  # n_U = 23: the longest block the pass takes
     (0.2 / 47.0, 32, 1),  # n_U = 24: the numpy kernel, in one piece
     (2e-5, 6253, 7),  # n_U = 5,001: seven kernel pieces

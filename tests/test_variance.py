@@ -26,7 +26,7 @@ from casvolt import (
     zeta_two_series,
 )
 from casvolt.closed_forms import _SMALLV_MIN, _V_MAX, _V_MIN
-from casvolt.variance import _CHARGE_MIN, _result
+from casvolt.variance import _CHARGE_MIN, _REFERENCE_FLOOR, _result
 
 M_E = CONSTANTS.electron_mass_eV
 
@@ -325,7 +325,7 @@ def test_exact_forms_evaluate_just_inside_the_speed_limits(edge, inward):
     result = variance_two_plate_exact(Particle(charge_e=1.0, mass_eV=M_E, speed=v), seg, 1.0)
     assert 0.0 < result.variance_eV2 < math.inf
     assert result.tail_estimate_eV2 <= SummationControl().tol * result.variance_eV2
-    assert result.terms_used == (10_003 if edge == _V_MIN else 16)
+    assert result.terms_used == (10_003 if edge == _V_MIN else _REFERENCE_FLOOR)
 
 
 def test_variance_two_plate_smallv_golden():
