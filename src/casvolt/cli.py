@@ -498,16 +498,14 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_sweep(args, parser)
         if args.command == "verify":
             return _cmd_verify(args, parser)
-        if args.command == "moddel":
-            return _cmd_moddel(args)
-        parser.error(f"unknown command {args.command!r}")
+        # the subparsers are required, so the one command left is moddel
+        return _cmd_moddel(args)
     except (DomainError, SingularityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

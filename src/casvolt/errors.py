@@ -10,6 +10,7 @@ A failing `casvolt verify` exits 4 by its return value, not by an error.
 from __future__ import annotations
 
 import math
+import sys
 
 from . import _EXPORTS
 
@@ -73,6 +74,12 @@ def check_positive_finite(label: str, value: float) -> None:
 # from those edges; 1 fm to 1 km is 5e-9 to 5e9 1/eV.
 _LENGTH_MIN = 1e-60
 _LENGTH_MAX = 1e60
+
+
+# The least normal double. A charged result below it has underflowed (a
+# variance whose lengths' ratios leave the doubles, a lab-unit spread at
+# K = 1e-320 eV) and refuses with DomainError rather than returning 0.0.
+_NORMAL_MIN = sys.float_info.min
 
 
 def check_length(label: str, value: float) -> None:

@@ -11,10 +11,9 @@ as a mirror at the frequencies that dominate the fluctuations.
 from __future__ import annotations
 
 import math
-import sys
 
 from . import _EXPORTS
-from .errors import DomainError, check_positive_finite, record
+from .errors import _NORMAL_MIN, DomainError, check_positive_finite, record
 from .units import CONSTANTS, length_to_natural, speed_from_kinetic
 
 __all__ = list(_EXPORTS["experiment"])
@@ -23,10 +22,6 @@ __all__ = list(_EXPORTS["experiment"])
 # transparent; one much thicker reflects at its plasma frequency
 _TRANSPARENT_THRESHOLD = 1.0 / 3.0
 _PERFECT_THRESHOLD = 1.0
-# The least normal double. A spread below it has underflowed (0.0 at
-# K = 1e-320 eV) and refuses, as variance._result refuses a variance; so
-# enhancement_ratio never divides by zero.
-_NORMAL_MIN = sys.float_info.min
 
 
 @record

@@ -6,7 +6,9 @@ R(z0 - an) + R(z0 + an) + 2 T(n), n >= 1, R and T closed_forms' reflected
 and translated squares. _two_plate_sum sets the block ends and certifies the
 sum with its analytic Hurwitz zeta tail; image_pair_terms forms a block of
 pair terms. Only a two-plate exact sum imports this module, so no other run
-compiles it (docs/decisions.md, "Two-plate image sums").
+compiles it. variance owns n_U, n_ref and the early refusal, summation the
+budget's refusal; this module imports only closed_forms, errors and
+summation (docs/decisions.md, "Two-plate image sums").
 """
 from __future__ import annotations
 
@@ -18,10 +20,7 @@ from functools import lru_cache
 from . import closed_forms
 from .closed_forms import _POLE_TOUCH_EPS, PathSegment, _check_v
 from .errors import DomainError, check_separation
-from .summation import SummationControl, SummationResult
-# variance checks v, finds n_U and refuses an n_max below n_ref before it
-# loads this module; the refusal's message is its own
-from .variance import _REFERENCE_FLOOR, _refusal
+from .summation import SummationControl, SummationResult, _refusal
 
 # no public name: variance_two_plate_exact is this engine's entry point
 __all__: list[str] = []
@@ -37,8 +36,9 @@ np = None
 # indices, 0.94-0.95 at 30, 0.98-1.01 at 32 and 1.04-1.07 at 34. The kernel
 # takes 70-71 us at 299 indices and 256-263 us at 1024 (z0, b, v = 0.3, 0.1,
 # 1e-3), below 0.3 us per index (docs/decisions.md, "Two-plate image sums").
-# The least block a two-plate sum forms has _REFERENCE_FLOOR = 9 indices; one
-# whose n_U is at most 23 ends its block by index 30 and loads no numpy.
+# The least block a two-plate sum forms has n_ref >= variance._REFERENCE_FLOOR
+# = 9 indices; one whose n_U is at most 23 ends its block by index 30 and loads
+# no numpy.
 _SCALAR_BLOCK = 30
 
 # Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
@@ -360,8 +360,8 @@ def _hurwitz_zeta(s: int, x: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _tail_zetas(x: float) -> tuple[float, ...]:
-    """zeta(4+2j, x), j = 0, ..., 5, at an integer x >= _REFERENCE_FLOOR + 1
-    = 10, through the head sum below 16. The sum takes them at block ends,
+    """zeta(4+2j, x), j = 0, ..., 5, at an integer x > n_ref >= 9, through
+    the head sum below 16. The sum takes them at block ends,
     which repeat from sum to sum."""
     return tuple(_hurwitz_zeta(4 + 2 * j, x) for j in range(6))
 
@@ -382,14 +382,14 @@ def _zeta16_bound(x):
 
 
 def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl,
-                   n_u: int) -> SummationResult:
+                   n_u: int, n_ref: int) -> SummationResult:
     """The one-plate integral plus the image pairs n >= 1, with a certified tail.
 
     The sum certifies only from the reference index n_ref = max(9, n_U) on,
-    n_U = n_u the first n >= 1 with U = v (2an - 2(z0+b)) / b >=
-    variance._TAIL_REFERENCE_U (variance._cone_index) and 9 =
-    _REFERENCE_FLOOR, so terms_used >= 9. The caller has checked v and
-    refused an n_max below n_ref, before this module loads. At each
+    n_U = n_u the first n >= 1 with U = v (2an - 2(z0+b)) / b >= 2, so
+    terms_used >= 9. The caller, variance_two_plate_exact, finds both
+    (variance._cone_index, variance._REFERENCE_FLOOR), checks v and refuses
+    an n_max below n_ref, before this module loads. At each
     N >= n_ref the sum adds the subtracted tail T(N) = sum_j C_j
     zeta(4+2j, N+1), j = 0..5 (_tail_zetas; below N + 1 = 16 through the
     finite head), and bounds only its remainder, by the
@@ -415,7 +415,6 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl,
     certify no index up to n_max does, and the sum refuses.
     """
     tol, n_max = control.tol, control.n_max
-    n_ref = max(_REFERENCE_FLOOR, n_u)
     coefficients = _tail_coefficients(seg, a)
     # the one-plate term, then the pair terms 1..end, then the tail
     parts = [closed_forms.one_plate_integral(seg)]

@@ -38,7 +38,6 @@ from .errors import (
     check_separation,
     record,
 )
-from .variance import FluctuationResult, Particle, _result
 
 __all__ = list(_EXPORTS["oracle"])
 
@@ -91,6 +90,8 @@ _QUAD_MAX_SUBDIVISIONS = 10**4
 _RICHARDSON_LEVELS = 7
 _QUAD_GATE = 1e-7
 _DERIV_GATE = 1e-6
+# N, the image pairs of the truncated series cross-checks
+_SERIES_TERMS = 10000
 
 
 @record
@@ -449,17 +450,16 @@ class CscSeriesComparison:
     terms: int
 
 
-def csc_identity(x: float, terms: int = 10000) -> CscSeriesComparison:
+def csc_identity(x: float) -> CscSeriesComparison:
     """sum_{n>=1} [1/(n+x)^2 + 1/(n-x)^2] = -1/x^2 + pi^2 csc^2(pi x).
 
     The identity that collapses the reflected-image series into the csc^2
-    closed form. Returns the truncated series, the closed form, and the
-    integral-test tail bound 1/(N+x) + 1/(N-x) on the dropped terms.
+    closed form. Returns the series to N = _SERIES_TERMS, the closed form,
+    and the integral-test tail bound 1/(N+x) + 1/(N-x) on the dropped terms.
     """
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie strictly between 0 and 1, got {x!r}")
-    if terms < 1:
-        raise DomainError(f"terms must be at least 1, got {terms!r}")
+    terms = _SERIES_TERMS
     series = math.fsum(
         1.0 / (n + x) ** 2 + 1.0 / (n - x) ** 2 for n in range(1, terms + 1)
     )
@@ -470,14 +470,14 @@ def csc_identity(x: float, terms: int = 10000) -> CscSeriesComparison:
     )
 
 
-def zeta_two_series(terms: int = 10000) -> CscSeriesComparison:
-    """Truncated 2 sum_{n>=1} 1/n^2 next to its closed form pi^2/3.
+def zeta_two_series() -> CscSeriesComparison:
+    """2 sum_{n>=1} 1/n^2 truncated at N = _SERIES_TERMS, next to its
+    closed form pi^2/3.
 
     The translated-image series at b -> 0. The tail bound is the integral
     test 2/N on the dropped terms.
     """
-    if terms < 1:
-        raise DomainError(f"terms must be at least 1, got {terms!r}")
+    terms = _SERIES_TERMS
     series = math.fsum(2.0 / (n * n) for n in range(1, terms + 1))
     return CscSeriesComparison(
         series_value=series,
@@ -488,12 +488,12 @@ def zeta_two_series(terms: int = 10000) -> CscSeriesComparison:
 
 
 def variance_two_plate_series_smallv(
-    particle: Particle, z0: float, a: float, terms: int = 10000
+    particle: Particle, z0: float, a: float
 ) -> FluctuationResult:
     """Small-v two-plate variance as a truncated image series (b -> 0 limit).
 
     q^2 v^4 / pi^2 times the n=0 term 1/(4 v^2 z0^2) plus, for each image
-    pair 1 <= n <= terms, [1/(an - z0)^2 + 1/(an + z0)^2 + 2/(an)^2] / (4 v^2).
+    pair 1 <= n <= N = _SERIES_TERMS, [1/(an - z0)^2 + 1/(an + z0)^2 + 2/(an)^2] / (4 v^2).
     With x = z0/a that pair term is [1/(n-x)^2 + 1/(n+x)^2 + 2/n^2] / (4 a^2
     v^2): the csc_identity(x) series plus the zeta_two_series one. So
         value = q^2 v^2 / (4 pi^2) [1/z0^2 + (S_csc + S_zeta) / a^2]
@@ -503,6 +503,9 @@ def variance_two_plate_series_smallv(
     with this within tail_estimate_eV2. Like it, this refuses speeds below
     the small-v forms' floor, 1e-22.
     """
+    # the one oracle result that is a production record: verify loads no variance
+    from .variance import _result
+
     check_separation(a)
     if not 0.0 < z0 < a:
         raise DomainError(
@@ -513,8 +516,8 @@ def variance_two_plate_series_smallv(
     flags = ("small_v", "two_plate", "series")
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
-    reflected = csc_identity(z0 / a, terms)
-    translated = zeta_two_series(terms)
+    reflected = csc_identity(z0 / a)
+    translated = zeta_two_series()
     q = particle.charge_natural
     prefactor = q * q * v * v / (4.0 * math.pi**2)
     images = (reflected.series_value + translated.series_value) / (a * a)
@@ -522,7 +525,7 @@ def variance_two_plate_series_smallv(
         prefactor * (1.0 / (z0 * z0) + images),
         particle.charge_e,
         flags,
-        terms_used=terms,
+        terms_used=_SERIES_TERMS,
         tail=prefactor * (reflected.tail_bound + translated.tail_bound) / (a * a),
     )
 
@@ -559,7 +562,7 @@ class VerificationReport:
         }
 
 
-def _closed_reflection(seg: PathSegment, base: float, square=_reflection_square) -> float:
+def _closed_reflection(seg: PathSegment, base: float, square) -> float:
     """The reflection square production evaluates, over the quadrature's
     square shifted to start at base: the one-plate integral at base z0, the
     reflected image n at base z0 - a n.
@@ -567,7 +570,8 @@ def _closed_reflection(seg: PathSegment, base: float, square=_reflection_square)
     The quadrature integrates over [z0, fl(z0 + b)]^2, whose side
     fl(z0 + b) - z0 is exact in floating point and can differ from b by half
     an ulp of z0 + b, which is 1e-13 of the integral at b = 1e-3 z0, so the
-    closed form takes that same side. square replaces the production square.
+    closed form takes that same side. square is the production square or
+    run_verification's reflection_override.
     """
     return square(base, (seg.z0 + seg.b) - seg.z0, seg.v)
 
@@ -742,10 +746,10 @@ def run_verification(
 
     # the dropped terms of each decreasing series lie between the integral
     # tests from N + 1 and from N, a band about 2/N^2 wide
-    terms = 10000
-    series = [(f"x={x:.4g}", csc_identity(x, terms), 1.0 / (terms + 1 + x) + 1.0 / (terms + 1 - x))
+    terms = _SERIES_TERMS
+    series = [(f"x={x:.4g}", csc_identity(x), 1.0 / (terms + 1 + x) + 1.0 / (terms + 1 - x))
               for x in (0.25, 1.0 / 3.0, 0.5, 0.9)]
-    series.append(("zeta2", zeta_two_series(terms), 2.0 / (terms + 1)))
+    series.append(("zeta2", zeta_two_series(), 2.0 / (terms + 1)))
     gaps = [(label, c.closed_form - c.series_value, floor, c.tail_bound)
             for label, c, floor in series]
     checks.append(CheckResult(

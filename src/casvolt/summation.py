@@ -1,12 +1,12 @@
 """Image-sum control and results.
 
 SummationControl sets an image sum's relative tolerance and its budget of
-image pairs; a sum that cannot certify within them raises ConvergenceError.
-SummationResult reports a sum: its value, the image index it summed to term
-by term and a certified bound on what truncation left out. The two-plate
-variance's image sum (images._two_plate_sum, which forms its analytic
-Hurwitz zeta tail there too) takes the one and returns the other; the
-dual-plate correlator returns one too, dropping no image: terms_used = 1
+image pairs; a sum that cannot certify within them raises _refusal, which
+reports both. SummationResult reports a sum: its value, the image index it
+summed to term by term and a certified bound on what truncation left out.
+The two-plate variance's image sum (images._two_plate_sum, which forms its
+analytic Hurwitz zeta tail there too) takes the one and returns the other;
+the dual-plate correlator returns one too, dropping no image: terms_used = 1
 and tail_estimate = 0.0.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import index
 
 from . import _EXPORTS
-from .errors import DomainError, record
+from .errors import ConvergenceError, DomainError, record
 
 __all__ = list(_EXPORTS["summation"])
 
@@ -42,6 +42,15 @@ class SummationControl:
             raise DomainError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
 
+def _refusal(tol: float, n_max: int, bound: float) -> ConvergenceError:
+    """The two-plate sum's refusal when no index up to n_max certifies: bound
+    is inf when n_max lies below the reference index, else the last tail bound."""
+    return ConvergenceError(
+        f"two-plate variance: image sum not certified below relative tolerance "
+        f"{tol:g} within n_max={n_max} terms (last tail bound {bound:.3e})"
+    )
+
+
 @record
 class SummationResult:
     """An image sum, truncated or whole.
@@ -58,4 +67,3 @@ class SummationResult:
                           # one image summed apart, the rest in closed form
     tail_estimate: float  # certified bound on the truncation error of value
                           # (0.0 where nothing is truncated)
-

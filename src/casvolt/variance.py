@@ -13,7 +13,6 @@ for a charge given in units of e.
 from __future__ import annotations
 
 import math
-import sys
 
 from . import _EXPORTS, units
 from .closed_forms import (
@@ -24,14 +23,14 @@ from .closed_forms import (
     one_plate_integral,
 )
 from .errors import (
-    ConvergenceError,
+    _NORMAL_MIN,
     DomainError,
     check_length,
     check_positive_finite,
     check_separation,
     record,
 )
-from .summation import SummationControl
+from .summation import SummationControl, _refusal
 from .units import CONSTANTS, speed_from_kinetic
 
 __all__ = list(_EXPORTS["variance"])
@@ -58,10 +57,6 @@ _SPEED_MATCH_RTOL = 1e-9
 # variances below the normal doubles, 0.0 among them. The floor keeps 12
 # decades above that, as _SMALLV_MIN does above its edge.
 _CHARGE_MIN = 1e-58
-# The least normal double. The charge floor covers the charge's share of a
-# variance, but the exact forms' factor also depends on the lengths' ratios,
-# so a charged particle's variance below this has underflowed and refuses.
-_NORMAL_MIN = sys.float_info.min
 # the one-plate window's lower edge is 2 v z0 / sqrt(3)
 _SQRT3 = math.sqrt(3.0)
 
@@ -223,14 +218,6 @@ def _window_flags(seg: PathSegment) -> tuple[str, ...]:
     return flags
 
 
-def _refusal(tol: float, n_max: int, bound: float) -> ConvergenceError:
-    """The two-plate sum's refusal when no index up to n_max certifies."""
-    return ConvergenceError(
-        f"two-plate variance: image sum not certified below relative tolerance "
-        f"{tol:g} within n_max={n_max} terms (last tail bound {bound:.3e})"
-    )
-
-
 def _cone_index(seg: PathSegment, a: float) -> int:
     """n_U, the first image index n >= 1 with U = v (2an - 2(z0+b)) / b >=
     _TAIL_REFERENCE_U. Raises DomainError first when v lies outside the
@@ -320,14 +307,15 @@ def variance_two_plate_exact(
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
     n_u = _cone_index(seg, a)
-    if control.n_max < max(_REFERENCE_FLOOR, n_u):
+    n_ref = max(_REFERENCE_FLOOR, n_u)
+    if control.n_max < n_ref:
         raise _refusal(control.tol, control.n_max, math.inf)
     global _images
     if _images is None:
         from . import images as _images
     q = particle.charge_natural
     prefactor = q * q * seg.v**4 / math.pi**2
-    summed = _images._two_plate_sum(seg, a, control, n_u)
+    summed = _images._two_plate_sum(seg, a, control, n_u, n_ref)
     return _result(
         prefactor * summed.value,
         particle.charge_e,

@@ -31,10 +31,9 @@ from casvolt.images import (
     _SCALAR_BLOCK,
     _image_pair_term,
     _scalar_pair_terms,
-    _two_plate_sum,
     image_pair_terms,
 )
-from casvolt.variance import _REFERENCE_FLOOR, _cone_index
+from casvolt.variance import _REFERENCE_FLOOR
 
 pytest.importorskip("mpmath")
 import mp_squares as mp  # noqa: E402
@@ -44,6 +43,7 @@ from test_tail_coefficients import (  # noqa: E402
     _natural_index,
     _reference_index,
 )
+from test_two_plate_tail import _engine_sum  # noqa: E402
 
 
 def _scalar_pair(seg, a, n):
@@ -251,7 +251,7 @@ def test_two_plate_sum_continues_past_a_short_prediction(monkeypatch):
     # hundredth of it, E no longer certifies, and the next block 231..460
     # ends at 2E, which does
     seg = PathSegment(z0=0.3, b=0.1, v=5.5e-4)
-    shift = 0.99 * _two_plate_sum(seg, 1.0, SummationControl(), _cone_index(seg, 1.0)).value
+    shift = 0.99 * _engine_sum(seg, 1.0).value
     blocks = []
 
     def shifted(seg, a, ns):
@@ -498,7 +498,7 @@ def test_two_plate_sum_never_stops_before_the_reference_index(a, uz, ub, log_v, 
     b, v = ub * (a - z0), 10.0**log_v
     seg = PathSegment(z0=z0, b=b, v=v)
     try:
-        result = _two_plate_sum(seg, a, SummationControl(tol=tol), _cone_index(seg, a))
+        result = _engine_sum(seg, a, SummationControl(tol=tol))
     except SingularityError:
         return
     assert result.terms_used >= _reference_index(z0, b, a, v) >= _REFERENCE_FLOOR
@@ -512,7 +512,7 @@ def test_two_plate_sum_certifies_at_a_block_end(a, uz, ub, log_v, log_tol):
     b, v, control = ub * (a - z0), 10.0**log_v, SummationControl(tol=10.0**log_tol)
     seg = PathSegment(z0=z0, b=b, v=v)
     try:
-        result = _two_plate_sum(seg, a, control, _cone_index(seg, a))
+        result = _engine_sum(seg, a, control)
     except SingularityError:
         return
     assert result.tail_estimate <= control.tol * abs(result.value)
@@ -531,7 +531,7 @@ def test_two_plate_sum_certifies_at_its_first_block_end(a, uz, ub, log_v):
     b, v = ub * (a - z0), 10.0**log_v
     seg = PathSegment(z0=z0, b=b, v=v)
     try:
-        result = _two_plate_sum(seg, a, SummationControl(), _cone_index(seg, a))
+        result = _engine_sum(seg, a)
     except SingularityError:
         return
     n_u = _natural_index(z0, b, a, v)

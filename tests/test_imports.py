@@ -128,8 +128,8 @@ def test_two_plate_n_max_refusal_runs_without_numpy():
 
 
 def test_two_plate_n_max_refusal_leaves_the_image_engine_unloaded(monkeypatch):
-    # n_U, n_ref and the refusal are variance's, so the refusal loads no
-    # casvolt.images, even in a session whose variance has bound it before
+    # n_U and n_ref are variance's and the refusal summation's, so the refusal
+    # loads no casvolt.images, even in a session whose variance has bound it before
     from casvolt import variance
 
     monkeypatch.delitem(sys.modules, "casvolt.images", raising=False)
@@ -355,8 +355,8 @@ VARIANCE_MODULES = [*CLI_BASE, "closed_forms", "variance"]
     (["correlator", "--plates", "dual", "--z", "0.3", "--z-prime", "0.4", "--t", "0.2",
       "--a", "1", "--natural-units"], [*CLI_BASE, "correlators"]),
     (["moddel"], [*CLI_BASE, "experiment"]),
-    # the oracle imports closed_forms and variance
-    (["verify"], [*CLI_BASE, "closed_forms", "oracle", "variance"]),
+    # the oracle imports closed_forms; only its series variance loads variance
+    (["verify"], [*CLI_BASE, "closed_forms", "oracle"]),
 ], ids=["import casvolt", "variance", "two-plate variance", "n_max refusal", "small-v",
         "one-plate refusal", "sweep", "correlator", "moddel", "verify"])
 def test_each_run_loads_only_its_modules(argv, modules):
@@ -373,6 +373,24 @@ def test_each_run_loads_only_its_modules(argv, modules):
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('casvolt.'))))"
     )
     assert loaded == sorted(f"casvolt.{module}" for module in modules)
+
+
+@pytest.mark.parametrize("module", ["casvolt.images", "casvolt.oracle"])
+def test_engine_and_oracle_import_no_variance(module):
+    # the module graph runs one way: variance loads images, and the oracle
+    # loads variance only in the one check that builds its record
+    loaded, after_series = _fresh(
+        "import json, sys, types\n"
+        f"import {module}\n"
+        "loaded = 'casvolt.variance' in sys.modules\n"
+        "from casvolt.oracle import variance_two_plate_series_smallv\n"
+        "# a neutral particle that is not variance's Particle\n"
+        "particle = types.SimpleNamespace(speed_value=0.01, charge_e=0.0)\n"
+        "variance_two_plate_series_smallv(particle, 0.3, 1.0)\n"
+        "print(json.dumps([loaded, 'casvolt.variance' in sys.modules]))"
+    )
+    assert loaded is False
+    assert after_series is True
 
 
 def test_every_name_resolves_after_a_bare_import():

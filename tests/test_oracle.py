@@ -426,6 +426,7 @@ def test_verification_closed_side_is_the_production_square():
     # closed-form side returns what production returns, bit for bit
     seg, a, n = PathSegment(z0=0.25, b=0.125, v=0.05), 1.5, 2
     assert (seg.z0 + seg.b) - seg.z0 == seg.b
-    assert _closed_reflection(seg, seg.z0) == one_plate_integral(seg)
-    assert _closed_reflection(seg, seg.z0 - a * n) == reflected_image_integral(seg, a, n)
+    assert _closed_reflection(seg, seg.z0, _reflection_square) == one_plate_integral(seg)
+    assert (_closed_reflection(seg, seg.z0 - a * n, _reflection_square)
+            == reflected_image_integral(seg, a, n))
     assert _closed_translated(seg, a, -n) == translated_image_integral(seg, a, -n)

@@ -5,9 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from casvolt import DomainError, SummationControl
+from casvolt import (
+    ConvergenceError,
+    DomainError,
+    Particle,
+    PathSegment,
+    SummationControl,
+    variance_two_plate_exact,
+)
 from casvolt.images import _EULER_MACLAURIN_FROM, _TAIL_ROUNDING, _hurwitz_zeta, _tail_zetas
-from casvolt.variance import _REFERENCE_FLOOR
+from casvolt.summation import _refusal
+from casvolt.variance import _REFERENCE_FLOOR, _cone_index
 
 
 def test_control_validation():
@@ -17,6 +25,22 @@ def test_control_validation():
         SummationControl(tol=-1e-3)
     with pytest.raises(DomainError):
         SummationControl(n_max=0)
+
+
+def test_both_two_plate_refusals_are_the_budgets_refusal():
+    # n_U = 11 here. An n_max below it refuses before any pair, with bound
+    # inf; at n_max = n_ref the first block ends the budget, and a tol below
+    # its rounding allowance refuses there, with the finite bound it reached
+    seg = PathSegment(z0=0.3, b=0.1, v=0.01)
+    particle, n_ref = Particle.electron(speed=seg.v), _cone_index(seg, 1.0)
+    assert n_ref == 11 > _REFERENCE_FLOOR
+    for control in (SummationControl(n_max=n_ref - 1), SummationControl(1e-17, n_ref)):
+        with pytest.raises(ConvergenceError) as refused:
+            variance_two_plate_exact(particle, seg, 1.0, control)
+        message = str(refused.value)
+        bound = float(message.rpartition("last tail bound ")[2].rstrip(")"))
+        assert math.isfinite(bound) == (control.n_max == n_ref)
+        assert message == str(_refusal(control.tol, control.n_max, bound))
 
 
 @pytest.mark.parametrize("n_max", [True, 40.5, math.inf])

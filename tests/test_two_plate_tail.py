@@ -39,6 +39,13 @@ def _geometry(a, z0_frac, b_frac, v):
     return PathSegment(z0=z0, b=b_frac * (a - z0), v=v)
 
 
+def _engine_sum(seg, a, control=SummationControl()):
+    """images._two_plate_sum with the n_U and n_ref = max(_REFERENCE_FLOOR,
+    n_U) that variance_two_plate_exact passes it."""
+    n_u = _cone_index(seg, a)
+    return _two_plate_sum(seg, a, control, n_u, max(_REFERENCE_FLOOR, n_u))
+
+
 def _variance(seg, a):
     """variance_two_plate_exact for an electron at the segment's speed; a
     corner on an image light cone raises, and such inputs are skipped."""
@@ -101,7 +108,7 @@ def test_floored_sums_agree_with_the_integral_test_reference(tol, a, z0_frac, b_
     if _cone_index(seg, a) >= _REFERENCE_FLOOR:
         reject()
     try:
-        result = _two_plate_sum(seg, a, SummationControl(tol=tol), _cone_index(seg, a))
+        result = _engine_sum(seg, a, SummationControl(tol=tol))
     except SingularityError:
         reject()
     reference, _ = _plain_sum(seg, a, min(1e-12, tol))
@@ -163,7 +170,7 @@ def test_two_plate_sum_is_its_documented_parts(v, end, pieces):
     assert (end > _SCALAR_BLOCK) == (pieces > 0)
     assert pieces == 0 or math.ceil(end / _KERNEL_BLOCK) == pieces
     a, seg = 1.0, PathSegment(z0=0.3, b=0.1, v=v)
-    result = _two_plate_sum(seg, a, SummationControl(), _cone_index(seg, a))
+    result = _engine_sum(seg, a)
     assert result.terms_used == end
     coefficients = _walk_coefficients(seg, a)
     tail = 0.0
