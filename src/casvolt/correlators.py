@@ -25,6 +25,8 @@ from .summation import SummationResult
 
 __all__ = list(_EXPORTS["correlators"])
 
+# the correlators divide by this float
+_PI_SQUARED = math.pi**2
 # a denominator (difference of squares, then squared) counts as singular when
 # it falls below this relative fraction of its scale to the fourth power
 _SINGULAR_EPS = 1e-12
@@ -97,7 +99,7 @@ def _inverse_square_factor(dt: float, separation: float, description: str) -> fl
 def correlator_single_plate(pair: SpacetimePair) -> float:
     """Renormalized <E_z E_z> for one plate: 1/(pi^2 [(t-t')^2 - (z+z')^2]^2)."""
     dt = pair.t - pair.t_prime
-    return _inverse_square_factor(dt, pair.z + pair.z_prime, "(z+z')") / math.pi**2
+    return _inverse_square_factor(dt, pair.z + pair.z_prime, "(z+z')") / _PI_SQUARED
 
 
 def _raise_at_light_like_image(dt: float, dz: float, sz: float, a: float) -> None:
@@ -179,8 +181,9 @@ def correlator_dual_plate(pair: SpacetimePair, a: float) -> SummationResult:
     and a (tests/test_dual_plate_accuracy.py). Raises SingularityError at a
     light-like image, with the image sum's message and factor.
     """
-    check_separation(a)
-    if not (pair.z < a and pair.z_prime < a):
+    # z >= _LENGTH_MIN, so this one comparison holds a in the window too
+    if not (pair.z < a <= _LENGTH_MAX and pair.z_prime < a):
+        check_separation(a)
         raise DomainError(
             f"evaluation points must lie between the plates: z={pair.z!r}, "
             f"z'={pair.z_prime!r}, a={a!r}"
@@ -196,4 +199,4 @@ def correlator_dual_plate(pair: SpacetimePair, a: float) -> SummationResult:
         _raise_at_light_like_image(dt, dz, sz, a)
     nearest = _inverse_square_factor(dt, c0, label)
     return SummationResult(
-        (nearest + _images_off_zero(d, c0, a) + _images_off_zero(d, dz, a)) / math.pi**2, 1, 0.0)
+        (nearest + _images_off_zero(d, c0, a) + _images_off_zero(d, dz, a)) / _PI_SQUARED, 1, 0.0)

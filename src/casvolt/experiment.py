@@ -38,10 +38,15 @@ class MaterialMirror:
     distance_nm: float | None = None
 
     def __post_init__(self) -> None:
-        check_positive_finite("plasma frequency", self.plasma_frequency_eV)
-        check_positive_finite("thickness", self.thickness_nm)
-        if self.distance_nm is not None:
-            check_positive_finite("distance", self.distance_nm)
+        # one comparison on the way through; the labelled checks only raise,
+        # and a None distance passes it, so never reaches them
+        frequency, thickness = self.plasma_frequency_eV, self.thickness_nm
+        distance = self.distance_nm
+        if not (0.0 < frequency < math.inf and 0.0 < thickness < math.inf
+                and (distance is None or 0.0 < distance < math.inf)):
+            check_positive_finite("plasma frequency", frequency)
+            check_positive_finite("thickness", thickness)
+            check_positive_finite("distance", distance)
 
     def skin_depth_nm(self) -> float:
         """Penetration depth 1/omega_p expressed in nm."""
@@ -77,7 +82,8 @@ def rms_estimate_eV(kinetic_eV: float, z0_nm: float) -> float:
     units, reported in eV. z0 is the distance from the mirror in nm. A
     spread below the least normal double raises DomainError.
     """
-    check_positive_finite("kinetic energy", kinetic_eV)
+    if not 0.0 < kinetic_eV < math.inf:
+        check_positive_finite("kinetic energy", kinetic_eV)
     v = speed_from_kinetic(kinetic_eV, CONSTANTS.electron_mass_eV)
     z0_nat = length_to_natural(z0_nm)
     rms = CONSTANTS.elementary_charge_natural * v / (2.0 * math.pi * z0_nat)
@@ -154,7 +160,8 @@ def regime_classify(mirror: MaterialMirror, distance_nm: float) -> RegimeReport:
     omega_p * thickness <= 1/3 marks it transparent. In between it reflects
     partially.
     """
-    check_positive_finite("distance", distance_nm)
+    if not 0.0 < distance_nm < math.inf:
+        check_positive_finite("distance", distance_nm)
     hbar_c = CONSTANTS.hbar_c_eV_nm
     product_distance = mirror.plasma_frequency_eV * distance_nm / hbar_c
     product_thickness = mirror.plasma_frequency_eV * mirror.thickness_nm / hbar_c

@@ -58,7 +58,8 @@ def speed_from_kinetic(kinetic_eV: float, mass_eV: float) -> float:
         raise DomainError(
             f"kinetic energy must be non-negative and finite, got {kinetic_eV!r} eV"
         )
-    check_positive_finite("mass", mass_eV)
+    if not 0.0 < mass_eV < math.inf:
+        check_positive_finite("mass", mass_eV)
     v = math.sqrt(2.0 * kinetic_eV / mass_eV)
     if v >= 1.0:
         raise DomainError(

@@ -16,6 +16,8 @@ import math
 
 from . import _EXPORTS, units
 from .closed_forms import (
+    _SMALLV_MIN,
+    _SMALLV_WARN,
     PathSegment,
     _check_small_speed,
     _check_v,
@@ -23,6 +25,8 @@ from .closed_forms import (
     one_plate_integral,
 )
 from .errors import (
+    _LENGTH_MAX,
+    _LENGTH_MIN,
     _NORMAL_MIN,
     DomainError,
     check_length,
@@ -59,6 +63,8 @@ _SPEED_MATCH_RTOL = 1e-9
 _CHARGE_MIN = 1e-58
 # the one-plate window's lower edge is 2 v z0 / sqrt(3)
 _SQRT3 = math.sqrt(3.0)
+# the variances' prefactor q^2 v^4 / pi^2 divides by this float
+_PI_SQUARED = math.pi**2
 
 
 @record
@@ -68,7 +74,8 @@ class Particle:
     charge_e is in units of the elementary charge, either 0 (a neutral
     particle) or of magnitude at least _CHARGE_MIN = 1e-58; mass_eV in eV.
     The speed is derived nonrelativistically from the kinetic energy when
-    needed: v = sqrt(2 K / m).
+    needed: v = sqrt(2 K / m). A given speed lies in (0, 1), never 0.0, so
+    `particle.speed or particle.speed_value` reads it without the property.
     """
 
     charge_e: float
@@ -77,29 +84,29 @@ class Particle:
     speed: float | None = None
 
     def __post_init__(self) -> None:
-        charge = self.charge_e
+        # one comparison per check on the way through
+        charge, mass = self.charge_e, self.mass_eV
+        kinetic, speed = self.kinetic_energy_eV, self.speed
         if not (charge == 0.0 or _CHARGE_MIN <= abs(charge) < math.inf):
             if math.isfinite(charge):
                 raise DomainError(f"particle charge must be 0 or at least {_CHARGE_MIN:g} "
                                   f"in magnitude, got {charge!r}")
             raise DomainError(f"particle charge must be finite, got {charge!r}")
-        if not 0.0 < self.mass_eV < math.inf:
-            check_positive_finite("particle mass", self.mass_eV)
-        given = (self.kinetic_energy_eV is not None) + (self.speed is not None)
-        if given != 1:
+        if not 0.0 < mass < math.inf:
+            check_positive_finite("particle mass", mass)
+        if (kinetic is None) == (speed is None):
             raise DomainError(
                 "exactly one of kinetic_energy_eV or speed must be given, "
-                f"got kinetic_energy_eV={self.kinetic_energy_eV!r}, speed={self.speed!r}"
+                f"got kinetic_energy_eV={kinetic!r}, speed={speed!r}"
             )
-        if self.speed is not None and not 0.0 < self.speed < 1.0:
-            raise DomainError(f"speed must lie in (0, 1), got {self.speed!r}")
-        if self.kinetic_energy_eV is not None:
-            if not self.kinetic_energy_eV > 0.0:
-                raise DomainError(
-                    f"kinetic energy must be positive, got {self.kinetic_energy_eV!r}"
-                )
+        if kinetic is None:
+            if not 0.0 < speed < 1.0:
+                raise DomainError(f"speed must lie in (0, 1), got {speed!r}")
+        else:
+            if not kinetic > 0.0:
+                raise DomainError(f"kinetic energy must be positive, got {kinetic!r}")
             # refuses an infinite energy, or one that gives v >= 1
-            speed_from_kinetic(self.kinetic_energy_eV, self.mass_eV)
+            speed_from_kinetic(kinetic, mass)
 
     @classmethod
     def electron(
@@ -236,13 +243,15 @@ def variance_one_plate(particle: Particle, seg: PathSegment) -> FluctuationResul
     The segment's speed must match the particle's. An uncharged particle
     returns a zero result flagged "neutral".
     """
-    _check_speed_match(particle, seg)
+    v = particle.speed or particle.speed_value
+    if abs(v - seg.v) > _SPEED_MATCH_RTOL * v:
+        _check_speed_match(particle, seg)
     flags = ("exact", "one_plate") + _window_flags(seg)
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
     q = particle.charge_natural
     integral = one_plate_integral(seg)
-    variance = q * q * seg.v**4 * integral / math.pi**2
+    variance = q * q * seg.v**4 * integral / _PI_SQUARED
     return _result(variance, particle.charge_e, flags)
 
 
@@ -259,10 +268,12 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     b = z0 it is 0.625 times the plateau. Warns when the particle speed is
     large enough (v > 0.1) that the dropped O(v^0) terms matter.
     """
-    check_length("starting distance z0", z0)
-    v = particle.speed_value
-    _check_small_speed(v)
-    _warn_small_speed(v)
+    if not _LENGTH_MIN <= z0 <= _LENGTH_MAX:
+        check_length("starting distance z0", z0)
+    v = particle.speed or particle.speed_value
+    if not _SMALLV_MIN <= v <= _SMALLV_WARN:
+        _check_small_speed(v)
+        _warn_small_speed(v)
     flags = ("small_v", "one_plate")
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
@@ -296,13 +307,16 @@ def variance_two_plate_exact(
     must stay between the plates, 0 < z0 and z0 + b < a, and v must lie in
     (1e-6, 0.99).
     """
-    check_separation(a)
-    if not seg.z0 + seg.b < a:
+    # z0 + b >= 2 _LENGTH_MIN, so this one comparison holds a in the window too
+    if not seg.z0 + seg.b < a <= _LENGTH_MAX:
+        check_separation(a)
         raise DomainError(
             f"flight must stay between the plates: z0 + b = {seg.z0 + seg.b!r} "
             f"reaches a = {a!r}"
         )
-    _check_speed_match(particle, seg)
+    v = particle.speed or particle.speed_value
+    if abs(v - seg.v) > _SPEED_MATCH_RTOL * v:
+        _check_speed_match(particle, seg)
     flags = ("exact", "two_plate") + _window_flags(seg)
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
@@ -314,7 +328,7 @@ def variance_two_plate_exact(
     if _images is None:
         from . import images as _images
     q = particle.charge_natural
-    prefactor = q * q * seg.v**4 / math.pi**2
+    prefactor = q * q * seg.v**4 / _PI_SQUARED
     summed = _images._two_plate_sum(seg, a, control, n_u, n_ref)
     return _result(
         prefactor * summed.value,
@@ -336,15 +350,17 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
     above a/2 subtracts exactly), so the mirror symmetry z0 <-> a - z0 holds
     to the last bit.
     """
-    check_separation(a)
-    check_length("starting point z0", z0)
-    if not z0 < a:
+    # one comparison holds z0 and a in the window, z0 below a
+    if not _LENGTH_MIN <= z0 < a <= _LENGTH_MAX:
+        check_separation(a)
+        check_length("starting point z0", z0)
         raise DomainError(
             f"starting point must lie strictly between the plates, got z0={z0!r}, a={a!r}"
         )
-    v = particle.speed_value
-    _check_small_speed(v)
-    _warn_small_speed(v)
+    v = particle.speed or particle.speed_value
+    if not _SMALLV_MIN <= v <= _SMALLV_WARN:
+        _check_small_speed(v)
+        _warn_small_speed(v)
     flags = ("small_v", "two_plate")
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))

@@ -253,6 +253,32 @@ def test_unusable_kinetic_energy_exits_two(capsys, argv, message):
     assert message in err
 
 
+# each refusal of a check that a per-call path makes with one inline
+# comparison, reached from the command line; the CI workflow runs the same
+# commands as subprocesses
+@pytest.mark.parametrize("argv, message", [
+    ("variance --plates two --mode small-v --z0 0.3 --a inf --speed 0.01 --natural-units",
+     "plate separation a must be positive and finite, in [1e-60, 1e+60] 1/eV, got inf"),
+    ("variance --plates one --mode small-v --z0 0.3 --speed 1e-23 --natural-units",
+     "speed v=1e-23 below 1e-22, the least the small-v forms evaluate"),
+    ("variance --plates one --mode small-v --z0 1e-61 --speed 0.01 --natural-units",
+     "starting distance z0 must be positive and finite, in [1e-60, 1e+60] 1/eV, got 1e-61"),
+    ("correlator --plates dual --z 0.3 --z-prime 0.4 --a nan --natural-units",
+     "plate separation a must be positive and finite, in [1e-60, 1e+60] 1/eV, got nan"),
+    ("sweep --over d_C --values 10 --voltage nan",
+     "sweep value d_C=10.0: kinetic energy must be positive and finite, got nan"),
+    ("variance --plates one --z0 100 --b 10 --kinetic-eV nan",
+     "kinetic energy must be positive, got nan"),
+    ("variance --plates one --z0 100 --b 10 --kinetic-eV 1 --mass-eV 0",
+     "particle mass must be positive and finite, got 0.0"),
+], ids=["two-smallv-a", "one-smallv-speed", "one-smallv-z0", "dual-a", "sweep-d_C-voltage",
+        "kinetic-nan", "mass-0"])
+def test_inline_check_refusals_exit_two(capsys, argv, message):
+    code, out, err = _run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_values_emitted_in_ascending_order(capsys):
     code, out, _ = _run(
         capsys,

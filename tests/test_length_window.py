@@ -5,7 +5,11 @@ Scaling every length by 2^k and every inverse length by 2^-k scales each
 value by an exact power of two (lambda^-2 for the variances and segment
 squares, lambda^-4 for the correlators), as long as no intermediate leaves
 the normal doubles. So inside the window the scaled value must equal the
-unscaled one bit for bit."""
+unscaled one bit for bit.
+
+The per-call paths test their lengths, and the small-v floor and the speed
+match, with one inline comparison each and call the labelled checker only to
+raise; at the edges they refuse, or accept, exactly as that checker does."""
 import math
 
 import pytest
@@ -30,8 +34,10 @@ from casvolt import (
     variance_two_plate_smallv,
 )
 from casvolt.cli import main
-from casvolt.errors import _LENGTH_MAX, _LENGTH_MIN
+from casvolt.closed_forms import _SMALLV_MIN, _check_small_speed
+from casvolt.errors import _LENGTH_MAX, _LENGTH_MIN, check_length, check_separation
 from casvolt.units import CONSTANTS
+from casvolt.variance import _SPEED_MATCH_RTOL, _check_speed_match
 
 ELECTRON = Particle.electron(speed=0.01)
 # the unscaled lengths below lie in [0.002, 6]; 2^k with |k| <= 190 keeps
@@ -220,3 +226,165 @@ def test_cli_refuses_nm_lengths_outside_the_window(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "in [1.97327e-58, 1.97327e+62] nm" in captured.err
+
+
+def _refusal(*checks):
+    """The first refusal among checks, in the order a site makes them, or
+    None: each check is a zero-argument call of a labelled checker, whose
+    DomainError it takes, or the DomainError of a site's own message."""
+    for check in checks:
+        if isinstance(check, DomainError):
+            return check
+        try:
+            check()
+        except DomainError as exc:
+            return exc
+    return None
+
+
+def _between(inside, message):
+    """The site's refusal of a length on the wrong side of the other one."""
+    return [] if inside else [DomainError(message)]
+
+
+WINDOW_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0.0, "-1": -1.0,
+                 "min": _LENGTH_MIN, "below_min": BELOW, "max": _LENGTH_MAX,
+                 "above_max": ABOVE}
+PAIR = SpacetimePair(0.0, 0.3, 0.0, 0.4)
+# every length that a per-call path tests with one inline comparison: (the
+# call at x, the checks the site makes on x, in order)
+INLINE_LENGTHS = {
+    "rms_one_plate_smallv.z0": (
+        lambda x: rms_one_plate_smallv(ELECTRON, x),
+        lambda x: [lambda: check_length("starting distance z0", x)]),
+    # a = 3e-60, so that z0 = 1e-60 lies inside and z0 = 1e60 outside the plates
+    "variance_two_plate_smallv.z0": (
+        lambda x: variance_two_plate_smallv(ELECTRON, x, 3.0 * _LENGTH_MIN),
+        lambda x: [lambda: check_length("starting point z0", x), *_between(
+            x < 3.0 * _LENGTH_MIN, "starting point must lie strictly between the plates, "
+            f"got z0={x!r}, a={3.0 * _LENGTH_MIN!r}")]),
+    # z0 = a/2, so that a = 1e60 is accepted and a = 1e-60 refuses its z0
+    "variance_two_plate_smallv.a": (
+        lambda x: variance_two_plate_smallv(ELECTRON, 0.5 * x, x),
+        lambda x: [lambda: check_separation(x),
+                   lambda: check_length("starting point z0", 0.5 * x)]),
+    "variance_two_plate_smallv.a before z0": (
+        lambda x: variance_two_plate_smallv(ELECTRON, x, x),
+        lambda x: [lambda: check_separation(x), lambda: check_length("starting point z0", x),
+                   DomainError("starting point must lie strictly between the plates, "
+                               f"got z0={x!r}, a={x!r}")]),
+    "variance_two_plate_exact.a": (
+        lambda x: variance_two_plate_exact(ELECTRON, SEG, x),
+        lambda x: [lambda: check_separation(x), *_between(
+            x > 0.4, f"flight must stay between the plates: z0 + b = {0.3 + 0.1!r} "
+            f"reaches a = {x!r}")]),
+    "correlator_dual_plate.a": (
+        lambda x: correlator_dual_plate(PAIR, x),
+        lambda x: [lambda: check_separation(x), *_between(
+            x > 0.4, "evaluation points must lie between the plates: z=0.3, "
+            f"z'=0.4, a={x!r}")]),
+}
+
+
+@pytest.mark.parametrize("value", WINDOW_VALUES.values(), ids=WINDOW_VALUES)
+@pytest.mark.parametrize("call, checks", INLINE_LENGTHS.values(), ids=INLINE_LENGTHS)
+def test_inline_length_checks_refuse_as_their_checkers(call, checks, value):
+    # each site tests its lengths with one comparison and calls the labelled
+    # checker only to raise: it refuses with the checker's class and message,
+    # or accepts, exactly where the checker does
+    expected = _refusal(*checks(value))
+    if expected is None:
+        assert call(value) is not None
+        return
+    with pytest.raises(DomainError) as excinfo:
+        call(value)
+    assert type(excinfo.value) is type(expected)
+    assert str(excinfo.value) == str(expected)
+
+
+ON_THE_PLATE = {
+    "variance_two_plate_exact": (
+        lambda: variance_two_plate_exact(ELECTRON, SEG, 0.3 + 0.1),
+        f"flight must stay between the plates: z0 + b = {0.3 + 0.1!r} reaches a = {0.3 + 0.1!r}"),
+    "variance_two_plate_smallv": (
+        lambda: variance_two_plate_smallv(ELECTRON, 1.0, 1.0),
+        "starting point must lie strictly between the plates, got z0=1.0, a=1.0"),
+    "correlator_dual_plate.z": (
+        lambda: correlator_dual_plate(SpacetimePair(0.0, 1.0, 0.0, 0.4), 1.0),
+        "evaluation points must lie between the plates: z=1.0, z'=0.4, a=1.0"),
+    "correlator_dual_plate.z_prime": (
+        lambda: correlator_dual_plate(SpacetimePair(0.0, 0.4, 0.0, 1.0), 1.0),
+        "evaluation points must lie between the plates: z=0.4, z'=1.0, a=1.0"),
+}
+
+
+@pytest.mark.parametrize("call, message", ON_THE_PLATE.values(), ids=ON_THE_PLATE)
+def test_a_point_on_the_far_plate_refuses(call, message):
+    # the inline comparisons are strict at a, as the sites' own checks are
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+FLOOR_BELOW = math.nextafter(_SMALLV_MIN, 0.0)
+# an electron of this kinetic energy derives v = 1e-22, and one of the next
+# lower energy a speed below it
+FLOOR_K = 0.5 * CONSTANTS.electron_mass_eV * _SMALLV_MIN**2
+SMALL_SPEED_PARTICLES = {
+    "speed=min": Particle.electron(speed=_SMALLV_MIN),
+    "speed=below_min": Particle.electron(speed=FLOOR_BELOW),
+    "kinetic=min": Particle.electron(kinetic_energy_eV=FLOOR_K),
+    "kinetic=below_min": Particle.electron(kinetic_energy_eV=math.nextafter(FLOOR_K, 0.0)),
+}
+SMALL_SPEED_SITES = {
+    "rms_one_plate_smallv": lambda p: rms_one_plate_smallv(p, 0.3),
+    "variance_two_plate_smallv": lambda p: variance_two_plate_smallv(p, 0.3, 1.0),
+}
+
+
+@pytest.mark.parametrize("particle", SMALL_SPEED_PARTICLES.values(), ids=SMALL_SPEED_PARTICLES)
+@pytest.mark.parametrize("form", SMALL_SPEED_SITES.values(), ids=SMALL_SPEED_SITES)
+def test_small_speed_floor_refuses_as_its_checker(form, particle):
+    # the forms read a given speed directly and derive one from K otherwise
+    expected = _refusal(lambda: _check_small_speed(particle.speed_value))
+    if expected is None:
+        assert form(particle).variance_eV2 > 0.0
+        return
+    with pytest.raises(DomainError) as excinfo:
+        form(particle)
+    assert str(excinfo.value) == str(expected)
+
+
+def _just_past(v: float, direction: float) -> tuple[float, float]:
+    """The segment speeds on either side of the speed-match edge: the last one
+    from v toward direction that matches v, and the next one, which does not."""
+    inside = v + direction * _SPEED_MATCH_RTOL * v
+    while abs(v - inside) > _SPEED_MATCH_RTOL * v:
+        inside = math.nextafter(inside, v)
+    while abs(v - math.nextafter(inside, direction)) <= _SPEED_MATCH_RTOL * v:
+        inside = math.nextafter(inside, direction)
+    return inside, math.nextafter(inside, direction)
+
+
+SPEED_MATCH_SITES = {
+    "variance_one_plate": lambda p, s: variance_one_plate(p, PathSegment(0.3, 0.1, s)),
+    "variance_two_plate_exact": lambda p, s: variance_two_plate_exact(
+        p, PathSegment(0.3, 0.1, s), 1.0),
+}
+SPEED_MATCH_PARTICLES = {
+    "speed": Particle.electron(speed=0.01),
+    "kinetic": Particle.electron(kinetic_energy_eV=25.0),
+}
+
+
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["faster", "slower"])
+@pytest.mark.parametrize("particle", SPEED_MATCH_PARTICLES.values(), ids=SPEED_MATCH_PARTICLES)
+@pytest.mark.parametrize("site", SPEED_MATCH_SITES.values(), ids=SPEED_MATCH_SITES)
+def test_speed_match_refuses_just_past_its_tolerance(site, particle, direction):
+    inside, outside = _just_past(particle.speed_value, direction)
+    assert site(particle, inside).variance_eV2 > 0.0
+    expected = _refusal(lambda: _check_speed_match(particle, PathSegment(0.3, 0.1, outside)))
+    assert expected is not None
+    with pytest.raises(DomainError) as excinfo:
+        site(particle, outside)
+    assert str(excinfo.value) == str(expected)
