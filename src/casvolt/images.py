@@ -7,8 +7,12 @@ and translated squares. _two_plate_sum sets the block ends and certifies the
 sum with its analytic Hurwitz zeta tail; image_pair_terms forms a block of
 pair terms. Only a two-plate exact sum imports this module, so no other run
 compiles it. variance owns n_U, n_ref and the early refusal, summation the
-budget's refusal; this module imports only closed_forms, errors and
-summation (docs/decisions.md, "Two-plate image sums").
+budget's refusal; this module imports only closed_forms and summation
+(docs/decisions.md, "Two-plate image sums").
+
+The engine takes only what its one caller forms, and checks none of it:
+every block is a step-1 range of indices n >= 1, and variance_two_plate_exact
+has already held v in (1e-6, 0.99) and z0 + b < a <= 1e60.
 """
 from __future__ import annotations
 
@@ -18,8 +22,7 @@ from functools import lru_cache
 # the one-plate and image integrals are looked up on closed_forms, whose
 # attributes perfbench's tracer wraps
 from . import closed_forms
-from .closed_forms import _POLE_TOUCH_EPS, PathSegment, _check_v
-from .errors import DomainError, check_separation
+from .closed_forms import _POLE_TOUCH_EPS, PathSegment
 from .summation import SummationControl, SummationResult, _refusal
 
 # no public name: variance_two_plate_exact is this engine's entry point
@@ -84,34 +87,22 @@ def _image_pair_term(seg: PathSegment, a: float, n: int) -> float:
     return reflected + closed_forms.reflected_image_integral(seg, a, -n) + 2.0 * translated
 
 
-def _integer_indices(ns) -> list[int]:
-    """The indices of ns as ints; DomainError names the first that is not
-    an integer."""
-    indices = []
-    for n in ns:
-        if not float(n).is_integer():
-            raise DomainError(f"image index n must be an integer, got {float(n)!r}")
-        indices.append(int(n))
-    return indices
-
-
 def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
-    """The pair terms of the integer indices ns, one fused pass per index.
+    """The pair terms of the indices ns, one fused pass per index.
 
-    The pair term is even in n, so each index is formed from am = |n| a:
-    the reflected squares of the near image, base z0 - am, and of the far
-    image, base z0 + am, and the translated corners. For |n| >= 1 the far
-    square lies above z = 0, so its base, top and Y are positive and its
-    log ratio's d s negative, and the translated q1, p2 and q1 p2 are
-    positive: those take no abs(). Every log argument, exact difference
-    and touch scale is formed as _reflection_square and _translation_square
-    form it, and every half log ratio as _log_ratio does, so an index
-    refuses exactly when the scalar squares refuse it; such an index (a log
-    argument on the singular locus, a zero denominator: an image plane
-    through a corner or n = 0), and one whose term is not finite, is
-    evaluated through _image_pair_term with its own n, which raises its
-    error. The constants are folded as the numpy kernel of image_pair_terms
-    folds them.
+    Each index is formed from am = n a: the reflected squares of the near
+    image, base z0 - am, and of the far image, base z0 + am, and the
+    translated corners. For n >= 1 the far square lies above z = 0, so its
+    base, top and Y are positive and its log ratio's d s negative, and the
+    translated q1, p2 and q1 p2 are positive: those take no abs(). Every
+    log argument, exact difference and touch scale is formed as
+    _reflection_square and _translation_square form it, and every half log
+    ratio as _log_ratio does, so an index refuses exactly when the scalar
+    squares refuse it; such an index (a log argument on the singular locus,
+    a zero denominator: an image plane through a corner), and one whose
+    term is not finite, is evaluated through _image_pair_term, which raises
+    its error. The constants are folded as the numpy kernel of
+    image_pair_terms folds them.
     """
     z0, b, v = seg.z0, seg.b, seg.v
     lo, hi, two_v = (1.0 - v) * b, (1.0 + v) * b, 2.0 * v
@@ -125,7 +116,7 @@ def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     terms = []
     append = terms.append
     for n in ns:
-        am = abs(n) * a
+        am = n * a
         nav = am * v
         c = 2.0 * nav
         # the reflected squares of the near and the far image: base, top,
@@ -154,7 +145,7 @@ def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
         if (least < _POLE_TOUCH_EPS * (v * abs(near_sum) + b)
                 or least_far < _POLE_TOUCH_EPS * (v * far_sum + b)
                 or (ap1 if ap1 < aq2 else aq2) < _POLE_TOUCH_EPS * (c + b)
-                or not (square and nav)):
+                or not square):
             append(_image_pair_term(seg, a, n))
             continue
         far_square = far * far_top
@@ -183,31 +174,25 @@ def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
 
 
 def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
-    """Four-image contribution of +n and -n for each integer index in ns.
+    """Four-image contribution of +n and -n for each index of the range ns.
 
     For each n, R(z0 - an) + R(z0 + an) + 2 T(n), R and T the squares of
     _reflection_square and _translation_square, with their log arguments,
     exact differences and log ratios formed as those squares form them and
     the constants folded, so a term can differ from the scalar pair term in
-    its last bits. ns is a range, or a sequence of integer-valued numbers; a
-    value that is not an integer raises DomainError. Blocks of at most
-    _SCALAR_BLOCK indices are formed one index at a time
-    (_scalar_pair_terms), longer ones by a numpy kernel that fuses them into
-    one pass: one p/q buffer, one |p|, |q| array for both the locus test and
-    the log ratios. A numpy block holding any index those integrals would
-    refuse (a log argument on the singular locus, an image plane through a
-    corner, n = 0, a term that is not finite) is formed again by
+    its last bits. Blocks of at most _SCALAR_BLOCK indices are formed one
+    index at a time (_scalar_pair_terms), longer ones by a numpy kernel that
+    fuses them into one pass: one p/q buffer, one |p|, |q| array for both
+    the locus test and the log ratios. A numpy block holding any index those
+    integrals would refuse (a log argument on the singular locus, an image
+    plane through a corner, a term that is not finite) is formed again by
     _scalar_pair_terms, so it raises the same error at the same index. An
     ns longer than _KERNEL_BLOCK is taken in pieces of that length, in
     order.
     """
-    if not isinstance(ns, range):
-        ns = _integer_indices(ns)
     if len(ns) > _KERNEL_BLOCK:
         return [term for i in range(0, len(ns), _KERNEL_BLOCK)
                 for term in image_pair_terms(seg, a, ns[i:i + _KERNEL_BLOCK])]
-    _check_v(seg.v)
-    check_separation(a)
     if len(ns) <= _SCALAR_BLOCK:
         return _scalar_pair_terms(seg, a, ns)
     global np
@@ -218,12 +203,9 @@ def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     lo, hi, k = (1.0 - v) * b, (1.0 + v) * b, 1.0 - v * v
     reflection_scale = b / (64.0 * v**3)
     with np.errstate(all="ignore"):
-        if isinstance(ns, range):
-            an = np.arange(ns.start, ns.stop, ns.step, dtype=float)
-        else:
-            an = np.array(ns, dtype=float)
+        an = np.arange(ns.start, ns.stop, dtype=float)
         an *= a
-        nav = abs(an) * v  # |n| a v, as translated_image_integral forms it
+        nav = an * v  # n a v, as translated_image_integral forms it
         # base and top of the reflected squares of +n (row 0) and -n (row 1)
         base = np.empty((2, size))
         np.subtract(z0, an, out=base[0])

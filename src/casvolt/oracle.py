@@ -81,8 +81,8 @@ _NOISE_FLOOR = 300.0 * sys.float_info.epsilon
 # fraction of the value, and gives up after this many subdivisions: verify's
 # squares take at most 3, one-plate squares at b = (1 - 1e-6) b* up to about
 # 140 and closer ones thousands. At about 0.4 ms each the cap stops a runaway
-# within seconds and tens of MB (docs/decisions.md, "The two-plate tail forms
-# zeta directly").
+# within seconds and tens of MB (docs/decisions.md, "The oracle stops a runaway
+# quadrature").
 _QUAD_REL_TOL = 1e-10
 _QUAD_MAX_SUBDIVISIONS = 10**4
 # Richardson levels of the derivative check; the relative gates that

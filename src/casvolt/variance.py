@@ -65,6 +65,10 @@ _CHARGE_MIN = 1e-58
 _SQRT3 = math.sqrt(3.0)
 # the variances' prefactor q^2 v^4 / pi^2 divides by this float
 _PI_SQUARED = math.pi**2
+# variance_two_plate_smallv folds z0 at or above this fraction of a through
+# a - z0, whose rounding moves csc^2 by at most 64 u there (2 u a / z0), so
+# the form stays within 1e-14; closer to the plate it takes z0 itself
+_FOLD_MIN = 1.0 / 32.0
 
 
 @record
@@ -344,11 +348,14 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
 
         <(Delta U)^2> = (q^2 v^2 / 12 a^2) [1 + 3 csc^2(pi z0 / a)]
 
-    Valid for short flights well inside the validity window. The sine argument
-    is folded through far = max(z0, a - z0) before taking near = a - far: far
-    is the same float whether the caller passes z0 or a - z0 (the operand
-    above a/2 subtracts exactly), so the mirror symmetry z0 <-> a - z0 holds
-    to the last bit.
+    Valid for short flights well inside the validity window. The sine takes
+    the distance to the nearer plate. From z0 = a/32 on it is folded through
+    far = max(z0, a - z0) before taking near = a - far: far is the same
+    float whether the caller passes z0 or a - z0 (the operand above a/2
+    subtracts exactly), so the mirror symmetry z0 <-> a - z0 holds to the
+    last bit. Below a/32 near is z0 itself, which keeps its relative
+    precision however small z0 / a is (>= 1e-120 in the length window, so
+    sin^2 stays a normal double).
     """
     # one comparison holds z0 and a in the window, z0 below a
     if not _LENGTH_MIN <= z0 < a <= _LENGTH_MAX:
@@ -364,14 +371,8 @@ def variance_two_plate_smallv(particle: Particle, z0: float, a: float) -> Fluctu
     flags = ("small_v", "two_plate")
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
-    far = max(z0, a - z0)
-    near = a - far
-    sin_sq = math.sin(math.pi * (near / a)) ** 2
-    if sin_sq == 0.0:
-        raise DomainError(
-            f"z0={z0!r} is too close to a plate to resolve at double precision"
-        )
-    csc2 = 1.0 / sin_sq
+    near = z0 if z0 < _FOLD_MIN * a else a - max(z0, a - z0)
+    csc2 = 1.0 / math.sin(math.pi * (near / a)) ** 2
     q = particle.charge_natural
     variance = q * q * v * v / (12.0 * a * a) * (1.0 + 3.0 * csc2)
     return _result(variance, particle.charge_e, flags)

@@ -171,6 +171,25 @@ def test_an_n_max_below_the_reference_floor_refuses_before_the_engine(a, uz, ub,
                                              casvolt.SummationControl(n_max=n_max))
 
 
+@pytest.mark.parametrize("v, a", [
+    (1e-6, 1.0), (9e-7, 1.0), (0.99, 1.0), (0.995, 1.0),
+    (0.01, float("nan")), (0.01, float("inf")), (0.01, 1.01e60), (0.01, 2e60),
+    (0.01, 0.4), (0.01, 0.35),
+], ids=["v-floor", "v-below", "v-ceiling", "v-above", "a-nan", "a-inf", "a-above-window",
+        "a-far-above-window", "a-at-z0+b", "a-below-z0+b"])
+def test_the_engines_precondition_is_checked_before_it(v, a):
+    # the image engine checks neither v nor a: variance_two_plate_exact holds
+    # v in (1e-6, 0.99) and z0 + b < a <= 1e60 (z0 + b = 0.4 here) before it
+    from unittest import mock
+
+    from casvolt import variance
+
+    with mock.patch.object(variance, "_images", _Unloaded()):
+        with pytest.raises(casvolt.DomainError):
+            casvolt.variance_two_plate_exact(casvolt.Particle.electron(speed=v),
+                                             casvolt.PathSegment(z0=0.3, b=0.1, v=v), a)
+
+
 def test_two_plate_sum_with_a_long_block_loads_numpy():
     # at v = 1e-3 the first pair block holds 128 indices, past _SCALAR_BLOCK,
     # and takes the numpy kernel

@@ -6,7 +6,6 @@ checks made with one inline comparison refuse, or accept, exactly as their
 labelled checkers do."""
 import math
 
-import numpy as np
 import pytest
 
 from casvolt import (
@@ -34,7 +33,6 @@ from casvolt import (
     variance_two_plate_smallv,
 )
 from casvolt.errors import _LENGTH_MAX, _LENGTH_MIN, check_positive_finite
-from casvolt.images import image_pair_terms
 from casvolt.oracle import (
     brute_dual_correlator,
     deriv_check,
@@ -53,7 +51,6 @@ CONFIG = {"cavity_nm": 50.0, "insulator_nm": 2.0, "electrode_nm": 8.0,
 SEPARATION = {
     "reflected_image_integral": lambda a: reflected_image_integral(SEG, a, 1),
     "translated_image_integral": lambda a: translated_image_integral(SEG, a, 1),
-    "image_pair_terms": lambda a: image_pair_terms(SEG, a, np.arange(1.0, 5.0)),
     "reflected_image_kernel": lambda a: reflected_image_kernel(0.3, 0.4, 0.1, a, 1),
     "translated_image_kernel": lambda a: translated_image_kernel(0.3, 0.4, 0.1, a, 1),
     "correlator_dual_plate": lambda a: correlator_dual_plate(PAIR, a),

@@ -352,12 +352,50 @@ def test_variance_two_plate_smallv_midpoint_exact():
 
 
 def test_variance_two_plate_smallv_symmetry_exact():
-    # z0 and a - z0 give bitwise-identical results by construction
+    # from a/32 on, z0 and a - z0 fold to the same near distance, so give
+    # bitwise-identical results by construction
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.005)
-    assert (
-        variance_two_plate_smallv(p, 0.21, 1.0).variance_eV2
-        == variance_two_plate_smallv(p, 0.79, 1.0).variance_eV2
-    )
+    mirrored = variance_two_plate_smallv(p, 0.79, 1.0).variance_eV2
+    assert variance_two_plate_smallv(p, 1.0 - 0.79, 1.0).variance_eV2 == mirrored
+    assert variance_two_plate_smallv(p, 0.21, 1.0).variance_eV2 == mirrored
+    for z0 in (1.0 / 32.0, 0.05):
+        assert (variance_two_plate_smallv(p, z0, 1.0).variance_eV2
+                == variance_two_plate_smallv(p, 1.0 - z0, 1.0).variance_eV2)
+
+
+def _smallv_reference(p, z0, a):
+    """(q^2 v^2 / 12 a^2) [1 + 3 csc^2(pi z0 / a)] in 50-digit mpmath at the
+    same float inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        q, v, z0_mp, a_mp = (mpmath.mpf(x) for x in (p.charge_natural, p.speed_value, z0, a))
+        csc2 = 1 / mpmath.sin(mpmath.pi * z0_mp / a_mp) ** 2
+        return q * q * v * v / (12 * a_mp * a_mp) * (1 + 3 * csc2)
+
+
+@pytest.mark.parametrize("z0, a", [
+    (1e-17, 1.0), (1e-15, 1.0), (1e-12, 1.0), (1e-9, 1.0), (1e-60, 1.0), (1e-60, 1e60),
+    (0.3, 1.0), (0.5, 1.0), (0.7, 1.0), (1.0 - 1e-9, 1.0),
+])
+def test_variance_two_plate_smallv_near_a_plate_matches_mpmath(z0, a):
+    # below a/32 the sine takes z0 itself, so a z0 far below a keeps its
+    # relative precision: within 1e-14 of 50-digit mpmath, where folding
+    # through a - z0 refused z0/a = 1e-17 and was off by 1.6e-3 at 1e-15
+    p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.01)
+    expected = _smallv_reference(p, z0, a)
+    assert abs(variance_two_plate_smallv(p, z0, a).variance_eV2 - expected) <= 1e-14 * expected
+
+
+def test_variance_two_plate_smallv_either_side_of_the_fold_matches_mpmath():
+    # the fold through a - z0 costs up to 2 u a / z0 of csc^2, 64 u at a/32
+    # where it starts; z0/a log-uniform over [1/128, 1/8]
+    rng = random.Random(2718)
+    for _ in range(300):
+        a = rng.uniform(0.5, 2.0)
+        z0 = a * 2.0 ** rng.uniform(-7.0, -3.0)
+        p = Particle(charge_e=1.0, mass_eV=M_E, speed=10.0 ** rng.uniform(-3.0, -1.1))
+        expected = _smallv_reference(p, z0, a)
+        assert abs(variance_two_plate_smallv(p, z0, a).variance_eV2 - expected) <= 1e-14 * expected
 
 
 def test_variance_two_plate_smallv_validation():
