@@ -34,20 +34,18 @@ np = None
 
 # Longest block image_pair_terms forms one index at a time, without numpy.
 # Warm, at a = 1 and (z0, b, v) = (0.3, 0.1, 0.01) and (0.1, 0.5, 1e-3), the
-# fused pure-Python pass costs 1.4-1.5 us per index and the numpy kernel
-# 44-49 us from 24 to 34 indices: pass over kernel is 0.65-0.82 at 26
-# indices, 0.94-0.95 at 30, 0.98-1.01 at 32 and 1.04-1.07 at 34. The kernel
-# takes 70-71 us at 299 indices and 256-263 us at 1024 (z0, b, v = 0.3, 0.1,
-# 1e-3), below 0.3 us per index (docs/decisions.md, "Two-plate image sums").
-# The least block a two-plate sum forms has n_ref >= variance._REFERENCE_FLOOR
-# = 9 indices; one whose n_U is at most 23 ends its block by index 30 and loads
-# no numpy.
+# pure-Python pass costs 1.25-1.5 us per index and the numpy kernel 34-41 us
+# from 24 to 34 indices (pass over kernel 0.88-1.08 at 24, 1.01-1.34 at 30);
+# at (0.3, 0.1, 1e-3) the kernel takes 55-59 us at 299 indices and 103-108 us
+# at 1024 (docs/decisions.md, "Two-plate image sums"). 30 is past the
+# crossover, but a sum whose n_U is at most 23 ends its block by index 30, so
+# it loads no numpy.
 _SCALAR_BLOCK = 30
 
 # Most indices image_pair_terms broadcasts in one pass. Its temporaries peak
-# at 511 bytes per index (tracemalloc, 1024 indices), so the n_max = 10^6
-# pairs a sum may take would need about 510 MB in one pass; pieces of this
-# length need 0.5 MB.
+# at 543 bytes per index (tracemalloc, 1024 indices), so the n_max = 10^6
+# pairs a sum may take would need about 540 MB in one pass; pieces of this
+# length need 0.56 MB.
 _KERNEL_BLOCK = 1024
 
 # The Euler-Maclaurin terms of B_2, ..., B_20 that _hurwitz_zeta takes, as
@@ -186,9 +184,10 @@ def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     the locus test and the log ratios. A numpy block holding any index those
     integrals would refuse (a log argument on the singular locus, an image
     plane through a corner, a term that is not finite) is formed again by
-    _scalar_pair_terms, so it raises the same error at the same index. An
-    ns longer than _KERNEL_BLOCK is taken in pieces of that length, in
-    order.
+    _scalar_pair_terms, so it raises the same error at the same index; the
+    kernel tests for one before any divide or log, and so raises no numpy
+    warning. An ns longer than _KERNEL_BLOCK is taken in pieces of that
+    length, in order.
     """
     if len(ns) > _KERNEL_BLOCK:
         return [term for i in range(0, len(ns), _KERNEL_BLOCK)
@@ -200,69 +199,74 @@ def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
         import numpy as np
 
     z0, b, v, size = seg.z0, seg.b, seg.v, len(ns)
+    # base top is zero only where the near top of the first index rounds to 0,
+    # an image plane through a corner: a top at or above 0 goes to the pass
+    if (z0 - ns.start * a) + b >= 0.0:
+        return _scalar_pair_terms(seg, a, ns)
     lo, hi, k = (1.0 - v) * b, (1.0 + v) * b, 1.0 - v * v
     reflection_scale = b / (64.0 * v**3)
-    with np.errstate(all="ignore"):
-        an = np.arange(ns.start, ns.stop, dtype=float)
-        an *= a
-        nav = an * v  # n a v, as translated_image_integral forms it
-        # base and top of the reflected squares of +n (row 0) and -n (row 1)
-        base = np.empty((2, size))
-        np.subtract(z0, an, out=base[0])
-        np.add(z0, an, out=base[1])
-        top = base + b
-        s = base + top
-        # rows c = 2 nav, c, 2 v top of +n and of -n: rows 1-3 anchor the log
-        # arguments below, and at the end every row becomes a touch scale
-        scales = np.empty((4, size))
-        c = np.multiply(nav, 2.0, out=scales[:2])[0]
-        np.multiply(2.0 * v, top, out=scales[2:])
-        # p (pq[0]) and q (pq[1]) of the rows (q2, p2), (p2, q2), (p1, q1),
-        # (X, Y) of +n and of -n, (p1 q2, q1 p2) and (p1 p2, q1 q2)
-        pq = np.empty((2, 7, size))
-        np.subtract(scales[1:], hi, out=pq[0, 2:5])
-        np.add(scales[1:], lo, out=pq[1, 2:5])
-        np.add(c, hi, out=pq[0, 1])
-        np.subtract(c, lo, out=pq[1, 1])
-        pq[:, 0] = pq[::-1, 1]
-        np.multiply(pq[0, 2], pq[0, :2], out=pq[0, 5:])
-        np.multiply(pq[1, 2], pq[1, :2], out=pq[1, 5:])
-        magnitude = np.abs(pq)
-        least = np.minimum(magnitude[0], magnitude[1])
-        # d s of rows 3-6: the sums times the differences -2 b, -4 c b, -4 v b^2
-        ds = np.empty((4, size))
-        np.multiply(2.0 * v, s, out=ds[:2])
-        np.add(pq[0, 5:], pq[1, 5:], out=ds[2:])
-        ds[:2] *= -2.0 * b
-        ds[2] *= c * (-4.0 * b)
-        ds[3] *= -4.0 * v * b * b
-        # half the log ratios of rows 3-6, as _log_ratio forms them
-        half = np.add(magnitude[0, 3:], magnitude[1, 3:])
-        half *= least[3:]
-        np.divide(np.abs(ds), half, out=half)
-        np.log1p(half, out=half)
-        np.copysign(half, ds, out=half)
-        # R(z0 - an), R(z0 + an) and 2 T(n) as numerators over (base top)^2 and nav^3
-        values = np.empty((7, size))
-        np.multiply(s, -2.0 * k * reflection_scale, out=values[:2])
-        values[2] = k * b / -16.0
-        np.multiply(c, v / -16.0, out=values[3])
-        values[:4] *= half
-        values[:2] += 4.0 * v * b * reflection_scale
-        values[2] += values[3]
-        np.multiply(base, top, out=values[4:6])
-        np.square(values[4:6], out=values[4:6])
-        np.power(nav, 3, out=values[6])
-        terms = np.add.reduce(np.divide(values[:3], values[4:], out=values[:3]))
-        # tolerances of least[1:5] from c + b and from v |base + top| + b, which is
-        # _on_locus's v (|top| + |base|) + b unless a square straddles z = 0, where
-        # |X| and |Y| exceed (1 - v) b. A non-finite term makes their sum non-finite.
+    an = np.arange(ns.start, ns.stop, dtype=float)
+    an *= a
+    nav = an * v  # n a v, as translated_image_integral forms it
+    # base and top of the reflected squares of +n (row 0) and -n (row 1)
+    base = np.empty((2, size))
+    np.subtract(z0, an, out=base[0])
+    np.add(z0, an, out=base[1])
+    top = base + b
+    s = base + top
+    # rows c = 2 nav, c, c, 2 v top of +n and of -n: the anchors of the p/q
+    # rows below; rows 1-4 become the per-row touch scales if needed
+    scales = np.empty((5, size))
+    c = np.multiply(nav, 2.0, out=scales[:3])[0]
+    np.multiply(2.0 * v, top, out=scales[3:])
+    # p (pq[0]) and q (pq[1]) of the rows (q2, p2), (p2, q2), (p1, q1),
+    # (X, Y) of +n and of -n, (p1 q2, q1 p2) and (p1 p2, q1 q2)
+    pq = np.empty((2, 7, size))
+    np.add(scales, np.array(((-lo, hi, -hi, -hi, -hi), (hi, -lo, lo, lo, lo)))[:, :, None],
+           out=pq[:, :5])
+    np.multiply(pq[:, 2:3], pq[:, :2], out=pq[:, 5:])
+    magnitude = np.abs(pq)
+    least = np.minimum(magnitude[0], magnitude[1])
+    # touch scales of least[1:5]: c + b and v |base + top| + b, _on_locus's
+    # v (|top| + |base|) + b as no square straddles z = 0. In floats c and
+    # v |base + top| of +n are at most v (base + top) of -n, which grows with
+    # n: a block clear of the scale at its last index is clear row by row
+    far = z0 + (ns.stop - 1) * a
+    if least[1:5].min() < (v * (far + (far + b)) + b) * (_POLE_TOUCH_EPS * (1.0 + 1e-9)):
+        scales = scales[1:]
         np.abs(s, out=scales[2:])
         scales[2:] *= v
         scales += b
         scales *= _POLE_TOUCH_EPS
-        refusable = (least[1:5] < scales).any() or not math.isfinite(np.add.reduce(terms))
-    if not refusable:
+        if (least[1:5] < scales).any():
+            return _scalar_pair_terms(seg, a, ns)
+    # d s of rows 3-6: the sums times the differences -2 b, -4 c b, -4 v b^2
+    ds = np.empty((4, size))
+    np.multiply(2.0 * v, s, out=ds[:2])
+    np.add(pq[0, 5:], pq[1, 5:], out=ds[2:])
+    ds[:2] *= -2.0 * b
+    ds[2] *= c * (-4.0 * b)
+    ds[3] *= -4.0 * v * b * b
+    # half the log ratios of rows 3-6, as _log_ratio forms them
+    half = np.add(magnitude[0, 3:], magnitude[1, 3:])
+    half *= least[3:]
+    np.divide(np.abs(ds), half, out=half)
+    np.log1p(half, out=half)
+    np.copysign(half, ds, out=half)
+    # R(z0 - an), R(z0 + an) and 2 T(n) as numerators over (base top)^2 and nav^3
+    values = np.empty((7, size))
+    np.multiply(s, -2.0 * k * reflection_scale, out=values[:2])
+    values[2] = k * b / -16.0
+    np.multiply(c, v / -16.0, out=values[3])
+    values[:4] *= half
+    values[:2] += 4.0 * v * b * reflection_scale
+    values[2] += values[3]
+    np.multiply(base, top, out=values[4:6])
+    np.square(values[4:6], out=values[4:6])
+    np.power(nav, 3, out=values[6])
+    terms = np.add.reduce(np.divide(values[:3], values[4:], out=values[:3]))
+    # a non-finite term makes the sum of the terms non-finite
+    if math.isfinite(np.add.reduce(terms)):
         return terms.tolist()
     return _scalar_pair_terms(seg, a, ns)
 
@@ -277,39 +281,33 @@ def _tail_coefficients(seg: PathSegment, a: float) -> list[float]:
     kernels of +n and -n expanded in 1/(2an), each order integrated over the
     square; tests/test_tail_coefficients.py derives them again), which the
     compiler folds to one rounded float. Every q_jki is positive, so nothing
-    cancels: each term is ((q_jki * g^k) * s^i) * h^(j-i), and each order adds
-    its terms left to right.
+    cancels. Each order is Horner's rule in s, from i = j down, over the
+    P_ji h^(j-i), each P_ji = sum_k q_jki g^k by Horner's rule in g.
     """
     v, b, w = seg.v, seg.b, 2.0 * a
     g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2
-    g2, g3, g4, g5 = g * g, g**3, g**4, g**5
-    s2, s3, s4, s5 = s * s, s**3, s**4, s**5
     h2, h3, h4, h5 = h * h, h**3, h**4, h**5
     scale = (b / (v * v * w * w)) ** 2
-    return [
-        scale * (4 / 1),
-        scale * (20 / 3 * h + 240 / 3 * s + 4 / 3 * g * h),
-        scale * (140 / 15 * h2 + 4200 / 15 * s * h + 16800 / 15 * s2 + 98 / 15 * g * h2 +
-                 840 / 15 * g * s * h + 12 / 15 * g2 * h2),
-        scale * (420 / 35 * h3 + 23520 / 35 * s * h2 + 235200 / 35 * s2 * h + 376320 / 35 * s3 +
-                 672 / 35 * g * h3 + 4704 / 35 * g * s * h2 + 47040 / 35 * g * s2 * h +
-                 288 / 35 * g2 * h3 + 2016 / 35 * g2 * s * h2 + 20 / 35 * g3 * h3),
-        scale * (4620 / 315 * h4 + 415800 / 315 * s * h3 + 7761600 / 315 * s2 * h2 +
-                 31046400 / 315 * s3 * h + 26611200 / 315 * s4 + 13398 / 315 * g * h4 +
-                 83160 / 315 * g * s * h3 + 1552320 / 315 * g * s2 * h2 +
-                 6209280 / 315 * g * s3 * h + 14058 / 315 * g2 * h4 + 35640 / 315 * g2 * s * h3 +
-                 665280 / 315 * g2 * s2 * h2 + 3190 / 315 * g3 * h4 + 19800 / 315 * g3 * s * h3 +
-                 140 / 315 * g4 * h4),
-        scale * (60060 / 3465 * h5 + 7927920 / 3465 * s * h4 + 237837600 / 3465 * s2 * h3 +
-                 1775854080 / 3465 * s3 * h2 + 3805401600 / 3465 * s4 * h +
-                 2029547520 / 3465 * s5 + 276276 / 3465 * g * h5 + 1585584 / 3465 * g * s * h4 +
-                 47567520 / 3465 * g * s2 * h3 + 355170816 / 3465 * g * s3 * h2 +
-                 761080320 / 3465 * g * s4 * h + 543114 / 3465 * g2 * h5 +
-                 679536 / 3465 * g2 * s * h4 + 20386080 / 3465 * g2 * s2 * h3 +
-                 152216064 / 3465 * g2 * s3 * h2 + 301730 / 3465 * g3 * h5 +
-                 377520 / 3465 * g3 * s * h4 + 11325600 / 3465 * g3 * s2 * h3 +
-                 41860 / 3465 * g4 * h5 + 240240 / 3465 * g4 * s * h4 + 1260 / 3465 * g5 * h5),
-    ]
+    c1 = (20 / 3 + g * (4 / 3)) * h + s * (240 / 3)
+    c2 = (4200 / 15 + g * (840 / 15)) * h + s * (16800 / 15)
+    c2 = (140 / 15 + g * (98 / 15 + g * (12 / 15))) * h2 + s * c2
+    c3 = (235200 / 35 + g * (47040 / 35)) * h + s * (376320 / 35)
+    c3 = (23520 / 35 + g * (4704 / 35 + g * (2016 / 35))) * h2 + s * c3
+    c3 = (420 / 35 + g * (672 / 35 + g * (288 / 35 + g * (20 / 35)))) * h3 + s * c3
+    c4 = (31046400 / 315 + g * (6209280 / 315)) * h + s * (26611200 / 315)
+    c4 = (7761600 / 315 + g * (1552320 / 315 + g * (665280 / 315))) * h2 + s * c4
+    c4 = (415800 / 315 + g * (83160 / 315 + g * (35640 / 315 + g * (19800 / 315)))) * h3 + s * c4
+    c4 = (4620 / 315 + g * (13398 / 315 + g * (14058 / 315 + g * (
+        3190 / 315 + g * (140 / 315))))) * h4 + s * c4
+    c5 = (3805401600 / 3465 + g * (761080320 / 3465)) * h + s * (2029547520 / 3465)
+    c5 = (1775854080 / 3465 + g * (355170816 / 3465 + g * (152216064 / 3465))) * h2 + s * c5
+    c5 = (237837600 / 3465 + g * (47567520 / 3465 + g * (
+        20386080 / 3465 + g * (11325600 / 3465)))) * h3 + s * c5
+    c5 = (7927920 / 3465 + g * (1585584 / 3465 + g * (679536 / 3465 + g * (
+        377520 / 3465 + g * (240240 / 3465))))) * h4 + s * c5
+    c5 = (60060 / 3465 + g * (276276 / 3465 + g * (543114 / 3465 + g * (301730 / 3465 + g * (
+        41860 / 3465 + g * (1260 / 3465)))))) * h5 + s * c5
+    return [scale * (4 / 1), scale * c1, scale * c2, scale * c3, scale * c4, scale * c5]
 
 
 @lru_cache(maxsize=None)

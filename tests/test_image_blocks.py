@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -356,11 +357,19 @@ def test_branches_refuse_alike_and_agree(z0, b, v, n, family, offset, before, af
     if a is None:
         return
     a *= 1.0 + offset
-    seg = PathSegment(z0=z0, b=b, v=v)
-    ns = range(max(1, n - before), n + after + 1)
+    _assert_branches_agree(PathSegment(z0=z0, b=b, v=v), a,
+                           range(max(1, n - before), n + after + 1))
+
+
+def _assert_branches_agree(seg, a, ns):
+    """Both branches raise the same error on the block ns (class, message,
+    factor, threshold), or both return terms within the error maps' 64 u
+    kappa of each other; a RuntimeWarning from either is an error. Returns
+    the kernel's outcome."""
     outcomes = []
     for branch in BRANCHES:
-        with pinned_branch(branch):
+        with pinned_branch(branch), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             try:
                 outcomes.append(image_pair_terms(seg, a, ns))
             except (DomainError, SingularityError) as exc:
@@ -369,9 +378,10 @@ def test_branches_refuse_alike_and_agree(z0, b, v, n, family, offset, before, af
     kernel, loop = outcomes
     if isinstance(kernel, tuple) or isinstance(loop, tuple):
         assert kernel == loop
-        return
-    for index, x, y in zip(ns, kernel, loop):
+        return kernel
+    for index, x, y in zip(ns, kernel, loop, strict=True):
         assert abs(x - y) <= 64.0 * 2.0**-53 * _pair_kappa(seg, a, index) * abs(x)
+    return kernel
 
 
 def test_light_like_dual_image_raises_as_scalar_path():
@@ -687,3 +697,43 @@ def test_locus_edge_matches_scalar(row, z0, b, v, n, a_zero, inside):
             reference, kappa = mp.pair(z0, b, v, a, index), _pair_kappa(seg, a, index)
             _assert_close(value, reference, kappa)
             _assert_close(_image_pair_term(seg, a, index), reference, kappa)
+
+
+# (z0, b, a) at the lower and the upper corner of the length window [1e-60, 1e60]
+_WINDOW_CORNERS = {"1e-60": (3e-60, 1e-60, 1e-59), "1e60": (3e59, 1e59, 1e60)}
+
+
+@pytest.mark.parametrize("ns", [range(1, 65), range(1000, 1400), range(10**6 - 1023, 10**6 + 1)],
+                         ids=["1-64", "1000-1399", "last-of-default-n_max"])
+@pytest.mark.parametrize("v", [1.000001e-6, 0.98])
+@pytest.mark.parametrize("corner", sorted(_WINDOW_CORNERS))
+def test_kernel_blocks_at_the_window_corners_match_the_pass(corner, v, ns):
+    # the kernel tests the locus and the sign of the near top before any
+    # divide or log, with no np.errstate: no warning at the window's corners,
+    # up to the last piece a sum of the default n_max = 10^6 pairs forms
+    z0, b, a = _WINDOW_CORNERS[corner]
+    assert isinstance(_assert_branches_agree(PathSegment(z0=z0, b=b, v=v), a, ns), list)
+
+
+@pytest.mark.parametrize("target", [0.0, 0.9, 1.1])
+@pytest.mark.parametrize("family", ["Y+", "X-", "p1", "q2"])
+@pytest.mark.parametrize("v", [1.000001e-6, 1e-3])
+@pytest.mark.parametrize("corner", sorted(_WINDOW_CORNERS))
+def test_kernel_blocks_with_an_interior_locus_index_match_the_pass(corner, v, family, target):
+    # index 50 of the block 31..70 with a log argument at target times its
+    # tolerance (_locus_ratio): on the locus; inside the tolerance but above
+    # the tolerance of index 31's largest touch scale, which a bound taken at
+    # the block's first index would clear; or just outside, where the bound
+    # at its last index fails and the row-by-row test clears the block.
+    # z0 = 3 b, with b at the lower corner of the length window or a just
+    # below the upper one
+    ratio = _on_locus_separation(family, 3.0, 1.0, v, 50)
+    b = 1e-60 if corner == "1e-60" else 0.9e60 / ratio
+    z0 = 3.0 * b
+    a_zero = _on_locus_separation(family, z0, b, v, 50)
+    slope = _locus_ratio(family, z0, b, v, 50, a_zero * (1.0 + 1e-9)) / (a_zero * 1e-9)
+    a = a_zero + target / slope
+    assert abs(_locus_ratio(family, z0, b, v, 50, a) - target) < 1e-3
+    assert 1e-60 <= b and z0 + b < a <= 1e60
+    kernel = _assert_branches_agree(PathSegment(z0=z0, b=b, v=v), a, range(31, 71))
+    assert isinstance(kernel, list) == (target > 1.0)

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casvolt import PathSegment
@@ -98,10 +98,17 @@ def _exact_coefficients(z0, b, v, a):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(a=st.floats(1e-3, 1e3), uz=st.floats(1e-4, 0.999), ub=st.floats(1e-4, 0.999),
        log_v=st.floats(-6.0, math.log10(0.99)))
+# the speed edges, b up to 0.999 (a - z0): at v = 1.000001e-6, g = 1/v^2 is
+# about 1e12 and the g^5 h^5 term holds C_5; at 0.98 the s^i terms weigh in
+@example(a=1e-3, uz=1e-4, ub=0.999, log_v=math.log10(1.000001e-6))
+@example(a=1.0, uz=0.5, ub=0.999, log_v=math.log10(1.000001e-6))
+@example(a=1e3, uz=0.999, ub=0.999, log_v=math.log10(1.000001e-6))
+@example(a=1e-3, uz=0.5, ub=0.999, log_v=math.log10(0.98))
+@example(a=1e3, uz=1e-4, ub=0.999, log_v=math.log10(0.98))
 def test_tail_coefficients_evaluate_the_table(a, uz, ub, log_v):
     # every term is positive, so nothing cancels: the float coefficients stay
-    # within 64 ulps of the exact ones (23 at worst over 20,000 random inputs
-    # on these ranges)
+    # within 64 ulps of the exact ones (24 at worst over 20,000 random inputs
+    # on these ranges, 13 at these speed edges)
     z0 = uz * a
     seg = PathSegment(z0=z0, b=ub * (a - z0), v=10.0**log_v)
     for got, exact in zip(_tail_coefficients(seg, a),
@@ -111,22 +118,23 @@ def test_tail_coefficients_evaluate_the_table(a, uz, ub, log_v):
 
 
 def _walk_coefficients(seg, a):
-    """C_0, ..., C_5 by the plain walk of _TAIL_ORDERS that _tail_coefficients
-    writes out: each term ((q * g^k) * s^i) * h^(j-i), q = numerator /
-    denominator rounded once, from the powers [1.0, x, x * x, x**3, x**4,
-    x**5], and each order's terms added left to right from 0 explicitly (from
-    Python 3.12 on, sum() of floats compensates)."""
+    """C_0, ..., C_5 by the Horner walk of _TAIL_ORDERS that _tail_coefficients
+    writes out: for each order j, P_ji = sum_k q_jki g^k by Horner's rule in
+    g, q = numerator / denominator rounded once, then the order by Horner's
+    rule in s, from i = j down, total = P_ji h^(j-i) + s total, h^(j-i) from
+    the powers [1.0, h, h * h, h**3, h**4, h**5]."""
     v, b, w = seg.v, seg.b, 2.0 * a
     g, s, h = 1.0 / (v * v), ((seg.z0 + 0.5 * b) / w) ** 2, (b / w) ** 2
-    g_powers, s_powers, h_powers = ([1.0, x, x * x, x**3, x**4, x**5] for x in (g, s, h))
+    h_powers = [1.0, h, h * h, h**3, h**4, h**5]
     scale = (b / (v * v * w * w)) ** 2
     coefficients = []
     for j, (denominator, rows) in enumerate(_TAIL_ORDERS):
         total = 0.0
-        for k, row in enumerate(rows):
-            for i, numerator in enumerate(row):
-                q = numerator / denominator
-                total = total + q * g_powers[k] * s_powers[i] * h_powers[j - i]
+        for i in range(j, -1, -1):
+            poly = rows[j - i][i] / denominator
+            for k in range(j - i - 1, -1, -1):
+                poly = rows[k][i] / denominator + g * poly
+            total = poly * h_powers[j - i] + s * total
         coefficients.append(scale * total)
     return coefficients
 
