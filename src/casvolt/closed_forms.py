@@ -232,7 +232,7 @@ def one_plate_integral_smallv(seg: PathSegment) -> float:
     The omitted remainder is of order v^2 in absolute terms, so against the
     exact integral (of order 1/v^2) the relative error is O(v^4). The second
     term grows as 1/b^2 for b -> 0: the expansion needs b well past the
-    pole entry 2 v z0 / (1-v), where the exact integral peaks. At z0 = 1,
+    pole entry 2 v z0 / (1-v), where the exact integral diverges. At z0 = 1,
     v = 0.01 its relative error is 1.5% at twice the pole entry, 0.3% at
     three times, and 7.6 at b = v z0.
     """

@@ -110,7 +110,7 @@ def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     diff_factor, sum_factor = (1.0 - v * v) * b / -16.0, v / -16.0
     ds_reflection, ds_diff, ds_sum = -2.0 * b, -4.0 * b, -4.0 * v * b * b
     two_b = 2.0 * b
-    log1p, copysign, isfinite = math.log1p, math.copysign, math.isfinite
+    log1p, isfinite = math.log1p, math.isfinite
     terms = []
     append = terms.append
     for n in ns:
@@ -147,22 +147,27 @@ def _scalar_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
             append(_image_pair_term(seg, a, n))
             continue
         far_square = far * far_top
-        # half the log ratios l(X, Y) of the near and the far image, l1 - l2 and l1 + l2
+        # half the log ratios l(X, Y) of the near and the far image, l1 - l2 and
+        # l1 + l2, each log1p signed as d s
         ds = ds_reflection * (two_v * near_sum)
-        half = copysign(log1p(abs(ds) / ((ax + ay) * least)), ds)
+        half = log1p(abs(ds) / ((ax + ay) * least))
+        if ds < 0.0:
+            half = -half
         half_far = -log1p(two_b * (two_v * far_sum) / ((ax_far + y_far) * least_far))
         cross_p, cross_q = p1 * q2, q1 * p2
         outer_p, outer_q = p1 * p2, q1 * q2
         ds = (cross_p + cross_q) * (c * ds_diff)
         cross_p = abs(cross_p)
-        half_diff = copysign(
-            log1p(abs(ds) / ((cross_p + cross_q) * (cross_p if cross_p < cross_q else cross_q))),
-            ds)
+        half_diff = log1p(
+            abs(ds) / ((cross_p + cross_q) * (cross_p if cross_p < cross_q else cross_q)))
+        if ds < 0.0:
+            half_diff = -half_diff
         ds = (outer_p + outer_q) * ds_sum
         outer_p, outer_q = abs(outer_p), abs(outer_q)
-        half_sum = copysign(
-            log1p(abs(ds) / ((outer_p + outer_q) * (outer_p if outer_p < outer_q else outer_q))),
-            ds)
+        half_sum = log1p(
+            abs(ds) / ((outer_p + outer_q) * (outer_p if outer_p < outer_q else outer_q)))
+        if ds < 0.0:
+            half_sum = -half_sum
         term = (((near_sum * reflection_log) * half + reflection_rest) / (square * square)
                 + ((far_sum * reflection_log) * half_far + reflection_rest)
                 / (far_square * far_square)
@@ -184,10 +189,10 @@ def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     the locus test and the log ratios. A numpy block holding any index those
     integrals would refuse (a log argument on the singular locus, an image
     plane through a corner, a term that is not finite) is formed again by
-    _scalar_pair_terms, so it raises the same error at the same index; the
-    kernel tests for one before any divide or log, and so raises no numpy
-    warning. An ns longer than _KERNEL_BLOCK is taken in pieces of that
-    length, in order.
+    _scalar_pair_terms, so it raises the same error at the same index; so is
+    a block that fails the locus bound at its last index. The kernel tests
+    before any divide or log, and so raises no numpy warning. An ns longer
+    than _KERNEL_BLOCK is taken in pieces of that length, in order.
     """
     if len(ns) > _KERNEL_BLOCK:
         return [term for i in range(0, len(ns), _KERNEL_BLOCK)
@@ -215,7 +220,7 @@ def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     top = base + b
     s = base + top
     # rows c = 2 nav, c, c, 2 v top of +n and of -n: the anchors of the p/q
-    # rows below; rows 1-4 become the per-row touch scales if needed
+    # rows below
     scales = np.empty((5, size))
     c = np.multiply(nav, 2.0, out=scales[:3])[0]
     np.multiply(2.0 * v, top, out=scales[3:])
@@ -230,16 +235,11 @@ def image_pair_terms(seg: PathSegment, a: float, ns) -> list[float]:
     # touch scales of least[1:5]: c + b and v |base + top| + b, _on_locus's
     # v (|top| + |base|) + b as no square straddles z = 0. In floats c and
     # v |base + top| of +n are at most v (base + top) of -n, which grows with
-    # n: a block clear of the scale at its last index is clear row by row
+    # n: a block clear of the scale at its last index is clear row by row,
+    # and the pass tests every index of one that is not
     far = z0 + (ns.stop - 1) * a
     if least[1:5].min() < (v * (far + (far + b)) + b) * (_POLE_TOUCH_EPS * (1.0 + 1e-9)):
-        scales = scales[1:]
-        np.abs(s, out=scales[2:])
-        scales[2:] *= v
-        scales += b
-        scales *= _POLE_TOUCH_EPS
-        if (least[1:5] < scales).any():
-            return _scalar_pair_terms(seg, a, ns)
+        return _scalar_pair_terms(seg, a, ns)
     # d s of rows 3-6: the sums times the differences -2 b, -4 c b, -4 v b^2
     ds = np.empty((4, size))
     np.multiply(2.0 * v, s, out=ds[:2])
@@ -346,15 +346,6 @@ def _tail_zetas(x: float) -> tuple[float, ...]:
     return tuple(_hurwitz_zeta(4 + 2 * j, x) for j in range(6))
 
 
-def _tail_expansion(coefficients: list[float], n: int) -> float:
-    """sum_j C_j n^-(4+2j): the subtracted orders of the pair term at n."""
-    inv_sq = 1.0 / (n * n)
-    total = 0.0
-    for c in reversed(coefficients):
-        total = total * inv_sq + c
-    return total * inv_sq * inv_sq
-
-
 def _zeta16_bound(x):
     """zeta(16, x) <= x^-15/15 + x^-16/2 + (4/3) x^-17: Euler-Maclaurin stopped
     after a positive term, which overestimates a completely monotone sum."""
@@ -395,20 +386,22 @@ def _two_plate_sum(seg: PathSegment, a: float, control: SummationControl,
     certify no index up to n_max does, and the sum refuses.
     """
     tol, n_max = control.tol, control.n_max
-    coefficients = _tail_coefficients(seg, a)
+    c0, c1, c2, c3, c4, c5 = _tail_coefficients(seg, a)
     # the one-plate term, then the pair terms 1..end, then the tail
     parts = [closed_forms.one_plate_integral(seg)]
     end = min(n_max, max(n_ref, n_u + n_u // 4 + 2))
     parts += image_pair_terms(seg, a, range(1, end + 1))
     pair = parts[n_ref]
-    remainder = pair - _tail_expansion(coefficients, n_ref)
+    # r(n_ref) = pair - sum_j C_j n_ref^-(4+2j), the sum by Horner's rule in 1/n^2
+    inv_sq = 1.0 / (n_ref * n_ref)
+    expansion = ((((c5 * inv_sq + c4) * inv_sq + c3) * inv_sq + c2) * inv_sq + c1) * inv_sq + c0
+    remainder = pair - expansion * inv_sq * inv_sq
     envelope = n_ref**_REMAINDER_ORDER * (abs(remainder) + _PAIR_ROUNDING * pair)
     while True:
         x = end + 1.0
         # left to right on every Python: from 3.12, sum() of floats compensates
-        tail = 0.0
-        for c, zeta in zip(coefficients, _tail_zetas(x)):
-            tail += c * zeta
+        zeta4, zeta6, zeta8, zeta10, zeta12, zeta14 = _tail_zetas(x)
+        tail = c0 * zeta4 + c1 * zeta6 + c2 * zeta8 + c3 * zeta10 + c4 * zeta12 + c5 * zeta14
         bound = envelope * _zeta16_bound(x) + max(_TAIL_ROUNDING, end * _ULP) * tail
         parts.append(tail)
         value = math.fsum(parts)

@@ -18,6 +18,8 @@ from . import _EXPORTS, units
 from .closed_forms import (
     _SMALLV_MIN,
     _SMALLV_WARN,
+    _V_MAX,
+    _V_MIN,
     PathSegment,
     _check_small_speed,
     _check_v,
@@ -63,6 +65,13 @@ _SPEED_MATCH_RTOL = 1e-9
 _CHARGE_MIN = 1e-58
 # the one-plate window's lower edge is 2 v z0 / sqrt(3)
 _SQRT3 = math.sqrt(3.0)
+# the exact variances' regime flags, as _EXACT_FLAGS[plates][below][beyond]:
+# below and beyond are validity_window's b < lower_bound and b > upper_bound
+_EXACT_FLAGS = {
+    plates: tuple(tuple(("exact", plates) + ("below_window",) * below
+                        + ("beyond_window",) * beyond for beyond in (0, 1)) for below in (0, 1))
+    for plates in ("one_plate", "two_plate")
+}
 # the variances' prefactor q^2 v^4 / pi^2 divides by this float
 _PI_SQUARED = math.pi**2
 # variance_two_plate_smallv folds z0 at or above this fraction of a through
@@ -193,12 +202,13 @@ class WindowReport:
 
     Below lower_bound = 2 v z0 / sqrt(3) the fluctuation picture breaks down
     (the formal rms would exceed the mean kinetic energy scale). At
-    pole_entry = 2 v z0 / (1 - v) a corner of the integration square
-    reaches the image light cone. The closed form stays finite there but is
-    sharply peaked: for z0 = 1, v = 0.01 it is 2.6 times the plateau
-    1/(4 z0^2 v^2) at b = 0.02 and 5.2 times at b = 0.020203. Only a corner
-    within rounding of the locus raises SingularityError. pole_entry lies
-    above lower_bound, so `inside` is True across the peak. The upper edge
+    pole_entry = b* = 2 v z0 / (1 - v) a corner of the integration square
+    reaches the image light cone, where the integral diverges: I(b) =
+    -kappa ln|b - b*| + O(1), kappa = (1 - v) / (8 v^2 z0^2 (1 + v)). It is
+    finite only off b*: for z0 = 1, v = 0.01 it is 2.6 times the plateau
+    1/(4 z0^2 v^2) at b = 0.02 and 5.2 times at b = 0.020203. A b within
+    2e-10 / (1 - v) relative of b* raises SingularityError. pole_entry lies
+    above lower_bound, so `inside` is True across the pole. The upper edge
     z0 is soft: b must stay well below z0 for the one-plate geometry to be
     meaningful.
     """
@@ -219,22 +229,13 @@ def validity_window(seg: PathSegment) -> WindowReport:
     return WindowReport(b, lower, z0, pole, lower <= b <= z0, b < lower)
 
 
-def _window_flags(seg: PathSegment) -> tuple[str, ...]:
-    """The regime flags of validity_window's edges, without building its report."""
-    flags: tuple[str, ...] = ()
-    if seg.b < 2.0 * seg.v * seg.z0 / _SQRT3:
-        flags += ("below_window",)
-    if seg.b > seg.z0:
-        flags += ("beyond_window",)
-    return flags
-
-
 def _cone_index(seg: PathSegment, a: float) -> int:
     """n_U, the first image index n >= 1 with U = v (2an - 2(z0+b)) / b >=
     _TAIL_REFERENCE_U. Raises DomainError first when v lies outside the
     exact forms' range, since U divides by v."""
     v, b, z1 = seg.v, seg.b, seg.z0 + seg.b
-    _check_v(v)
+    if not _V_MIN < v < _V_MAX:
+        _check_v(v)
     n_u = math.ceil((_TAIL_REFERENCE_U * b / v + 2.0 * z1) / (2.0 * a))
     while v * (2.0 * a * n_u - 2.0 * z1) / b < _TAIL_REFERENCE_U:
         n_u += 1
@@ -250,7 +251,7 @@ def variance_one_plate(particle: Particle, seg: PathSegment) -> FluctuationResul
     v = particle.speed or particle.speed_value
     if abs(v - seg.v) > _SPEED_MATCH_RTOL * v:
         _check_speed_match(particle, seg)
-    flags = ("exact", "one_plate") + _window_flags(seg)
+    flags = _EXACT_FLAGS["one_plate"][seg.b < 2.0 * seg.v * seg.z0 / _SQRT3][seg.b > seg.z0]
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
     q = particle.charge_natural
@@ -267,10 +268,11 @@ def rms_one_plate_smallv(particle: Particle, z0: float) -> FluctuationResult:
     by the relative corrections (2/3) (v z0 / b)^2, from the O(v^0) term,
     and -b / (2 z0), from the far end z0 + b. So it holds only for b well
     past the pole entry 2 v z0 / (1-v) and well below z0, not across the
-    whole validity window: near the pole entry the exact integral peaks
-    (2.6 times the plateau at b = 2 v z0 for z0 = 1, v = 0.01), and at
-    b = z0 it is 0.625 times the plateau. Warns when the particle speed is
-    large enough (v > 0.1) that the dropped O(v^0) terms matter.
+    whole validity window: the exact integral diverges logarithmically at
+    the pole entry (WindowReport; 2.6 times the plateau at b = 2 v z0 for
+    z0 = 1, v = 0.01), and at b = z0 it is 0.625 times the plateau. Warns
+    when the particle speed is large enough (v > 0.1) that the dropped
+    O(v^0) terms matter.
     """
     if not _LENGTH_MIN <= z0 <= _LENGTH_MAX:
         check_length("starting distance z0", z0)
@@ -321,7 +323,7 @@ def variance_two_plate_exact(
     v = particle.speed or particle.speed_value
     if abs(v - seg.v) > _SPEED_MATCH_RTOL * v:
         _check_speed_match(particle, seg)
-    flags = ("exact", "two_plate") + _window_flags(seg)
+    flags = _EXACT_FLAGS["two_plate"][seg.b < 2.0 * seg.v * seg.z0 / _SQRT3][seg.b > seg.z0]
     if particle.charge_e == 0.0:
         return _result(0.0, 0.0, flags + ("neutral",))
     n_u = _cone_index(seg, a)

@@ -110,6 +110,22 @@ def test_one_plate_pole_touch_raises_with_guidance():
     assert error.__cause__ is None
 
 
+@pytest.mark.parametrize("z0, v", [(1.0, 0.01), (0.3, 0.1), (2.0, 1e-3), (1.0, 0.5)])
+def test_one_plate_integral_diverges_logarithmically_at_the_pole_entry(z0, v):
+    # I(b) = -kappa ln|b - b*| + O(1), kappa = (1 - v) / (8 v^2 z0^2 (1 + v)):
+    # from 1e-4 to 1e-6 relative of b* the integral rises by kappa ln 100 on
+    # either side, up to O(|b - b*|) terms of opposite sign on the two sides
+    b_star = 2.0 * v * z0 / (1.0 - v)
+    kappa = (1.0 - v) / (8.0 * v * v * z0 * z0 * (1.0 + v))
+    slopes = []
+    for side in (1.0, -1.0):
+        near = one_plate_integral(PathSegment(z0, b_star * (1.0 + side * 1e-6), v))
+        far = one_plate_integral(PathSegment(z0, b_star * (1.0 + side * 1e-4), v))
+        slopes.append((near - far) / math.log(100.0))
+        assert slopes[-1] == pytest.approx(kappa, rel=3e-4, abs=0.0)
+    assert 0.5 * (slopes[0] + slopes[1]) == pytest.approx(kappa, rel=1e-7, abs=0.0)
+
+
 def test_reflected_image_goldens():
     seg = PathSegment(0.3, 0.05, 0.01)
     assert reflected_image_integral(seg, 1.0, 1) == pytest.approx(

@@ -724,7 +724,7 @@ def test_kernel_blocks_with_an_interior_locus_index_match_the_pass(corner, v, fa
     # tolerance (_locus_ratio): on the locus; inside the tolerance but above
     # the tolerance of index 31's largest touch scale, which a bound taken at
     # the block's first index would clear; or just outside, where the bound
-    # at its last index fails and the row-by-row test clears the block.
+    # at its last index fails and the pass, testing each index, forms the block.
     # z0 = 3 b, with b at the lower corner of the length window or a just
     # below the upper one
     ratio = _on_locus_separation(family, 3.0, 1.0, v, 50)

@@ -245,6 +245,40 @@ def test_below_window_flagged_in_results():
     assert "below_window" in result.regime
 
 
+# (z0, b, v) at each (below_window, beyond_window): both at once need
+# z0 < b < 2 v z0 / sqrt(3), so v > sqrt(3) / 2
+_WINDOW_EDGES = {
+    (False, False): (1.0, 0.05, 0.01),
+    (True, False): (1.0, 0.005, 0.01),
+    (False, True): (0.3, 0.4, 0.01),
+    (True, True): (0.3, 0.31, 0.9),
+}
+
+
+@pytest.mark.parametrize("edges", sorted(_WINDOW_EDGES),
+                         ids=lambda edges: f"below={edges[0]}-beyond={edges[1]}")
+@pytest.mark.parametrize("charge", [1.0, 0.0], ids=["charged", "neutral"])
+@pytest.mark.parametrize("plates", ["one_plate", "two_plate"])
+def test_exact_regime_flags_follow_the_window_edges(plates, charge, edges):
+    z0, b, v = _WINDOW_EDGES[edges]
+    seg = PathSegment(z0, b, v)
+    report = validity_window(seg)
+    assert (report.below_window, report.b > report.upper_bound) == edges
+    expected = ["exact", plates]
+    if report.b < report.lower_bound:
+        expected.append("below_window")
+    if report.b > report.upper_bound:
+        expected.append("beyond_window")
+    if charge == 0.0:
+        expected.append("neutral")
+    particle = Particle(charge_e=charge, mass_eV=M_E, speed=v)
+    if plates == "one_plate":
+        result = variance_one_plate(particle, seg)
+    else:
+        result = variance_two_plate_exact(particle, seg, 2.0 * (z0 + b))
+    assert result.regime == tuple(expected)
+
+
 def test_variance_two_plate_exact_golden():
     p = Particle(charge_e=1.0, mass_eV=M_E, speed=0.005)
     result = variance_two_plate_exact(p, PathSegment(0.3, 0.005, 0.005), 1.0)
