@@ -195,6 +195,11 @@ def _variance_row(args) -> dict:
                         kinetic_energy_eV=args.kinetic_eV, speed=args.speed)
     if args.z0 is None:
         raise DomainError("variance sweeps need --z0")
+    # a length the result does not depend on would be echoed beside it
+    if args.plates == "one" and args.a is not None:
+        raise DomainError("one-plate variance takes no plate separation; drop --a")
+    if args.mode == "small-v" and args.b is not None:
+        raise DomainError("small-v variance takes no flight distance; drop --b")
     z0, b, a = (_to_natural(length, args) for length in (args.z0, args.b, args.a))
     if args.mode == "exact":
         if b is None:
@@ -307,10 +312,7 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    for flag, count in (("--sets", args.sets), ("--grid-points", args.grid_points)):
-        if count < 1:
-            parser.error(f"{flag} must be at least 1, got {count}")
+def _cmd_verify(args) -> int:
     from .oracle import run_verification
 
     reflection_override = None
@@ -320,12 +322,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         def reflection_override(base, b, v):
             return -_reflection_square(base, b, v)
 
-    report = run_verification(
-        seed=args.seed,
-        sets_per_family=args.sets,
-        grid_points=args.grid_points,
-        reflection_override=reflection_override,
-    )
+    report = run_verification(seed=args.seed, reflection_override=reflection_override)
     if args.format == "json":
         import json
 
@@ -460,12 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seed", type=int, default=12345, help="sampling seed")
     verify.add_argument(
-        "--sets", type=int, default=50, help="pole-free parameter sets per family"
-    )
-    verify.add_argument(
-        "--grid-points", type=int, default=20, help="derivative-check grid size"
-    )
-    verify.add_argument(
         "--inject-wrong-sign",
         action="store_true",
         help="test hook: flip the sign of one closed form and expect failure",
@@ -497,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args, parser)
         if args.command == "verify":
-            return _cmd_verify(args, parser)
+            return _cmd_verify(args)
         # the subparsers are required, so the one command left is moddel
         return _cmd_moddel(args)
     except (DomainError, SingularityError) as exc:

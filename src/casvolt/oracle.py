@@ -92,6 +92,10 @@ _QUAD_GATE = 1e-7
 _DERIV_GATE = 1e-6
 # N, the image pairs of the truncated series cross-checks
 _SERIES_TERMS = 10000
+# run_verification's pole-free parameter sets per quadrature family and
+# points per derivative identity
+_SETS_PER_FAMILY = 50
+_GRID_POINTS = 20
 
 
 @record
@@ -647,33 +651,22 @@ def _worst(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max([0.0, *values])
 
 
-def run_verification(
-    seed: int = 12345,
-    sets_per_family: int = 50,
-    grid_points: int = 20,
-    reflection_override=None,
-) -> VerificationReport:
+def run_verification(seed: int = 12345, reflection_override=None) -> VerificationReport:
     """Re-derive the closed forms from quadrature, derivatives, and series.
 
     Runs, with a seeded generator: quadrature-versus-closed-form agreement
-    on sets_per_family pole-free parameter sets for the one-plate integral
+    on _SETS_PER_FAMILY pole-free parameter sets for the one-plate integral
     and for each image family (relative gate 1e-7, expected 1e-12 or
     better); error-estimate conservativeness on the same cases; Richardson
-    derivative identity checks (deriv_check) on grid_points off-singular
+    derivative identity checks (deriv_check) on _GRID_POINTS off-singular
     points per square (gate 1e-6); and the series identities behind the
     small-v closed form, whose gaps must lie between the integral-test
-    bounds on the dropped terms from N + 1 and from N. Raises
-    DomainError when sets_per_family or grid_points is below 1.
+    bounds on the dropped terms from N + 1 and from N.
 
     reflection_override substitutes a deliberately wrong reflection square,
     with the production square's signature, on both the quadrature and the
     derivative side, for exercising the failure path end to end.
     """
-    if sets_per_family < 1 or grid_points < 1:
-        raise DomainError(
-            f"verification needs at least one case per check, got "
-            f"sets_per_family={sets_per_family!r}, grid_points={grid_points!r}"
-        )
     reflection = reflection_override or _reflection_square
     start = time.perf_counter()
     rng = random.Random(seed)
@@ -698,7 +691,7 @@ def run_verification(
         ("quad_reflected_vs_closed", reflected),
         ("quad_translated_vs_closed", translated),
     ):
-        cases = [case() for _ in range(sets_per_family)]
+        cases = [case() for _ in range(_SETS_PER_FAMILY)]
         worst = _worst(abs(quad.value - closed) / abs(closed) for closed, quad in cases)
         checks.append(CheckResult(
             name=name,
@@ -734,13 +727,13 @@ def run_verification(
         ("deriv_reflection_identity", "reflection", _sample_reflection_point, reflection),
         ("deriv_translation_identity", "translation", _sample_translation_point, None),
     ):
-        reports = [deriv_check(family, *sample(rng), square=square) for _ in range(grid_points)]
+        reports = [deriv_check(family, *sample(rng), square=square) for _ in range(_GRID_POINTS)]
         worst = _worst(report.relative_error for report in reports)
         checks.append(CheckResult(
             name=name,
             passed=all(report.converged for report in reports),
             worst=worst,
-            detail=f"{grid_points} points, worst relative error {worst:.3e} "
+            detail=f"{_GRID_POINTS} points, worst relative error {worst:.3e} "
             f"(gate {_DERIV_GATE:.0e})",
         ))
 

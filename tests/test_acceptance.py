@@ -45,7 +45,7 @@ from casvolt import (
 
 @pytest.fixture(scope="module")
 def verification():
-    return run_verification(seed=12345, sets_per_family=50, grid_points=20)
+    return run_verification(seed=12345)
 
 
 def test_criterion_01_flight_rms_golden_and_fast():

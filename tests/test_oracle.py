@@ -1,4 +1,5 @@
 """Independent quadrature, derivative, and verification oracles."""
+import inspect
 import math
 import random
 import sys
@@ -285,7 +286,7 @@ def test_deriv_check_validation():
 
 
 def test_run_verification_passes():
-    report = run_verification(seed=12345, sets_per_family=10, grid_points=5)
+    report = run_verification(seed=12345)
     assert report.passed
     names = {check.name for check in report.checks}
     assert "quad_one_plate_vs_closed" in names
@@ -299,23 +300,11 @@ def test_run_verification_passes():
     assert payload["seed"] == 12345
 
 
-@pytest.mark.parametrize("counts", [
-    {"sets_per_family": 0}, {"grid_points": 0}, {"sets_per_family": -3},
-])
-def test_run_verification_refuses_empty_checks(counts):
-    # with no cases every check passed vacuously, and an injected fault
-    # went unseen
-    with pytest.raises(DomainError, match="at least one case"):
-        run_verification(seed=12345, **counts)
-
-
 def test_run_verification_detects_wrong_sign():
     def wrong(base, b, v):
         return -_reflection_square(base, b, v)
 
-    report = run_verification(
-        seed=12345, sets_per_family=5, grid_points=3, reflection_override=wrong
-    )
+    report = run_verification(seed=12345, reflection_override=wrong)
     assert not report.passed
     # the wrong square enters the one-plate and reflected quadrature checks,
     # the estimates check built on their rows, and the reflection identity
@@ -332,8 +321,7 @@ def test_run_verification_fails_every_gate_a_nan_reaches():
     # max(0.0, nan) is 0.0 and nan > allowed is false, so a closed form
     # returning nan used to pass both quadrature checks and the estimates
     # check with worst 0.0, and fail the reflection identity with worst 0.0
-    report = run_verification(seed=12345, sets_per_family=5, grid_points=3,
-                              reflection_override=lambda base, b, v: float("nan"))
+    report = run_verification(seed=12345, reflection_override=lambda base, b, v: float("nan"))
     failed = {check.name: check for check in report.checks if not check.passed}
     assert set(failed) == {
         "quad_one_plate_vs_closed",
@@ -349,9 +337,11 @@ def test_run_verification_fails_every_gate_a_nan_reaches():
 
 
 def test_run_verification_shape():
-    # seven checks in a fixed order, each quadrature check over
-    # sets_per_family cases and each derivative check over grid_points
-    report = run_verification(seed=7, sets_per_family=4, grid_points=3)
+    # one fixed set: seven checks in a fixed order, each quadrature check
+    # over 50 cases and each derivative check over 20 points
+    assert list(inspect.signature(run_verification).parameters) == [
+        "seed", "reflection_override"]
+    report = run_verification(seed=7)
     assert [check.name for check in report.checks] == [
         "quad_one_plate_vs_closed",
         "quad_reflected_vs_closed",
@@ -362,8 +352,8 @@ def test_run_verification_shape():
         "series_identities_within_tail_bounds",
     ]
     details = [check.detail for check in report.checks]
-    assert all(detail.startswith("4 cases, ") for detail in details[:3])
-    assert all(detail.startswith("3 points, ") for detail in details[4:6])
+    assert all(detail.startswith("50 cases, ") for detail in details[:3])
+    assert all(detail.startswith("20 points, ") for detail in details[4:6])
     assert [check["name"] for check in report.to_dict()["checks"]] == [
         check.name for check in report.checks
     ]
@@ -384,7 +374,7 @@ def test_series_check_fails_a_closed_form_off_by_a_millionth(scale, monkeypatch)
 
     monkeypatch.setattr(oracle, "csc_identity", scaled(oracle.csc_identity))
     monkeypatch.setattr(oracle, "zeta_two_series", scaled(oracle.zeta_two_series))
-    report = run_verification(seed=7, sets_per_family=1, grid_points=1)
+    report = run_verification(seed=7)
     failed = [check.name for check in report.checks if not check.passed]
     assert failed == ["series_identities_within_tail_bounds"]
     detail = report.checks[-1].detail
